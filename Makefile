@@ -91,12 +91,14 @@ bench-update:
 ## fuzz: short fuzz passes — Hungarian solver vs brute force, the
 ## scenario-spec JSON decode/validate/re-encode round trip, the
 ## heap-vs-wheel event-scheduler differential (identical firing sequences),
-## and the search-space JSON normalize fixed point.
+## the search-space JSON normalize fixed point, and the series CSV kernel
+## vs an encoding/csv reference writer (identical bytes).
 fuzz:
 	$(GO) test -fuzz=FuzzHungarian -fuzztime=10s ./internal/hungarian/
 	$(GO) test -fuzz=FuzzSpecJSON -fuzztime=10s ./internal/scenario/
 	$(GO) test -fuzz=FuzzSchedulerEquivalence -fuzztime=10s ./internal/simtime/
 	$(GO) test -fuzz=FuzzParamSpaceJSON -fuzztime=10s ./internal/search/
+	$(GO) test -fuzz=FuzzRecorderCSV -fuzztime=10s ./internal/trace/
 
 ## suite: run every experiment once, fanned across GOMAXPROCS workers.
 suite:

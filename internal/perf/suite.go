@@ -9,12 +9,14 @@ import (
 	"hcperf/internal/dag"
 	"hcperf/internal/engine"
 	"hcperf/internal/exectime"
+	"hcperf/internal/experiment"
 	"hcperf/internal/fleet"
 	"hcperf/internal/hungarian"
 	"hcperf/internal/mfc"
 	"hcperf/internal/scenario"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
+	"hcperf/internal/trace"
 )
 
 // Bench is one named entry of the gated benchmark suite.
@@ -26,7 +28,8 @@ type Bench struct {
 // Suite returns the benchmarks the perf baseline tracks: the hot paths the
 // dispatch-layer optimisations target (γ search, dispatch selection,
 // Hungarian matching one-shot vs. reused Solver, a full engine second per
-// policy, one controller step). Names are stable identifiers — they key the
+// policy, one controller step) and the report digest a served result
+// computes once. Names are stable identifiers — they key the
 // baseline JSON, so renaming one invalidates the checked-in baseline.
 func Suite() []Bench {
 	return []Bench{
@@ -46,6 +49,40 @@ func Suite() []Bench {
 		{"FleetSecond/N=256", func(b *testing.B) { benchFleetSecond(b, 256) }},
 		{"SimtimeSchedule", benchSimtimeSchedule},
 		{"SimtimeTickerChurn", benchSimtimeTickerChurn},
+		{"ReportDigest/samples=20000", func(b *testing.B) { benchReportDigest(b, 20000) }},
+	}
+}
+
+// benchReportDigest measures Report.Digest, the series CSV kernel a
+// result's first render pays, on a deterministic report shaped like a
+// car-following one: samples dealt round-robin over 13 series on one
+// 10 ms time base, with full-precision values.
+func benchReportDigest(b *testing.B, samples int) {
+	names := []string{
+		"tracking_err_sample", "u", "gamma", "lead_speed", "follow_speed", "speed_err", "gap",
+		"dist_err", "throughput", "response_ms", "discomfort", "miss_ratio", "queue_len",
+	}
+	rec := trace.NewRecorder()
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < samples; k++ {
+		t := float64(k/len(names)) * 0.01
+		if err := rec.Add(names[k%len(names)], t, rng.NormFloat64()*10); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rep := &experiment.Report{
+		ID:     "run-carfollow",
+		Title:  "Car following",
+		Header: []string{"quantity", "value"},
+		Rows:   [][]string{{"rms_tracking_err", "0.25"}},
+		Series: rec,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rep.Digest(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

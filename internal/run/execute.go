@@ -3,6 +3,7 @@ package run
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"hcperf/internal/experiment"
 	"hcperf/internal/fleet"
@@ -19,11 +20,26 @@ const traceCapacity = 1 << 20
 
 // Result is a completed run: the rendered report plus, for traced
 // scenario runs, the captured lifecycle events and, for optimize runs, the
-// structured search report.
+// structured search report. A Result is immutable once returned, which is
+// what lets ReportDigest compute its digest once and share it.
 type Result struct {
 	Report   *experiment.Report
 	Events   []lifecycle.Event
 	Optimize *search.Report
+
+	digestOnce sync.Once
+	digest     string
+	digestErr  error
+}
+
+// ReportDigest returns Report.Digest, computed on the first call and
+// memoized for every later one, so a result served many times from memory
+// hashes its series once. Neither Execute nor Pipeline.Run calls it: the
+// CLI never needs the digest, and only the serving layer pays for it, on a
+// result's first render.
+func (r *Result) ReportDigest() (string, error) {
+	r.digestOnce.Do(func() { r.digest, r.digestErr = r.Report.Digest() })
+	return r.digest, r.digestErr
 }
 
 // Func executes one normalized request. The pipeline's and the serving

@@ -57,6 +57,9 @@ func TestPipelineMissThenDiskHit(t *testing.T) {
 	if tier != store.TierDisk || calls != 1 {
 		t.Fatalf("second run: tier=%s calls=%d, want disk/1", tier, calls)
 	}
+	if res1.digest != "" || res2.digest != "" {
+		t.Error("Pipeline.Run computed the report digest")
+	}
 	if digest2 != digest {
 		t.Errorf("digest changed between runs: %s vs %s", digest[:12], digest2[:12])
 	}

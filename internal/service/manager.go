@@ -226,7 +226,7 @@ type ManagerConfig struct {
 type shard struct {
 	mu    sync.Mutex
 	jobs  map[string]*Job // every known job in this partition
-	cache *store.LRU      // recency order over terminal jobs only
+	cache *store.LRU      // recency order over finished jobs only
 }
 
 // Manager owns the submission queue, the worker pool, and the
@@ -586,26 +586,30 @@ func (m *Manager) runJob(j *Job) {
 		state = StateFailed
 		m.metrics.Failed.Add(1)
 	}
+	// Persist, then enter the LRU, then finish: whoever waits on done
+	// must find the result on disk and any digest it evicts already gone
+	// from memory, or a resubmission right after done could still be
+	// served from the memory tier it has just left.
 	if state == StateDone {
 		j.mu.Lock()
 		j.source = store.TierMemory
 		j.mu.Unlock()
-	}
-	j.finish(state, res, err, time.Now())
-
-	if state == StateDone {
 		// Persist the completed run so it survives restarts and memory
 		// eviction. Best-effort: a full or lost volume costs persistence,
 		// never the run.
 		_ = run.SaveDisk(m.disk, j.ID, res)
 	}
 
-	// Enter the terminal job into the LRU; evicted digests drop out of
-	// the job map entirely, so a resubmission re-executes.
+	// Enter the job into the LRU; evicted digests drop out of the job
+	// map entirely, so a resubmission re-executes (or restores from
+	// disk). Until finish below, a submission of this digest coalesces
+	// onto the job as in flight.
 	sh := m.shardFor(j.ID)
 	sh.mu.Lock()
 	m.addToCacheLocked(sh, j.ID)
 	sh.mu.Unlock()
+
+	j.finish(state, res, err, time.Now())
 }
 
 // Shutdown stops accepting new runs, lets the workers drain the queue, and

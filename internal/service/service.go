@@ -187,7 +187,7 @@ func (s *Server) status(snap JobSnapshot, includeSeries bool) runStatus {
 	}
 	if snap.Result != nil && snap.Result.Report != nil {
 		st.Report = snap.Result.Report.View(includeSeries)
-		if d, err := snap.Result.Report.Digest(); err == nil {
+		if d, err := snap.Result.ReportDigest(); err == nil {
 			st.Digest = d
 		}
 		st.Cache = snap.Source

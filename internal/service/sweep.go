@@ -289,7 +289,7 @@ func (s *Server) runSweepCell(ctx context.Context, c sweepCell, of int) (ev swee
 	// Publish so GET /v1/runs/{id} serves the cell like any other run.
 	m.AddCached(c.Req, res, tier)
 	ev.State = StateDone
-	if d, derr := res.Report.Digest(); derr == nil {
+	if d, derr := res.ReportDigest(); derr == nil {
 		ev.ReportDigest = d
 	}
 	return ev

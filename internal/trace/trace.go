@@ -4,6 +4,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -139,26 +140,50 @@ func (r *Recorder) Series(name string) *Series { return r.series[name] }
 // Names returns the series names in creation order.
 func (r *Recorder) Names() []string { return append([]string(nil), r.order...) }
 
-// WriteCSV writes all series in long format: series,time,value.
+// csvFlush is the buffer fill at which WriteCSV hands its bytes to the
+// writer: large enough that a hash or file sees few calls, small enough to
+// stay in cache.
+const csvFlush = 32 << 10
+
+// WriteCSV writes all series in long format: series,time,value. The bytes
+// are exactly what encoding/csv writes for those records with its default
+// settings; Report.Digest hashes them, so they must never change. Each name
+// is quoted once by encoding/csv itself, and the rows are appended to one
+// reused buffer: times and values in 'g' form never need quoting, so no
+// sample allocates.
 func (r *Recorder) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"series", "time", "value"}); err != nil {
-		return fmt.Errorf("trace: write header: %w", err)
-	}
+	// Headroom above csvFlush holds the row that crosses it.
+	buf := make([]byte, 0, 2*csvFlush)
+	buf = append(buf, "series,time,value\n"...)
+	var field bytes.Buffer
+	cw := csv.NewWriter(&field)
 	for _, name := range r.order {
+		// The record {name, ""} renders as the quoted name, a comma and a
+		// newline; dropping the newline leaves every row's prefix.
+		field.Reset()
+		if err := cw.Write([]string{name, ""}); err != nil {
+			return fmt.Errorf("trace: quote series name %q: %w", name, err)
+		}
+		cw.Flush()
+		prefix := field.Bytes()[:field.Len()-1]
 		for _, p := range r.series[name].Samples {
-			rec := []string{
-				name,
-				strconv.FormatFloat(p.T, 'g', -1, 64),
-				strconv.FormatFloat(p.V, 'g', -1, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return fmt.Errorf("trace: write row: %w", err)
+			buf = append(buf, prefix...)
+			buf = strconv.AppendFloat(buf, p.T, 'g', -1, 64)
+			buf = append(buf, ',')
+			buf = strconv.AppendFloat(buf, p.V, 'g', -1, 64)
+			buf = append(buf, '\n')
+			if len(buf) >= csvFlush {
+				if _, err := w.Write(buf); err != nil {
+					return fmt.Errorf("trace: write rows: %w", err)
+				}
+				buf = buf[:0]
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("trace: write rows: %w", err)
+	}
+	return nil
 }
 
 // Percentile returns the p-th percentile (0..100, linear interpolation) of

@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/csv"
+	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -167,5 +171,135 @@ func TestSeriesPercentile(t *testing.T) {
 	// Single-sample range.
 	if got := s.Percentile(75, 3, 4); got != 30 {
 		t.Errorf("single-sample percentile = %v, want 30", got)
+	}
+}
+
+// referenceCSV is the record-at-a-time encoding/csv writer that WriteCSV
+// must match byte for byte: one three-field record per sample, each float
+// in shortest 'g' form.
+func referenceCSV(r *Recorder) ([]byte, error) {
+	var b bytes.Buffer
+	cw := csv.NewWriter(&b)
+	if err := cw.Write([]string{"series", "time", "value"}); err != nil {
+		return nil, err
+	}
+	for _, name := range r.Names() {
+		for _, p := range r.Series(name).Samples {
+			rec := []string{
+				name,
+				strconv.FormatFloat(p.T, 'g', -1, 64),
+				strconv.FormatFloat(p.V, 'g', -1, 64),
+			}
+			if err := cw.Write(rec); err != nil {
+				return nil, err
+			}
+		}
+	}
+	cw.Flush()
+	return b.Bytes(), cw.Error()
+}
+
+// FuzzRecorderCSV differentially checks WriteCSV against referenceCSV on
+// recorders of two interleaved series: for i below n mod 8192, name1 gets
+// (t0 + i*dt, v + i*dv) and, at even i, name2 gets (t0 + i*dt, v - i*dv);
+// equal names make one series. Samples the recorder refuses (an empty
+// name, time moving backwards) are skipped, so the comparison sees exactly
+// what it holds.
+func FuzzRecorderCSV(f *testing.F) {
+	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
+	for _, s := range []struct {
+		name1, name2  string
+		t0, dt, v, dv float64
+		n             uint16
+	}{
+		{"a", "b", 0, 0.25, 1.5, -3.5, 4},
+		// Names encoding/csv must quote.
+		{"x,y", `say "hi"`, 0, 0.01, 1, 1, 6},
+		{"cr\rname", "line\nbreak", 0, 0.01, 1, 1, 6},
+		{" lead", "\ttab", 0, 0.01, 1, 1, 6},
+		{"\u00a0nbsp", "\u2003em", 0, 0.01, 1, 1, 6},
+		{`\.`, "trail ", 0, 0.01, 1, 1, 6},
+		// Non-ASCII and invalid UTF-8.
+		{"速度", "Δv ü", 0, 0.01, 1, 1, 6},
+		{"\xff\xfe", "é", 0, 0.01, 1, 1, 6},
+		// Special values.
+		{"nan", "inf", 0, 0.01, nan, 0, 4},
+		{"inf", "neginf", 0, 0.01, inf, 0, 4},
+		{"neginf", "x", 0, 0.01, -inf, 1, 4},
+		{"negzero", "x", negZero, negZero, negZero, negZero, 4},
+		{"subnormal", "x", 5e-324, 5e-324, 5e-324, 2.2250738585072e-308, 4},
+		{"nan-time", "x", nan, 0, 1, 1, 4},
+		// Both sides of the 'g' exponent switch.
+		{"big", "x", 999999, 1, 999999, 1, 3},
+		{"bigger", "x", 1e6, 1e6, 1e21, 1e21, 3},
+		{"small", "x", 1e-4, 0, 1e-4, -9e-5, 3},
+		{"smaller", "x", 1e-5, 1e-5, 1e-5, 1e-6, 3},
+		// Long enough to cross the flush boundary several times.
+		{"tracking_err_sample", "gap", 0, 0.001, 0.1234567891234, 1.0000001, 6000},
+		{"", "only", 0, 1, 1, 1, 4},
+	} {
+		f.Add(s.name1, s.name2, s.t0, s.dt, s.v, s.dv, s.n)
+	}
+	f.Fuzz(func(t *testing.T, name1, name2 string, t0, dt, v, dv float64, n uint16) {
+		r := NewRecorder()
+		for i := 0; i < int(n%8192); i++ {
+			x := float64(i)
+			_ = r.Add(name1, t0+x*dt, v+x*dv)
+			if i%2 == 0 {
+				_ = r.Add(name2, t0+x*dt, v-x*dv)
+			}
+		}
+		want, err := referenceCSV(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := r.WriteCSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("WriteCSV differs from encoding/csv:\n got %q\nwant %q", clip(got.Bytes()), clip(want))
+		}
+	})
+}
+
+// clip shortens a failing CSV for the message.
+func clip(b []byte) []byte {
+	if len(b) > 512 {
+		return b[:512]
+	}
+	return b
+}
+
+// failingWriter accepts limit bytes, then fails every write.
+type failingWriter struct{ limit int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.limit {
+		n := w.limit
+		w.limit = 0
+		return n, errors.New("disk full")
+	}
+	w.limit -= len(p)
+	return len(p), nil
+}
+
+// TestWriteCSVReportsWriteErrors: a writer failing after the first flush
+// or on the last one fails WriteCSV.
+func TestWriteCSVReportsWriteErrors(t *testing.T) {
+	r := NewRecorder()
+	for i := 0; i < 10000; i++ {
+		if err := r.Add("s", float64(i), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var full bytes.Buffer
+	if err := r.WriteCSV(&full); err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{0, csvFlush + 10, full.Len() - 1} {
+		if err := r.WriteCSV(&failingWriter{limit: limit}); err == nil {
+			t.Errorf("writer failing after %d of %d bytes: WriteCSV returned nil", limit, full.Len())
+		}
 	}
 }
