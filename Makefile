@@ -91,14 +91,17 @@ bench-update:
 ## fuzz: short fuzz passes — Hungarian solver vs brute force, the
 ## scenario-spec JSON decode/validate/re-encode round trip, the
 ## heap-vs-wheel event-scheduler differential (identical firing sequences),
-## the search-space JSON normalize fixed point, and the series CSV kernel
-## vs an encoding/csv reference writer (identical bytes).
+## the search-space JSON normalize fixed point, the series CSV kernel vs an
+## encoding/csv reference writer (identical bytes), and the disk result
+## codec (no panic or outsized allocation on any bytes; bit-exact round
+## trip).
 fuzz:
 	$(GO) test -fuzz=FuzzHungarian -fuzztime=10s ./internal/hungarian/
 	$(GO) test -fuzz=FuzzSpecJSON -fuzztime=10s ./internal/scenario/
 	$(GO) test -fuzz=FuzzSchedulerEquivalence -fuzztime=10s ./internal/simtime/
 	$(GO) test -fuzz=FuzzParamSpaceJSON -fuzztime=10s ./internal/search/
 	$(GO) test -fuzz=FuzzRecorderCSV -fuzztime=10s ./internal/trace/
+	$(GO) test -fuzz=FuzzDecodeResult -fuzztime=10s ./internal/run/
 
 ## suite: run every experiment once, fanned across GOMAXPROCS workers.
 suite:

@@ -13,6 +13,7 @@ import (
 	"hcperf/internal/fleet"
 	"hcperf/internal/hungarian"
 	"hcperf/internal/mfc"
+	"hcperf/internal/run"
 	"hcperf/internal/scenario"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
@@ -28,9 +29,10 @@ type Bench struct {
 // Suite returns the benchmarks the perf baseline tracks: the hot paths the
 // dispatch-layer optimisations target (γ search, dispatch selection,
 // Hungarian matching one-shot vs. reused Solver, a full engine second per
-// policy, one controller step) and the report digest a served result
-// computes once. Names are stable identifiers — they key the
-// baseline JSON, so renaming one invalidates the checked-in baseline.
+// policy, one controller step), the report digest a served result
+// computes once, and the disk codec every stored result passes through.
+// Names are stable identifiers — they key the baseline JSON, so renaming
+// one invalidates the checked-in baseline.
 func Suite() []Bench {
 	return []Bench{
 		{"DynamicSelect/queue=32", func(b *testing.B) { benchDynamicSelect(b, 32) }},
@@ -50,14 +52,15 @@ func Suite() []Bench {
 		{"SimtimeSchedule", benchSimtimeSchedule},
 		{"SimtimeTickerChurn", benchSimtimeTickerChurn},
 		{"ReportDigest/samples=20000", func(b *testing.B) { benchReportDigest(b, 20000) }},
+		{"ResultCodec/encode/samples=20000", func(b *testing.B) { benchResultEncode(b, 20000) }},
+		{"ResultCodec/decode/samples=20000", func(b *testing.B) { benchResultDecode(b, 20000) }},
 	}
 }
 
-// benchReportDigest measures Report.Digest, the series CSV kernel a
-// result's first render pays, on a deterministic report shaped like a
-// car-following one: samples dealt round-robin over 13 series on one
-// 10 ms time base, with full-precision values.
-func benchReportDigest(b *testing.B, samples int) {
+// carFollowingReport is the deterministic report the digest and codec
+// pins share, shaped like a car-following one: samples dealt round-robin
+// over 13 series on one 10 ms time base, with full-precision values.
+func carFollowingReport(tb testing.TB, samples int) *experiment.Report {
 	names := []string{
 		"tracking_err_sample", "u", "gamma", "lead_speed", "follow_speed", "speed_err", "gap",
 		"dist_err", "throughput", "response_ms", "discomfort", "miss_ratio", "queue_len",
@@ -67,16 +70,26 @@ func benchReportDigest(b *testing.B, samples int) {
 	for k := 0; k < samples; k++ {
 		t := float64(k/len(names)) * 0.01
 		if err := rec.Add(names[k%len(names)], t, rng.NormFloat64()*10); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	rep := &experiment.Report{
+	return &experiment.Report{
 		ID:     "run-carfollow",
 		Title:  "Car following",
 		Header: []string{"quantity", "value"},
 		Rows:   [][]string{{"rms_tracking_err", "0.25"}},
 		Series: rec,
 	}
+}
+
+// codecDigest is the request digest the codec pins store their entry
+// under.
+const codecDigest = "e147c7de9e87627b60fd50ce3a2de8685590a66a42cb5b85a7f2d9c68b104d04"
+
+// benchReportDigest measures Report.Digest, the series CSV kernel a
+// result's first render pays.
+func benchReportDigest(b *testing.B, samples int) {
+	rep := carFollowingReport(b, samples)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,6 +97,41 @@ func benchReportDigest(b *testing.B, samples int) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchResultEncode measures run.EncodeResult, which every fresh
+// execution pays before it is stored on disk.
+func benchResultEncode(b *testing.B, samples int) {
+	res := &run.Result{Report: carFollowingReport(b, samples)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := run.EncodeResult(codecDigest, res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchResultDecode measures run.DecodeResult, which every answer read
+// from the disk tier pays.
+func benchResultDecode(b *testing.B, samples int) {
+	data := encodedReport(b, samples)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := run.DecodeResult(codecDigest, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// encodedReport is the disk entry of carFollowingReport(samples).
+func encodedReport(tb testing.TB, samples int) []byte {
+	data, err := run.EncodeResult(codecDigest, &run.Result{Report: carFollowingReport(tb, samples)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }
 
 // benchSimtimeSchedule measures raw schedule+step churn on a warm event

@@ -1,8 +1,12 @@
 package run
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"math"
 
 	"hcperf/internal/experiment"
 	"hcperf/internal/lifecycle"
@@ -10,14 +14,32 @@ import (
 	"hcperf/internal/trace"
 )
 
-// codecVersion is the disk envelope version. Decoding refuses other
-// versions, so a format change never silently misreads old entries — they
-// quarantine and recompute instead.
-const codecVersion = 1
+// codecVersion is the disk entry version. Decoding refuses other versions,
+// so a format change never silently misreads old entries — they quarantine
+// and recompute instead. Version 1 entries are JSON documents without the
+// magic below and fail its check.
+const codecVersion = 2
 
-// envelope is the on-disk form of a Result. It carries the request digest
-// it was stored under, so a mislabeled or cross-wired entry fails the
-// integrity check instead of serving the wrong run.
+// An entry is laid out as
+//
+//	magic | uvarint len(header) | header | samples | CRC-32C
+//
+// The header is the JSON envelope below with each series reduced to its
+// name and sample count. The samples are every series' (T, V) pairs in
+// recording order, each float64 as its little-endian IEEE-754 bits, so the
+// round trip is bit-exact by construction. The CRC-32C (Castagnoli),
+// little-endian, covers every byte before it.
+const (
+	codecMagic  = "HCPR"
+	sampleBytes = 16 // one (T, V) pair
+	crcBytes    = 4
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// envelope is the JSON header of a disk entry. It carries the request
+// digest it was stored under, so a mislabeled or cross-wired entry fails
+// the integrity check instead of serving the wrong run.
 type envelope struct {
 	V        int               `json:"v"`
 	Digest   string            `json:"digest"`
@@ -26,31 +48,29 @@ type envelope struct {
 	Optimize *search.Report    `json:"optimize,omitempty"`
 }
 
-// reportJSON mirrors experiment.Report field-for-field. The trace recorder
-// is flattened to ordered (name, t[], v[]) triples; HasSeries
-// distinguishes a nil recorder from an empty one, because Report.Digest
-// hashes the CSV header of an empty recorder but nothing for a nil one.
+// reportJSON mirrors experiment.Report field-for-field, with the trace
+// recorder reduced to its series headers in recording order; the samples
+// follow the JSON. HasSeries distinguishes a nil recorder from an empty
+// one, because Report.Digest hashes the CSV header of an empty recorder
+// but nothing for a nil one.
 type reportJSON struct {
-	ID        string       `json:"id"`
-	Title     string       `json:"title"`
-	Header    []string     `json:"header,omitempty"`
-	Rows      [][]string   `json:"rows,omitempty"`
-	PaperRows [][]string   `json:"paper_rows,omitempty"`
-	Notes     []string     `json:"notes,omitempty"`
-	Volatile  bool         `json:"volatile,omitempty"`
-	HasSeries bool         `json:"has_series,omitempty"`
-	Series    []seriesJSON `json:"series,omitempty"`
+	ID        string         `json:"id"`
+	Title     string         `json:"title"`
+	Header    []string       `json:"header,omitempty"`
+	Rows      [][]string     `json:"rows,omitempty"`
+	PaperRows [][]string     `json:"paper_rows,omitempty"`
+	Notes     []string       `json:"notes,omitempty"`
+	Volatile  bool           `json:"volatile,omitempty"`
+	HasSeries bool           `json:"has_series,omitempty"`
+	Series    []seriesHeader `json:"series,omitempty"`
 }
 
-// seriesJSON is one recorded series in recording order. T and V are
-// parallel slices; Go marshals float64 with the shortest round-trip
-// representation, so a decode replays bit-identical samples and the
-// rebuilt recorder's CSV — and therefore the report digest — matches the
-// original byte for byte.
-type seriesJSON struct {
-	Name string    `json:"name"`
-	T    []float64 `json:"t"`
-	V    []float64 `json:"v"`
+// seriesHeader names one series and counts its samples. The name is bytes
+// (base64 in JSON) because a series name need not be valid UTF-8, and a
+// JSON string would replace the invalid bytes.
+type seriesHeader struct {
+	Name []byte `json:"name"`
+	N    int    `json:"n"`
 }
 
 // EncodeResult serializes a completed run for the disk store, keyed by the
@@ -69,49 +89,77 @@ func EncodeResult(digest string, res *Result) ([]byte, error) {
 		Notes:     r.Notes,
 		Volatile:  r.Volatile,
 	}
+	var series []*trace.Series
+	total := 0
 	if r.Series != nil {
 		rj.HasSeries = true
 		for _, name := range r.Series.Names() {
 			s := r.Series.Series(name)
-			sj := seriesJSON{Name: name, T: make([]float64, 0, s.Len()), V: make([]float64, 0, s.Len())}
-			for _, p := range s.Samples {
-				sj.T = append(sj.T, p.T)
-				sj.V = append(sj.V, p.V)
-			}
-			rj.Series = append(rj.Series, sj)
+			rj.Series = append(rj.Series, seriesHeader{Name: []byte(name), N: s.Len()})
+			series = append(series, s)
+			total += s.Len()
 		}
 	}
-	env := envelope{
+	header, err := json.Marshal(envelope{
 		V:        codecVersion,
 		Digest:   digest,
 		Report:   rj,
 		Events:   res.Events,
 		Optimize: res.Optimize,
-	}
-	b, err := json.Marshal(env)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("run: encode %s: %w", digest, err)
 	}
-	return b, nil
+	b := make([]byte, 0, len(codecMagic)+binary.MaxVarintLen64+len(header)+total*sampleBytes+crcBytes)
+	b = append(b, codecMagic...)
+	b = binary.AppendUvarint(b, uint64(len(header)))
+	b = append(b, header...)
+	for _, s := range series {
+		for _, p := range s.Samples {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.T))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.V))
+		}
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli)), nil
 }
 
 // DecodeResult parses a disk entry back into a Result, verifying the
-// envelope version and that the entry was stored under the digest it is
-// being read for. Any failure means the entry is corrupt (or cross-wired)
-// and must be treated as a miss — the pipeline quarantines it.
+// checksum, the codec version and that the entry was stored under the
+// digest it is being read for. Any failure means the entry is corrupt,
+// cross-wired or from another version, and must be treated as a miss —
+// the pipeline quarantines it.
 func DecodeResult(digest string, data []byte) (*Result, error) {
+	fail := func(format string, args ...any) (*Result, error) {
+		return nil, fmt.Errorf("run: decode %s: "+format, append([]any{digest}, args...)...)
+	}
+	if !bytes.HasPrefix(data, []byte(codecMagic)) {
+		return fail("not a version %d entry (no %s magic)", codecVersion, codecMagic)
+	}
+	if len(data) < len(codecMagic)+crcBytes {
+		return fail("truncated entry")
+	}
+	body := data[:len(data)-crcBytes]
+	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(data[len(body):]); got != want {
+		return fail("checksum %08x, want %08x", got, want)
+	}
+	rest := body[len(codecMagic):]
+	n, k := binary.Uvarint(rest)
+	if k <= 0 || n > uint64(len(rest)-k) {
+		return fail("header length out of range")
+	}
+	header, samples := rest[k:k+int(n)], rest[k+int(n):]
 	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("run: decode %s: %w", digest, err)
+	if err := json.Unmarshal(header, &env); err != nil {
+		return fail("%w", err)
 	}
 	if env.V != codecVersion {
-		return nil, fmt.Errorf("run: decode %s: envelope version %d, want %d", digest, env.V, codecVersion)
+		return fail("envelope version %d, want %d", env.V, codecVersion)
 	}
 	if env.Digest != digest {
-		return nil, fmt.Errorf("run: decode %s: entry stored under digest %s", digest, env.Digest)
+		return fail("entry stored under digest %s", env.Digest)
 	}
 	if env.Report == nil {
-		return nil, fmt.Errorf("run: decode %s: entry has no report", digest)
+		return fail("entry has no report")
 	}
 	rj := env.Report
 	rep := &experiment.Report{
@@ -125,18 +173,29 @@ func DecodeResult(digest string, data []byte) (*Result, error) {
 	}
 	if rj.HasSeries {
 		rec := trace.NewRecorder()
-		for _, sj := range rj.Series {
-			if len(sj.T) != len(sj.V) {
-				return nil, fmt.Errorf("run: decode %s: series %q has %d times, %d values",
-					digest, sj.Name, len(sj.T), len(sj.V))
+		for _, sh := range rj.Series {
+			// Check the count against the bytes left before allocating,
+			// so a forged count cannot allocate more than the entry holds.
+			if sh.N < 0 || sh.N > len(samples)/sampleBytes {
+				return fail("series %q claims %d samples, %d bytes left", sh.Name, sh.N, len(samples))
 			}
-			for i := range sj.T {
-				if err := rec.Add(sj.Name, sj.T[i], sj.V[i]); err != nil {
-					return nil, fmt.Errorf("run: decode %s: %w", digest, err)
+			s := make([]trace.Sample, sh.N)
+			for i := range s {
+				p := samples[i*sampleBytes:]
+				s[i] = trace.Sample{
+					T: math.Float64frombits(binary.LittleEndian.Uint64(p)),
+					V: math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
 				}
+			}
+			samples = samples[sh.N*sampleBytes:]
+			if err := rec.AddSeries(string(sh.Name), s); err != nil {
+				return fail("%w", err)
 			}
 		}
 		rep.Series = rec
+	}
+	if len(samples) != 0 {
+		return fail("%d bytes after the last series", len(samples))
 	}
 	return &Result{Report: rep, Events: env.Events, Optimize: env.Optimize}, nil
 }

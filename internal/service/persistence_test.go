@@ -3,8 +3,10 @@ package service
 import (
 	"context"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hcperf/internal/store"
@@ -66,6 +68,75 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	// ordinary memory hit.
 	if _, outcome, _ := m2.Submit(expReq(t, 1)); outcome != SubmitCached {
 		t.Errorf("re-submit after restore = %v, want memory-cached", outcome)
+	}
+}
+
+// The version-1 disk entry (the JSON envelope earlier builds wrote) of
+// expReq(t, 1), exactly as their EncodeResult encoded the real fig5 run,
+// and that run's report digest.
+const (
+	v1Digest       = "7e9c19ddaa576237b00758b3817bc3f3eb5dd6b9130c3eae7d24c9ca18d744f2"
+	v1ReportDigest = "9155ec1e74f48591048b5243c7201508da82d3bc57897c68479f8ee09bb3ebac"
+	v1Entry        = `{"v":1,"digest":"7e9c19ddaa576237b00758b3817bc3f3eb5dd6b9130c3eae7d24c9ca18d744f2","report":{"id":"fig5","title":"Toy schedule: adaptive vs performance-preferred control-command times","header":["schedule","cmd1 (s)","cmd2 (s)","cmd3 (s)"],"rows":[["adaptive (EDF)","7","8","9"],["preferred (HCPerf γ-grouped)","3","6","9"]],"paper_rows":[["adaptive (Fig. 5(a))","7","8","9"],["preferred (Fig. 5(b))","3","6","9"]]}}`
+)
+
+// TestManagerRecomputesVersion1Entry pins the upgrade path through the
+// job manager: an entry an earlier build wrote is a miss, quarantined and
+// counted once, the run re-executes, and a fresh manager over the same
+// directory serves the re-persisted entry from disk with the same report
+// digest.
+func TestManagerRecomputesVersion1Entry(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "results")
+	req := expReq(t, 1)
+	if req.Digest() != v1Digest {
+		t.Fatalf("fixture request digests to %s, not the entry's digest", req.Digest())
+	}
+	d := openServiceDisk(t, dir)
+	if err := d.Put(v1Digest, []byte(v1Entry)); err != nil {
+		t.Fatal(err)
+	}
+	var executions atomic.Int64
+	exec := func(ctx context.Context, req RunRequest) (*RunResult, error) {
+		executions.Add(1)
+		return Execute(ctx, req)
+	}
+	m := NewManager(ManagerConfig{Workers: 1, Run: exec, Disk: d})
+	j, outcome, err := m.Submit(req)
+	if err != nil || outcome != SubmitNew {
+		t.Fatalf("submit over a version-1 entry = (%v, %v), want new", outcome, err)
+	}
+	snap := waitDone(t, j)
+	if snap.State != StateDone || executions.Load() != 1 {
+		t.Fatalf("state=%s executions=%d, want done/1", snap.State, executions.Load())
+	}
+	if got := m.Metrics().Store.Corrupt.Load(); got != 1 {
+		t.Errorf("corrupt = %d, want 1", got)
+	}
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	quarantined, err := os.ReadFile(filepath.Join(dir, "quarantine", v1Digest+".json"))
+	if err != nil || string(quarantined) != v1Entry {
+		t.Errorf("quarantine/ does not hold the version-1 entry (%v)", err)
+	}
+
+	m2 := NewManager(ManagerConfig{Workers: 1, Run: exec, Disk: openServiceDisk(t, dir)})
+	defer func() {
+		if err := m2.Shutdown(context.Background()); err != nil {
+			t.Error(err)
+		}
+	}()
+	j2, outcome, err := m2.Submit(req)
+	if err != nil || outcome != SubmitCachedDisk {
+		t.Fatalf("restarted submit = (%v, %v), want disk-cached", outcome, err)
+	}
+	if got := m2.Metrics().Store.Corrupt.Load(); got != 0 || executions.Load() != 1 {
+		t.Errorf("restart: corrupt=%d executions=%d, want 0/1", got, executions.Load())
+	}
+	for i, res := range []*RunResult{snap.Result, j2.Snapshot().Result} {
+		if got, err := res.ReportDigest(); err != nil || got != v1ReportDigest {
+			t.Errorf("report digest %d (recomputed, then restored) = %s (%v), want %s", i, got, err, v1ReportDigest)
+		}
 	}
 }
 

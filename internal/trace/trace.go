@@ -134,6 +134,31 @@ func (r *Recorder) Add(name string, t, v float64) error {
 	return s.Add(t, v)
 }
 
+// AddSeries records a whole series at once and takes ownership of samples.
+// It applies Add's rules once per series rather than once per sample: the
+// name must be non-empty and new, and times must not move backwards. A
+// series is never empty, because Add creates one only with its first
+// sample.
+func (r *Recorder) AddSeries(name string, samples []Sample) error {
+	if name == "" {
+		return errors.New("trace: empty series name")
+	}
+	if _, ok := r.series[name]; ok {
+		return fmt.Errorf("trace: series %q already recorded", name)
+	}
+	if len(samples) == 0 {
+		return fmt.Errorf("trace: series %q has no samples", name)
+	}
+	for i := 1; i < len(samples); i++ {
+		if samples[i].T < samples[i-1].T {
+			return fmt.Errorf("trace: series %q time %v before %v", name, samples[i].T, samples[i-1].T)
+		}
+	}
+	r.series[name] = &Series{Name: name, Samples: samples}
+	r.order = append(r.order, name)
+	return nil
+}
+
 // Series returns the named series, or nil if absent.
 func (r *Recorder) Series(name string) *Series { return r.series[name] }
 

@@ -103,6 +103,47 @@ func TestRecorder(t *testing.T) {
 	}
 }
 
+// TestAddSeries: AddSeries records what the same samples added one by one
+// record, and refuses what Add refuses, leaving the recorder unchanged.
+func TestAddSeries(t *testing.T) {
+	samples := []Sample{{0, 1}, {0.5, 2}, {0.5, 3}, {math.NaN(), 4}, {1, 5}}
+	bulk, each := NewRecorder(), NewRecorder()
+	if err := bulk.AddSeries("x", samples); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range samples {
+		if err := each.Add("x", p.T, p.V); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got, want bytes.Buffer
+	if err := bulk.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := each.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("AddSeries CSV = %q, Add CSV = %q", got.String(), want.String())
+	}
+	for _, bad := range []struct {
+		name    string
+		samples []Sample
+	}{
+		{"", []Sample{{0, 1}}},
+		{"x", []Sample{{2, 1}}},
+		{"empty", nil},
+		{"backwards", []Sample{{1, 0}, {0, 0}}},
+	} {
+		if err := bulk.AddSeries(bad.name, bad.samples); err == nil {
+			t.Errorf("AddSeries(%q, %v) accepted", bad.name, bad.samples)
+		}
+	}
+	if names := bulk.Names(); len(names) != 1 || bulk.Series("x").Len() != len(samples) {
+		t.Errorf("refused series changed the recorder: names %v", names)
+	}
+}
+
 func TestWriteCSV(t *testing.T) {
 	r := NewRecorder()
 	if err := r.Add("a", 0, 1.5); err != nil {
