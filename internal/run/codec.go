@@ -2,6 +2,7 @@ package run
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -17,8 +18,9 @@ import (
 // codecVersion is the disk entry version. Decoding refuses other versions,
 // so a format change never silently misreads old entries — they quarantine
 // and recompute instead. Version 1 entries are JSON documents without the
-// magic below and fail its check.
-const codecVersion = 2
+// magic below and fail its check; version 2 entries lack the report digest
+// and fail the version check.
+const codecVersion = 3
 
 // An entry is laid out as
 //
@@ -39,13 +41,15 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // envelope is the JSON header of a disk entry. It carries the request
 // digest it was stored under, so a mislabeled or cross-wired entry fails
-// the integrity check instead of serving the wrong run.
+// the integrity check instead of serving the wrong run, and the report
+// digest its encoder computed, so a restore never re-hashes the series.
 type envelope struct {
-	V        int               `json:"v"`
-	Digest   string            `json:"digest"`
-	Report   *reportJSON       `json:"report"`
-	Events   []lifecycle.Event `json:"events,omitempty"`
-	Optimize *search.Report    `json:"optimize,omitempty"`
+	V            int               `json:"v"`
+	Digest       string            `json:"digest"`
+	ReportDigest string            `json:"report_digest"`
+	Report       *reportJSON       `json:"report"`
+	Events       []lifecycle.Event `json:"events,omitempty"`
+	Optimize     *search.Report    `json:"optimize,omitempty"`
 }
 
 // reportJSON mirrors experiment.Report field-for-field, with the trace
@@ -74,10 +78,16 @@ type seriesHeader struct {
 }
 
 // EncodeResult serializes a completed run for the disk store, keyed by the
-// request digest it will be stored under.
+// request digest it will be stored under. The entry carries the report
+// digest, which EncodeResult takes from res.ReportDigest, computing the
+// memo if it is unset.
 func EncodeResult(digest string, res *Result) ([]byte, error) {
 	if res == nil || res.Report == nil {
 		return nil, fmt.Errorf("run: encode %s: result has no report", digest)
+	}
+	reportDigest, err := res.ReportDigest()
+	if err != nil {
+		return nil, fmt.Errorf("run: encode %s: %w", digest, err)
 	}
 	r := res.Report
 	rj := &reportJSON{
@@ -101,11 +111,12 @@ func EncodeResult(digest string, res *Result) ([]byte, error) {
 		}
 	}
 	header, err := json.Marshal(envelope{
-		V:        codecVersion,
-		Digest:   digest,
-		Report:   rj,
-		Events:   res.Events,
-		Optimize: res.Optimize,
+		V:            codecVersion,
+		Digest:       digest,
+		ReportDigest: reportDigest,
+		Report:       rj,
+		Events:       res.Events,
+		Optimize:     res.Optimize,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("run: encode %s: %w", digest, err)
@@ -127,7 +138,8 @@ func EncodeResult(digest string, res *Result) ([]byte, error) {
 // checksum, the codec version and that the entry was stored under the
 // digest it is being read for. Any failure means the entry is corrupt,
 // cross-wired or from another version, and must be treated as a miss —
-// the pipeline quarantines it.
+// the pipeline quarantines it. The returned Result's ReportDigest is the
+// digest the entry carries, so serving it hashes nothing.
 func DecodeResult(digest string, data []byte) (*Result, error) {
 	fail := func(format string, args ...any) (*Result, error) {
 		return nil, fmt.Errorf("run: decode %s: "+format, append([]any{digest}, args...)...)
@@ -157,6 +169,9 @@ func DecodeResult(digest string, data []byte) (*Result, error) {
 	}
 	if env.Digest != digest {
 		return fail("entry stored under digest %s", env.Digest)
+	}
+	if !isReportDigest(env.ReportDigest) {
+		return fail("report digest %q is not 64 lowercase hex characters", env.ReportDigest)
 	}
 	if env.Report == nil {
 		return fail("entry has no report")
@@ -197,5 +212,21 @@ func DecodeResult(digest string, data []byte) (*Result, error) {
 	if len(samples) != 0 {
 		return fail("%d bytes after the last series", len(samples))
 	}
-	return &Result{Report: rep, Events: env.Events, Optimize: env.Optimize}, nil
+	res := &Result{Report: rep, Events: env.Events, Optimize: env.Optimize}
+	res.digestOnce.Do(func() { res.digest = env.ReportDigest })
+	return res, nil
+}
+
+// isReportDigest reports whether s has the form Report.Digest returns: a
+// hex-encoded SHA-256 in lower case.
+func isReportDigest(s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }

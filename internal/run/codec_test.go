@@ -137,6 +137,11 @@ func TestCodecRejectsCorruptEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	header, samples := splitEntry(t, series)
+	reportDigest := mustDigest(t, &experiment.Report{ID: "x", Title: "x", Series: rec})
+	if strings.ToUpper(reportDigest) == reportDigest {
+		t.Fatal("fixture report digest has no hex letter to upper-case")
+	}
+	carried := `"report_digest":"` + reportDigest + `"`
 	// forgeHeader rewrites the header under a valid checksum.
 	forgeHeader := func(old, new string) []byte {
 		t.Helper()
@@ -159,6 +164,7 @@ func TestCodecRejectsCorruptEntries(t *testing.T) {
 		{"wrong digest", good, "stored under"},
 		{"empty object", []byte("{}"), "version"},
 		{"version 1 entry", []byte(v1Entry), "version"},
+		{"version 2 entry", []byte(v2Entry), "version"},
 		{"truncated in series block", series[:len(series)-crcBytes-sampleBytes/2], "checksum"},
 		{"trailing byte", append(bytes.Clone(series), 0), "checksum"},
 		{"flipped float bit", flipped, "checksum"},
@@ -171,12 +177,21 @@ func TestCodecRejectsCorruptEntries(t *testing.T) {
 		{"duplicate names", forgeHeader(`"Yg=="`, `"YQ=="`), "already recorded"},
 		{"decreasing times", sealEntry(header, backwards), "before"},
 		{"bytes after the last series", sealEntry(header, append(bytes.Clone(samples), 0)), "after the last series"},
+		{"report digest missing", forgeHeader(","+carried, ""), "report digest"},
+		{"report digest empty", forgeHeader(carried, `"report_digest":""`), "report digest"},
+		{"report digest of 63 characters", forgeHeader(carried, `"report_digest":"`+reportDigest[:63]+`"`), "report digest"},
+		{"report digest of 65 characters", forgeHeader(carried, `"report_digest":"`+reportDigest+`0"`), "report digest"},
+		{"report digest upper-case", forgeHeader(carried, `"report_digest":"`+strings.ToUpper(reportDigest)+`"`), "report digest"},
+		{"report digest not hex", forgeHeader(carried, `"report_digest":"`+reportDigest[:63]+`g"`), "report digest"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
 			digest := "deadbeef"
-			if tt.name == "wrong digest" {
+			switch tt.name {
+			case "wrong digest":
 				digest = "cafebabe"
+			case "version 2 entry":
+				digest = entryDigest // its own, so only the version can fail
 			}
 			_, err := DecodeResult(digest, tt.data)
 			if err == nil || !strings.Contains(err.Error(), tt.want) || !strings.HasPrefix(err.Error(), "run: decode") {
@@ -271,6 +286,7 @@ func FuzzDecodeResult(f *testing.F) {
 	}
 	f.Add(unsealed, "", []byte(nil))
 	f.Add(unsealed, "only", bits[:sampleBytes])
+	f.Add([]byte(v2Entry), names, bits)
 	f.Fuzz(func(t *testing.T, entry []byte, names string, bits []byte) {
 		for _, data := range [][]byte{entry, appendCRC(bytes.Clone(entry))} {
 			before := heapAllocBytes()
@@ -291,7 +307,8 @@ func FuzzDecodeResult(f *testing.F) {
 
 		rec := fuzzRecorder(names, bits)
 		rep := &experiment.Report{ID: "fuzz", Title: "round trip", Series: rec}
-		data, err := EncodeResult("d0", &Result{Report: rep})
+		res := &Result{Report: rep}
+		data, err := EncodeResult("d0", res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,8 +332,18 @@ func FuzzDecodeResult(f *testing.F) {
 				}
 			}
 		}
-		if d, w := mustDigest(t, back.Report), mustDigest(t, rep); d != w {
+		d := mustDigest(t, back.Report)
+		if w := mustDigest(t, rep); d != w {
 			t.Fatalf("report digest %s, want %s", d[:12], w[:12])
+		}
+		// The decoded memo is the digest the encoder carried, and it is
+		// the digest of the report as decoded.
+		encoded, err := res.ReportDigest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.digest != encoded || back.digest != d {
+			t.Fatalf("decoded report digest memo %q, encoder's %q, decoded report's %q", back.digest, encoded, d)
 		}
 	})
 }

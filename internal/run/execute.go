@@ -33,10 +33,11 @@ type Result struct {
 }
 
 // ReportDigest returns Report.Digest, computed on the first call and
-// memoized for every later one, so a result served many times from memory
-// hashes its series once. Neither Execute nor Pipeline.Run calls it: the
-// CLI never needs the digest, and only the serving layer pays for it, on a
-// result's first render.
+// memoized for every later one, so a result hashes its series at most once
+// in its life. Execute never calls it. The first call comes from whichever
+// needs the digest first: EncodeResult, when a fresh result is persisted
+// to a store, or the serving layer's first render. A result restored by
+// DecodeResult arrives with the memo already set from its disk entry.
 func (r *Result) ReportDigest() (string, error) {
 	r.digestOnce.Do(func() { r.digest, r.digestErr = r.Report.Digest() })
 	return r.digest, r.digestErr

@@ -27,9 +27,10 @@ func LoadDisk(d *store.Disk, digest string) (*Result, bool) {
 	return res, true
 }
 
-// SaveDisk writes a completed result to the disk tier. Persistence is an
-// optimization, not a correctness requirement, so callers treat the
-// returned error as log-and-continue.
+// SaveDisk writes a completed result to the disk tier, computing its
+// report digest memo for the entry to carry (nothing is computed when d is
+// nil). Persistence is an optimization, not a correctness requirement, so
+// callers treat the returned error as log-and-continue.
 func SaveDisk(d *store.Disk, digest string, res *Result) error {
 	if d == nil {
 		return nil
@@ -66,7 +67,9 @@ type Pipeline struct {
 // Run takes a raw request through the full pipeline and reports which tier
 // satisfied it. The request is normalized and digested here, so every
 // caller shares one digest namespace; on a full miss the computed result
-// is written back to the disk tier (best-effort).
+// is written back to the disk tier (best-effort). Run computes the report
+// digest only in that write-back, so a pipeline without a store never
+// pays for it.
 func (p *Pipeline) Run(ctx context.Context, req Request) (*Result, store.Tier, string, error) {
 	req, err := req.Normalize()
 	if err != nil {

@@ -70,9 +70,19 @@ func BuildGraph(name string) (*dag.Graph, error) {
 	case GraphMotivation:
 		return dag.MotivationGraph()
 	default:
-		return nil, fmt.Errorf("scenario: unknown graph %q (have %s)",
-			name, strings.Join(GraphNames(), ", "))
+		return nil, checkGraph(name)
 	}
+}
+
+// checkGraph validates a graph name without building the graph: nil for a
+// name in GraphNames, otherwise the error BuildGraph returns for it.
+func checkGraph(name string) error {
+	for _, g := range GraphNames() {
+		if name == g {
+			return nil
+		}
+	}
+	return fmt.Errorf("scenario: unknown graph %q (have %s)", name, strings.Join(GraphNames(), ", "))
 }
 
 // TaskLoad multiplies one task's execution time over time windows, on top

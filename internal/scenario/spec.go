@@ -223,7 +223,7 @@ func (s Spec) Normalize() (Spec, error) {
 	if s.Graph == "" {
 		s.Graph = caps.graph
 	}
-	if _, err := BuildGraph(s.Graph); err != nil {
+	if err := checkGraph(s.Graph); err != nil {
 		return s, err
 	}
 	if s.Graph != caps.graph {

@@ -112,6 +112,39 @@ func TestSpecNormalizeErrors(t *testing.T) {
 	}
 }
 
+// TestSpecNormalizeBuildsNoGraph pins that a spec without loads, rate
+// overrides or tunables has its graph validated by name: normalizing it
+// allocates less than building its graph alone.
+func TestSpecNormalizeBuildsNoGraph(t *testing.T) {
+	build := testing.AllocsPerRun(20, func() {
+		if _, err := BuildGraph(GraphAD23); err != nil {
+			t.Fatal(err)
+		}
+	})
+	spec := Spec{Scenario: "carfollow", Scheme: "edf", Duration: 5, Obstacles: []ObstaclePhase{{T: 0, N: 3}}}
+	normalize := testing.AllocsPerRun(20, func() {
+		if _, err := spec.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if normalize >= build {
+		t.Errorf("Spec.Normalize allocates %v times, building the graph %v; want fewer", normalize, build)
+	}
+}
+
+// TestCheckGraphMatchesBuildGraph: the name check Normalize uses accepts
+// exactly the graphs BuildGraph builds and rejects the rest with
+// BuildGraph's error.
+func TestCheckGraphMatchesBuildGraph(t *testing.T) {
+	for _, name := range append(GraphNames(), "bogus", "") {
+		_, buildErr := BuildGraph(name)
+		checkErr := checkGraph(name)
+		if (buildErr == nil) != (checkErr == nil) || buildErr != nil && buildErr.Error() != checkErr.Error() {
+			t.Errorf("graph %q: BuildGraph error %v, checkGraph error %v", name, buildErr, checkErr)
+		}
+	}
+}
+
 func TestDecodeSpecStrict(t *testing.T) {
 	if _, err := DecodeSpec(strings.NewReader(`{"scenario": "carfollow", "bogus": 1}`)); err == nil {
 		t.Error("unknown top-level field accepted")

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hcperf/internal/run"
 	"hcperf/internal/store"
 )
 
@@ -71,72 +72,97 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	}
 }
 
-// The version-1 disk entry (the JSON envelope earlier builds wrote) of
-// expReq(t, 1), exactly as their EncodeResult encoded the real fig5 run,
-// and that run's report digest.
+// Disk entries of expReq(t, 1) in the formats earlier builds wrote,
+// exactly as their EncodeResult encoded the real fig5 run: version 1, a
+// JSON envelope, and version 2, the binary layout without the report
+// digest. entryDigest is the request digest both are stored under and
+// entryReportDigest that run's report digest.
 const (
-	v1Digest       = "7e9c19ddaa576237b00758b3817bc3f3eb5dd6b9130c3eae7d24c9ca18d744f2"
-	v1ReportDigest = "9155ec1e74f48591048b5243c7201508da82d3bc57897c68479f8ee09bb3ebac"
-	v1Entry        = `{"v":1,"digest":"7e9c19ddaa576237b00758b3817bc3f3eb5dd6b9130c3eae7d24c9ca18d744f2","report":{"id":"fig5","title":"Toy schedule: adaptive vs performance-preferred control-command times","header":["schedule","cmd1 (s)","cmd2 (s)","cmd3 (s)"],"rows":[["adaptive (EDF)","7","8","9"],["preferred (HCPerf γ-grouped)","3","6","9"]],"paper_rows":[["adaptive (Fig. 5(a))","7","8","9"],["preferred (Fig. 5(b))","3","6","9"]]}}`
+	entryDigest       = "7e9c19ddaa576237b00758b3817bc3f3eb5dd6b9130c3eae7d24c9ca18d744f2"
+	entryReportDigest = "9155ec1e74f48591048b5243c7201508da82d3bc57897c68479f8ee09bb3ebac"
+	v1Entry           = `{"v":1,"digest":"7e9c19ddaa576237b00758b3817bc3f3eb5dd6b9130c3eae7d24c9ca18d744f2","report":{"id":"fig5","title":"Toy schedule: adaptive vs performance-preferred control-command times","header":["schedule","cmd1 (s)","cmd2 (s)","cmd3 (s)"],"rows":[["adaptive (EDF)","7","8","9"],["preferred (HCPerf γ-grouped)","3","6","9"]],"paper_rows":[["adaptive (Fig. 5(a))","7","8","9"],["preferred (Fig. 5(b))","3","6","9"]]}}`
+	v2Entry           = "HCPR\xa1\x03{\"v\":2,\"digest\":\"7e9c19ddaa576237b00758b3817bc3f3eb5dd6b9130c3eae7d24c9ca18d744f2\",\"report\":{\"id\":\"fig5\",\"title\":\"Toy schedule: adaptive vs performance-preferred control-command times\",\"header\":[\"schedule\",\"cmd1 (s)\",\"cmd2 (s)\",\"cmd3 (s)\"],\"rows\":[[\"adaptive (EDF)\",\"7\",\"8\",\"9\"],[\"preferred (HCPerf \xce\xb3-grouped)\",\"3\",\"6\",\"9\"]],\"paper_rows\":[[\"adaptive (Fig. 5(a))\",\"7\",\"8\",\"9\"],[\"preferred (Fig. 5(b))\",\"3\",\"6\",\"9\"]]}}\xc2w\xcc!"
 )
 
 // TestManagerRecomputesVersion1Entry pins the upgrade path through the
-// job manager: an entry an earlier build wrote is a miss, quarantined and
-// counted once, the run re-executes, and a fresh manager over the same
-// directory serves the re-persisted entry from disk with the same report
-// digest.
+// job manager: an entry an earlier build wrote, in either earlier format,
+// is a miss, quarantined and counted once, the run re-executes and is
+// re-persisted carrying its report digest, and a fresh manager over the
+// same directory serves that entry from disk with the same report digest.
 func TestManagerRecomputesVersion1Entry(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "results")
 	req := expReq(t, 1)
-	if req.Digest() != v1Digest {
-		t.Fatalf("fixture request digests to %s, not the entry's digest", req.Digest())
+	if req.Digest() != entryDigest {
+		t.Fatalf("fixture request digests to %s, not the entries' digest", req.Digest())
 	}
-	d := openServiceDisk(t, dir)
-	if err := d.Put(v1Digest, []byte(v1Entry)); err != nil {
-		t.Fatal(err)
-	}
-	var executions atomic.Int64
-	exec := func(ctx context.Context, req RunRequest) (*RunResult, error) {
-		executions.Add(1)
-		return Execute(ctx, req)
-	}
-	m := NewManager(ManagerConfig{Workers: 1, Run: exec, Disk: d})
-	j, outcome, err := m.Submit(req)
-	if err != nil || outcome != SubmitNew {
-		t.Fatalf("submit over a version-1 entry = (%v, %v), want new", outcome, err)
-	}
-	snap := waitDone(t, j)
-	if snap.State != StateDone || executions.Load() != 1 {
-		t.Fatalf("state=%s executions=%d, want done/1", snap.State, executions.Load())
-	}
-	if got := m.Metrics().Store.Corrupt.Load(); got != 1 {
-		t.Errorf("corrupt = %d, want 1", got)
-	}
-	if err := m.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	quarantined, err := os.ReadFile(filepath.Join(dir, "quarantine", v1Digest+".json"))
-	if err != nil || string(quarantined) != v1Entry {
-		t.Errorf("quarantine/ does not hold the version-1 entry (%v)", err)
-	}
+	for _, entry := range []struct{ name, data string }{{"version 1", v1Entry}, {"version 2", v2Entry}} {
+		t.Run(entry.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "results")
+			d := openServiceDisk(t, dir)
+			if err := d.Put(entryDigest, []byte(entry.data)); err != nil {
+				t.Fatal(err)
+			}
+			var executions atomic.Int64
+			exec := func(ctx context.Context, req RunRequest) (*RunResult, error) {
+				executions.Add(1)
+				return Execute(ctx, req)
+			}
+			m := NewManager(ManagerConfig{Workers: 1, Run: exec, Disk: d})
+			j, outcome, err := m.Submit(req)
+			if err != nil || outcome != SubmitNew {
+				t.Fatalf("submit over a %s entry = (%v, %v), want new", entry.name, outcome, err)
+			}
+			snap := waitDone(t, j)
+			if snap.State != StateDone || executions.Load() != 1 {
+				t.Fatalf("state=%s executions=%d, want done/1", snap.State, executions.Load())
+			}
+			if got := m.Metrics().Store.Corrupt.Load(); got != 1 {
+				t.Errorf("corrupt = %d, want 1", got)
+			}
+			if err := m.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			quarantined, err := os.ReadFile(filepath.Join(dir, "quarantine", entryDigest+".json"))
+			if err != nil || string(quarantined) != entry.data {
+				t.Errorf("quarantine/ does not hold the %s entry (%v)", entry.name, err)
+			}
+			// The re-persisted entry is in the current format and carries
+			// the digest of the recomputed report.
+			data, ok := d.Get(entryDigest)
+			if !ok {
+				t.Fatal("recomputed run was not persisted")
+			}
+			back, err := run.DecodeResult(entryDigest, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recomputed, err := snap.Result.Report.Digest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if carried, _ := back.ReportDigest(); carried != recomputed || recomputed != entryReportDigest {
+				t.Errorf("entry carries report digest %s, recomputed report digests to %s, want %s",
+					carried, recomputed, entryReportDigest)
+			}
 
-	m2 := NewManager(ManagerConfig{Workers: 1, Run: exec, Disk: openServiceDisk(t, dir)})
-	defer func() {
-		if err := m2.Shutdown(context.Background()); err != nil {
-			t.Error(err)
-		}
-	}()
-	j2, outcome, err := m2.Submit(req)
-	if err != nil || outcome != SubmitCachedDisk {
-		t.Fatalf("restarted submit = (%v, %v), want disk-cached", outcome, err)
-	}
-	if got := m2.Metrics().Store.Corrupt.Load(); got != 0 || executions.Load() != 1 {
-		t.Errorf("restart: corrupt=%d executions=%d, want 0/1", got, executions.Load())
-	}
-	for i, res := range []*RunResult{snap.Result, j2.Snapshot().Result} {
-		if got, err := res.ReportDigest(); err != nil || got != v1ReportDigest {
-			t.Errorf("report digest %d (recomputed, then restored) = %s (%v), want %s", i, got, err, v1ReportDigest)
-		}
+			m2 := NewManager(ManagerConfig{Workers: 1, Run: exec, Disk: openServiceDisk(t, dir)})
+			defer func() {
+				if err := m2.Shutdown(context.Background()); err != nil {
+					t.Error(err)
+				}
+			}()
+			j2, outcome, err := m2.Submit(req)
+			if err != nil || outcome != SubmitCachedDisk {
+				t.Fatalf("restarted submit = (%v, %v), want disk-cached", outcome, err)
+			}
+			if got := m2.Metrics().Store.Corrupt.Load(); got != 0 || executions.Load() != 1 {
+				t.Errorf("restart: corrupt=%d executions=%d, want 0/1", got, executions.Load())
+			}
+			for i, res := range []*RunResult{snap.Result, j2.Snapshot().Result} {
+				if got, err := res.ReportDigest(); err != nil || got != entryReportDigest {
+					t.Errorf("report digest %d (recomputed, then restored) = %s (%v), want %s", i, got, err, entryReportDigest)
+				}
+			}
+		})
 	}
 }
 
