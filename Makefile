@@ -19,7 +19,7 @@ RACE_PKGS := ./internal/runner/... ./internal/experiment/... \
 # Provably single-threaded packages (pure math, data shapes, encoders):
 # exempted from the race pass, but still enumerated so the guard can tell
 # "deliberately exempt" from "forgotten".
-RACE_EXEMPT := ./internal/analysis/... ./internal/bus/... ./internal/core/... \
+RACE_EXEMPT := ./internal/analysis/... ./internal/core/... \
                ./internal/dag/... ./internal/exectime/... ./internal/hungarian/... \
                ./internal/metrics/... ./internal/mfc/... ./internal/perf/... \
                ./internal/rate/... ./internal/sched/... ./internal/simtime/... \
@@ -92,15 +92,17 @@ bench-update:
 ## scenario-spec JSON decode/validate/re-encode round trip, the
 ## heap-vs-wheel event-scheduler differential (identical firing sequences),
 ## the search-space JSON normalize fixed point, the series CSV kernel vs an
-## encoding/csv reference writer (identical bytes), and the disk result
-## codec (no panic or outsized allocation on any bytes; bit-exact round
-## trip).
+## encoding/csv reference writer (identical bytes), its shortest-float
+## writer vs strconv on raw float64 bits (identical bytes), and the disk
+## result codec (no panic or outsized allocation on any bytes; bit-exact
+## round trip).
 fuzz:
 	$(GO) test -fuzz=FuzzHungarian -fuzztime=10s ./internal/hungarian/
 	$(GO) test -fuzz=FuzzSpecJSON -fuzztime=10s ./internal/scenario/
 	$(GO) test -fuzz=FuzzSchedulerEquivalence -fuzztime=10s ./internal/simtime/
 	$(GO) test -fuzz=FuzzParamSpaceJSON -fuzztime=10s ./internal/search/
 	$(GO) test -fuzz=FuzzRecorderCSV -fuzztime=10s ./internal/trace/
+	$(GO) test -fuzz=FuzzAppendShortest -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzDecodeResult -fuzztime=10s ./internal/run/
 
 ## suite: run every experiment once, fanned across GOMAXPROCS workers.

@@ -10,7 +10,6 @@ import (
 	"log"
 	"math"
 
-	"hcperf/internal/bus"
 	"hcperf/internal/core"
 	"hcperf/internal/dag"
 	"hcperf/internal/engine"
@@ -65,25 +64,17 @@ func run() error {
 		return err
 	}
 
-	// 2. Wire the engine with HCPerf's Dynamic Priority Scheduler. The
-	// Cyber-RT-style bus receives every control command; a dashboard or
-	// logger would subscribe here.
+	// 2. Wire the engine with HCPerf's Dynamic Priority Scheduler.
+	// OnControl receives every control command; a dashboard or logger
+	// would hook in here.
 	q := simtime.NewEventQueue()
 	dyn := sched.NewDynamic(0)
-	b := bus.New()
-	var busDeliveries int
-	if _, err := b.Subscribe(engine.ControlTopic, func(string, bus.Message) {
-		busDeliveries++
-	}); err != nil {
-		return err
-	}
 	eng, err := engine.New(engine.Config{
 		Graph:     g,
 		Scheduler: dyn,
 		NumProcs:  2,
 		Queue:     q,
 		Seed:      42,
-		Bus:       b,
 		Scene: func(now simtime.Time) exectime.Scene {
 			// The scene gets busy between t=3s and t=7s.
 			if now >= 3 && now < 7 {
@@ -136,6 +127,5 @@ func run() error {
 	fmt.Printf("  camera rate now   %.1f Hz (adapter-tuned)\n", eng.SourceRate(g.TaskByName("camera").ID))
 	overhead := coord.Overhead()
 	fmt.Printf("  coordinator cost  %.1f µs/step\n", overhead.Mean()*1e6)
-	fmt.Printf("  bus deliveries    %d on %s\n", busDeliveries, engine.ControlTopic)
 	return nil
 }

@@ -17,16 +17,12 @@ import (
 	"errors"
 	"fmt"
 
-	"hcperf/internal/bus"
 	"hcperf/internal/dag"
 	"hcperf/internal/exectime"
 	"hcperf/internal/lifecycle"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
 )
-
-// ControlTopic is the bus topic on which control commands are published.
-const ControlTopic = "hcperf/control"
 
 // Canonical lifecycle types, re-exported so existing callers (examples,
 // scenarios) keep compiling unchanged.
@@ -56,8 +52,6 @@ type Config struct {
 	Seed int64
 	// Scene supplies the runtime scene; nil means exectime.NominalScene.
 	Scene func(now simtime.Time) exectime.Scene
-	// Bus optionally receives control-command publications.
-	Bus *bus.Bus
 	// OnControl is invoked for every emitted control command.
 	OnControl func(cmd ControlCommand)
 	// OnJobDecided is invoked whenever a job's outcome is decided:
@@ -87,7 +81,6 @@ type processor struct {
 type Engine struct {
 	k *lifecycle.Kernel
 	q *simtime.EventQueue
-	b *bus.Bus
 
 	procs []processor
 	// tickers is indexed by task ID (task IDs are dense); nil entries are
@@ -148,7 +141,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		q:     cfg.Queue,
-		b:     cfg.Bus,
 		procs: make([]processor, cfg.NumProcs),
 		procState: sched.ProcState{
 			NumProcs:  cfg.NumProcs,
@@ -158,27 +150,13 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Graph != nil {
 		e.tickers = make([]*simtime.Ticker, cfg.Graph.Len())
 	}
-	onControl := cfg.OnControl
-	if cfg.Bus != nil {
-		user := cfg.OnControl
-		onControl = func(cmd ControlCommand) {
-			if user != nil {
-				user(cmd)
-			}
-			// Publish errors are impossible for a non-empty constant
-			// topic.
-			if err := cfg.Bus.Publish(ControlTopic, cmd); err != nil {
-				panic(fmt.Sprintf("engine: publish control: %v", err))
-			}
-		}
-	}
 	k, err := lifecycle.NewKernel(lifecycle.Config{
 		Graph:        cfg.Graph,
 		Scheduler:    cfg.Scheduler,
 		Seed:         cfg.Seed,
 		Scene:        cfg.Scene,
 		MaxDataAge:   cfg.MaxDataAge,
-		OnControl:    onControl,
+		OnControl:    cfg.OnControl,
 		OnJobDecided: cfg.OnJobDecided,
 		Tracer:       cfg.Tracer,
 	}, backend{e})

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"hcperf/internal/bus"
 	"hcperf/internal/dag"
 	"hcperf/internal/exectime"
 	"hcperf/internal/sched"
@@ -348,33 +347,6 @@ func TestDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Errorf("same-seed runs diverged:\n%+v\n%+v", a, b)
-	}
-}
-
-func TestBusPublication(t *testing.T) {
-	g := chainGraph(t, 1*ms, 1*ms, 1*ms, 50*ms)
-	b := bus.New()
-	var got int
-	if _, err := b.Subscribe(ControlTopic, func(_ string, m bus.Message) {
-		if _, ok := m.(ControlCommand); !ok {
-			t.Errorf("bus message type %T, want ControlCommand", m)
-		}
-		got++
-	}); err != nil {
-		t.Fatal(err)
-	}
-	e, q := newEngine(t, g, Config{Bus: b})
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.RunUntil(1); err != nil {
-		t.Fatal(err)
-	}
-	if got == 0 {
-		t.Error("no control commands on bus")
-	}
-	if uint64(got) != e.Stats().ControlCommands {
-		t.Errorf("bus deliveries %d != counter %d", got, e.Stats().ControlCommands)
 	}
 }
 

@@ -1,11 +1,14 @@
 package perf
 
 import (
+	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"hcperf/examples/specs"
 	"hcperf/internal/dag"
 	"hcperf/internal/engine"
 	"hcperf/internal/exectime"
@@ -52,7 +55,8 @@ func Suite() []Bench {
 		{"FleetSecond/N=256", func(b *testing.B) { benchFleetSecond(b, 256) }},
 		{"SimtimeSchedule", benchSimtimeSchedule},
 		{"SimtimeTickerChurn", benchSimtimeTickerChurn},
-		{"ReportDigest/samples=20000", func(b *testing.B) { benchReportDigest(b, 20000) }},
+		{"ReportDigest/samples=20000", func(b *testing.B) { benchReportDigest(b, carFollowingReport(b, 20000)) }},
+		{"ReportDigest/fusion-overload", func(b *testing.B) { benchReportDigest(b, fusionOverloadReport(b)) }},
 		{"ResultCodec/encode/samples=20000", func(b *testing.B) { benchResultEncode(b, 20000) }},
 		{"ResultCodec/decode/samples=20000", func(b *testing.B) { benchResultDecode(b, 20000) }},
 		{"DiskRestore/samples=20000", func(b *testing.B) { benchDiskRestore(b, 20000) }},
@@ -84,14 +88,33 @@ func carFollowingReport(tb testing.TB, samples int) *experiment.Report {
 	}
 }
 
+// fusionOverloadReport is the report of one run.Execute of
+// examples/specs/fusion-overload.json, shaped like every serve-cold
+// result: 16 series on three time bases of accumulated times such as
+// 29.99000000000189.
+func fusionOverloadReport(tb testing.TB) *experiment.Report {
+	spec, err := scenario.DecodeSpec(bytes.NewReader(specs.FusionOverload))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req, err := run.Request{Spec: &spec}.Normalize()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := run.Execute(context.Background(), req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Report
+}
+
 // codecDigest is the request digest the codec pins store their entry
 // under.
 const codecDigest = "e147c7de9e87627b60fd50ce3a2de8685590a66a42cb5b85a7f2d9c68b104d04"
 
 // benchReportDigest measures Report.Digest, the series CSV kernel a
 // result pays once, when it is first persisted or rendered.
-func benchReportDigest(b *testing.B, samples int) {
-	rep := carFollowingReport(b, samples)
+func benchReportDigest(b *testing.B, rep *experiment.Report) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,23 +8,19 @@ import (
 )
 
 // LoadDisk reads the result for digest from the disk tier. A stored entry
-// that fails to decode or fails its integrity check is quarantined (and
-// counted corrupt) so it is recomputed rather than served; the caller sees
-// a plain miss either way.
+// that fails to decode or fails its integrity check is quarantined and
+// counted as a disk miss and a corrupt entry, so it is recomputed rather
+// than served; the caller sees a plain miss either way.
 func LoadDisk(d *store.Disk, digest string) (*Result, bool) {
 	if d == nil {
 		return nil, false
 	}
-	data, ok := d.Get(digest)
-	if !ok {
-		return nil, false
-	}
-	res, err := DecodeResult(digest, data)
-	if err != nil {
-		d.Quarantine(digest)
-		return nil, false
-	}
-	return res, true
+	var res *Result
+	ok := d.Load(digest, func(data []byte) (err error) {
+		res, err = DecodeResult(digest, data)
+		return err
+	})
+	return res, ok
 }
 
 // SaveDisk writes a completed result to the disk tier, computing its

@@ -138,10 +138,13 @@ func TestPipelineQuarantinesCorruptDiskEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Overwrite the persisted entry with garbage: the next run must treat
-	// it as a miss, quarantine it and recompute.
+	// it as a miss, quarantine it and recompute. The read succeeds, but the
+	// lookup counts as a disk miss, never a hit, because the entry does not
+	// decode.
 	if err := d.Put(digest, []byte("truncated garbage")); err != nil {
 		t.Fatal(err)
 	}
+	hits0, misses0 := m.DiskHits.Load(), m.DiskMisses.Load()
 	_, tier, _, err := p.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -149,8 +152,9 @@ func TestPipelineQuarantinesCorruptDiskEntry(t *testing.T) {
 	if tier != store.TierMiss || calls != 2 {
 		t.Fatalf("corrupt-entry run: tier=%s calls=%d, want miss/2", tier, calls)
 	}
-	if got := m.Corrupt.Load(); got != 1 {
-		t.Errorf("corrupt counter = %d, want 1", got)
+	hits, misses, corrupt := m.DiskHits.Load()-hits0, m.DiskMisses.Load()-misses0, m.Corrupt.Load()
+	if hits != 0 || misses != 1 || corrupt != 1 {
+		t.Errorf("corrupt-entry run counted disk hits/misses/corrupt = %d/%d/%d, want 0/1/1", hits, misses, corrupt)
 	}
 	// The recompute re-persisted a good entry; the next run is a disk hit.
 	_, tier, _, err = p.Run(context.Background(), req)
@@ -159,6 +163,9 @@ func TestPipelineQuarantinesCorruptDiskEntry(t *testing.T) {
 	}
 	if tier != store.TierDisk || calls != 2 {
 		t.Fatalf("post-quarantine run: tier=%s calls=%d, want disk/2", tier, calls)
+	}
+	if got := m.DiskHits.Load() - hits0; got != 1 {
+		t.Errorf("post-quarantine run: disk hits = %d, want 1", got)
 	}
 }
 

@@ -143,20 +143,48 @@ func (d *Disk) path(digest string) string {
 	return filepath.Join(d.dir, digest+entrySuffix)
 }
 
-// Get returns the stored bytes for a digest, reading through to the
-// filesystem (entries written by other processes sharing the directory are
-// hits too). A hit refreshes the entry's mtime so the size cap evicts in
-// least-recently-used order. A miss — or any read error — returns ok=false.
+// Get returns the stored bytes for a digest: Load with a decode that
+// accepts any bytes.
 func (d *Disk) Get(digest string) ([]byte, bool) {
+	var data []byte
+	ok := d.Load(digest, func(b []byte) error {
+		data = b
+		return nil
+	})
+	return data, ok
+}
+
+// Load reads the entry for digest, reading through to the filesystem
+// (entries written by other processes sharing the directory count too),
+// and hands its bytes to decode outside the store's lock. It counts a disk
+// hit only once decode accepts the bytes. An entry decode rejects is
+// quarantined and counts as a miss and a corrupt entry; an absent or
+// unreadable entry is a miss. A successful read refreshes the entry's
+// mtime so the size cap evicts in least-recently-used order.
+func (d *Disk) Load(digest string, decode func([]byte) error) bool {
+	data, ok := d.read(digest)
+	if !ok {
+		d.metrics.DiskMisses.Add(1)
+		return false
+	}
+	if err := decode(data); err != nil {
+		d.Quarantine(digest)
+		d.metrics.DiskMisses.Add(1)
+		return false
+	}
+	d.metrics.DiskHits.Add(1)
+	return true
+}
+
+// read returns the stored bytes for a digest and refreshes its mtime.
+func (d *Disk) read(digest string) ([]byte, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !validDigest(digest) {
-		d.metrics.DiskMisses.Add(1)
 		return nil, false
 	}
 	data, err := os.ReadFile(d.path(digest))
 	if err != nil {
-		d.metrics.DiskMisses.Add(1)
 		return nil, false
 	}
 	now := time.Now()
@@ -170,7 +198,6 @@ func (d *Disk) Get(digest string) ([]byte, bool) {
 		d.entries[digest] = diskEntry{size: int64(len(data)), mtime: now}
 		d.size += int64(len(data))
 	}
-	d.metrics.DiskHits.Add(1)
 	return data, true
 }
 

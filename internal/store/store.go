@@ -5,8 +5,8 @@
 // corrupt-entry quarantine) so computed reports survive process restarts
 // and can be shared between the CLI and the server. The store deals in
 // opaque bytes keyed by digest; encoding and integrity checking of run
-// results live in internal/run, which also decides when a decode failure
-// becomes a Quarantine call.
+// results live in internal/run, whose decode Disk.Load calls before it
+// counts a hit or quarantines the entry.
 package store
 
 import (

@@ -11,7 +11,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 )
 
 // Sample is one (time, value) point.
@@ -170,16 +169,33 @@ func (r *Recorder) Names() []string { return append([]string(nil), r.order...) }
 // stay in cache.
 const csvFlush = 32 << 10
 
+// timeSlot holds the last time WriteCSV formatted at one sample index: its
+// float64 bits and its text. 24 bytes fit the longest shortest 'g' text of
+// a float64, such as -2.2250738585072014e-308.
+type timeSlot struct {
+	bits uint64
+	n    uint8 // text length; 0 marks a slot not yet filled
+	text [24]byte
+}
+
 // WriteCSV writes all series in long format: series,time,value. The bytes
 // are exactly what encoding/csv writes for those records with its default
-// settings; Report.Digest hashes them, so they must never change. Each name
-// is quoted once by encoding/csv itself, and the rows are appended to one
-// reused buffer: times and values in 'g' form never need quoting, so no
-// sample allocates.
+// settings, each float in strconv's shortest 'g' form; Report.Digest hashes
+// them, so they must never change. Each name is quoted once by encoding/csv
+// itself, and the rows are appended to one reused buffer: times and values
+// in 'g' form never need quoting, so no sample allocates. Series recorded
+// on a shared time base repeat their times index by index, so a time whose
+// bits equal those of the last time formatted at its index reuses that
+// text; any other time is formatted, so the reuse changes only speed.
 func (r *Recorder) WriteCSV(w io.Writer) error {
 	// Headroom above csvFlush holds the row that crosses it.
 	buf := make([]byte, 0, 2*csvFlush)
 	buf = append(buf, "series,time,value\n"...)
+	longest := 0
+	for _, s := range r.series {
+		longest = max(longest, len(s.Samples))
+	}
+	slots := make([]timeSlot, longest)
 	var field bytes.Buffer
 	cw := csv.NewWriter(&field)
 	for _, name := range r.order {
@@ -191,11 +207,18 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 		}
 		cw.Flush()
 		prefix := field.Bytes()[:field.Len()-1]
-		for _, p := range r.series[name].Samples {
+		for i, p := range r.series[name].Samples {
 			buf = append(buf, prefix...)
-			buf = strconv.AppendFloat(buf, p.T, 'g', -1, 64)
+			sl := &slots[i]
+			if tb := math.Float64bits(p.T); sl.n != 0 && sl.bits == tb {
+				buf = append(buf, sl.text[:sl.n]...)
+			} else {
+				m := len(buf)
+				buf = appendShortest(buf, p.T)
+				sl.bits, sl.n = tb, uint8(copy(sl.text[:], buf[m:]))
+			}
 			buf = append(buf, ',')
-			buf = strconv.AppendFloat(buf, p.V, 'g', -1, 64)
+			buf = appendShortest(buf, p.V)
 			buf = append(buf, '\n')
 			if len(buf) >= csvFlush {
 				if _, err := w.Write(buf); err != nil {

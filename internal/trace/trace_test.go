@@ -241,54 +241,73 @@ func referenceCSV(r *Recorder) ([]byte, error) {
 }
 
 // FuzzRecorderCSV differentially checks WriteCSV against referenceCSV on
-// recorders of two interleaved series: for i below n mod 8192, name1 gets
-// (t0 + i*dt, v + i*dv) and, at even i, name2 gets (t0 + i*dt, v - i*dv);
-// equal names make one series. Samples the recorder refuses (an empty
-// name, time moving backwards) are skipped, so the comparison sees exactly
-// what it holds.
+// recorders of two series on one time base: for i below n1 mod 8192, name1
+// gets (t0 + i*dt, v + i*dv); then, for i below n2 mod 8192, name2 gets
+// the same time, with its bits XORed with flip at index at, and v - i*dv.
+// Equal names make one series. A flip of 1 puts one time one ulp off the
+// first series', 1<<63 turns +0 into -0, and n2 > n1 makes the later
+// series the longest. Samples the recorder refuses (an empty name, time
+// moving backwards) are skipped, so the comparison sees exactly what it
+// holds.
 func FuzzRecorderCSV(f *testing.F) {
 	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
+	const never = math.MaxUint16
 	for _, s := range []struct {
 		name1, name2  string
 		t0, dt, v, dv float64
-		n             uint16
+		n1, n2, at    uint16
+		flip          uint64
 	}{
-		{"a", "b", 0, 0.25, 1.5, -3.5, 4},
+		{"a", "b", 0, 0.25, 1.5, -3.5, 4, 4, never, 0},
 		// Names encoding/csv must quote.
-		{"x,y", `say "hi"`, 0, 0.01, 1, 1, 6},
-		{"cr\rname", "line\nbreak", 0, 0.01, 1, 1, 6},
-		{" lead", "\ttab", 0, 0.01, 1, 1, 6},
-		{"\u00a0nbsp", "\u2003em", 0, 0.01, 1, 1, 6},
-		{`\.`, "trail ", 0, 0.01, 1, 1, 6},
+		{"x,y", `say "hi"`, 0, 0.01, 1, 1, 6, 6, never, 0},
+		{"cr\rname", "line\nbreak", 0, 0.01, 1, 1, 6, 6, never, 0},
+		{" lead", "\ttab", 0, 0.01, 1, 1, 6, 6, never, 0},
+		{"\u00a0nbsp", "\u2003em", 0, 0.01, 1, 1, 6, 6, never, 0},
+		{`\.`, "trail ", 0, 0.01, 1, 1, 6, 6, never, 0},
 		// Non-ASCII and invalid UTF-8.
-		{"速度", "Δv ü", 0, 0.01, 1, 1, 6},
-		{"\xff\xfe", "é", 0, 0.01, 1, 1, 6},
-		// Special values.
-		{"nan", "inf", 0, 0.01, nan, 0, 4},
-		{"inf", "neginf", 0, 0.01, inf, 0, 4},
-		{"neginf", "x", 0, 0.01, -inf, 1, 4},
-		{"negzero", "x", negZero, negZero, negZero, negZero, 4},
-		{"subnormal", "x", 5e-324, 5e-324, 5e-324, 2.2250738585072e-308, 4},
-		{"nan-time", "x", nan, 0, 1, 1, 4},
+		{"速度", "Δv ü", 0, 0.01, 1, 1, 6, 6, never, 0},
+		{"\xff\xfe", "é", 0, 0.01, 1, 1, 6, 6, never, 0},
+		// Special values as times and values; a flipped NaN bit is
+		// another NaN.
+		{"nan", "inf", 0, 0.01, nan, 0, 4, 4, never, 0},
+		{"inf", "neginf", 0, 0.01, inf, 0, 4, 4, never, 0},
+		{"neginf", "x", 0, 0.01, -inf, 1, 4, 4, never, 0},
+		{"nan-time", "x", nan, 0, 1, 1, 4, 4, 2, 1},
+		{"inf-time", "x", inf, 0, inf, 0, 4, 4, never, 0},
+		{"neginf-time", "x", -inf, 0, -inf, 1, 4, 4, 3, 0},
+		{"negzero", "x", negZero, negZero, negZero, negZero, 4, 4, never, 0},
+		{"subnormal", "x", 5e-324, 5e-324, 5e-324, 2.2250738585072e-308, 4, 4, 1, 1},
 		// Both sides of the 'g' exponent switch.
-		{"big", "x", 999999, 1, 999999, 1, 3},
-		{"bigger", "x", 1e6, 1e6, 1e21, 1e21, 3},
-		{"small", "x", 1e-4, 0, 1e-4, -9e-5, 3},
-		{"smaller", "x", 1e-5, 1e-5, 1e-5, 1e-6, 3},
+		{"big", "x", 999999, 1, 999999, 1, 3, 3, never, 0},
+		{"bigger", "x", 1e6, 1e6, 1e21, 1e21, 3, 3, never, 0},
+		{"small", "x", 1e-4, 0, 1e-4, -9e-5, 3, 3, never, 0},
+		{"smaller", "x", 1e-5, 1e-5, 1e-5, 1e-6, 3, 3, never, 0},
 		// Long enough to cross the flush boundary several times.
-		{"tracking_err_sample", "gap", 0, 0.001, 0.1234567891234, 1.0000001, 6000},
-		{"", "only", 0, 1, 1, 1, 4},
+		{"tracking_err_sample", "gap", 0, 0.001, 0.1234567891234, 1.0000001, 6000, 3000, never, 0},
+		{"", "only", 0, 1, 1, 1, 4, 4, never, 0},
+		// Times the second series must not take from the first: one ulp
+		// off at one index, and -0 against +0.
+		{"lead", "follow", 0, 0.01, 1, 0.5, 100, 100, 37, 1},
+		{"pos", "neg", 0, 0.25, 1, 1, 8, 8, 0, 1 << 63},
+		// A later series longer than every earlier one.
+		{"short", "long", 0, 0.01, 1, 1, 5, 300, never, 0},
 	} {
-		f.Add(s.name1, s.name2, s.t0, s.dt, s.v, s.dv, s.n)
+		f.Add(s.name1, s.name2, s.t0, s.dt, s.v, s.dv, s.n1, s.n2, s.at, s.flip)
 	}
-	f.Fuzz(func(t *testing.T, name1, name2 string, t0, dt, v, dv float64, n uint16) {
+	f.Fuzz(func(t *testing.T, name1, name2 string, t0, dt, v, dv float64, n1, n2, at uint16, flip uint64) {
 		r := NewRecorder()
-		for i := 0; i < int(n%8192); i++ {
+		for i := 0; i < int(n1%8192); i++ {
 			x := float64(i)
 			_ = r.Add(name1, t0+x*dt, v+x*dv)
-			if i%2 == 0 {
-				_ = r.Add(name2, t0+x*dt, v-x*dv)
+		}
+		for i := 0; i < int(n2%8192); i++ {
+			x := float64(i)
+			tm := t0 + x*dt
+			if i == int(at) {
+				tm = math.Float64frombits(math.Float64bits(tm) ^ flip)
 			}
+			_ = r.Add(name2, tm, v-x*dv)
 		}
 		want, err := referenceCSV(r)
 		if err != nil {
