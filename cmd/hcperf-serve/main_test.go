@@ -103,7 +103,7 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatalf("second POST = (%d, %v), want 200 cached", code, second)
 	}
 	if code, body := get("/metrics"); code != http.StatusOK ||
-		!strings.Contains(body, "hcperf_cache_hits_total 1") {
+		!strings.Contains(body, `hcperf_store_hits_total{tier="memory"} 1`) {
 		t.Fatalf("metrics = (%d), want cache hit visible:\n%s", code, body)
 	}
 	if code, _ := get("/debug/pprof/cmdline"); code != http.StatusOK {

@@ -117,17 +117,17 @@ type options struct {
 	Metrics *store.Metrics
 }
 
-// newPipeline builds this invocation's run pipeline: no memory tier (a CLI
-// process holds no resident results) and, when -store is set, the disk tier
-// shared byte-for-byte with hcperf-serve. An unusable store directory — the
-// read-only-volume failure mode — degrades to no persistence with a warning
-// rather than failing the run.
-func newPipeline(opts options) *runpkg.Pipeline {
+// newPipeline builds this invocation's run pipeline and the store counters
+// it reports into: when -store is set, the disk tier shared byte-for-byte
+// with hcperf-serve. An unusable store directory — the read-only-volume
+// failure mode — degrades to no persistence with a warning rather than
+// failing the run.
+func newPipeline(opts options) (*runpkg.Pipeline, *store.Metrics) {
 	m := opts.Metrics
 	if m == nil {
 		m = &store.Metrics{}
 	}
-	p := &runpkg.Pipeline{Metrics: m}
+	p := &runpkg.Pipeline{}
 	if opts.StoreDir != "" {
 		d, err := store.OpenDisk(opts.StoreDir, 0, m)
 		if err != nil {
@@ -136,7 +136,7 @@ func newPipeline(opts options) *runpkg.Pipeline {
 			p.Disk = d
 		}
 	}
-	return p
+	return p, m
 }
 
 // runTune performs a coordinator policy search through the run pipeline:
@@ -181,7 +181,7 @@ func runTune(opts options) error {
 		fmt.Printf("tune: gen %d done, %d/%d candidates evaluated\n", p.Generations, p.Evaluated, norm.Budget)
 	})
 	ctx = runpkg.WithParallelism(ctx, opts.Parallel)
-	p := newPipeline(opts)
+	p, _ := newPipeline(opts)
 	res, tier, _, err := p.Run(ctx, runpkg.Request{Optimize: &norm})
 	if err != nil {
 		return err
@@ -339,7 +339,7 @@ func run(opts options) error {
 		req.Duration = opts.Duration
 	}
 
-	p := newPipeline(opts)
+	p, _ := newPipeline(opts)
 	res, tier, digest, err := p.Run(context.Background(), req)
 	if err != nil {
 		return err
@@ -390,7 +390,7 @@ func runSuite(opts options) error {
 	list := experiment.List()
 	fmt.Printf("suite: %d experiments (%s..%s)\n", len(list), list[0].ID, list[len(list)-1].ID)
 	start := time.Now()
-	p := newPipeline(opts)
+	p, m := newPipeline(opts)
 	reports, err := runner.Map(context.Background(), opts.Parallel, experiment.IDs(),
 		func(ctx context.Context, id string) (*experiment.Report, error) {
 			res, _, _, err := p.Run(ctx, runpkg.Request{Experiment: id, Seed: opts.Seed})
@@ -405,7 +405,7 @@ func runSuite(opts options) error {
 	if err := experiment.WriteReports(os.Stdout, reports); err != nil {
 		return err
 	}
-	if hits := p.Metrics.DiskHits.Load(); hits > 0 {
+	if hits := m.DiskHits.Load(); hits > 0 {
 		fmt.Printf("suite: %d of %d reports replayed from %s\n", hits, len(reports), opts.StoreDir)
 	}
 	fmt.Printf("suite: %d experiments, seed %d, parallel=%d, %.2fs\n",

@@ -112,11 +112,11 @@ garbage line without value
 
 func TestServerDelta(t *testing.T) {
 	before := Snapshot{
-		"hcperf_runs_completed_total": 10, "hcperf_cache_hits_total": 5,
+		"hcperf_runs_completed_total": 10, `hcperf_store_hits_total{tier="memory"}`: 5,
 		"hcperf_dedup_hits_total": 1, "hcperf_cache_misses_total": 4, "hcperf_shed_total": 0,
 	}
 	after := Snapshot{
-		"hcperf_runs_completed_total": 30, "hcperf_cache_hits_total": 65,
+		"hcperf_runs_completed_total": 30, `hcperf_store_hits_total{tier="memory"}`: 65,
 		"hcperf_dedup_hits_total": 11, "hcperf_cache_misses_total": 24, "hcperf_shed_total": 10,
 	}
 	d := serverDelta(before, after, 10*time.Second)
@@ -133,6 +133,19 @@ func TestServerDelta(t *testing.T) {
 	// Counters the server never exported (limiter off) read as zero.
 	if d.RateLimited != 0 || d.BreakerOpens != 0 {
 		t.Errorf("absent counters = (%g, %g), want zero deltas", d.RateLimited, d.BreakerOpens)
+	}
+
+	// Submissions answered from disk are hits, in both ratios'
+	// denominators: 20 disk hits make hits 90 of 110 answered and the 10
+	// shed one in 120 submissions.
+	before[`hcperf_store_hits_total{tier="disk"}`] = 3
+	after[`hcperf_store_hits_total{tier="disk"}`] = 23
+	d = serverDelta(before, after, 10*time.Second)
+	if want := 90.0 / 110.0; math.Abs(d.CacheHitRatio-want) > 1e-9 {
+		t.Errorf("with disk hits: CacheHitRatio = %g, want %g", d.CacheHitRatio, want)
+	}
+	if want := 10.0 / 120.0; math.Abs(d.ShedRatio-want) > 1e-9 {
+		t.Errorf("with disk hits: ShedRatio = %g, want %g", d.ShedRatio, want)
 	}
 }
 

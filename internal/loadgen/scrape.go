@@ -64,10 +64,11 @@ func scrape(ctx context.Context, client *http.Client, url string) (Snapshot, err
 type ServerDelta struct {
 	// RunsPerSec is completed executions per second over the window.
 	RunsPerSec float64 `json:"runs_per_sec"`
-	// CacheHitRatio is (memory cache hits + dedup hits) over all
+	// CacheHitRatio is (memory hits + disk hits + dedup hits) over all
 	// submissions that reached the manager.
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
-	// ShedRatio is queue-full 429s over submissions (shed + admitted).
+	// ShedRatio is queue-full 429s over submissions (shed + answered from
+	// a store tier or coalesced + admitted).
 	ShedRatio float64 `json:"shed_ratio"`
 	// RateLimited counts limiter 429s issued during the window (0 when the
 	// limiter is off).
@@ -91,7 +92,9 @@ func serverDelta(before, after Snapshot, window time.Duration) *ServerDelta {
 	if s := window.Seconds(); s > 0 {
 		d.RunsPerSec = delta(before, after, "hcperf_runs_completed_total") / s
 	}
-	hits := delta(before, after, "hcperf_cache_hits_total") + delta(before, after, "hcperf_dedup_hits_total")
+	hits := delta(before, after, `hcperf_store_hits_total{tier="memory"}`) +
+		delta(before, after, `hcperf_store_hits_total{tier="disk"}`) +
+		delta(before, after, "hcperf_dedup_hits_total")
 	misses := delta(before, after, "hcperf_cache_misses_total")
 	if total := hits + misses; total > 0 {
 		d.CacheHitRatio = hits / total

@@ -3,7 +3,6 @@ package run
 import (
 	"context"
 
-	"hcperf/internal/policy"
 	"hcperf/internal/store"
 )
 
@@ -38,51 +37,29 @@ func SaveDisk(d *store.Disk, digest string, res *Result) error {
 	return d.Put(digest, data)
 }
 
-// Pipeline is the one normalize → digest → lookup → execute → persist
-// path every entry point shares: the CLI's sim/spec/tune/suite modes, the
-// HTTP service's run and optimize handlers (via its job manager, which
-// layers queueing and dedup on the same tiers) and the sweep fan-out.
+// Pipeline is the store-then-execute path of the CLI's sim/spec/tune/suite
+// modes: normalize → digest → disk tier → execute → persist. The HTTP
+// service's job manager runs the same stages through LoadDisk, Execute and
+// SaveDisk, with its memory tier, queue and singleflight dedup in front.
 type Pipeline struct {
-	// Lookup consults the caller's memory tier (the serving layer's job
-	// map; nil for the CLI, which has no resident results).
-	Lookup func(digest string) (*Result, bool)
 	// Disk is the persistent tier; nil disables persistence.
 	Disk *store.Disk
-	// Metrics counts memory-tier lookups (the disk tier counts its own
-	// through Disk). Nil disables counting.
-	Metrics *store.Metrics
-	// Exec computes a result on a full miss; nil means Execute.
+	// Exec computes a result on a miss; nil means Execute.
 	Exec Func
-	// Breaker, when non-nil, guards the execute stage only: cache and disk
-	// hits always flow (serving stored bytes cannot hurt a sick runner),
-	// while fresh executions are short-circuited with ErrBreakerOpen when
-	// the breaker is open and their outcomes feed its error-rate window.
-	Breaker *policy.Breaker
 }
 
 // Run takes a raw request through the full pipeline and reports which tier
 // satisfied it. The request is normalized and digested here, so every
-// caller shares one digest namespace; on a full miss the computed result
-// is written back to the disk tier (best-effort). Run computes the report
-// digest only in that write-back, so a pipeline without a store never
-// pays for it.
+// caller shares one digest namespace; on a miss the computed result is
+// written back to the disk tier (best-effort). Run computes the report
+// digest only in that write-back, so a pipeline without a store never pays
+// for it.
 func (p *Pipeline) Run(ctx context.Context, req Request) (*Result, store.Tier, string, error) {
 	req, err := req.Normalize()
 	if err != nil {
 		return nil, store.TierMiss, "", err
 	}
 	digest := req.Digest()
-	if p.Lookup != nil {
-		if res, ok := p.Lookup(digest); ok {
-			if p.Metrics != nil {
-				p.Metrics.MemoryHits.Add(1)
-			}
-			return res, store.TierMemory, digest, nil
-		}
-		if p.Metrics != nil {
-			p.Metrics.MemoryMisses.Add(1)
-		}
-	}
 	if res, ok := LoadDisk(p.Disk, digest); ok {
 		return res, store.TierDisk, digest, nil
 	}
@@ -90,15 +67,7 @@ func (p *Pipeline) Run(ctx context.Context, req Request) (*Result, store.Tier, s
 	if exec == nil {
 		exec = Execute
 	}
-	var breakerDone func(policy.Outcome)
-	if p.Breaker != nil {
-		var berr error
-		if breakerDone, berr = p.Breaker.Allow(); berr != nil {
-			return nil, store.TierMiss, digest, berr
-		}
-	}
 	res, err := exec(ctx, req)
-	policy.Observe(breakerDone, err)
 	if err != nil {
 		return nil, store.TierMiss, digest, err
 	}

@@ -94,39 +94,6 @@ func TestPipelineWithoutStoreNeverDigests(t *testing.T) {
 	}
 }
 
-func TestPipelineMemoryTierWins(t *testing.T) {
-	d, m := openPipelineDisk(t)
-	calls := 0
-	resident := map[string]*Result{}
-	p := &Pipeline{
-		Lookup:  func(digest string) (*Result, bool) { r, ok := resident[digest]; return r, ok },
-		Disk:    d,
-		Metrics: m,
-		Exec:    fakeExec(&calls),
-	}
-	req := Request{Scenario: "carfollow"}
-
-	res, tier, digest, err := p.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tier != store.TierMiss {
-		t.Fatalf("cold run tier = %s, want miss", tier)
-	}
-	resident[digest] = res
-
-	_, tier, _, err = p.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tier != store.TierMemory || calls != 1 {
-		t.Fatalf("warm run: tier=%s calls=%d, want memory/1", tier, calls)
-	}
-	if hits, misses := m.MemoryHits.Load(), m.MemoryMisses.Load(); hits != 1 || misses != 1 {
-		t.Errorf("memory hits/misses = %d/%d, want 1/1", hits, misses)
-	}
-}
-
 func TestPipelineQuarantinesCorruptDiskEntry(t *testing.T) {
 	d, m := openPipelineDisk(t)
 	calls := 0

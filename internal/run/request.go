@@ -1,10 +1,10 @@
 // Package run is the one canonical run pipeline every entry path routes
 // through: Request (experiment | scenario | spec | fleet | optimize) →
 // Normalize → Digest → Execute → Result (report + series + trace handles).
-// The CLI (hcperf-sim sim/spec/tune/suite modes), the HTTP service
-// (POST /v1/runs, /v1/optimize, /v1/sweeps) and the batch sweep fan-out are
-// all thin callers of this package, so a run is the same computation — and
-// the same content address — no matter which door it came in through.
+// The CLI (hcperf-sim sim/spec/tune/suite modes) and the HTTP service
+// (POST /v1/runs, /v1/optimize, /v1/sweeps) are both thin callers of this
+// package, so a run is the same computation — and the same content address
+// — no matter which door it came in through.
 //
 // The digest namespace is load-bearing: it predates this package (it was
 // the serving layer's request digest) and is pinned by tests, so a report

@@ -132,7 +132,10 @@ func (d *Dynamic) capture(now simtime.Time, ready []*Job) {
 // Feasibility is not perfectly monotone in γ (the constraint set depends on
 // the induced ordering), but it is monotone for the workloads in the paper's
 // regime — tight deadlines favour small γ — so a bisection over [0,
-// GammaCap] finds γmax to within GammaCap·2^-BisectIters.
+// GammaCap] finds γmax to within GammaCap·2^-BisectIters. Where it is not,
+// a clamped γ strictly inside (0, γmax) can fail Eq. 11 although both ends
+// pass; Recompute then bisects [0, γ] and lowers γmax and γ to its feasible
+// end, so Eq. 12 still holds and the γ in force always satisfies Eq. 11.
 func (d *Dynamic) Recompute(now simtime.Time, ready []*Job, state *ProcState) {
 	d.capture(now, ready)
 	np := float64(state.NumProcs)
@@ -152,24 +155,34 @@ func (d *Dynamic) Recompute(now simtime.Time, ready []*Job, state *ProcState) {
 		d.gammaMax = d.GammaCap
 		d.overloaded = false
 	default:
-		lo, hi := 0.0, d.GammaCap
-		iters := d.BisectIters
-		if iters <= 0 {
-			iters = 24
-		}
-		for i := 0; i < iters; i++ {
-			mid := (lo + hi) / 2
-			if d.check(mid, np, base) {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		d.gammaMax = lo
+		d.gammaMax = d.bisect(d.GammaCap, np, base)
 		d.overloaded = false
 	}
 	d.gamma = clampGamma(d.nominalU, d.gammaMax)
+	if len(ready) > 0 && d.gamma > 0 && d.gamma < d.gammaMax && !d.check(d.gamma, np, base) {
+		d.gammaMax = d.bisect(d.gamma, np, base)
+		d.gamma = d.gammaMax
+	}
 	d.heapDirty = true
+}
+
+// bisect narrows [0, hi], where γ = 0 passes check and hi fails it, to its
+// feasible end.
+func (d *Dynamic) bisect(hi, np, base float64) float64 {
+	lo := 0.0
+	iters := d.BisectIters
+	if iters <= 0 {
+		iters = 24
+	}
+	for i := 0; i < iters; i++ {
+		mid := (lo + hi) / 2
+		if d.check(mid, np, base) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // clampGamma maps the nominal u to the actual γ per Eq. 12.

@@ -402,64 +402,98 @@ func TestQuickGammaWithinBounds(t *testing.T) {
 // the estimated execution times meets every job's deadline.
 func TestQuickGammaFeasibilityIsSound(t *testing.T) {
 	f := func(seed int64, n uint8, uRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		count := int(n%12) + 1
-		ready := make([]*Job, count)
-		for i := range ready {
-			ready[i] = job(dag.TaskID(i), rng.Intn(23)+1,
-				0,
-				simtime.Duration(rng.Float64()*0.15+0.005),
-				simtime.Duration(rng.Float64()*0.03+0.001))
-		}
-		np := rng.Intn(2) + 1
-		st := state(np)
-		d := NewDynamic(0.02)
-		d.SetNominalU(float64(uRaw) / 255 * 0.02)
-		d.Recompute(0, ready, st)
-		if d.Overloaded() {
-			return true // nothing to verify
-		}
-		gamma := d.Gamma()
-
-		// Greedy list schedule in P_i(γ) order.
-		order := make([]*Job, count)
-		copy(order, ready)
-		sort.SliceStable(order, func(i, j int) bool {
-			return gamma*float64(order[i].Task.Priority)+float64(order[i].LatestStart()) <
-				gamma*float64(order[j].Task.Priority)+float64(order[j].LatestStart())
-		})
-		free := make([]simtime.Time, np)
-		for _, j := range order {
-			// Earliest-available processor.
-			p := 0
-			for k := 1; k < np; k++ {
-				if free[k] < free[p] {
-					p = k
-				}
-			}
-			finish := free[p] + j.EstExec
-			free[p] = finish
-			if finish >= j.AbsDeadline {
-				// Eq. 11 uses an averaged load bound, which is
-				// conservative relative to this exact greedy
-				// schedule on np=1, but can be optimistic for
-				// np>1 (it ignores packing). Accept a small
-				// packing slack on multiprocessors.
-				if np == 1 {
-					t.Logf("γ=%v claimed feasible but job %d finishes %v after deadline %v",
-						gamma, j.Task.ID, finish, j.AbsDeadline)
-					return false
-				}
-				if float64(finish-j.AbsDeadline) > float64(j.EstExec) {
-					t.Logf("np=%d: job %d overruns deadline by %v (> one job of slack)",
-						np, j.Task.ID, finish-j.AbsDeadline)
-					return false
-				}
-			}
-		}
-		return true
+		return gammaFeasibilityIsSound(t, seed, n, uRaw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestGammaInForceIsFeasibleWhenNonMonotone pins a queue on which Eq. 11
+// feasibility is not monotone in γ: γ = 0 and γ = GammaCap pass, but the
+// controller's u ≈ 0.0145 fails, and in that γ's P_i order job 2 finishes
+// at 0.093 s against its 0.089 s deadline. The γ in force must not be u.
+func TestGammaInForceIsFeasibleWhenNonMonotone(t *testing.T) {
+	const seed, n, uRaw = 1846006709496699026, 0x35, 0xb9
+	ready, st, u := feasibilityQueue(seed, n, uRaw)
+	d := NewDynamic(0.02)
+	if st.NumProcs != 1 || !d.feasible(0, 0, ready, st) || !d.feasible(d.GammaCap, 0, ready, st) || d.feasible(u, 0, ready, st) {
+		t.Fatalf("pinned queue no longer non-monotone at np=%d, u=%v", st.NumProcs, u)
+	}
+	if !gammaFeasibilityIsSound(t, seed, n, uRaw) {
+		t.Fatal("the γ in force misses a deadline")
+	}
+	d.SetNominalU(u)
+	d.Recompute(0, ready, st)
+	if g := d.Gamma(); g != d.GammaMax() || g >= u || !d.feasible(g, 0, ready, st) {
+		t.Errorf("γ=%v γmax=%v for u=%v, want γ = γmax < u and feasible", g, d.GammaMax(), u)
+	}
+}
+
+// feasibilityQueue builds the random ready queue, processor state and
+// controller signal of one TestQuickGammaFeasibilityIsSound input.
+func feasibilityQueue(seed int64, n, uRaw uint8) ([]*Job, *ProcState, float64) {
+	rng := rand.New(rand.NewSource(seed))
+	count := int(n%12) + 1
+	ready := make([]*Job, count)
+	for i := range ready {
+		ready[i] = job(dag.TaskID(i), rng.Intn(23)+1,
+			0,
+			simtime.Duration(rng.Float64()*0.15+0.005),
+			simtime.Duration(rng.Float64()*0.03+0.001))
+	}
+	np := rng.Intn(2) + 1
+	return ready, state(np), float64(uRaw) / 255 * 0.02
+}
+
+// gammaFeasibilityIsSound recomputes γ for one input and serves the queue
+// greedily in P_i(γ) order, reporting whether every deadline holds.
+func gammaFeasibilityIsSound(t *testing.T, seed int64, n, uRaw uint8) bool {
+	ready, st, u := feasibilityQueue(seed, n, uRaw)
+	count, np := len(ready), st.NumProcs
+	d := NewDynamic(0.02)
+	d.SetNominalU(u)
+	d.Recompute(0, ready, st)
+	if d.Overloaded() {
+		return true // nothing to verify
+	}
+	gamma := d.Gamma()
+
+	// Greedy list schedule in P_i(γ) order.
+	order := make([]*Job, count)
+	copy(order, ready)
+	sort.SliceStable(order, func(i, j int) bool {
+		return gamma*float64(order[i].Task.Priority)+float64(order[i].LatestStart()) <
+			gamma*float64(order[j].Task.Priority)+float64(order[j].LatestStart())
+	})
+	free := make([]simtime.Time, np)
+	for _, j := range order {
+		// Earliest-available processor.
+		p := 0
+		for k := 1; k < np; k++ {
+			if free[k] < free[p] {
+				p = k
+			}
+		}
+		finish := free[p] + j.EstExec
+		free[p] = finish
+		if finish >= j.AbsDeadline {
+			// Eq. 11 uses an averaged load bound, which is
+			// conservative relative to this exact greedy
+			// schedule on np=1, but can be optimistic for
+			// np>1 (it ignores packing). Accept a small
+			// packing slack on multiprocessors.
+			if np == 1 {
+				t.Logf("γ=%v claimed feasible but job %d finishes %v after deadline %v",
+					gamma, j.Task.ID, finish, j.AbsDeadline)
+				return false
+			}
+			if float64(finish-j.AbsDeadline) > float64(j.EstExec) {
+				t.Logf("np=%d: job %d overruns deadline by %v (> one job of slack)",
+					np, j.Task.ID, finish-j.AbsDeadline)
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -241,6 +241,7 @@ type Manager struct {
 	metrics *Metrics
 	disk    *store.Disk     // nil = memory-only
 	breaker *policy.Breaker // nil = unguarded
+	workers int             // pool size, also each sweep's window of outstanding cells
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -290,6 +291,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 		metrics: cfg.Metrics,
 		disk:    cfg.Disk,
 		breaker: cfg.Breaker,
+		workers: cfg.Workers,
 		baseCtx: ctx,
 		cancel:  cancel,
 		shards:  make([]shard, cfg.Shards),
@@ -400,7 +402,7 @@ func (m *Manager) Submit(req RunRequest) (*Job, SubmitOutcome, error) {
 			// Raced with an identical submission; defer to its job.
 			return j, outcome, nil
 		}
-		return m.installTerminalLocked(sh, id, req, res, store.TierDisk), SubmitCachedDisk, nil
+		return m.installTerminalLocked(sh, id, req, res), SubmitCachedDisk, nil
 	}
 
 	sh.mu.Lock()
@@ -441,7 +443,6 @@ func (m *Manager) lookupLocked(sh *shard, id string) (*Job, SubmitOutcome, bool)
 	}
 	if j.Snapshot().State.Terminal() {
 		sh.cache.Bump(id)
-		m.metrics.CacheHits.Add(1)
 		m.metrics.Store.MemoryHits.Add(1)
 		return j, SubmitCached, true
 	}
@@ -449,14 +450,13 @@ func (m *Manager) lookupLocked(sh *shard, id string) (*Job, SubmitOutcome, bool)
 	return j, SubmitDeduped, true
 }
 
-// installTerminalLocked enters an already-completed result (restored from
-// disk, or computed by a sweep worker) as a terminal job so subsequent
-// GETs and submissions see it as an ordinary cached run. The caller holds
-// sh's mutex.
-func (m *Manager) installTerminalLocked(sh *shard, id string, req RunRequest, res *RunResult, source store.Tier) *Job {
+// installTerminalLocked enters a result restored from the disk store as a
+// terminal job, so subsequent GETs and submissions see it as an ordinary
+// cached run. The caller holds sh's mutex.
+func (m *Manager) installTerminalLocked(sh *shard, id string, req RunRequest, res *RunResult) *Job {
 	now := time.Now()
 	j := &Job{
-		ID: id, Req: req, seq: m.seq.Add(1), source: source,
+		ID: id, Req: req, seq: m.seq.Add(1), source: store.TierDisk,
 		state: StateDone, result: res,
 		submitted: now, started: now, finished: now,
 		done: make(chan struct{}),
@@ -465,44 +465,6 @@ func (m *Manager) installTerminalLocked(sh *shard, id string, req RunRequest, re
 	sh.jobs[id] = j
 	m.addToCacheLocked(sh, id)
 	return j
-}
-
-// AddCached publishes a result computed outside the worker pool (a sweep
-// cell) under its digest. An existing job for the digest wins — the caller
-// raced with an ordinary submission — and is returned unchanged.
-func (m *Manager) AddCached(req RunRequest, res *RunResult, source store.Tier) *Job {
-	if source == store.TierMiss {
-		// A freshly computed result is memory-resident from here on.
-		source = store.TierMemory
-	}
-	id := req.Digest()
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if j, ok := sh.jobs[id]; ok {
-		return j
-	}
-	return m.installTerminalLocked(sh, id, req, res, source)
-}
-
-// CachedResult resolves a digest against the in-memory tier only: the
-// result of a successfully completed resident job (recency refreshed), or
-// a miss. It is the memory-tier Lookup of sweep pipelines; counting is
-// left to the pipeline so submission metrics stay comparable.
-func (m *Manager) CachedResult(id string) (*RunResult, bool) {
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	j, ok := sh.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	snap := j.Snapshot()
-	if snap.State != StateDone || snap.Result == nil {
-		return nil, false
-	}
-	sh.cache.Bump(id)
-	return snap.Result, true
 }
 
 // addToCacheLocked enters a terminal digest into the shard's LRU; evicted

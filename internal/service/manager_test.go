@@ -133,7 +133,7 @@ func TestCacheHitServesCompletedRun(t *testing.T) {
 	if got := f.executions.Load(); got != 1 {
 		t.Errorf("executions = %d, want 1", got)
 	}
-	if hits := m.Metrics().CacheHits.Load(); hits != 1 {
+	if hits := m.Metrics().Store.MemoryHits.Load(); hits != 1 {
 		t.Errorf("cache hits = %d, want 1", hits)
 	}
 }

@@ -34,10 +34,11 @@ func (h *histogram) observe(v float64) {
 // them in Prometheus text format at GET /metrics. Counters are atomics so
 // the hot path never takes the histogram lock unless it records a latency.
 type Metrics struct {
-	// CacheHits counts submissions answered from a completed cached run;
 	// DedupHits counts submissions coalesced onto an in-flight identical
 	// run; Misses counts submissions that scheduled a new execution.
-	CacheHits, DedupHits, Misses atomic.Uint64
+	// Submissions answered from a completed run are Store.MemoryHits or
+	// Store.DiskHits.
+	DedupHits, Misses atomic.Uint64
 	// Shed counts submissions rejected with 429 because the queue was
 	// full; Rejected counts submissions refused during drain (503).
 	Shed, Rejected atomic.Uint64
@@ -49,11 +50,11 @@ type Metrics struct {
 	// OptimizeCandidates counts candidate evaluations across all optimize
 	// jobs; OptimizeGenerations counts completed search generations.
 	OptimizeCandidates, OptimizeGenerations atomic.Uint64
-	// SweepCells / SweepCacheHits count batch-sweep cells executed and
+	// SweepCells / SweepCacheHits count batch-sweep cells streamed and
 	// cells satisfied from a store tier without re-execution.
 	SweepCells, SweepCacheHits atomic.Uint64
 	// Store holds the tiered result store's per-tier counters (shared
-	// with the disk store and the sweep pipeline); never nil.
+	// with the disk store); never nil.
 	Store *store.Metrics
 
 	mu           sync.Mutex
@@ -164,7 +165,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, live LiveStats) error {
 		counter("hcperf_breaker_opens_total", "Times the circuit breaker tripped open.", live.BreakerOpens)
 		counter("hcperf_breaker_shortcircuit_total", "Executions fast-failed while the breaker was open.", live.BreakerShortCircuits)
 	}
-	counter("hcperf_cache_hits_total", "Submissions served from a completed cached run.", m.CacheHits.Load())
 	counter("hcperf_dedup_hits_total", "Submissions coalesced onto an in-flight identical run.", m.DedupHits.Load())
 	counter("hcperf_cache_misses_total", "Submissions that scheduled a new execution.", m.Misses.Load())
 	counter("hcperf_shed_total", "Submissions rejected with 429 because the queue was full.", m.Shed.Load())

@@ -122,7 +122,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 		"hcperf_optimize_candidates_total",
 		"hcperf_optimize_generations_total",
 		`hcperf_optimize_best{objective="err_p99"}`,
-		"hcperf_cache_hits_total 1",
+		`hcperf_store_hits_total{tier="memory"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

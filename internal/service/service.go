@@ -42,7 +42,6 @@ type Server struct {
 	mgr     *Manager
 	mux     *http.ServeMux
 	limiter *policy.Limiter // nil when rate limiting is disabled
-	workers int             // sweep fan-out width (same knob as the worker pool)
 }
 
 // New builds the server and starts its worker pool.
@@ -63,8 +62,7 @@ func New(cfg Config) *Server {
 			Disk:      cfg.Disk,
 			Breaker:   breaker,
 		}),
-		mux:     http.NewServeMux(),
-		workers: cfg.Workers,
+		mux: http.NewServeMux(),
 	}
 	if cfg.Policy.RateLimit > 0 {
 		burst := cfg.Policy.RateBurst
@@ -72,9 +70,6 @@ func New(cfg Config) *Server {
 			burst = 2 * cfg.Policy.RateLimit
 		}
 		s.limiter = policy.NewLimiter(policy.LimiterConfig{Rate: cfg.Policy.RateLimit, Burst: burst})
-	}
-	if s.workers < 1 {
-		s.workers = 2 // keep in lockstep with NewManager's default
 	}
 	// Only the submission (POST) endpoints are rate-limited: GETs are
 	// cheap map lookups, and limiting /metrics or /healthz would blind the

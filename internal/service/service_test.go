@@ -221,7 +221,7 @@ func TestMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		"hcperf_queue_depth 0",
 		"hcperf_cache_entries 1",
-		"hcperf_cache_hits_total 1",
+		`hcperf_store_hits_total{tier="memory"} 1`,
 		"hcperf_cache_misses_total 1",
 		"hcperf_runs_completed_total 1",
 		`hcperf_run_duration_seconds_count{experiment="fig5"} 1`,

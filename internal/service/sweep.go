@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"strings"
 
 	"hcperf/internal/run"
-	"hcperf/internal/runner"
 	"hcperf/internal/scenario"
 	"hcperf/internal/store"
 )
@@ -25,7 +23,7 @@ const maxSweepCells = 512
 // plus a parameter grid. The grid maps dot-paths into the spec JSON (e.g.
 // "seed", "duration", "coordinator.vruns") to the list of values that
 // axis takes; the sweep runs the full cross product, each cell an ordinary
-// pipeline run in the shared digest namespace.
+// job in the shared digest namespace.
 type SweepRequest struct {
 	Template json.RawMessage              `json:"template"`
 	Grid     map[string][]json.RawMessage `json:"grid"`
@@ -175,11 +173,14 @@ type sweepDoneEvent struct {
 }
 
 // handleSweep expands the grid, validates every cell up front (any invalid
-// cell fails the whole sweep with a 400 before anything runs), then fans
-// the cells through runner.Map and streams one SSE event per cell in index
-// order. Each cell is an ordinary pipeline run: memory tier, disk tier,
-// then execution, with completed cells published into the job manager so
-// GET /v1/runs/{id} works on them afterwards.
+// cell fails the whole sweep with a 400 before anything runs), then submits
+// the cells to the job manager exactly like single runs and streams one SSE
+// event per cell in index order. At most the manager's worker count of a
+// sweep's cells are outstanding at once: a sweep can keep every worker busy
+// but never floods the queue with its own cells. A cell the manager refuses
+// (queue full, draining) is a failed cell carrying that error. A client that
+// goes away gets no further submissions; its cells already submitted finish
+// and stay resident, like an abandoned single run.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var sr SweepRequest
 	dec := json.NewDecoder(r.Body)
@@ -205,94 +206,69 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	writeSSE(w, "sweep", map[string]int{"cells": len(cells), "workers": s.workers})
+	window := s.mgr.workers
+	writeSSE(w, "sweep", map[string]int{"cells": len(cells), "workers": window})
 	fl.Flush()
 
-	type cellDone struct {
-		idx int
-		ev  sweepCellEvent
-	}
-	ch := make(chan cellDone, len(cells))
-	go func() {
-		defer close(ch)
-		// Map's panic isolation is a second line of defense; runSweepCell
-		// recovers its own panics so the channel always gets len(cells)
-		// sends on the normal path.
-		_, _ = runner.Map(r.Context(), s.workers, cells, func(ctx context.Context, c sweepCell) (struct{}, error) {
-			ch <- cellDone{c.Index, s.runSweepCell(ctx, c, len(cells))}
-			return struct{}{}, nil
-		})
-	}()
-
-	var summary sweepDoneEvent
-	summary.Cells = len(cells)
-	pending := make(map[int]sweepCellEvent)
-	next := 0
-	for d := range ch {
-		pending[d.idx] = d.ev
-		for {
-			ev, ready := pending[next]
-			if !ready {
-				break
+	ctx := r.Context()
+	events := make([]sweepCellEvent, len(cells))
+	jobs := make([]*Job, len(cells))
+	submitted := 0
+	summary := sweepDoneEvent{Cells: len(cells)}
+	for i := range cells {
+		for ; submitted < len(cells) && submitted < i+window; submitted++ {
+			if ctx.Err() != nil {
+				return
 			}
-			delete(pending, next)
-			next++
-			if ev.State == StateDone {
-				summary.Completed++
-			} else {
-				summary.Failed++
-			}
-			if ev.Cache != store.TierMiss {
-				summary.CacheHits++
-			}
-			writeSSE(w, "cell", ev)
-			fl.Flush()
+			events[submitted], jobs[submitted] = s.submitCell(cells[submitted], len(cells))
 		}
+		ev := events[i]
+		if j := jobs[i]; j != nil {
+			select {
+			case <-j.Done():
+			case <-ctx.Done():
+				return
+			}
+			snap := j.Snapshot()
+			ev.State = snap.State
+			if snap.Err != nil {
+				ev.Error = snap.Err.Error()
+			}
+			if snap.Result != nil && snap.Result.Report != nil {
+				if d, err := snap.Result.ReportDigest(); err == nil {
+					ev.ReportDigest = d
+				}
+			}
+		}
+		s.mgr.metrics.SweepCells.Add(1)
+		if ev.State == StateDone {
+			summary.Completed++
+		} else {
+			summary.Failed++
+		}
+		if ev.Cache != store.TierMiss {
+			s.mgr.metrics.SweepCacheHits.Add(1)
+			summary.CacheHits++
+		}
+		writeSSE(w, "cell", ev)
+		fl.Flush()
 	}
 	writeSSE(w, "done", summary)
 	fl.Flush()
 }
 
-// runSweepCell takes one validated cell through the shared pipeline and
-// publishes a fresh result into the job manager. Panics in the executed
-// run are captured as that cell's failure, never the sweep's.
-func (s *Server) runSweepCell(ctx context.Context, c sweepCell, of int) (ev sweepCellEvent) {
-	m := s.mgr
-	ev = sweepCellEvent{Index: c.Index, Of: of, Params: c.Params, State: StateFailed, Cache: store.TierMiss}
-	defer func() {
-		if p := recover(); p != nil {
-			ev.State = StateFailed
-			ev.Error = fmt.Sprintf("panic: %v", p)
-		}
-	}()
-	p := &run.Pipeline{
-		Lookup:  m.CachedResult,
-		Disk:    m.disk,
-		Metrics: m.metrics.Store,
-		Exec:    m.run,
-		// The sweep fan-out shares the manager's breaker, so a sick runner
-		// fast-fails sweep cells the same way it fast-fails single runs
-		// (cache and disk hits above still flow while open).
-		Breaker: m.breaker,
-	}
-	res, tier, digest, err := p.Run(ctx, c.Req)
-	ev.ID = digest
-	ev.Cache = tier
-	m.metrics.SweepCells.Add(1)
-	if tier != store.TierMiss {
-		m.metrics.SweepCacheHits.Add(1)
-	}
+// submitCell submits one validated cell through the job manager. It returns
+// the cell's event so far and its job, or a failed event and no job when the
+// manager refuses the submission.
+func (s *Server) submitCell(c sweepCell, of int) (sweepCellEvent, *Job) {
+	ev := sweepCellEvent{Index: c.Index, Of: of, Params: c.Params, Cache: store.TierMiss, State: StateFailed}
+	j, outcome, err := s.mgr.Submit(c.Req)
 	if err != nil {
-		ev.Error = err.Error()
-		return ev
+		ev.ID, ev.Error = c.Req.Digest(), err.Error()
+		return ev, nil
 	}
-	// Publish so GET /v1/runs/{id} serves the cell like any other run.
-	m.AddCached(c.Req, res, tier)
-	ev.State = StateDone
-	if d, derr := res.ReportDigest(); derr == nil {
-		ev.ReportDigest = d
-	}
-	return ev
+	ev.ID, ev.Cache = j.ID, outcome.Tier()
+	return ev, j
 }
 
 // writeSSE renders one server-sent event with a JSON payload.

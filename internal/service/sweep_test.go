@@ -1,12 +1,18 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hcperf/internal/store"
 )
@@ -206,4 +212,255 @@ func TestSweepInvalidBodyIs400(t *testing.T) {
 		t.Fatalf("invalid sweep = %d, want 400", resp.StatusCode)
 	}
 	assertJSONError(t, resp)
+}
+
+// decodeSweep splits a sweep stream into its cell events and its done
+// event.
+func decodeSweep(t *testing.T, events []sseEvent) ([]sweepCellEvent, sweepDoneEvent) {
+	t.Helper()
+	var cells []sweepCellEvent
+	var done sweepDoneEvent
+	for _, ev := range events {
+		var err error
+		switch ev.name {
+		case "cell":
+			var c sweepCellEvent
+			err = json.Unmarshal([]byte(ev.data), &c)
+			cells = append(cells, c)
+		case "done":
+			err = json.Unmarshal([]byte(ev.data), &done)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(events) == 0 || events[len(events)-1].name != "done" {
+		t.Fatalf("sweep stream does not end with done: %+v", events)
+	}
+	return cells, done
+}
+
+// peakRunner holds each execution for a few milliseconds, so executions
+// overlap, and records the most executions in flight at once.
+type peakRunner struct {
+	executions, cur, peak atomic.Int64
+}
+
+func (p *peakRunner) Run(ctx context.Context, req RunRequest) (*RunResult, error) {
+	p.executions.Add(1)
+	n := p.cur.Add(1)
+	defer p.cur.Add(-1)
+	for {
+		old := p.peak.Load()
+		if n <= old || p.peak.CompareAndSwap(old, n) {
+			break
+		}
+	}
+	time.Sleep(5 * time.Millisecond)
+	return newFakeRunner(false).Run(ctx, req)
+}
+
+// TestConcurrentSweepsShareTheWorkers: sweep cells run on the manager's
+// workers, so concurrent sweeps never execute more runs at once than the
+// pool has workers.
+func TestConcurrentSweepsShareTheWorkers(t *testing.T) {
+	p := &peakRunner{}
+	_, ts := newTestServer(t, Config{Workers: 2, QueueSize: 16, Run: p.Run})
+	bodies := make([]string, 3)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"template": {"scenario": "carfollow"}, "grid": {"seed": [%d, %d, %d, %d]}}`, 4*i+1, 4*i+2, 4*i+3, 4*i+4)
+			resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			bodies[i] = string(raw)
+		}()
+	}
+	wg.Wait()
+	for i, body := range bodies {
+		if _, done := decodeSweep(t, parseSSE(t, body)); done.Completed != 4 {
+			t.Errorf("sweep %d done = %+v, want 4 completed", i, done)
+		}
+	}
+	if peak := p.peak.Load(); peak > 2 {
+		t.Errorf("%d executions ran at once on 2 workers", peak)
+	}
+	if got := p.executions.Load(); got != 12 {
+		t.Errorf("executions = %d, want 12", got)
+	}
+}
+
+// TestSweepCellCoalescesOntoInFlightRun: a cell identical to a single run
+// still executing joins that run instead of executing again.
+func TestSweepCellCoalescesOntoInFlightRun(t *testing.T) {
+	f := newFakeRunner(true)
+	srv, ts := newTestServer(t, Config{Workers: 2, QueueSize: 8, Run: f.Run})
+	if code, _, _ := postRun(t, ts, `{"spec": {"scenario": "carfollow", "seed": 1}}`); code != http.StatusAccepted {
+		t.Fatalf("single run = %d, want 202", code)
+	}
+	<-f.started
+	// Release the run once the cell has coalesced onto it, or after a
+	// bound, so a cell that executes on its own fails the test instead of
+	// hanging it.
+	go func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for srv.Manager().Metrics().DedupHits.Load() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		close(f.release)
+	}()
+	_, events := postSweep(t, ts.URL, `{"template": {"scenario": "carfollow"}, "grid": {"seed": [1]}}`)
+	cells, done := decodeSweep(t, events)
+	if done.Completed != 1 || cells[0].Cache != store.TierMiss || cells[0].ReportDigest == "" {
+		t.Errorf("cell %+v, done %+v, want one completed miss", cells[0], done)
+	}
+	if got := f.executions.Load(); got != 1 {
+		t.Errorf("executions = %d, want 1", got)
+	}
+}
+
+// TestSweepCellsCountAsRuns: a cell execution is an ordinary run in the
+// run counters and the duration histogram.
+func TestSweepCellsCountAsRuns(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, QueueSize: 8, Run: newFakeRunner(false).Run})
+	postSweep(t, ts.URL, `{"template": {"scenario": "carfollow"}, "grid": {"seed": [1, 2, 3]}}`)
+	metrics := fetchMetrics(t, ts)
+	for _, want := range []string{
+		"hcperf_runs_completed_total 3",
+		`hcperf_run_duration_seconds_count{experiment="spec:carfollow"} 3`,
+		"hcperf_sweep_cells_total 3",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q:\n%s", want, metrics)
+		}
+	}
+}
+
+// TestFailedSweepCellStaysResident: a failed cell is kept like a failed
+// single run, so the identical sweep reports it from memory, failed,
+// without executing it again.
+func TestFailedSweepCellStaysResident(t *testing.T) {
+	var executions atomic.Int64
+	run := func(ctx context.Context, req RunRequest) (*RunResult, error) {
+		executions.Add(1)
+		if req.Spec.Seed == 2 {
+			return nil, errors.New("cell failed")
+		}
+		return newFakeRunner(false).Run(ctx, req)
+	}
+	_, ts := newTestServer(t, Config{Workers: 2, QueueSize: 8, Run: run})
+	body := `{"template": {"scenario": "carfollow"}, "grid": {"seed": [1, 2, 3]}}`
+	_, events := postSweep(t, ts.URL, body)
+	cells, done := decodeSweep(t, events)
+	if done.Completed != 2 || done.Failed != 1 || cells[1].State != StateFailed || !strings.Contains(cells[1].Error, "cell failed") {
+		t.Fatalf("first sweep cell 1 = %+v, done %+v, want cell 1 failed", cells[1], done)
+	}
+	_, events = postSweep(t, ts.URL, body)
+	cells, done = decodeSweep(t, events)
+	if c := cells[1]; c.Cache != store.TierMemory || c.State != StateFailed || !strings.Contains(c.Error, "cell failed") {
+		t.Errorf("re-sweep cell 1 = %+v, want the failure from memory", c)
+	}
+	if done.CacheHits != 3 || done.Failed != 1 {
+		t.Errorf("re-sweep done = %+v, want 3 cache hits, 1 failed", done)
+	}
+	if got := executions.Load(); got != 3 {
+		t.Errorf("executions = %d, want 3", got)
+	}
+}
+
+// TestRefusedSweepCellFails: a cell the full queue refuses is a failed
+// cell carrying the queue's error, and the sweep still ends with done.
+func TestRefusedSweepCellFails(t *testing.T) {
+	f := newFakeRunner(true)
+	_, ts := newTestServer(t, Config{Workers: 1, QueueSize: 1, Run: f.Run})
+	release := sync.OnceFunc(func() { close(f.release) })
+	defer release()
+	// A cell that executes instead of being refused blocks on the runner;
+	// the timer bounds that failure.
+	time.AfterFunc(10*time.Second, release)
+	postRun(t, ts, `{"experiment": "fig5", "seed": 1}`) // occupies the worker
+	<-f.started
+	postRun(t, ts, `{"experiment": "fig5", "seed": 2}`) // fills the queue
+	_, events := postSweep(t, ts.URL, `{"template": {"scenario": "carfollow"}, "grid": {"seed": [1]}}`)
+	cells, done := decodeSweep(t, events)
+	if c := cells[0]; c.State != StateFailed || c.Error != ErrQueueFull.Error() || c.ID == "" {
+		t.Errorf("cell = %+v, want failed with %q", c, ErrQueueFull)
+	}
+	if done.Failed != 1 {
+		t.Errorf("done = %+v, want 1 failed", done)
+	}
+}
+
+// TestSweepWindowFitsSmallQueue: a sweep keeps at most a worker's count of
+// cells outstanding, so one worker and a one-slot queue still complete
+// every cell.
+func TestSweepWindowFitsSmallQueue(t *testing.T) {
+	f := newFakeRunner(false)
+	_, ts := newTestServer(t, Config{Workers: 1, QueueSize: 1, Run: f.Run})
+	_, events := postSweep(t, ts.URL, `{"template": {"scenario": "carfollow"}, "grid": {"seed": [1, 2, 3, 4]}}`)
+	if _, done := decodeSweep(t, events); done.Completed != 4 || done.Failed != 0 {
+		t.Errorf("done = %+v, want 4 completed", done)
+	}
+	if got := f.executions.Load(); got != 4 {
+		t.Errorf("executions = %d, want 4", got)
+	}
+}
+
+// TestDisconnectedSweepSubmitsNothingMore: once the client goes away the
+// sweep submits no further cells, and the cells already running finish and
+// stay resident.
+func TestDisconnectedSweepSubmitsNothingMore(t *testing.T) {
+	f := newFakeRunner(true)
+	srv, _ := newTestServer(t, Config{Workers: 2, QueueSize: 8, Run: f.Run})
+	body := `{"template": {"scenario": "carfollow"}, "grid": {"seed": [1, 2, 3, 4]}}`
+	var sr SweepRequest
+	if err := json.Unmarshal([]byte(body), &sr); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := expandSweep(sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweeps", strings.NewReader(body)).WithContext(ctx)
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		srv.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	<-f.started // the window of two cells is running
+	<-f.started
+	cancel()
+	<-returned
+	close(f.release)
+
+	for i, c := range cells {
+		j, ok := srv.Manager().Job(c.Req.Digest())
+		if i >= 2 {
+			if ok {
+				t.Errorf("cell %d was submitted after the client went away", i)
+			}
+			continue
+		}
+		if !ok {
+			t.Fatalf("cell %d is not resident", i)
+		}
+		if snap := waitDone(t, j); snap.State != StateDone {
+			t.Errorf("cell %d state = %s, want done", i, snap.State)
+		}
+	}
+	if got := f.executions.Load(); got != 2 {
+		t.Errorf("executions = %d, want 2", got)
+	}
 }
