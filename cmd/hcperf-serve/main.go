@@ -67,9 +67,9 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", 4, "execution worker pool size")
-		queue       = flag.Int("queue", 64, "submission queue bound (full queue sheds with 429)")
-		cache       = flag.Int("cache", 128, "completed-run LRU cache size")
+		workers     = flag.Int("workers", service.DefaultWorkers, "execution worker pool size")
+		queue       = flag.Int("queue", service.DefaultQueueSize, "submission queue bound (full queue sheds with 429)")
+		cache       = flag.Int("cache", service.DefaultCacheSize, "completed-run LRU cache size")
 		storeDir    = flag.String("store", "", "disk-backed result store directory (persists across restarts; shared with hcperf-sim -store)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful drain deadline on SIGTERM")
 		showVersion = flag.Bool("version", false, "print build identity and exit")

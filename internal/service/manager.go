@@ -1,30 +1,28 @@
 // Package service turns the run pipeline (internal/run) into an online
-// HTTP/JSON API: a bounded job queue with a worker pool built on
-// runner.Map, a tiered content-addressed result store (in-memory LRU over
-// an optional disk store, internal/store) with singleflight-style
-// deduplication of identical submissions, a batch sweep endpoint that fans
-// a spec template across a parameter grid, a resilience layer
-// (internal/policy: per-client rate limiting with honest Retry-After and a
-// circuit breaker guarding the execute stage), load shedding with 429 +
-// Retry-After under overload, live Prometheus metrics, and a
-// deadline-bounded graceful drain mirroring the shutdown discipline of
-// internal/rt. Determinism of the underlying simulations (enforced by the
-// internal/runner harness) is what makes serving a cached Report for a
-// request digest correct: equal digests provably yield byte-identical
-// reports.
+// HTTP/JSON API: a bounded job queue worked by a fixed pool of workers, a
+// tiered content-addressed result store (an in-memory LRU over an optional
+// disk store, internal/store) with singleflight-style deduplication of
+// identical submissions, a batch sweep endpoint that fans a spec template
+// across a parameter grid, a resilience layer (internal/policy: per-client
+// rate limiting with honest Retry-After and a circuit breaker guarding the
+// execute stage), load shedding with 429 + Retry-After under overload, live
+// Prometheus metrics, and a deadline-bounded graceful drain mirroring the
+// shutdown discipline of internal/rt. One mutex covers the job map, the
+// memory LRU and queue admission. Determinism of the underlying
+// simulations (enforced by the internal/runner harness) is what makes
+// serving a cached Report for a request digest correct: equal digests
+// provably yield byte-identical reports.
 package service
 
 import (
 	"context"
 	"errors"
-	"hash/fnv"
+	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hcperf/internal/policy"
 	"hcperf/internal/run"
-	"hcperf/internal/runner"
 	"hcperf/internal/search"
 	"hcperf/internal/store"
 )
@@ -70,8 +68,8 @@ type Job struct {
 	Req RunRequest
 
 	// seq is the submission order number, drawn from the manager's
-	// atomic counter; queue position is the count of still-queued jobs
-	// with a smaller seq.
+	// counter under its mutex; queue position is the count of
+	// still-queued jobs with a smaller seq.
 	seq uint64
 
 	// source records where the job's result materialized in this process:
@@ -187,55 +185,19 @@ func (o SubmitOutcome) Tier() store.Tier {
 	}
 }
 
-// ManagerConfig sizes the job manager.
-type ManagerConfig struct {
-	// Workers is the execution pool size (default 2).
-	Workers int
-	// QueueSize bounds the submission queue (default 64); a full queue
-	// sheds load with ErrQueueFull.
-	QueueSize int
-	// CacheSize bounds the completed-run LRU (default 128), split across
-	// the shards; evicted runs re-execute on resubmission.
-	CacheSize int
-	// Shards is the number of digest-partitioned shards the job map and
-	// result LRU are split into (default 8). Each shard has its own
-	// mutex, so submissions for different digests never contend; tests
-	// that assert global LRU recency order use Shards: 1. Recency (and
-	// therefore eviction) is tracked per shard: the CacheSize bound is
-	// divided evenly, so the global bound holds to within rounding.
-	Shards int
-	// Run executes one request (default Execute). Tests inject
-	// controllable fakes here.
-	Run RunFunc
-	// Metrics receives operational counters (default a fresh set).
-	Metrics *Metrics
-	// Disk is the persistent result tier under the in-memory cache; nil
-	// (the default) runs memory-only, exactly the pre-disk-store
-	// behavior.
-	Disk *store.Disk
-	// Breaker, when non-nil, guards the execute stage: jobs reaching a
-	// worker while the breaker is open fail fast (and are forgotten, so
-	// a resubmission re-executes once the stage recovers), and every
-	// execution outcome feeds the breaker's sliding error window.
-	Breaker *policy.Breaker
-}
-
-// shard is one digest partition of the job map: its own mutex, its own
-// slice of the jobs map and its own recency LRU, so the mutex a
-// submission takes depends only on its digest.
-type shard struct {
-	mu    sync.Mutex
-	jobs  map[string]*Job // every known job in this partition
-	cache *store.LRU      // recency order over finished jobs only
-}
+// Server defaults: NewManager falls back to these for a zero Config field,
+// and hcperf-serve's flags read them.
+const (
+	DefaultWorkers   = 4
+	DefaultQueueSize = 64
+	DefaultCacheSize = 128
+)
 
 // Manager owns the submission queue, the worker pool, and the
-// content-addressed result cache. The job map and LRU are partitioned
-// into digest-addressed shards; within one shard a single mutex covers
-// map and LRU together, so the singleflight invariant — at most one live
-// job per digest — holds by construction exactly as it did under the
-// former global mutex, while submissions for different digests no longer
-// serialize on one lock.
+// content-addressed result cache. One mutex covers the job map, the LRU,
+// the drain flag and the submission counter, so the singleflight
+// invariant (at most one live job per digest) holds by construction and
+// the LRU keeps exactly CacheSize terminal jobs in global recency order.
 type Manager struct {
 	run     RunFunc
 	metrics *Metrics
@@ -245,79 +207,65 @@ type Manager struct {
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
+	queue   chan *Job
 
-	shards []shard
-	queue  chan *Job
-	seq    atomic.Uint64 // submission counter; orders queue positions
-
-	// lifeMu serializes queue sends against close(queue): submissions
-	// hold it shared around {draining check, queue send}, Shutdown holds
-	// it exclusively around {draining = true, close}. Lock order is
-	// shard.mu → lifeMu; Shutdown takes lifeMu alone.
-	lifeMu   sync.RWMutex
+	// mu also orders every queue send before Shutdown's close(queue):
+	// Submit sends (without blocking) and Shutdown closes under it.
+	mu       sync.Mutex
+	jobs     map[string]*Job // every known job, live or terminal
+	cache    *store.LRU      // recency order over terminal jobs only
 	draining bool
+	seq      uint64 // submission counter; orders queue positions
 
 	wg sync.WaitGroup
 }
 
-// NewManager starts the worker pool.
-func NewManager(cfg ManagerConfig) *Manager {
+// NewManager starts the worker pool. Zero sizes take the Default*
+// constants, a nil Run takes Execute, and the execute-stage breaker is
+// built from cfg.Policy unless it sets NoBreaker.
+func NewManager(cfg Config) *Manager {
 	if cfg.Workers < 1 {
-		cfg.Workers = 2
+		cfg.Workers = DefaultWorkers
 	}
 	if cfg.QueueSize < 1 {
-		cfg.QueueSize = 64
+		cfg.QueueSize = DefaultQueueSize
 	}
 	if cfg.CacheSize < 1 {
-		cfg.CacheSize = 128
-	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 8
+		cfg.CacheSize = DefaultCacheSize
 	}
 	if cfg.Run == nil {
 		cfg.Run = Execute
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = NewMetrics()
-	}
+	metrics := newMetrics()
 	if cfg.Disk != nil {
 		// The disk tier counts into the same metrics set as the memory
 		// tier, so /metrics shows one coherent tiered store.
-		cfg.Disk.SetMetrics(cfg.Metrics.Store)
+		cfg.Disk.SetMetrics(metrics.Store)
+	}
+	// The breaker is on by default: it guards the execute stage only, so
+	// cache and dedup hits keep flowing even while it is open.
+	var breaker *policy.Breaker
+	if !cfg.Policy.NoBreaker {
+		breaker = policy.NewBreaker(cfg.Policy.Breaker)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		run:     cfg.Run,
-		metrics: cfg.Metrics,
+		metrics: metrics,
 		disk:    cfg.Disk,
-		breaker: cfg.Breaker,
+		breaker: breaker,
 		workers: cfg.Workers,
 		baseCtx: ctx,
 		cancel:  cancel,
-		shards:  make([]shard, cfg.Shards),
 		queue:   make(chan *Job, cfg.QueueSize),
-	}
-	// Split the cache bound across shards, rounding up so the configured
-	// capacity is never undershot.
-	perShard := (cfg.CacheSize + cfg.Shards - 1) / cfg.Shards
-	for i := range m.shards {
-		m.shards[i].jobs = make(map[string]*Job)
-		m.shards[i].cache = store.NewLRU(perShard)
+		jobs:    make(map[string]*Job),
+		cache:   store.NewLRU(cfg.CacheSize),
 	}
 	m.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go m.worker()
 	}
 	return m
-}
-
-// shardFor maps a digest to its partition. Digests are uniform SHA-256
-// hex, but fnv keeps the mapping well-distributed for any test-injected
-// ID shape.
-func (m *Manager) shardFor(id string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return &m.shards[h.Sum32()%uint32(len(m.shards))]
 }
 
 // Metrics exposes the manager's counters for the /metrics handler.
@@ -330,48 +278,37 @@ func (m *Manager) Breaker() *policy.Breaker { return m.breaker }
 // QueueDepth is the number of jobs waiting for a worker.
 func (m *Manager) QueueDepth() int { return len(m.queue) }
 
-// CacheLen is the number of terminal runs retained across the shard LRUs.
+// CacheLen is the number of terminal runs retained in the memory tier.
 func (m *Manager) CacheLen() int {
-	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		n += sh.cache.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.cache.Len()
 }
 
 // Job looks up a run by digest.
 func (m *Manager) Job(id string) (*Job, bool) {
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	j, ok := sh.jobs[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
 	return j, ok
 }
 
 // QueuePosition returns how many jobs are ahead of id in the submission
 // queue (0 = next to run), or -1 when the job is unknown or no longer
 // queued. Position is derived from submission order, so it only ever
-// shrinks as the pool drains: shards are scanned one at a time, and a job
-// observed as no-longer-queued in a later scan can only lower the count
-// (queued → running is a one-way door).
+// shrinks as the pool drains (queued → running is a one-way door).
 func (m *Manager) QueuePosition(id string) int {
-	j, ok := m.Job(id)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
 	if !ok || j.Snapshot().State != StateQueued {
 		return -1
 	}
 	pos := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for _, other := range sh.jobs {
-			if other != j && other.seq < j.seq && other.Snapshot().State == StateQueued {
-				pos++
-			}
+	for _, other := range m.jobs {
+		if other.seq < j.seq && other.Snapshot().State == StateQueued {
+			pos++
 		}
-		sh.mu.Unlock()
 	}
 	return pos
 }
@@ -383,66 +320,55 @@ func (m *Manager) QueuePosition(id string) int {
 // full (ErrQueueFull) or the manager is draining (ErrDraining).
 func (m *Manager) Submit(req RunRequest) (*Job, SubmitOutcome, error) {
 	id := req.Digest()
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	if j, outcome, hit := m.lookupLocked(sh, id); hit {
-		sh.mu.Unlock()
+	m.mu.Lock()
+	if j, outcome, hit := m.lookupLocked(id); hit {
+		m.mu.Unlock()
 		return j, outcome, nil
 	}
 	m.metrics.Store.MemoryMisses.Add(1)
-	sh.mu.Unlock()
+	m.mu.Unlock()
 
-	// Disk tier, outside the shard mutex: reading an entry is file I/O
-	// and must not stall status polls. Serving a persisted result is not
-	// new work, so it is allowed even while draining.
-	if res, ok := run.LoadDisk(m.disk, id); ok {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if j, outcome, hit := m.lookupLocked(sh, id); hit {
-			// Raced with an identical submission; defer to its job.
-			return j, outcome, nil
-		}
-		return m.installTerminalLocked(sh, id, req, res), SubmitCachedDisk, nil
-	}
+	// Disk tier, outside the mutex: reading an entry is file I/O and must
+	// not stall status polls. Serving a persisted result is not new work,
+	// so it is allowed even while draining.
+	res, onDisk := run.LoadDisk(m.disk, id)
 
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if j, outcome, hit := m.lookupLocked(sh, id); hit {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if j, outcome, hit := m.lookupLocked(id); hit {
 		// Raced with an identical submission while we checked the disk.
 		return j, outcome, nil
 	}
-	// The queue send happens under lifeMu (shared) so it can never race
-	// Shutdown's close(queue).
-	m.lifeMu.RLock()
+	if onDisk {
+		return m.installTerminalLocked(id, req, res), SubmitCachedDisk, nil
+	}
 	if m.draining {
-		m.lifeMu.RUnlock()
 		m.metrics.Rejected.Add(1)
 		return nil, 0, ErrDraining
 	}
-	j := &Job{ID: id, Req: req, seq: m.seq.Add(1), state: StateQueued, submitted: time.Now(), done: make(chan struct{})}
+	m.seq++
+	j := &Job{ID: id, Req: req, seq: m.seq, state: StateQueued, submitted: time.Now(), done: make(chan struct{})}
 	select {
 	case m.queue <- j:
 	default:
-		m.lifeMu.RUnlock()
 		m.metrics.Shed.Add(1)
 		return nil, 0, ErrQueueFull
 	}
-	m.lifeMu.RUnlock()
-	sh.jobs[id] = j
+	m.jobs[id] = j
 	m.metrics.Misses.Add(1)
 	return j, SubmitNew, nil
 }
 
 // lookupLocked resolves a digest against the in-memory tier: a terminal
 // job is a memory cache hit, a live one coalesces the submission. The
-// caller holds sh's mutex.
-func (m *Manager) lookupLocked(sh *shard, id string) (*Job, SubmitOutcome, bool) {
-	j, ok := sh.jobs[id]
+// caller holds m.mu.
+func (m *Manager) lookupLocked(id string) (*Job, SubmitOutcome, bool) {
+	j, ok := m.jobs[id]
 	if !ok {
 		return nil, 0, false
 	}
 	if j.Snapshot().State.Terminal() {
-		sh.cache.Bump(id)
+		m.cache.Bump(id)
 		m.metrics.Store.MemoryHits.Add(1)
 		return j, SubmitCached, true
 	}
@@ -452,46 +378,41 @@ func (m *Manager) lookupLocked(sh *shard, id string) (*Job, SubmitOutcome, bool)
 
 // installTerminalLocked enters a result restored from the disk store as a
 // terminal job, so subsequent GETs and submissions see it as an ordinary
-// cached run. The caller holds sh's mutex.
-func (m *Manager) installTerminalLocked(sh *shard, id string, req RunRequest, res *RunResult) *Job {
+// cached run. The caller holds m.mu.
+func (m *Manager) installTerminalLocked(id string, req RunRequest, res *RunResult) *Job {
 	now := time.Now()
 	j := &Job{
-		ID: id, Req: req, seq: m.seq.Add(1), source: store.TierDisk,
+		ID: id, Req: req, source: store.TierDisk,
 		state: StateDone, result: res,
 		submitted: now, started: now, finished: now,
 		done: make(chan struct{}),
 	}
 	close(j.done)
-	sh.jobs[id] = j
-	m.addToCacheLocked(sh, id)
+	m.jobs[id] = j
+	m.addToCacheLocked(id)
 	return j
 }
 
-// addToCacheLocked enters a terminal digest into the shard's LRU; evicted
-// digests drop out of the job map entirely, so a resubmission re-executes
-// (or restores from disk). The caller holds sh's mutex.
-func (m *Manager) addToCacheLocked(sh *shard, id string) {
-	for _, evicted := range sh.cache.Add(id) {
-		delete(sh.jobs, evicted)
+// addToCacheLocked enters a terminal digest into the LRU; evicted digests
+// drop out of the job map entirely, so a resubmission re-executes (or
+// restores from disk). The caller holds m.mu.
+func (m *Manager) addToCacheLocked(id string) {
+	for _, evicted := range m.cache.Add(id) {
+		delete(m.jobs, evicted)
 		m.metrics.Store.MemoryEvictions.Add(1)
 	}
 }
 
-// forget drops a job from its shard without touching the LRU — used for
+// forget drops a job from the map without touching the LRU — used for
 // breaker fast-fails, which must leave no cached trace so the identical
 // request re-executes once the stage recovers.
 func (m *Manager) forget(id string) {
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	delete(sh.jobs, id)
-	sh.mu.Unlock()
+	m.mu.Lock()
+	delete(m.jobs, id)
+	m.mu.Unlock()
 }
 
-// worker drains the queue until it closes. Each job runs through
-// runner.Map, which contributes two properties for free: a panicking
-// experiment is captured as that job's error instead of killing the pool,
-// and a cancelled base context (drain deadline) fails queued jobs without
-// starting them.
+// worker drains the queue until it closes.
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for j := range m.queue {
@@ -529,16 +450,14 @@ func (m *Manager) runJob(j *Job) {
 			j.setProgress(p)
 		})
 	}
-	results, err := runner.Map(ctx, 1, []RunRequest{j.Req}, m.run)
+	res, err := m.execute(ctx, j.Req)
 	m.metrics.InFlight.Add(-1)
 	elapsed := time.Since(start)
 	policy.Observe(breakerDone, err)
 
 	state := StateDone
-	var res *RunResult
 	switch {
 	case err == nil:
-		res = results[0]
 		m.metrics.Completed.Add(1)
 		m.metrics.ObserveLatency(j.Req.Kind(), elapsed.Seconds())
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -566,27 +485,41 @@ func (m *Manager) runJob(j *Job) {
 	// map entirely, so a resubmission re-executes (or restores from
 	// disk). Until finish below, a submission of this digest coalesces
 	// onto the job as in flight.
-	sh := m.shardFor(j.ID)
-	sh.mu.Lock()
-	m.addToCacheLocked(sh, j.ID)
-	sh.mu.Unlock()
+	m.mu.Lock()
+	m.addToCacheLocked(j.ID)
+	m.mu.Unlock()
 
 	j.finish(state, res, err, time.Now())
 }
 
+// execute runs one request on the calling worker. A job dequeued after the
+// drain deadline cancelled the base context fails without starting, and a
+// panicking run fails its job instead of killing the worker.
+func (m *Manager) execute(ctx context.Context, req RunRequest) (res *RunResult, err error) {
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("service: run panicked: %v", r)
+		}
+	}()
+	return m.run(ctx, req)
+}
+
 // Shutdown stops accepting new runs, lets the workers drain the queue, and
 // waits for them until ctx expires. Past the deadline the base context is
-// cancelled — queued jobs then fail fast with StateCancelled via
-// runner.Map's dispatch check, and Shutdown returns ctx.Err() without
-// waiting on any CPU-bound run already in flight (mirroring the bounded
-// Shutdown of internal/rt). Shutdown is idempotent.
+// cancelled — queued jobs then fail fast with StateCancelled without
+// starting, and Shutdown returns ctx.Err() without waiting on any
+// CPU-bound run already in flight (mirroring the bounded Shutdown of
+// internal/rt). Shutdown is idempotent.
 func (m *Manager) Shutdown(ctx context.Context) error {
-	m.lifeMu.Lock()
+	m.mu.Lock()
 	if !m.draining {
 		m.draining = true
 		close(m.queue)
 	}
-	m.lifeMu.Unlock()
+	m.mu.Unlock()
 
 	done := make(chan struct{})
 	go func() {
@@ -605,7 +538,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 
 // Draining reports whether shutdown has begun (used by /healthz).
 func (m *Manager) Draining() bool {
-	m.lifeMu.RLock()
-	defer m.lifeMu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.draining
 }

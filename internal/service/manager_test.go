@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,7 +61,7 @@ func waitDone(t *testing.T, j *Job) JobSnapshot {
 
 func TestSingleflightConcurrentSubmissions(t *testing.T) {
 	f := newFakeRunner(true)
-	m := NewManager(ManagerConfig{Workers: 2, QueueSize: 16, Run: f.Run})
+	m := NewManager(Config{Workers: 2, QueueSize: 16, Run: f.Run})
 	defer m.Shutdown(context.Background())
 
 	req := expReq(t, 1)
@@ -110,7 +112,7 @@ func TestSingleflightConcurrentSubmissions(t *testing.T) {
 
 func TestCacheHitServesCompletedRun(t *testing.T) {
 	f := newFakeRunner(false)
-	m := NewManager(ManagerConfig{Workers: 1, QueueSize: 4, Run: f.Run})
+	m := NewManager(Config{Workers: 1, QueueSize: 4, Run: f.Run})
 	defer m.Shutdown(context.Background())
 
 	req := expReq(t, 1)
@@ -140,9 +142,7 @@ func TestCacheHitServesCompletedRun(t *testing.T) {
 
 func TestLRUEvictionRespectsBound(t *testing.T) {
 	f := newFakeRunner(false)
-	// Shards: 1 — this test asserts global LRU ordering, which only holds
-	// when every digest shares one cache shard.
-	m := NewManager(ManagerConfig{Workers: 1, QueueSize: 8, CacheSize: 2, Shards: 1, Run: f.Run})
+	m := NewManager(Config{Workers: 1, QueueSize: 8, CacheSize: 2, Run: f.Run})
 	defer m.Shutdown(context.Background())
 
 	reqs := []RunRequest{expReq(t, 1), expReq(t, 2), expReq(t, 3)}
@@ -180,9 +180,7 @@ func TestLRUEvictionRespectsBound(t *testing.T) {
 
 func TestLRUBumpOnCacheHit(t *testing.T) {
 	f := newFakeRunner(false)
-	// Shards: 1 — this test asserts global LRU ordering, which only holds
-	// when every digest shares one cache shard.
-	m := NewManager(ManagerConfig{Workers: 1, QueueSize: 8, CacheSize: 2, Shards: 1, Run: f.Run})
+	m := NewManager(Config{Workers: 1, QueueSize: 8, CacheSize: 2, Run: f.Run})
 	defer m.Shutdown(context.Background())
 
 	a, b, c := expReq(t, 1), expReq(t, 2), expReq(t, 3)
@@ -210,9 +208,44 @@ func TestLRUBumpOnCacheHit(t *testing.T) {
 	}
 }
 
+// TestCacheSizeIsExact: the memory tier keeps exactly CacheSize terminal
+// runs, the most recent ones, for any bound.
+func TestCacheSizeIsExact(t *testing.T) {
+	run := func(_ context.Context, req RunRequest) (*RunResult, error) {
+		return &RunResult{Report: &experiment.Report{ID: req.Kind()}}, nil
+	}
+	for _, size := range []int{1, 3, 100} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			srv, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4, CacheSize: size, Run: run})
+			m := srv.Manager()
+			reqs := make([]RunRequest, 2*size+8)
+			for i := range reqs {
+				reqs[i] = expReq(t, int64(i+1))
+				j, _, err := m.Submit(reqs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitDone(t, j)
+			}
+			if got := m.CacheLen(); got != size {
+				t.Errorf("CacheLen = %d, want %d", got, size)
+			}
+			if want := fmt.Sprintf("hcperf_cache_entries %d\n", size); !strings.Contains(fetchMetrics(t, ts), want) {
+				t.Errorf("metrics missing %q", want)
+			}
+			for i, req := range reqs {
+				want := i >= len(reqs)-size
+				if _, ok := m.Job(req.Digest()); ok != want {
+					t.Errorf("run %d of %d resident = %v, want %v", i+1, len(reqs), ok, want)
+				}
+			}
+		})
+	}
+}
+
 func TestQueueFullSheds(t *testing.T) {
 	f := newFakeRunner(true)
-	m := NewManager(ManagerConfig{Workers: 1, QueueSize: 1, Run: f.Run})
+	m := NewManager(Config{Workers: 1, QueueSize: 1, Run: f.Run})
 	defer m.Shutdown(context.Background())
 
 	// A occupies the single worker...
@@ -249,7 +282,7 @@ func TestQueueFullSheds(t *testing.T) {
 
 func TestShutdownDrainsInFlight(t *testing.T) {
 	f := newFakeRunner(true)
-	m := NewManager(ManagerConfig{Workers: 1, QueueSize: 4, Run: f.Run})
+	m := NewManager(Config{Workers: 1, QueueSize: 4, Run: f.Run})
 
 	jA, _, err := m.Submit(expReq(t, 1))
 	if err != nil {
@@ -287,7 +320,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 
 func TestShutdownDeadlineCancelsQueued(t *testing.T) {
 	f := newFakeRunner(true)
-	m := NewManager(ManagerConfig{Workers: 1, QueueSize: 4, Run: f.Run})
+	m := NewManager(Config{Workers: 1, QueueSize: 4, Run: f.Run})
 
 	jA, _, err := m.Submit(expReq(t, 1))
 	if err != nil {
@@ -319,7 +352,7 @@ func TestShutdownDeadlineCancelsQueued(t *testing.T) {
 }
 
 func TestShutdownIdempotent(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, QueueSize: 1, Run: newFakeRunner(false).Run})
+	m := NewManager(Config{Workers: 1, QueueSize: 1, Run: newFakeRunner(false).Run})
 	if err := m.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +365,7 @@ func TestShutdownIdempotent(t *testing.T) {
 }
 
 func TestPanickingRunIsolated(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, QueueSize: 4, Run: func(context.Context, RunRequest) (*RunResult, error) {
+	m := NewManager(Config{Workers: 1, QueueSize: 4, Run: func(context.Context, RunRequest) (*RunResult, error) {
 		panic("boom")
 	}})
 	defer m.Shutdown(context.Background())

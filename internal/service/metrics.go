@@ -62,8 +62,8 @@ type Metrics struct {
 	optimizeBest map[string]float64    // best-so-far per objective, across optimize jobs
 }
 
-// NewMetrics returns an empty metrics set.
-func NewMetrics() *Metrics {
+// newMetrics returns an empty metrics set.
+func newMetrics() *Metrics {
 	return &Metrics{
 		Store:        &store.Metrics{},
 		latency:      make(map[string]*histogram),

@@ -30,7 +30,7 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "results")
 
 	f1 := newFakeRunner(false)
-	m1 := NewManager(ManagerConfig{Workers: 1, Run: f1.Run, Disk: openServiceDisk(t, dir)})
+	m1 := NewManager(Config{Workers: 1, Run: f1.Run, Disk: openServiceDisk(t, dir)})
 	j, outcome, err := m1.Submit(expReq(t, 1))
 	if err != nil || outcome != SubmitNew {
 		t.Fatalf("first submit = (%v, %v), want new", outcome, err)
@@ -45,7 +45,7 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 
 	// A fresh process: new manager, new runner, same directory.
 	f2 := newFakeRunner(false)
-	m2 := NewManager(ManagerConfig{Workers: 1, Run: f2.Run, Disk: openServiceDisk(t, dir)})
+	m2 := NewManager(Config{Workers: 1, Run: f2.Run, Disk: openServiceDisk(t, dir)})
 	defer func() {
 		if err := m2.Shutdown(context.Background()); err != nil {
 			t.Error(err)
@@ -106,7 +106,7 @@ func TestManagerRecomputesVersion1Entry(t *testing.T) {
 				executions.Add(1)
 				return Execute(ctx, req)
 			}
-			m := NewManager(ManagerConfig{Workers: 1, Run: exec, Disk: d})
+			m := NewManager(Config{Workers: 1, Run: exec, Disk: d})
 			j, outcome, err := m.Submit(req)
 			if err != nil || outcome != SubmitNew {
 				t.Fatalf("submit over a %s entry = (%v, %v), want new", entry.name, outcome, err)
@@ -144,7 +144,7 @@ func TestManagerRecomputesVersion1Entry(t *testing.T) {
 					carried, recomputed, entryReportDigest)
 			}
 
-			m2 := NewManager(ManagerConfig{Workers: 1, Run: exec, Disk: openServiceDisk(t, dir)})
+			m2 := NewManager(Config{Workers: 1, Run: exec, Disk: openServiceDisk(t, dir)})
 			defer func() {
 				if err := m2.Shutdown(context.Background()); err != nil {
 					t.Error(err)
@@ -170,9 +170,8 @@ func TestManagerRecomputesVersion1Entry(t *testing.T) {
 // LRU is restored from disk instead of re-executing.
 func TestMemoryEvictionFallsBackToDisk(t *testing.T) {
 	f := newFakeRunner(false)
-	// Shards: 1 — eviction order across digests only holds in one shard.
-	m := NewManager(ManagerConfig{
-		Workers: 1, CacheSize: 1, Shards: 1, Run: f.Run,
+	m := NewManager(Config{
+		Workers: 1, CacheSize: 1, Run: f.Run,
 		Disk: openServiceDisk(t, filepath.Join(t.TempDir(), "results")),
 	})
 	defer func() {

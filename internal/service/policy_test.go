@@ -16,13 +16,12 @@ import (
 	"hcperf/internal/policy"
 )
 
-// TestShardedSingleflightDedup: the digest-partitioned job map preserves
-// the singleflight invariant — at most one live execution per digest — for
-// many digests at once, with concurrent duplicate submissions racing each
-// other across shards.
-func TestShardedSingleflightDedup(t *testing.T) {
+// TestSingleflightDedupManyDigests: the job map preserves the singleflight
+// invariant — at most one live execution per digest — for many digests at
+// once, with concurrent duplicate submissions racing each other.
+func TestSingleflightDedupManyDigests(t *testing.T) {
 	f := newFakeRunner(true)
-	m := NewManager(ManagerConfig{Workers: 4, QueueSize: 64, Shards: 8, Run: f.Run})
+	m := NewManager(Config{Workers: 4, QueueSize: 64, Run: f.Run})
 	defer m.Shutdown(context.Background())
 
 	const digests, dups = 12, 4
@@ -92,12 +91,12 @@ func (g *gatedRunner) Run(ctx context.Context, req RunRequest) (*RunResult, erro
 	return newFakeRunner(false).Run(ctx, req)
 }
 
-// TestQueuePositionMonotoneAcrossShards: with jobs spread across shards,
-// every queued job's reported position matches its submission order and
-// only ever shrinks as the single worker drains the queue.
-func TestQueuePositionMonotoneAcrossShards(t *testing.T) {
+// TestQueuePositionMonotone: every queued job's reported position matches
+// its submission order and only ever shrinks as the single worker drains
+// the queue.
+func TestQueuePositionMonotone(t *testing.T) {
 	g := &gatedRunner{started: make(chan string, 16), proceed: make(chan struct{})}
-	m := NewManager(ManagerConfig{Workers: 1, QueueSize: 16, Shards: 8, Run: g.Run})
+	m := NewManager(Config{Workers: 1, QueueSize: 16, Run: g.Run})
 	defer func() {
 		close(g.proceed) // let any still-blocked run finish before drain
 		m.Shutdown(context.Background())
@@ -251,12 +250,12 @@ func TestClientKeyPrecedence(t *testing.T) {
 // the fast-fail from cache.
 func TestBreakerFastFailForgetsJob(t *testing.T) {
 	boom := errors.New("runner down")
-	m := NewManager(ManagerConfig{
+	m := NewManager(Config{
 		Workers: 1, QueueSize: 8,
 		Run: func(context.Context, RunRequest) (*RunResult, error) { return nil, boom },
 		// Trips at 50% over 2 samples; the hour-long cooldown pins the
 		// breaker open for the rest of the test.
-		Breaker: policy.NewBreaker(policy.BreakerConfig{MinRequests: 2, ErrorRate: 0.5, Cooldown: time.Hour}),
+		Policy: PolicyConfig{Breaker: policy.BreakerConfig{MinRequests: 2, ErrorRate: 0.5, Cooldown: time.Hour}},
 	})
 	defer m.Shutdown(context.Background())
 

@@ -17,22 +17,25 @@ import (
 	"hcperf/internal/version"
 )
 
-// Config sizes the HTTP server's job manager; see ManagerConfig for the
-// field conventions and defaults.
+// Config sizes the server and its job manager; zero sizes take the
+// Default* constants.
 type Config struct {
-	Workers   int
+	// Workers is the execution pool size.
+	Workers int
+	// QueueSize bounds the submission queue; a full queue sheds load with
+	// ErrQueueFull.
 	QueueSize int
+	// CacheSize is the number of terminal runs the memory tier keeps;
+	// evicted runs are restored from Disk or re-executed on resubmission.
 	CacheSize int
-	// Shards partitions the job map and result cache by digest (see
-	// ManagerConfig.Shards; default 8).
-	Shards int
 	// Disk is the persistent result tier shared with the CLI's -store
 	// flag; nil runs memory-only.
 	Disk *store.Disk
 	// Policy configures the resilience layer: per-client rate limiting on
 	// the POST endpoints and the execute-stage circuit breaker.
 	Policy PolicyConfig
-	// Run overrides the execution function (tests only).
+	// Run overrides the execution function (default Execute; tests
+	// inject controllable fakes here).
 	Run RunFunc
 }
 
@@ -46,24 +49,7 @@ type Server struct {
 
 // New builds the server and starts its worker pool.
 func New(cfg Config) *Server {
-	// The breaker is on by default: it guards the execute stage only, so
-	// cache and dedup hits keep flowing even while it is open.
-	var breaker *policy.Breaker
-	if !cfg.Policy.NoBreaker {
-		breaker = policy.NewBreaker(cfg.Policy.Breaker)
-	}
-	s := &Server{
-		mgr: NewManager(ManagerConfig{
-			Workers:   cfg.Workers,
-			QueueSize: cfg.QueueSize,
-			CacheSize: cfg.CacheSize,
-			Shards:    cfg.Shards,
-			Run:       cfg.Run,
-			Disk:      cfg.Disk,
-			Breaker:   breaker,
-		}),
-		mux: http.NewServeMux(),
-	}
+	s := &Server{mgr: NewManager(cfg), mux: http.NewServeMux()}
 	if cfg.Policy.RateLimit > 0 {
 		burst := cfg.Policy.RateBurst
 		if burst <= 0 {

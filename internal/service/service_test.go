@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -121,6 +122,39 @@ func TestSubmitPollLifecycle(t *testing.T) {
 	}
 	if f.executions.Load() != 1 {
 		t.Errorf("executions = %d, want 1", f.executions.Load())
+	}
+}
+
+// TestFailedRunErrorText: a failed run's error is the run's own error, and
+// a panicking run's is one line naming the panic value.
+func TestFailedRunErrorText(t *testing.T) {
+	run := func(_ context.Context, req RunRequest) (*RunResult, error) {
+		if req.Seed == 1 {
+			return nil, errors.New("run failed")
+		}
+		panic("boom")
+	}
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4, Run: run})
+	for _, tc := range []struct{ body, want string }{
+		{`{"experiment": "fig5", "seed": 1}`, "run failed"},
+		{`{"experiment": "fig5", "seed": 2}`, "service: run panicked: boom"},
+	} {
+		code, st, _ := postRun(t, ts, tc.body)
+		if code != http.StatusAccepted {
+			t.Fatalf("POST %s = %d, want 202", tc.body, code)
+		}
+		job, ok := srv.Manager().Job(st.ID)
+		if !ok {
+			t.Fatalf("POST %s: job not resolvable", tc.body)
+		}
+		<-job.Done()
+		var got runStatus
+		if code := getJSON(t, ts.URL+"/v1/runs/"+st.ID, &got); code != http.StatusOK {
+			t.Fatalf("GET %s = %d, want 200", st.ID, code)
+		}
+		if got.State != StateFailed || got.Error != tc.want {
+			t.Errorf("run %s: state %s, error %q; want failed, %q", tc.body, got.State, got.Error, tc.want)
+		}
 	}
 }
 

@@ -362,12 +362,12 @@ func TestFailedSweepCellStaysResident(t *testing.T) {
 	body := `{"template": {"scenario": "carfollow"}, "grid": {"seed": [1, 2, 3]}}`
 	_, events := postSweep(t, ts.URL, body)
 	cells, done := decodeSweep(t, events)
-	if done.Completed != 2 || done.Failed != 1 || cells[1].State != StateFailed || !strings.Contains(cells[1].Error, "cell failed") {
+	if done.Completed != 2 || done.Failed != 1 || cells[1].State != StateFailed || cells[1].Error != "cell failed" {
 		t.Fatalf("first sweep cell 1 = %+v, done %+v, want cell 1 failed", cells[1], done)
 	}
 	_, events = postSweep(t, ts.URL, body)
 	cells, done = decodeSweep(t, events)
-	if c := cells[1]; c.Cache != store.TierMemory || c.State != StateFailed || !strings.Contains(c.Error, "cell failed") {
+	if c := cells[1]; c.Cache != store.TierMemory || c.State != StateFailed || c.Error != "cell failed" {
 		t.Errorf("re-sweep cell 1 = %+v, want the failure from memory", c)
 	}
 	if done.CacheHits != 3 || done.Failed != 1 {
