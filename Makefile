@@ -101,7 +101,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSpecJSON -fuzztime=10s ./internal/scenario/
 	$(GO) test -fuzz=FuzzSchedulerEquivalence -fuzztime=10s ./internal/simtime/
 	$(GO) test -fuzz=FuzzParamSpaceJSON -fuzztime=10s ./internal/search/
-	$(GO) test -fuzz=FuzzRecorderCSV -fuzztime=10s ./internal/trace/
+	$(GO) test -fuzz=FuzzRecorderCSV -fuzztime=10s -fuzzminimizetime=1s ./internal/trace/
 	$(GO) test -fuzz=FuzzAppendShortest -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzDecodeResult -fuzztime=10s ./internal/run/
 

@@ -16,7 +16,6 @@
 //	hcperf-bench -json [-benchtime 100x] [-out BENCH_baseline.json]
 //	hcperf-bench -check BENCH_baseline.json [-benchtime 100x] [-out fresh.json]
 //	hcperf-bench -check BENCH_baseline.json -cpuprofile cpu.pprof -memprofile heap.pprof
-//	hcperf-bench -replicas 8    # batch multi-seed sweeps, 8 per shared queue
 package main
 
 import (
@@ -44,7 +43,6 @@ func main() {
 		csv      = flag.String("csv", "", "directory for CSV export of series and rows")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		parallel = flag.Int("parallel", 1, "worker count: N>=1 workers, 0 = GOMAXPROCS")
-		replicas = flag.Int("replicas", 1, "sweep batch width: K>=2 advances K multi-seed replicas in lockstep per shared event queue")
 
 		jsonOut   = flag.Bool("json", false, "run the perf benchmark suite and emit a JSON baseline")
 		check     = flag.String("check", "", "baseline JSON file to compare a fresh suite run against")
@@ -68,7 +66,7 @@ func main() {
 	case *check != "":
 		err = runCheck(*check, *benchtime, *repeat, *out, perf.Thresholds{NsPerOp: *maxNs, AllocsPerOp: *maxAllocs})
 	default:
-		err = run(*exp, *seed, *csv, *list, *parallel, *replicas)
+		err = run(*exp, *seed, *csv, *list, *parallel)
 	}
 	if perr := stopProf(); perr != nil && err == nil {
 		err = perr
@@ -165,7 +163,7 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
-func run(exp string, seed int64, csvDir string, list bool, parallel, replicas int) error {
+func run(exp string, seed int64, csvDir string, list bool, parallel int) error {
 	if list {
 		for _, info := range experiment.List() {
 			fmt.Printf("%-16s %s\n", info.ID, info.Title)
@@ -173,7 +171,6 @@ func run(exp string, seed int64, csvDir string, list bool, parallel, replicas in
 		return nil
 	}
 	experiment.SetParallelism(parallel)
-	experiment.SetReplicas(replicas)
 	ids := experiment.IDs()
 	if exp != "" {
 		ids = []string{exp}

@@ -10,14 +10,14 @@ import (
 )
 
 func TestRunList(t *testing.T) {
-	if err := run("", 1, "", true, 1, 1); err != nil {
+	if err := run("", 1, "", true, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunSingleWithCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("fig5", 1, dir, false, 1, 1); err != nil {
+	if err := run("fig5", 1, dir, false, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig5_rows.csv")); err != nil {
@@ -26,7 +26,7 @@ func TestRunSingleWithCSV(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("bogus", 1, "", false, 1, 1); err == nil {
+	if err := run("bogus", 1, "", false, 1); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

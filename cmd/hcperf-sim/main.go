@@ -16,7 +16,6 @@
 //	hcperf-sim -store results/ -scenario carfollow     # persist + replay results
 //	hcperf-sim -mode rt -duration 5 -scheme hcperf     # wall-clock executor
 //	hcperf-sim -mode suite -parallel 4                 # full experiment suite
-//	hcperf-sim -mode suite -replicas 8                 # batched multi-seed sweeps
 //	hcperf-sim -mode tune -budget 32 -parallel 0       # coordinator policy search
 //	hcperf-sim -mode tune -spec tpl.json -strategy grid -report tune.json
 //
@@ -62,7 +61,6 @@ func main() {
 		storeDir     = flag.String("store", "", "persist results to this disk store directory (shared with hcperf-serve -store)")
 		mode         = flag.String("mode", "sim", "sim (discrete-event) | rt (wall clock) | suite (full experiment suite) | tune (coordinator policy search)")
 		parallel     = flag.Int("parallel", 1, "suite/tune worker count: N>=1 workers, 0 = GOMAXPROCS")
-		replicas     = flag.Int("replicas", 1, "suite sweep batch width: K>=2 advances K multi-seed replicas in lockstep per shared event queue")
 		budget       = flag.Int("budget", 0, "tune candidate-evaluation budget (0 = default)")
 		strategy     = flag.String("strategy", "", "tune search strategy: evolve | grid | random (default evolve)")
 		tuneSeeds    = flag.Int("seeds", 0, "tune replicas per candidate (0 = default)")
@@ -80,8 +78,8 @@ func main() {
 		Seed: *seed, Duration: *duration,
 		CSVPath: *csvPath, TracePath: *tracePath, SpecPath: *specPath,
 		StoreDir: *storeDir, Mode: *mode,
-		Parallel: *parallel, Replicas: *replicas,
-		Budget: *budget, Strategy: *strategy, TuneSeeds: *tuneSeeds,
+		Parallel: *parallel,
+		Budget:   *budget, Strategy: *strategy, TuneSeeds: *tuneSeeds,
 		Objectives: *objectives, ReportPath: *reportPath,
 	}
 	var err error
@@ -105,7 +103,7 @@ type options struct {
 	SpecPath           string
 	StoreDir           string
 	Mode               string
-	Parallel, Replicas int
+	Parallel           int
 
 	// Tune-mode knobs.
 	Budget, TuneSeeds    int
@@ -282,9 +280,6 @@ func run(opts options) error {
 		}
 		return runSuite(opts)
 	}
-	if opts.Replicas > 1 {
-		return fmt.Errorf("-replicas applies to suite mode only")
-	}
 	if opts.Mode == "rt" {
 		if opts.SpecPath != "" {
 			return fmt.Errorf("-spec is not supported in rt mode")
@@ -386,7 +381,6 @@ func run(opts options) error {
 // replays finished experiments from disk instead of recomputing them.
 func runSuite(opts options) error {
 	experiment.SetParallelism(opts.Parallel)
-	experiment.SetReplicas(opts.Replicas)
 	list := experiment.List()
 	fmt.Printf("suite: %d experiments (%s..%s)\n", len(list), list[0].ID, list[len(list)-1].ID)
 	start := time.Now()

@@ -42,7 +42,7 @@ func TestParseScheme(t *testing.T) {
 // simOpts is the baseline single-run invocation the tests start from.
 func simOpts() options {
 	return options{Scenario: "carfollow", Scheme: "hcperf", Seed: 1, Duration: 5,
-		Mode: "sim", Parallel: 1, Replicas: 1}
+		Mode: "sim", Parallel: 1}
 }
 
 func TestRunScenariosShort(t *testing.T) {
@@ -132,7 +132,7 @@ func TestRunSuiteParallel(t *testing.T) {
 	// The suite must complete through the worker pool with multiple
 	// workers; determinism vs the serial run is enforced separately in
 	// internal/runner's harness tests.
-	if err := run(options{Seed: 1, Mode: "suite", Parallel: 4, Replicas: 1}); err != nil {
+	if err := run(options{Seed: 1, Mode: "suite", Parallel: 4}); err != nil {
 		t.Fatalf("suite run: %v", err)
 	}
 }
@@ -168,7 +168,7 @@ func TestRunSpecFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opts := options{Mode: "sim", Parallel: 1, Replicas: 1, SpecPath: path,
+	opts := options{Mode: "sim", Parallel: 1, SpecPath: path,
 		CSVPath: filepath.Join(t.TempDir(), "run.csv")}
 	if err := run(opts); err != nil {
 		t.Fatalf("run -spec: %v", err)
@@ -196,7 +196,7 @@ func TestRunFleetSpecFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opts := options{Mode: "sim", Parallel: 1, Replicas: 1, SpecPath: path,
+	opts := options{Mode: "sim", Parallel: 1, SpecPath: path,
 		CSVPath: filepath.Join(t.TempDir(), "fleet.csv")}
 	if err := run(opts); err != nil {
 		t.Fatalf("run -spec fleet: %v", err)
@@ -234,7 +234,7 @@ func TestRunSpecFileRejectsInvalid(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			err := run(options{Mode: "sim", Parallel: 1, Replicas: 1, SpecPath: path})
+			err := run(options{Mode: "sim", Parallel: 1, SpecPath: path})
 			if err == nil {
 				t.Fatal("invalid spec accepted")
 			}
@@ -247,7 +247,7 @@ func TestRunSpecFileRejectsInvalid(t *testing.T) {
 
 func TestRunSpecRejectedOutsideSimMode(t *testing.T) {
 	for _, mode := range []string{"suite", "rt"} {
-		if err := run(options{Mode: mode, Parallel: 1, Replicas: 1, SpecPath: "spec.json"}); err == nil {
+		if err := run(options{Mode: mode, Parallel: 1, SpecPath: "spec.json"}); err == nil {
 			t.Errorf("-spec accepted in %s mode", mode)
 		}
 	}

@@ -176,10 +176,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// EndToEndBudget returns the task's end-to-end deadline budget: the
-// largest sum of relative deadlines along any source-to-task path.
-func (e *Engine) EndToEndBudget(id dag.TaskID) simtime.Duration { return e.k.EndToEndBudget(id) }
-
 // Start schedules the first release of every source task at the queue's
 // current time. It may be called once.
 func (e *Engine) Start() error {

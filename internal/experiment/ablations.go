@@ -216,9 +216,8 @@ func SweepProcs(seed int64) (*Report, error) {
 func ExtAEB(seed int64) (*Report, error) {
 	const runs = 8 // single-event margins are command-phase sensitive
 	// Fan out the full scheme × seed grid: all 40 runs are independent, so
-	// the pool chews through them in any order — Replicas() of them in
-	// lockstep per shared queue — while the aggregation below walks the
-	// grid in input order.
+	// the pool chews through them in any order while the aggregation below
+	// walks the grid in input order.
 	schemes := scenario.AllSchemes()
 	var grid []scenario.CarFollowingConfig
 	for _, s := range schemes {
@@ -230,7 +229,7 @@ func ExtAEB(seed int64) (*Report, error) {
 			grid = append(grid, cfg)
 		}
 	}
-	results, err := sweepCarFollowing(grid)
+	results, err := sweep(grid, scenario.RunCarFollowing)
 	if err != nil {
 		return nil, err
 	}

@@ -19,9 +19,8 @@ func fmtF(v float64, decimals int) string {
 }
 
 // runCarFollowingSweep runs all five schemes of a car-following variant,
-// fanning the independent runs out across the sweep worker pool — batched
-// Replicas() at a time onto shared event queues (see sweepCarFollowing).
-// Each run owns its RNGs, task graph and recorder, so the map assembled
+// fanning the independent runs out across the sweep worker pool. Each run
+// owns its event queue, RNGs, task graph and recorder, so the map assembled
 // afterwards is identical to the one a serial loop builds.
 func runCarFollowingSweep(seed int64, build func(scenario.Scheme) (scenario.CarFollowingConfig, error)) (map[scenario.Scheme]*scenario.CarFollowingResult, error) {
 	schemes := scenario.AllSchemes()
@@ -33,7 +32,7 @@ func runCarFollowingSweep(seed int64, build func(scenario.Scheme) (scenario.CarF
 		}
 		cfgs[i] = cfg
 	}
-	results, err := sweepCarFollowing(cfgs)
+	results, err := sweep(cfgs, scenario.RunCarFollowing)
 	if err != nil {
 		return nil, err
 	}

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"hcperf/internal/fleet"
 	"hcperf/internal/runner"
-	"hcperf/internal/scenario"
 )
 
 // sweepWorkers is the worker count experiments use for their internal
@@ -59,43 +57,6 @@ func RunAll(ctx context.Context, seed int64, workers int) ([]*Report, error) {
 		return reports, fmt.Errorf("experiment: %w", err)
 	}
 	return reports, nil
-}
-
-// sweepReplicas is the batch width K for multi-seed sweep cells: consecutive
-// runs of a car-following sweep are advanced in lockstep on one shared event
-// queue, K at a time. 0 or 1 means unbatched (one private queue per run).
-var sweepReplicas atomic.Int32
-
-// SetReplicas sets the batch width used by batched multi-seed sweeps
-// (sweepCarFollowing): k >= 2 advances k replicas in lockstep per unit of
-// parallel work, k < 2 restores the unbatched default. Batching is
-// behavior-preserving — replicas are self-contained, so report bytes are
-// identical for every k — which the replicas determinism test enforces.
-func SetReplicas(k int) {
-	if k < 1 {
-		k = 1
-	}
-	sweepReplicas.Store(int32(k))
-}
-
-// Replicas returns the sweep batch width currently in force (>= 1).
-func Replicas() int {
-	if k := sweepReplicas.Load(); k > 1 {
-		return int(k)
-	}
-	return 1
-}
-
-// sweepCarFollowing runs one car-following simulation per config, batching
-// Replicas() of them onto a shared event queue per unit of sweep work (each
-// batch is one fleet.RunBatch lockstep run) and fanning the batches across
-// the sweep worker pool. Results come back in input order; with the default
-// replicas=1 every run still gets a private queue.
-func sweepCarFollowing(cfgs []scenario.CarFollowingConfig) ([]*scenario.CarFollowingResult, error) {
-	return runner.MapBatch(context.Background(), Parallelism(), Replicas(), cfgs,
-		func(_ context.Context, batch []scenario.CarFollowingConfig) ([]*scenario.CarFollowingResult, error) {
-			return fleet.RunBatch(batch)
-		})
 }
 
 // sweep fans fn out over the inputs with the package's sweep parallelism,

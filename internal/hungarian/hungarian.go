@@ -44,10 +44,6 @@ type Solver struct {
 	rectAssign []int
 }
 
-// NewSolver returns an empty Solver. Equivalent to new(Solver); provided for
-// symmetry with the rest of the codebase's constructors.
-func NewSolver() *Solver { return &Solver{} }
-
 // grow ensures the square-solve workspace covers an n x n problem.
 func (s *Solver) grow(n int) {
 	if cap(s.u) >= n+1 {

@@ -240,15 +240,6 @@ func (k *Kernel) TaskStats(id dag.TaskID) TaskStats {
 // ObservedExec returns the kernel's current estimate of c_i.
 func (k *Kernel) ObservedExec(id dag.TaskID) simtime.Duration { return k.observed[id] }
 
-// EndToEndBudget returns the task's end-to-end deadline budget: the
-// largest sum of relative deadlines along any source-to-task path.
-func (k *Kernel) EndToEndBudget(id dag.TaskID) simtime.Duration {
-	if id < 0 || int(id) >= len(k.budgets) {
-		return 0
-	}
-	return k.budgets[id]
-}
-
 // Rate returns the current rate of a task (meaningful for sources).
 func (k *Kernel) Rate(id dag.TaskID) float64 {
 	if id < 0 || int(id) >= len(k.rates) {

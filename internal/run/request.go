@@ -71,9 +71,6 @@ var scenarioNames = func() map[string]bool {
 	return out
 }()
 
-// ScenarioNames reports whether name is a known scenario run kind.
-func KnownScenario(name string) bool { return scenarioNames[name] }
-
 // Normalize validates the request and fills defaults so that every
 // equivalent request maps to the same canonical form (and therefore the
 // same digest).

@@ -56,6 +56,3 @@ func (a *JobArena) Free(j *Job) {
 	j.Task = nil
 	a.free = append(a.free, j.arenaSlot)
 }
-
-// InUse reports the number of live (allocated, not yet freed) jobs.
-func (a *JobArena) InUse() int { return int(a.next) - len(a.free) }

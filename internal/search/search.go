@@ -52,9 +52,9 @@ type Options struct {
 }
 
 // Run executes the search: generation by generation the strategy proposes
-// candidates, each candidate's K replicas run in lockstep on one shared
-// event queue (fleet.RunBatch) with candidates fanned across the worker
-// pool, and the evaluated set reduces to a canonical Pareto front.
+// candidates, each candidate runs its K replicas in seed order with
+// candidates fanned across the worker pool, and the evaluated set reduces
+// to a canonical Pareto front.
 func Run(ctx context.Context, opts Options) (*Report, error) {
 	if opts.Space == nil {
 		return nil, errors.New("search: nil space")
@@ -146,24 +146,23 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 
 // evalCandidate scores one candidate: the spec template is stamped with
 // the candidate's tuning, instantiated K times with the shared replica
-// seeds, and all K replicas advance in lockstep on one event queue.
+// seeds, and the K replicas run one after another in seed order, each on
+// its own event queue.
 func evalCandidate(sp *Space, template scenario.Spec, c Candidate, replicaSeeds []int64) (Metrics, error) {
 	spec, err := sp.Apply(template, c)
 	if err != nil {
 		return Metrics{}, fmt.Errorf("search: candidate %s: %w", c.Key(), err)
 	}
-	cfgs := make([]scenario.CarFollowingConfig, len(replicaSeeds))
+	results := make([]*scenario.CarFollowingResult, len(replicaSeeds))
 	for k, seed := range replicaSeeds {
 		cfg, err := scenario.CarFollowingConfigFromSpec(spec)
 		if err != nil {
 			return Metrics{}, fmt.Errorf("search: candidate %s: %w", c.Key(), err)
 		}
 		cfg.Seed = seed
-		cfgs[k] = cfg
-	}
-	results, err := fleet.RunBatch(cfgs)
-	if err != nil {
-		return Metrics{}, fmt.Errorf("search: candidate %s: %w", c.Key(), err)
+		if results[k], err = scenario.RunCarFollowing(cfg); err != nil {
+			return Metrics{}, fmt.Errorf("search: candidate %s: %w", c.Key(), err)
+		}
 	}
 	return reduceMetrics(results), nil
 }

@@ -2,8 +2,8 @@
 // HCPerf coordinator parameter space. It explores the knobs the paper
 // hand-picks — γmax cap, MFC window, rate-adapter gains, rate-band scales
 // and the dispatch scheme — by running a scenario.Spec template under many
-// candidate tunings (K replica seeds per candidate, advanced in lockstep by
-// fleet.RunBatch) and extracting the Pareto front over scored objectives.
+// candidate tunings (K replica seeds per candidate, each run on its own
+// event queue) and extracting the Pareto front over scored objectives.
 //
 // Everything is deterministic by construction: the space has a canonical
 // JSON encoding that folds into the serving layer's content-addressed cache
@@ -248,16 +248,6 @@ func (c Candidate) Key() string {
 		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
 	}
 	return b.String()
-}
-
-// Labels renders the candidate as name=value assignments in Params order.
-func (sp *Space) Labels(c Candidate) string {
-	parts := make([]string, 0, len(sp.Params)+1)
-	parts = append(parts, "scheme="+c.Scheme)
-	for i, p := range sp.Params {
-		parts = append(parts, p.Name+"="+strconv.FormatFloat(c.Values[i], 'g', -1, 64))
-	}
-	return strings.Join(parts, " ")
 }
 
 // candidateAt builds the candidate for one scheme and one grid index per

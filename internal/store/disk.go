@@ -40,6 +40,9 @@ type Disk struct {
 	maxBytes int64
 	metrics  *Metrics
 
+	// mu guards the index and every rename or removal of an entry file, so
+	// under it the index matches this process's files. Entry reads and
+	// temp-file writes run outside it.
 	mu      sync.Mutex
 	entries map[string]diskEntry
 	size    int64
@@ -176,27 +179,31 @@ func (d *Disk) Load(digest string, decode func([]byte) error) bool {
 	return true
 }
 
-// read returns the stored bytes for a digest and refreshes its mtime.
+// read returns the stored bytes for a digest and refreshes its mtime. The
+// file I/O runs outside the lock, which covers only the index update.
 func (d *Disk) read(digest string) ([]byte, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if !validDigest(digest) {
 		return nil, false
 	}
-	data, err := os.ReadFile(d.path(digest))
+	path := d.path(digest)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false
 	}
 	now := time.Now()
-	_ = os.Chtimes(d.path(digest), now, now) // best-effort LRU touch
+	_ = os.Chtimes(path, now, now) // best-effort LRU touch
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if e, ok := d.entries[digest]; ok {
 		e.mtime = now
 		d.entries[digest] = e
-	} else {
+	} else if info, err := os.Stat(path); err == nil {
 		// Written by another process since our last scan; index it so the
-		// size cap covers it from now on.
-		d.entries[digest] = diskEntry{size: int64(len(data)), mtime: now}
-		d.size += int64(len(data))
+		// size cap covers it from now on. Under the lock this process's
+		// files and index agree, so checking the file is still there keeps
+		// an entry evicted or quarantined since the read out of the index.
+		d.entries[digest] = diskEntry{size: info.Size(), mtime: now}
+		d.size += info.Size()
 	}
 	return data, true
 }
@@ -205,13 +212,12 @@ func (d *Disk) read(digest string) ([]byte, bool) {
 // are renamed into place, so concurrent readers see either the old entry
 // or the new one, never a prefix. After the write the size cap is enforced
 // by evicting oldest-mtime entries (the just-written entry is never the
-// victim, so a single oversized result still lands).
+// victim, so a single oversized result still lands). The temp file is
+// written outside the lock; the rename, index update and eviction hold it.
 func (d *Disk) Put(digest string, data []byte) error {
 	if !validDigest(digest) {
 		return fmt.Errorf("store: invalid digest %q", digest)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	tmp, err := os.CreateTemp(d.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: put %s: %w", digest, err)
@@ -229,6 +235,8 @@ func (d *Disk) Put(digest string, data []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: put %s: %w", digest, err)
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if err := os.Rename(tmp.Name(), d.path(digest)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: put %s: %w", digest, err)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -222,4 +223,73 @@ func TestDiskConcurrentReadersAndWriters(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestDiskIndexMatchesDirectoryUnderRaces runs random Puts, Gets and
+// Quarantines from many goroutines against a store capped at ten entries.
+// Reads run outside the lock, so an entry can be evicted or quarantined
+// between a read and its index update; it must not come back into the
+// index. A later Put, Quarantine or eviction of that digest would hide the
+// stray entry again, so the calls run in short rounds and the index is
+// checked against the entry files on disk after every round.
+func TestDiskIndexMatchesDirectoryUnderRaces(t *testing.T) {
+	const (
+		goroutines = 8
+		ops        = 300
+		round      = 10 // calls per goroutine between checks
+		digests    = 30
+		entrySize  = 64
+	)
+	d, _ := openTestDisk(t, 10*entrySize)
+	data := []byte(strings.Repeat("x", entrySize))
+	rngs := make([]*rand.Rand, goroutines)
+	for g := range rngs {
+		rngs[g] = rand.New(rand.NewSource(int64(g)))
+	}
+	for done := 0; done < ops; done += round {
+		var wg sync.WaitGroup
+		wg.Add(goroutines)
+		for _, rng := range rngs {
+			go func(rng *rand.Rand) {
+				defer wg.Done()
+				for i := 0; i < round; i++ {
+					key := digestN(rng.Intn(digests))
+					switch rng.Intn(3) {
+					case 0:
+						if err := d.Put(key, data); err != nil {
+							t.Errorf("Put: %v", err)
+							return
+						}
+					case 1:
+						d.Get(key)
+					default:
+						d.Quarantine(key)
+					}
+				}
+			}(rng)
+		}
+		wg.Wait()
+
+		dirents, err := os.ReadDir(d.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files int
+		var bytes int64
+		for _, de := range dirents {
+			if de.IsDir() || !strings.HasSuffix(de.Name(), entrySuffix) {
+				continue
+			}
+			info, err := de.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			files++
+			bytes += info.Size()
+		}
+		if d.Len() != files || d.SizeBytes() != bytes {
+			t.Fatalf("after %d calls per goroutine: index holds %d entries / %d B, directory %d / %d B",
+				done+round, d.Len(), d.SizeBytes(), files, bytes)
+		}
+	}
 }

@@ -298,9 +298,6 @@ func (l *Lateral) SetSteerCommand(delta float64) {
 	l.cmdSteer = clamp(delta, -l.cfg.MaxSteer, l.cfg.MaxSteer)
 }
 
-// SteerCommand returns the currently installed command.
-func (l *Lateral) SteerCommand() float64 { return l.cmdSteer }
-
 // Step advances the lateral state by dt seconds at the given speed over
 // road of the given curvature (1/m, positive = curving away from +Y).
 func (l *Lateral) Step(dt, speed, curvature float64) error {
