@@ -93,17 +93,21 @@ bench-update:
 ## heap-vs-wheel event-scheduler differential (identical firing sequences),
 ## the search-space JSON normalize fixed point, the series CSV kernel vs an
 ## encoding/csv reference writer (identical bytes), its shortest-float
-## writer vs strconv on raw float64 bits (identical bytes), and the disk
+## writer vs strconv on raw float64 bits (identical bytes), the disk
 ## result codec (no panic or outsized allocation on any bytes; bit-exact
-## round trip).
+## round trip), and the status-body writer vs encoding/json (identical
+## bytes). Each pass caps minimizing a new input at 1 s: uncapped, a pass
+## can spend most of its 10 s minimizing and explore little.
+FUZZ := -fuzztime=10s -fuzzminimizetime=1s
 fuzz:
-	$(GO) test -fuzz=FuzzHungarian -fuzztime=10s ./internal/hungarian/
-	$(GO) test -fuzz=FuzzSpecJSON -fuzztime=10s ./internal/scenario/
-	$(GO) test -fuzz=FuzzSchedulerEquivalence -fuzztime=10s ./internal/simtime/
-	$(GO) test -fuzz=FuzzParamSpaceJSON -fuzztime=10s ./internal/search/
-	$(GO) test -fuzz=FuzzRecorderCSV -fuzztime=10s -fuzzminimizetime=1s ./internal/trace/
-	$(GO) test -fuzz=FuzzAppendShortest -fuzztime=10s ./internal/trace/
-	$(GO) test -fuzz=FuzzDecodeResult -fuzztime=10s ./internal/run/
+	$(GO) test -fuzz=FuzzHungarian $(FUZZ) ./internal/hungarian/
+	$(GO) test -fuzz=FuzzSpecJSON $(FUZZ) ./internal/scenario/
+	$(GO) test -fuzz=FuzzSchedulerEquivalence $(FUZZ) ./internal/simtime/
+	$(GO) test -fuzz=FuzzParamSpaceJSON $(FUZZ) ./internal/search/
+	$(GO) test -fuzz=FuzzRecorderCSV $(FUZZ) ./internal/trace/
+	$(GO) test -fuzz=FuzzAppendShortest $(FUZZ) ./internal/trace/
+	$(GO) test -fuzz=FuzzDecodeResult $(FUZZ) ./internal/run/
+	$(GO) test -fuzz=FuzzStatusBody $(FUZZ) ./internal/service/
 
 ## suite: run every experiment once, fanned across GOMAXPROCS workers.
 suite:

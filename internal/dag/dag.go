@@ -15,6 +15,8 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"hcperf/internal/exectime"
@@ -117,6 +119,32 @@ type Graph struct {
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{byName: make(map[string]TaskID)}
+}
+
+// Clone returns a copy of g whose tasks can be rewritten — rates, rate
+// bands, execution models — and whose structure can be extended without
+// touching g. The tasks' execution models are shared with g: replace a
+// task's model rather than change it in place.
+func (g *Graph) Clone() *Graph {
+	tasks := make([]Task, len(g.tasks))
+	c := &Graph{
+		tasks:  make([]*Task, len(g.tasks)),
+		byName: maps.Clone(g.byName),
+		succ:   make([][]TaskID, len(g.succ)),
+		pred:   make([][]TaskID, len(g.pred)),
+		topo:   g.topo, // never written in place, only replaced
+	}
+	for i, t := range g.tasks {
+		tasks[i] = *t
+		c.tasks[i] = &tasks[i]
+	}
+	// Clipped, so an edge added to either graph reallocates its list
+	// instead of writing into the one they share.
+	for i := range g.succ {
+		c.succ[i] = slices.Clip(g.succ[i])
+		c.pred[i] = slices.Clip(g.pred[i])
+	}
+	return c
 }
 
 // AddTask adds a task to the graph, assigning its ID. Criticality defaults

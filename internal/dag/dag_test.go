@@ -452,3 +452,39 @@ func TestADGraphDualControl(t *testing.T) {
 		t.Error("perception chain does not reach both control sinks")
 	}
 }
+
+// TestCloneLeavesSourceAlone: rewriting a clone's tasks and extending its
+// structure change nothing in the graph it was cloned from.
+func TestCloneLeavesSourceAlone(t *testing.T) {
+	g, err := ADGraph23()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := g.DOT()
+	c := g.Clone()
+	cam := c.TaskByName("camera_front")
+	cam.Rate, cam.MinRate, cam.MaxRate = 30, 30, 60
+	cam.Exec = exectime.Constant(simtime.Millisecond)
+	extra, err := c.AddTask(validTask("extra"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddEdge(cam.ID, extra.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddEdgeByName("control", "extra"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.DOT(); got != before || g.Len() != 23 || g.TaskByName("extra") != nil {
+		t.Fatal("extending the clone changed the source's structure")
+	}
+	if src := g.TaskByName("camera_front"); src.Rate != 15 || src.MaxRate != 30 || src.Exec == cam.Exec {
+		t.Fatalf("rewriting the clone's task changed the source's: %+v", src)
+	}
+	if len(g.Successors(g.TaskByName("control").ID)) != 0 {
+		t.Fatal("an edge added to the clone reached the source")
+	}
+}

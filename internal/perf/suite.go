@@ -6,6 +6,8 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"sync"
 	"testing"
 
 	"hcperf/examples/specs"
@@ -19,7 +21,9 @@ import (
 	"hcperf/internal/run"
 	"hcperf/internal/scenario"
 	"hcperf/internal/sched"
+	"hcperf/internal/service"
 	"hcperf/internal/simtime"
+	"hcperf/internal/store"
 	"hcperf/internal/trace"
 )
 
@@ -33,8 +37,9 @@ type Bench struct {
 // dispatch-layer optimisations target (γ search, dispatch selection,
 // Hungarian matching one-shot vs. reused Solver, a full engine second per
 // policy, one controller step), the report digest a result computes once,
-// the disk codec every stored result passes through, and what a disk
-// answer pays before it renders.
+// the disk codec every stored result passes through, what a disk answer
+// pays before it renders, a whole memory-hit answer, and the normalize
+// stage of a spec request.
 // Names are stable identifiers — they key the baseline JSON, so renaming
 // one invalidates the checked-in baseline.
 func Suite() []Bench {
@@ -60,6 +65,8 @@ func Suite() []Bench {
 		{"ResultCodec/encode/samples=20000", func(b *testing.B) { benchResultEncode(b, 20000) }},
 		{"ResultCodec/decode/samples=20000", func(b *testing.B) { benchResultDecode(b, 20000) }},
 		{"DiskRestore/samples=20000", func(b *testing.B) { benchDiskRestore(b, 20000) }},
+		{"StatusBody/memory-hit", benchStatusBody},
+		{"SpecNormalize/fusion-overload", benchSpecNormalize},
 	}
 }
 
@@ -179,6 +186,81 @@ func encodedReport(tb testing.TB, samples int) []byte {
 		tb.Fatal(err)
 	}
 	return data
+}
+
+// residentFig13 is a server holding fig13's result in its memory tier,
+// computed once per process.
+var residentFig13 = sync.OnceValues(func() (*service.Server, error) {
+	srv := service.New(service.Config{Workers: 1})
+	req, err := run.Request{Experiment: "fig13"}.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	j, _, err := srv.Manager().Submit(req)
+	if err != nil {
+		return nil, err
+	}
+	<-j.Done()
+	if err := j.Snapshot().Err; err != nil {
+		return nil, err
+	}
+	return srv, nil
+})
+
+// discardResponse is a reusable http.ResponseWriter that keeps nothing.
+type discardResponse struct{ header http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// rewindBody is a request body the benchmark rewinds between requests.
+type rewindBody struct{ *bytes.Reader }
+
+func (rewindBody) Close() error { return nil }
+
+// benchStatusBody measures one memory-hit answer of POST /v1/runs for a
+// resident fig13 result through the server's handler: request decode,
+// normalize, digest, memory lookup and the status body.
+func benchStatusBody(b *testing.B) {
+	srv, err := residentFig13()
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := []byte(`{"experiment": "fig13"}`)
+	body := rewindBody{bytes.NewReader(payload)}
+	req, err := http.NewRequest(http.MethodPost, "/v1/runs", body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := &discardResponse{header: http.Header{}}
+	h := srv.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body.Reset(payload)
+		h.ServeHTTP(w, req)
+	}
+	b.StopTimer()
+	if got := w.header.Get("X-HCPerf-Cache"); got != string(store.TierMemory) {
+		b.Fatalf("answer came from tier %q, want memory", got)
+	}
+}
+
+// benchSpecNormalize measures Spec.Normalize of the fusion-overload spec,
+// whose load window and rate overrides take the dry run.
+func benchSpecNormalize(b *testing.B) {
+	spec, err := scenario.DecodeSpec(bytes.NewReader(specs.FusionOverload))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := spec.Normalize(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // benchSimtimeSchedule measures raw schedule+step churn on a warm event

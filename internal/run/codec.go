@@ -140,6 +140,11 @@ func EncodeResult(digest string, res *Result) ([]byte, error) {
 // cross-wired or from another version, and must be treated as a miss —
 // the pipeline quarantines it. The returned Result's ReportDigest is the
 // digest the entry carries, so serving it hashes nothing.
+//
+// Every check runs here, the series' names, counts and times included,
+// but no sample is decoded: the result's recorder holds the sample bytes
+// of data, which the caller must not modify, and decodes them on first
+// use. A status answer reads only the series names.
 func DecodeResult(digest string, data []byte) (*Result, error) {
 	fail := func(format string, args ...any) (*Result, error) {
 		return nil, fmt.Errorf("run: decode %s: "+format, append([]any{digest}, args...)...)
@@ -187,25 +192,32 @@ func DecodeResult(digest string, data []byte) (*Result, error) {
 		Volatile:  rj.Volatile,
 	}
 	if rj.HasSeries {
-		rec := trace.NewRecorder()
-		for _, sh := range rj.Series {
-			// Check the count against the bytes left before allocating,
-			// so a forged count cannot allocate more than the entry holds.
+		block := samples
+		names := make([]string, len(rj.Series))
+		counts := make([]int, len(rj.Series))
+		for i, sh := range rj.Series {
 			if sh.N < 0 || sh.N > len(samples)/sampleBytes {
 				return fail("series %q claims %d samples, %d bytes left", sh.Name, sh.N, len(samples))
 			}
-			s := make([]trace.Sample, sh.N)
-			for i := range s {
-				p := samples[i*sampleBytes:]
-				s[i] = trace.Sample{
-					T: math.Float64frombits(binary.LittleEndian.Uint64(p)),
-					V: math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
-				}
-			}
-			samples = samples[sh.N*sampleBytes:]
-			if err := rec.AddSeries(string(sh.Name), s); err != nil {
+			if err := checkTimes(sh.Name, samples[:sh.N*sampleBytes]); err != nil {
 				return fail("%w", err)
 			}
+			names[i], counts[i] = string(sh.Name), sh.N
+			samples = samples[sh.N*sampleBytes:]
+		}
+		block = block[:len(block)-len(samples)]
+		if 2*len(block) < len(data) {
+			// Samples that are not most of the entry, as beside a traced
+			// run's events, are held as a copy, so the rest is freed.
+			block = bytes.Clone(block)
+		}
+		rec, err := trace.Deferred(names, counts, func(dst []trace.Sample) {
+			for i := range dst {
+				dst[i] = sampleAt(block, i)
+			}
+		})
+		if err != nil {
+			return fail("%w", err)
 		}
 		rep.Series = rec
 	}
@@ -215,6 +227,26 @@ func DecodeResult(digest string, data []byte) (*Result, error) {
 	res := &Result{Report: rep, Events: env.Events, Optimize: env.Optimize}
 	res.digestOnce.Do(func() { res.digest = env.ReportDigest })
 	return res, nil
+}
+
+// sampleAt decodes the i-th (T, V) pair of a sample block.
+func sampleAt(block []byte, i int) trace.Sample {
+	p := block[i*sampleBytes:]
+	return trace.Sample{
+		T: math.Float64frombits(binary.LittleEndian.Uint64(p)),
+		V: math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
+	}
+}
+
+// checkTimes applies the recorder's rule that a series' times never move
+// backwards to the samples of one series, as stored.
+func checkTimes(name []byte, series []byte) error {
+	for i := 1; i < len(series)/sampleBytes; i++ {
+		if prev, t := sampleAt(series, i-1).T, sampleAt(series, i).T; t < prev {
+			return fmt.Errorf("series %q time %v before %v", name, t, prev)
+		}
+	}
+	return nil
 }
 
 // isReportDigest reports whether s has the form Report.Digest returns: a

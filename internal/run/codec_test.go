@@ -369,3 +369,59 @@ func heapAllocBytes() uint64 {
 	metrics.Read(s)
 	return s[0].Value.Uint64()
 }
+
+// TestDecodeResultDefersSamples: DecodeResult decodes no samples — what it
+// allocates does not grow with the series' length — and the recorder it
+// returns decodes them on first use, bit for bit.
+func TestDecodeResultDefersSamples(t *testing.T) {
+	entry := func(samples int) ([]byte, *trace.Recorder) {
+		rec := trace.NewRecorder()
+		for k := 0; k < samples; k++ {
+			name := []string{"gap", "speed_err", "u", "gamma"}[k%4]
+			if err := rec.Add(name, float64(k/4)*0.01, math.Sin(float64(k))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := EncodeResult("d0", &Result{Report: &experiment.Report{ID: "x", Title: "x", Series: rec}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, rec
+	}
+	decodeCost := func(data []byte) (allocs float64, bytes uint64) {
+		allocs = testing.AllocsPerRun(10, func() {
+			if _, err := DecodeResult("d0", data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		before := heapAllocBytes()
+		if _, err := DecodeResult("d0", data); err != nil {
+			t.Fatal(err)
+		}
+		return allocs, heapAllocBytes() - before
+	}
+	small, _ := entry(200)
+	large, rec := entry(20000)
+	smallAllocs, _ := decodeCost(small)
+	largeAllocs, largeBytes := decodeCost(large)
+	if largeAllocs != smallAllocs {
+		t.Errorf("DecodeResult allocates %v times for 20000 samples, %v for 200; want the same", largeAllocs, smallAllocs)
+	}
+	if largeBytes > 16<<10 {
+		t.Errorf("DecodeResult of %d samples allocated %d bytes; want no sample decoded", 20000, largeBytes)
+	}
+
+	res, err := DecodeResult("d0", large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Report.Series
+	if !reflect.DeepEqual(got.Names(), rec.Names()) {
+		t.Fatalf("names %q, want %q", got.Names(), rec.Names())
+	}
+	for _, name := range rec.Names() {
+		if want, have := rec.Series(name).Samples, got.Series(name).Samples; !reflect.DeepEqual(have, want) {
+			t.Fatalf("series %q decoded on first use differs: %d samples, want %d", name, len(have), len(want))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package run
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -21,7 +22,8 @@ const traceCapacity = 1 << 20
 // Result is a completed run: the rendered report plus, for traced
 // scenario runs, the captured lifecycle events and, for optimize runs, the
 // structured search report. A Result is immutable once returned, which is
-// what lets ReportDigest compute its digest once and share it.
+// what lets ReportDigest and ReportView compute their values once and
+// share them.
 type Result struct {
 	Report   *experiment.Report
 	Events   []lifecycle.Event
@@ -30,6 +32,10 @@ type Result struct {
 	digestOnce sync.Once
 	digest     string
 	digestErr  error
+
+	viewOnce sync.Once
+	view     []byte
+	viewErr  error
 }
 
 // ReportDigest returns Report.Digest, computed on the first call and
@@ -41,6 +47,16 @@ type Result struct {
 func (r *Result) ReportDigest() (string, error) {
 	r.digestOnce.Do(func() { r.digest, r.digestErr = r.Report.Digest() })
 	return r.digest, r.digestErr
+}
+
+// ReportView returns the JSON of Report.View(false), the report without
+// its samples, as the serving layer's status body nests it: indented by
+// two spaces a level, starting one level deep. It is rendered on the first
+// call and memoized for every later one, so a resident result renders its
+// report once in its life.
+func (r *Result) ReportView() ([]byte, error) {
+	r.viewOnce.Do(func() { r.view, r.viewErr = json.MarshalIndent(r.Report.View(false), "  ", "  ") })
+	return r.view, r.viewErr
 }
 
 // Func executes one normalized request. The pipeline's and the serving

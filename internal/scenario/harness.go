@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"hcperf/internal/core"
@@ -389,9 +390,17 @@ func applyLoadSteps(g *dag.Graph, taskName string, steps []exectime.Step) error 
 	return nil
 }
 
-// applyRateOverrides sets the initial rates of source tasks by name.
+// applyRateOverrides sets the initial rates of source tasks by name, in
+// name order, so a spec with several bad overrides always fails on the
+// same one.
 func applyRateOverrides(g *dag.Graph, overrides map[string]float64) error {
-	for name, r := range overrides {
+	names := make([]string, 0, len(overrides))
+	for name := range overrides {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		r := overrides[name]
 		t := g.TaskByName(name)
 		if t == nil {
 			return fmt.Errorf("scenario: unknown task %q in rate overrides", name)

@@ -6,8 +6,10 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 
 	"hcperf/internal/core"
+	"hcperf/internal/dag"
 	"hcperf/internal/exectime"
 	"hcperf/internal/lifecycle"
 	"hcperf/internal/simtime"
@@ -307,28 +309,12 @@ func (s Spec) Normalize() (Spec, error) {
 	// rate ranges fail here with the same structured errors the runtime
 	// path would produce.
 	if len(s.Loads) > 0 || len(s.RateOverrides) > 0 || s.Tunables != nil {
-		scratch, err := BuildGraph(s.Graph)
+		scratch, err := dryRunGraph(s.Graph)
 		if err != nil {
 			return s, err
 		}
-		for _, l := range s.Loads {
-			if err := applyLoadSteps(scratch, l.Task, l.steps()); err != nil {
-				return s, err
-			}
-		}
-		if len(s.RateOverrides) > 0 {
-			if err := applyRateOverrides(scratch, s.RateOverrides); err != nil {
-				return s, err
-			}
-		}
-		if s.Tunables != nil {
-			tun, err := s.Tunables.Core().Resolved()
-			if err != nil {
-				return s, err
-			}
-			if err := tun.ApplyRateBounds(scratch); err != nil {
-				return s, err
-			}
+		if err := s.dryRun(scratch); err != nil {
+			return s, err
 		}
 	}
 	for i, p := range s.Obstacles {
@@ -387,6 +373,52 @@ func (s Spec) Normalize() (Spec, error) {
 		s.Fleet = &f
 	}
 	return s, nil
+}
+
+// graphTemplates builds each named graph once, for Normalize's dry runs.
+var graphTemplates = func() map[string]func() (*dag.Graph, error) {
+	out := make(map[string]func() (*dag.Graph, error))
+	for _, name := range GraphNames() {
+		out[name] = sync.OnceValues(func() (*dag.Graph, error) { return BuildGraph(name) })
+	}
+	return out
+}()
+
+// dryRunGraph returns a scratch copy of the named graph to rewrite: a
+// clone of a template built once per name, not a fresh build.
+func dryRunGraph(name string) (*dag.Graph, error) {
+	template, ok := graphTemplates[name]
+	if !ok {
+		return nil, checkGraph(name)
+	}
+	g, err := template()
+	if err != nil {
+		return nil, err
+	}
+	return g.Clone(), nil
+}
+
+// dryRun applies the spec's load steps, rate overrides and tunable
+// rate-band scales to g, as a run applies them to its graph.
+func (s Spec) dryRun(g *dag.Graph) error {
+	for _, l := range s.Loads {
+		if err := applyLoadSteps(g, l.Task, l.steps()); err != nil {
+			return err
+		}
+	}
+	if len(s.RateOverrides) > 0 {
+		if err := applyRateOverrides(g, s.RateOverrides); err != nil {
+			return err
+		}
+	}
+	if s.Tunables != nil {
+		tun, err := s.Tunables.Core().Resolved()
+		if err != nil {
+			return err
+		}
+		return tun.ApplyRateBounds(g)
+	}
+	return nil
 }
 
 func (l SpecLoad) steps() []exectime.Step {

@@ -112,23 +112,80 @@ func TestSpecNormalizeErrors(t *testing.T) {
 	}
 }
 
-// TestSpecNormalizeBuildsNoGraph pins that a spec without loads, rate
-// overrides or tunables has its graph validated by name: normalizing it
-// allocates less than building its graph alone.
+// TestSpecNormalizeBuildsNoGraph pins that Normalize never builds a task
+// graph: a spec without loads, rate overrides or tunables has its graph
+// validated by name, and one with all three is dry-run on a copy of a
+// graph built once per name. Either way normalizing it allocates less
+// than a fifth of building its graph alone.
 func TestSpecNormalizeBuildsNoGraph(t *testing.T) {
 	build := testing.AllocsPerRun(20, func() {
 		if _, err := BuildGraph(GraphAD23); err != nil {
 			t.Fatal(err)
 		}
 	})
-	spec := Spec{Scenario: "carfollow", Scheme: "edf", Duration: 5, Obstacles: []ObstaclePhase{{T: 0, N: 3}}}
-	normalize := testing.AllocsPerRun(20, func() {
-		if _, err := spec.Normalize(); err != nil {
-			t.Fatal(err)
+	for _, spec := range []Spec{
+		{Scenario: "carfollow", Scheme: "edf", Duration: 5, Obstacles: []ObstaclePhase{{T: 0, N: 3}}},
+		{Scenario: "carfollow", Loads: []SpecLoad{{Task: "sensor_fusion", From: 10, To: 20, Factor: 2}},
+			RateOverrides: map[string]float64{"camera_front": 10, "lidar_scan": 10},
+			Tunables:      &SpecTunables{RMinScale: 0.5, RMaxScale: 2}},
+	} {
+		normalize := testing.AllocsPerRun(20, func() {
+			if _, err := spec.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if normalize >= build/5 {
+			t.Errorf("Spec.Normalize of %+v allocates %v times, building the graph %v; want under a fifth", spec, normalize, build)
 		}
-	})
-	if normalize >= build {
-		t.Errorf("Spec.Normalize allocates %v times, building the graph %v; want fewer", normalize, build)
+	}
+}
+
+// TestSpecDryRunMatchesFreshGraph: the dry run on a copy of the template
+// graph accepts and rejects exactly what it does on a freshly built graph,
+// with the same error, and leaves the template as it found it: every case
+// runs twice, after rewrites of the template's copies by the others.
+func TestSpecDryRunMatchesFreshGraph(t *testing.T) {
+	specs := []Spec{
+		{Scenario: "carfollow", Graph: GraphAD23, Loads: []SpecLoad{{Task: "sensor_fusion", From: 1, To: 2, Factor: 3}}},
+		{Scenario: "carfollow", Graph: GraphAD23, Loads: []SpecLoad{{Task: "sensor_fusion", From: 2, To: 1, Factor: 3}}},
+		{Scenario: "carfollow", Graph: GraphAD23, RateOverrides: map[string]float64{"camera_front": 30, "lidar_scan": 5}},
+		{Scenario: "carfollow", Graph: GraphAD23, RateOverrides: map[string]float64{"camera_front": 31}},
+		{Scenario: "carfollow", Graph: GraphAD23, RateOverrides: map[string]float64{"sensor_fusion": -1}},
+		{Scenario: "carfollow", Graph: GraphAD23, RateOverrides: map[string]float64{"zz": 1, "aa": 2, "mm": 3}},
+		{Scenario: "carfollow", Graph: GraphAD23, Tunables: &SpecTunables{RMinScale: 3, RMaxScale: 1}},
+		{Scenario: "carfollow", Graph: GraphAD23, Tunables: &SpecTunables{RMinScale: 0.1, RMaxScale: 0.2},
+			RateOverrides: map[string]float64{"camera_front": 8}},
+		{Scenario: "combined", Graph: GraphDualControl, RateOverrides: map[string]float64{"camera_front": 9}},
+		{Scenario: "combined", Graph: GraphDualControl, Loads: []SpecLoad{{Task: "bogus", From: 0, To: 1, Factor: 2}}},
+	}
+	for round := 0; round < 2; round++ {
+		for i, spec := range specs {
+			fresh, err := BuildGraph(spec.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := spec.dryRun(fresh)
+			scratch, err := dryRunGraph(spec.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := spec.dryRun(scratch)
+			if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+				t.Errorf("round %d, spec %d: dry run on a copy = %v, on a fresh graph = %v", round, i, got, want)
+			}
+		}
+	}
+}
+
+// TestRateOverrideErrorIsDeterministic: a spec overriding several unknown
+// tasks fails on the first of them in name order, on every call.
+func TestRateOverrideErrorIsDeterministic(t *testing.T) {
+	spec := Spec{Scenario: "carfollow", RateOverrides: map[string]float64{"zeta": 10, "alpha": 10, "mu": 10}}
+	const want = `scenario: unknown task "alpha" in rate overrides`
+	for i := 0; i < 50; i++ {
+		if _, err := spec.Normalize(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Normalize error %v, want %q", i, err, want)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -90,6 +91,17 @@ type Job struct {
 	// done is closed exactly once when the job reaches a terminal
 	// state; waiters (tests, long-poll handlers) select on it.
 	done chan struct{}
+
+	reqOnce sync.Once
+	reqJSON []byte
+	reqErr  error
+}
+
+// requestJSON returns the job's normalized request as the status body
+// nests it, rendered on the first call and memoized for every later one.
+func (j *Job) requestJSON() ([]byte, error) {
+	j.reqOnce.Do(func() { j.reqJSON, j.reqErr = json.MarshalIndent(j.Req, "  ", "  ") })
+	return j.reqJSON, j.reqErr
 }
 
 // JobSnapshot is a consistent copy of a job's mutable state.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -101,9 +102,10 @@ func TestServedReportDigest(t *testing.T) {
 	}
 }
 
-// TestRenderResidentResultAllocs: rendering a resident result allocates a
-// small constant, whatever its series size — the report digest is hashed
-// on the first render only, not on every one.
+// TestRenderResidentResultAllocs: rendering a resident result allocates
+// nothing into a reused buffer, whatever its series size — the report
+// digest is hashed and the report and request are rendered on the first
+// answer only, not on every one.
 func TestRenderResidentResultAllocs(t *testing.T) {
 	allocs := func(samples int) float64 {
 		srv := New(Config{Workers: 1, Run: seriesRunner(samples)})
@@ -117,14 +119,20 @@ func TestRenderResidentResultAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := waitDone(t, j)
+		buf := make([]byte, 0, 1<<14)
 		return testing.AllocsPerRun(20, func() {
-			if st := srv.status(snap, false); st.Digest == "" {
-				t.Fatal("render carries no report_digest")
+			request, err := j.requestJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := appendStatus(buf[:0], snap, request, -1, submitted(SubmitCached))
+			if err != nil || !bytes.Contains(body, []byte(`"report_digest": "`)) {
+				t.Fatalf("render = %q, %v; want a body with a report_digest", body, err)
 			}
 		})
 	}
 	small, large := allocs(20), allocs(2000)
-	if large > 10 || large != small {
-		t.Errorf("render allocs: %v at 2000 samples, %v at 20; want a small constant", large, small)
+	if large != 0 || small != 0 {
+		t.Errorf("render allocs: %v at 2000 samples, %v at 20; want 0", large, small)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"time"
 
 	"hcperf/internal/experiment"
 	"hcperf/internal/lifecycle"
@@ -117,67 +116,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v) // the status line is already written; nothing left to do on error
 }
 
-// runStatus is the response body of POST /v1/runs, POST /v1/optimize and
-// the corresponding GETs.
-type runStatus struct {
-	ID      string     `json:"id"`
-	State   JobState   `json:"state"`
-	Request RunRequest `json:"request"`
-	Cached  bool       `json:"cached,omitempty"`
-	Deduped bool       `json:"deduped,omitempty"`
-	// Submitted is the enqueue timestamp (RFC 3339, UTC).
-	Submitted string `json:"submitted,omitempty"`
-	// QueuePosition is how many jobs are ahead of this one while it is
-	// queued (0 = next to run); absent once it starts. A pointer so that
-	// position zero still renders.
-	QueuePosition *int    `json:"queue_position,omitempty"`
-	ElapsedMS     float64 `json:"elapsed_ms,omitempty"`
-	Digest        string  `json:"report_digest,omitempty"`
-	// Cache is the result's provenance: "memory" when it was computed or
-	// resident in this process, "disk" when it was restored from the
-	// persistent store, "miss" on the submission response that scheduled
-	// a fresh execution. Absent while the job is queued or running. The
-	// same value rides in the X-HCPerf-Cache response header.
-	Cache  store.Tier       `json:"cache,omitempty"`
-	Report *experiment.View `json:"report,omitempty"`
-	// Progress is the latest generation snapshot of a running optimize
-	// job; Optimize is the structured search report once it completes.
-	Progress *search.Progress `json:"progress,omitempty"`
-	Optimize *search.Report   `json:"optimize,omitempty"`
-	TraceLen int              `json:"trace_events,omitempty"`
-	Error    string           `json:"error,omitempty"`
-}
-
-// status renders a job snapshot; includeSeries controls whether the raw
-// time series ride along (GET with ?series=1).
-func (s *Server) status(snap JobSnapshot, includeSeries bool) runStatus {
-	st := runStatus{ID: snap.ID, State: snap.State, Request: snap.Req, Progress: snap.Progress}
-	if !snap.Submitted.IsZero() {
-		st.Submitted = snap.Submitted.UTC().Format(time.RFC3339Nano)
-	}
-	if snap.State == StateQueued {
-		if pos := s.mgr.QueuePosition(snap.ID); pos >= 0 {
-			st.QueuePosition = &pos
-		}
-	}
-	if !snap.Finished.IsZero() && !snap.Started.IsZero() {
-		st.ElapsedMS = float64(snap.Finished.Sub(snap.Started)) / float64(time.Millisecond)
-	}
-	if snap.Err != nil {
-		st.Error = snap.Err.Error()
-	}
-	if snap.Result != nil && snap.Result.Report != nil {
-		st.Report = snap.Result.Report.View(includeSeries)
-		if d, err := snap.Result.ReportDigest(); err == nil {
-			st.Digest = d
-		}
-		st.Cache = snap.Source
-		st.Optimize = snap.Result.Optimize
-		st.TraceLen = len(snap.Result.Events)
-	}
-	return st
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	dec := json.NewDecoder(r.Body)
@@ -226,21 +164,18 @@ func (s *Server) submit(w http.ResponseWriter, req RunRequest) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	st := s.status(job.Snapshot(), false)
-	st.Cached = outcome == SubmitCached || outcome == SubmitCachedDisk
-	st.Deduped = outcome == SubmitDeduped
 	// The submission response reports which tier satisfied it — "miss"
 	// for a fresh (or coalesced in-flight) execution — in both the body
 	// and the X-HCPerf-Cache header, so curl -i is enough to check cache
 	// provenance.
-	st.Cache = outcome.Tier()
-	w.Header().Set("X-HCPerf-Cache", string(outcome.Tier()))
+	a := submitted(outcome)
+	w.Header().Set("X-HCPerf-Cache", string(a.cache))
 	code := http.StatusAccepted
-	if st.Cached {
+	if a.cached {
 		// The result (or terminal error) is already available.
 		code = http.StatusOK
 	}
-	writeJSON(w, code, st)
+	s.writeStatus(w, code, job, a)
 }
 
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
@@ -249,8 +184,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown run %q (completed runs may have been evicted from the cache)", r.PathValue("id"))
 		return
 	}
-	includeSeries := r.URL.Query().Get("series") == "1"
-	writeJSON(w, http.StatusOK, s.status(job.Snapshot(), includeSeries))
+	s.writeStatus(w, http.StatusOK, job, answer{series: r.URL.Query().Get("series") == "1"})
 }
 
 func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Sample is one (time, value) point.
@@ -112,6 +113,15 @@ func (s *Series) At(t float64) (float64, bool) {
 type Recorder struct {
 	series map[string]*Series
 	order  []string
+	// deferred, set only by Deferred, fills the samples on first use.
+	deferred *deferredFill
+}
+
+// deferredFill is the one pending fill of a Deferred recorder.
+type deferredFill struct {
+	once   sync.Once
+	counts []int
+	fill   func(dst []Sample)
 }
 
 // NewRecorder returns an empty recorder.
@@ -119,11 +129,73 @@ func NewRecorder() *Recorder {
 	return &Recorder{series: make(map[string]*Series)}
 }
 
+// Deferred returns a recorder of the named series, in order, whose samples
+// are filled in on first use: the first call of Series, WriteCSV or Add
+// allocates one slice for every series' counts[i] samples, and fill writes
+// them into it, series after series. fill runs once, however many
+// goroutines read the recorder at once; Names needs no samples. Deferred
+// takes ownership of names and counts, and holds them to what Add can
+// record: a name is non-empty and new, and a series holds at least one
+// sample. It never sees the times, so the caller checks that they do not
+// move backwards.
+func Deferred(names []string, counts []int, fill func(dst []Sample)) (*Recorder, error) {
+	if len(counts) != len(names) {
+		return nil, fmt.Errorf("trace: %d counts for %d series", len(counts), len(names))
+	}
+	r := &Recorder{series: make(map[string]*Series, len(names)), order: names}
+	all := make([]Series, len(names))
+	for i, name := range names {
+		switch _, dup := r.series[name]; {
+		case name == "":
+			return nil, errors.New("trace: empty series name")
+		case dup:
+			return nil, fmt.Errorf("trace: series %q already recorded", name)
+		case counts[i] <= 0:
+			return nil, fmt.Errorf("trace: series %q has no samples", name)
+		}
+		all[i].Name = name
+		r.series[name] = &all[i]
+	}
+	r.deferred = &deferredFill{counts: counts, fill: fill}
+	return r, nil
+}
+
+// load fills a Deferred recorder's samples on first use; other recorders
+// hold theirs already. It inlines, so Add pays one nil check.
+func (r *Recorder) load() {
+	if r.deferred != nil {
+		r.fillOnce()
+	}
+}
+
+// fillOnce runs a Deferred recorder's fill, once, into one slice for
+// every sample, and hands each series its part.
+func (r *Recorder) fillOnce() {
+	d := r.deferred
+	d.once.Do(func() {
+		total := 0
+		for _, n := range d.counts {
+			total += n
+		}
+		all := make([]Sample, total)
+		d.fill(all)
+		for i, name := range r.order {
+			n := d.counts[i]
+			// A full slice expression, so appending to one series never
+			// writes over the next.
+			r.series[name].Samples = all[:n:n]
+			all = all[n:]
+		}
+		d.fill = nil // release what the fill holds, such as an entry's bytes
+	})
+}
+
 // Add appends a sample to the named series, creating it on first use.
 func (r *Recorder) Add(name string, t, v float64) error {
 	if name == "" {
 		return errors.New("trace: empty series name")
 	}
+	r.load()
 	s, ok := r.series[name]
 	if !ok {
 		s = &Series{Name: name}
@@ -133,33 +205,11 @@ func (r *Recorder) Add(name string, t, v float64) error {
 	return s.Add(t, v)
 }
 
-// AddSeries records a whole series at once and takes ownership of samples.
-// It applies Add's rules once per series rather than once per sample: the
-// name must be non-empty and new, and times must not move backwards. A
-// series is never empty, because Add creates one only with its first
-// sample.
-func (r *Recorder) AddSeries(name string, samples []Sample) error {
-	if name == "" {
-		return errors.New("trace: empty series name")
-	}
-	if _, ok := r.series[name]; ok {
-		return fmt.Errorf("trace: series %q already recorded", name)
-	}
-	if len(samples) == 0 {
-		return fmt.Errorf("trace: series %q has no samples", name)
-	}
-	for i := 1; i < len(samples); i++ {
-		if samples[i].T < samples[i-1].T {
-			return fmt.Errorf("trace: series %q time %v before %v", name, samples[i].T, samples[i-1].T)
-		}
-	}
-	r.series[name] = &Series{Name: name, Samples: samples}
-	r.order = append(r.order, name)
-	return nil
-}
-
 // Series returns the named series, or nil if absent.
-func (r *Recorder) Series(name string) *Series { return r.series[name] }
+func (r *Recorder) Series(name string) *Series {
+	r.load()
+	return r.series[name]
+}
 
 // Names returns the series names in creation order.
 func (r *Recorder) Names() []string { return append([]string(nil), r.order...) }
@@ -188,6 +238,7 @@ type timeSlot struct {
 // bits equal those of the last time formatted at its index reuses that
 // text; any other time is formatted, so the reuse changes only speed.
 func (r *Recorder) WriteCSV(w io.Writer) error {
+	r.load()
 	// Headroom above csvFlush holds the row that crosses it.
 	buf := make([]byte, 0, 2*csvFlush)
 	buf = append(buf, "series,time,value\n"...)

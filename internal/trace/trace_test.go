@@ -103,44 +103,57 @@ func TestRecorder(t *testing.T) {
 	}
 }
 
-// TestAddSeries: AddSeries records what the same samples added one by one
-// record, and refuses what Add refuses, leaving the recorder unchanged.
-func TestAddSeries(t *testing.T) {
-	samples := []Sample{{0, 1}, {0.5, 2}, {0.5, 3}, {math.NaN(), 4}, {1, 5}}
-	bulk, each := NewRecorder(), NewRecorder()
-	if err := bulk.AddSeries("x", samples); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range samples {
-		if err := each.Add("x", p.T, p.V); err != nil {
+// TestDeferred: a Deferred recorder names its series before their first
+// use, then fills them once and records what the same samples added one
+// by one record, each series in its own slice; it refuses what Add cannot
+// record: an empty name, a repeated name, an empty series.
+func TestDeferred(t *testing.T) {
+	samples := []Sample{{0, 1}, {0.5, 2}, {0.5, 3}, {math.NaN(), 4}, {1, 5}, {0, 6}, {2, 7}}
+	each := NewRecorder()
+	for i, p := range samples {
+		if err := each.Add([]string{"x", "y"}[i/5], p.T, p.V); err != nil {
 			t.Fatal(err)
 		}
 	}
+	fills := 0
+	rec, err := Deferred([]string{"x", "y"}, []int{5, 2}, func(dst []Sample) {
+		fills++
+		copy(dst, samples)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names := rec.Names(); len(names) != 2 || names[0] != "x" || names[1] != "y" || fills != 0 {
+		t.Fatalf("Names = %v after %d fills, want [x y] before any", names, fills)
+	}
 	var got, want bytes.Buffer
-	if err := bulk.WriteCSV(&got); err != nil {
+	if err := rec.WriteCSV(&got); err != nil {
 		t.Fatal(err)
 	}
 	if err := each.WriteCSV(&want); err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {
-		t.Errorf("AddSeries CSV = %q, Add CSV = %q", got.String(), want.String())
+		t.Errorf("Deferred CSV = %q, Add CSV = %q", got.String(), want.String())
+	}
+	if err := rec.Add("x", 3, 8); err != nil {
+		t.Fatal(err)
+	}
+	if y := rec.Series("y").Samples; len(y) != 2 || y[0] != (Sample{0, 6}) || fills != 1 {
+		t.Errorf("after appending to x, y = %v with %d fills; want [{0 6} {2 7}] and 1", y, fills)
 	}
 	for _, bad := range []struct {
-		name    string
-		samples []Sample
+		names  []string
+		counts []int
 	}{
-		{"", []Sample{{0, 1}}},
-		{"x", []Sample{{2, 1}}},
-		{"empty", nil},
-		{"backwards", []Sample{{1, 0}, {0, 0}}},
+		{[]string{""}, []int{1}},
+		{[]string{"a", "a"}, []int{1, 1}},
+		{[]string{"a"}, []int{0}},
+		{[]string{"a"}, nil},
 	} {
-		if err := bulk.AddSeries(bad.name, bad.samples); err == nil {
-			t.Errorf("AddSeries(%q, %v) accepted", bad.name, bad.samples)
+		if _, err := Deferred(bad.names, bad.counts, func([]Sample) {}); err == nil {
+			t.Errorf("Deferred(%q, %v) accepted", bad.names, bad.counts)
 		}
-	}
-	if names := bulk.Names(); len(names) != 1 || bulk.Series("x").Len() != len(samples) {
-		t.Errorf("refused series changed the recorder: names %v", names)
 	}
 }
 
