@@ -26,7 +26,7 @@ RACE_EXEMPT := ./internal/analysis/... ./internal/core/... \
                ./internal/stats/... ./internal/trace/... ./internal/vehicle/... \
                ./internal/version/...
 
-.PHONY: ci vet build test race race-guard bench bench-json bench-check bench-update fuzz suite trace-demo serve load-smoke
+.PHONY: ci vet build test race race-guard bench bench-json bench-check bench-update fuzz suite netlines trace-demo serve load-smoke
 
 # Benchtime for the perf-baseline suite. A duration (not an iteration
 # count): the sub-microsecond benchmarks need >=10ms of samples for stable
@@ -111,7 +111,12 @@ fuzz:
 
 ## suite: run every experiment once, fanned across GOMAXPROCS workers.
 suite:
-	$(GO) run ./cmd/hcperf-sim -mode suite -parallel 0
+	$(GO) run ./cmd/hcperf-bench -parallel 0
+
+## netlines: Go lines added, removed and net between BASE and HEAD, program
+## and test files apart, hcbench/ excluded: make netlines BASE=<rev>
+netlines:
+	@sh scripts/netlines.sh "$(BASE)"
 
 ## trace-demo: export a per-job lifecycle trace of the car-following
 ## scenario; open trace.json in chrome://tracing or Perfetto.

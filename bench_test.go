@@ -1,10 +1,9 @@
 package hcperf_test
 
 // Benchmark harness: one benchmark per table and figure of the HCPerf
-// evaluation (paper §VII), plus micro-benchmarks of the framework's hot
-// paths. Each table/figure benchmark regenerates the corresponding
-// experiment end to end and reports the headline quantity as a custom
-// metric, so
+// evaluation (paper §VII), plus the pinned hot-path suite of internal/perf.
+// Each table/figure benchmark regenerates the corresponding experiment end
+// to end and reports the headline quantity as a custom metric, so
 //
 //	go test -bench=. -benchmem
 //
@@ -14,27 +13,19 @@ package hcperf_test
 
 import (
 	"context"
-	"math/rand"
-	"strconv"
 	"testing"
 
-	"hcperf/internal/dag"
-	"hcperf/internal/engine"
-	"hcperf/internal/exectime"
 	"hcperf/internal/experiment"
-	"hcperf/internal/hungarian"
-	"hcperf/internal/mfc"
+	"hcperf/internal/perf"
 	"hcperf/internal/runner"
 	"hcperf/internal/scenario"
-	"hcperf/internal/sched"
-	"hcperf/internal/simtime"
 )
 
 // benchExperiment runs a registered experiment once per iteration.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Run(id, 1); err != nil {
+		if _, err := experiment.Run(id, 1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,13 +178,11 @@ func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
 
 // BenchmarkSuiteSerial and BenchmarkSuiteParallel do the same at suite
 // granularity: all registered experiments, with sweep parallelism matching
-// the outer fan-out (exactly what `hcperf-sim -mode suite -parallel N` runs).
+// the outer fan-out (exactly what `hcperf-bench -parallel N` runs).
 func benchSuite(b *testing.B, workers int) {
 	b.Helper()
-	experiment.SetParallelism(workers)
-	defer experiment.SetParallelism(1)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunAll(context.Background(), 1, workers); err != nil {
+		if _, err := experiment.RunAll(context.Background(), experiment.IDs(), 1, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,168 +194,19 @@ func BenchmarkSuiteSerial(b *testing.B) { benchSuite(b, 1) }
 // BenchmarkSuiteParallel runs every experiment across GOMAXPROCS workers.
 func BenchmarkSuiteParallel(b *testing.B) { benchSuite(b, 0) }
 
-// --- Micro-benchmarks of the hot paths ---
+// --- Hot-path micro-benchmarks ---
 
-func benchJobs(n int, rng *rand.Rand) []*sched.Job {
-	jobs := make([]*sched.Job, n)
-	for i := range jobs {
-		d := simtime.Duration(0.02 + rng.Float64()*0.08)
-		jobs[i] = &sched.Job{
-			Task: &dag.Task{
-				ID:          dag.TaskID(i),
-				Name:        "t" + strconv.Itoa(i),
-				Priority:    rng.Intn(23) + 1,
-				RelDeadline: d,
-				Exec:        exectime.Constant(simtime.Duration(0.002 + rng.Float64()*0.02)),
-			},
-			Release:     simtime.Time(rng.Float64() * 0.01),
-			AbsDeadline: simtime.Time(rng.Float64()*0.01) + d,
-			EstExec:     simtime.Duration(0.002 + rng.Float64()*0.02),
-		}
-	}
-	return jobs
-}
-
-// BenchmarkDynamicSelect measures HCPerf's per-dispatch decision.
-func BenchmarkDynamicSelect(b *testing.B) {
-	for _, n := range []int{8, 32, 128} {
-		b.Run("queue="+strconv.Itoa(n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			jobs := benchJobs(n, rng)
-			dyn := sched.NewDynamic(0.02)
-			dyn.SetNominalU(0.01)
-			st := &sched.ProcState{NumProcs: 2, Remaining: make([]simtime.Duration, 2)}
-			dyn.Recompute(0, jobs, st)
+// BenchmarkPerfSuite runs every entry of the pinned hot-path suite
+// (internal/perf.Suite, the definitions BENCH_baseline.json and
+// `make bench-check` gate) as a sub-benchmark, so the suite has one
+// definition per benchmark:
+//
+//	go test -bench='PerfSuite/MFCStep' -run='^$' .
+func BenchmarkPerfSuite(b *testing.B) {
+	for _, bench := range perf.Suite() {
+		b.Run(bench.Name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if idx := dyn.Select(0, jobs, 0, st); idx < 0 {
-					b.Fatal("no job selected")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkGammaSearch measures the Eq. 11 γmax bisection.
-func BenchmarkGammaSearch(b *testing.B) {
-	for _, n := range []int{8, 32, 128} {
-		b.Run("queue="+strconv.Itoa(n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			jobs := benchJobs(n, rng)
-			dyn := sched.NewDynamic(0.02)
-			dyn.SetNominalU(0.01)
-			st := &sched.ProcState{NumProcs: 2, Remaining: make([]simtime.Duration, 2)}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dyn.Recompute(0, jobs, st)
-			}
-		})
-	}
-}
-
-// BenchmarkMFCStep measures one Performance Directed Controller step.
-func BenchmarkMFCStep(b *testing.B) {
-	c, err := mfc.New(mfc.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Step(simtime.Time(i)*100*simtime.Millisecond, 1.5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHungarianFusion measures the real O(n^3) matching that drives
-// the configurable-sensor-fusion execution model.
-func BenchmarkHungarianFusion(b *testing.B) {
-	for _, n := range []int{10, 23, 42} {
-		b.Run("obstacles="+strconv.Itoa(n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			cost := make([][]float64, n)
-			for i := range cost {
-				cost[i] = make([]float64, n)
-				for j := range cost[i] {
-					cost[i][j] = rng.Float64()
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := hungarian.Solve(cost); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkHungarianSolverReuse measures the same matching through a
-// reused hungarian.Solver: the workspace persists across calls, so steady
-// state allocates nothing. Comparing against BenchmarkHungarianFusion
-// (which uses the one-shot package Solve) shows exactly what workspace
-// reuse buys on the fusion hot path.
-func BenchmarkHungarianSolverReuse(b *testing.B) {
-	for _, n := range []int{10, 23, 42} {
-		b.Run("obstacles="+strconv.Itoa(n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			cost := make([][]float64, n)
-			for i := range cost {
-				cost[i] = make([]float64, n)
-				for j := range cost[i] {
-					cost[i][j] = rng.Float64()
-				}
-			}
-			var s hungarian.Solver
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := s.Solve(cost); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEngineSecond measures simulating one second of the 23-task
-// stack under each scheduling policy.
-func BenchmarkEngineSecond(b *testing.B) {
-	policies := map[string]func() sched.Scheduler{
-		"EDF":    func() sched.Scheduler { return sched.EDF{} },
-		"HPF":    func() sched.Scheduler { return sched.HPF{} },
-		"HCPerf": func() sched.Scheduler { return sched.NewDynamic(0) },
-	}
-	for name, mk := range policies {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g, err := dag.ADGraph23()
-				if err != nil {
-					b.Fatal(err)
-				}
-				q := simtime.NewEventQueue()
-				eng, err := engine.New(engine.Config{
-					Graph:     g,
-					Scheduler: mk(),
-					NumProcs:  2,
-					Queue:     q,
-					Seed:      int64(i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := eng.Start(); err != nil {
-					b.Fatal(err)
-				}
-				if err := q.RunUntil(1); err != nil {
-					b.Fatal(err)
-				}
-			}
+			bench.Fn(b)
 		})
 	}
 }

@@ -29,7 +29,6 @@ import (
 
 	"hcperf/internal/experiment"
 	"hcperf/internal/perf"
-	"hcperf/internal/runner"
 )
 
 // errRegression marks a benchmark-gate failure so main can exit non-zero
@@ -66,7 +65,7 @@ func main() {
 	case *check != "":
 		err = runCheck(*check, *benchtime, *repeat, *out, perf.Thresholds{NsPerOp: *maxNs, AllocsPerOp: *maxAllocs})
 	default:
-		err = run(*exp, *seed, *csv, *list, *parallel)
+		_, err = run(*exp, *seed, *csv, *list, *parallel)
 	}
 	if perr := stopProf(); perr != nil && err == nil {
 		err = perr
@@ -163,37 +162,36 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
-func run(exp string, seed int64, csvDir string, list bool, parallel int) error {
+// run prints every experiment's report (or one, with exp) and returns the
+// reports, rendered in registry order whatever the worker count.
+func run(exp string, seed int64, csvDir string, list bool, parallel int) ([]*experiment.Report, error) {
 	if list {
 		for _, info := range experiment.List() {
 			fmt.Printf("%-16s %s\n", info.ID, info.Title)
 		}
-		return nil
+		return nil, nil
 	}
-	experiment.SetParallelism(parallel)
 	ids := experiment.IDs()
 	if exp != "" {
 		ids = []string{exp}
 	}
-	// Fan the experiments out through the runner, then render the reports
-	// serially in registry order: output bytes are identical to a serial
-	// loop's regardless of the worker count.
-	reports, err := runner.Map(context.Background(), parallel, ids, func(_ context.Context, id string) (*experiment.Report, error) {
-		return experiment.Run(id, seed)
-	})
+	reports, err := experiment.RunAll(context.Background(), ids, seed, parallel)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := experiment.WriteReports(os.Stdout, reports); err != nil {
-		return err
+	for _, rep := range reports {
+		if err := rep.WriteText(os.Stdout); err != nil {
+			return nil, err
+		}
+		fmt.Println()
 	}
 	if csvDir != "" {
 		for _, rep := range reports {
 			if err := rep.WriteCSV(csvDir); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		fmt.Printf("CSV series written to %s\n", csvDir)
 	}
-	return nil
+	return reports, nil
 }

@@ -10,14 +10,14 @@ import (
 )
 
 func TestRunList(t *testing.T) {
-	if err := run("", 1, "", true, 1); err != nil {
+	if _, err := run("", 1, "", true, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunSingleWithCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("fig5", 1, dir, false, 1); err != nil {
+	if _, err := run("fig5", 1, dir, false, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig5_rows.csv")); err != nil {
@@ -26,8 +26,32 @@ func TestRunSingleWithCSV(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("bogus", 1, "", false, 1); err == nil {
+	if _, err := run("bogus", 1, "", false, 1); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestRunSameDigestsAtAnyParallelism: the worker count reaches each
+// experiment's sweeps as an argument, and the reports digest the same at
+// -parallel 1 and 4.
+func TestRunSameDigestsAtAnyParallelism(t *testing.T) {
+	for _, id := range []string{"fig5", "table2", "ext-tune"} {
+		var digests [2]string
+		for i, parallel := range []int{1, 4} {
+			reports, err := run(id, 1, "", false, parallel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(reports) != 1 || reports[0].ID != id {
+				t.Fatalf("%s at -parallel %d: got %d reports", id, parallel, len(reports))
+			}
+			if digests[i], err = reports[0].Digest(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if digests[0] != digests[1] {
+			t.Errorf("%s: digest %s at -parallel 1, %s at -parallel 4", id, digests[0], digests[1])
+		}
 	}
 }
 

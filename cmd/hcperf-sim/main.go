@@ -15,14 +15,17 @@
 //	hcperf-sim -spec examples/specs/fusion-overload.json  # declarative spec
 //	hcperf-sim -store results/ -scenario carfollow     # persist + replay results
 //	hcperf-sim -mode rt -duration 5 -scheme hcperf     # wall-clock executor
-//	hcperf-sim -mode suite -parallel 4                 # full experiment suite
 //	hcperf-sim -mode tune -budget 32 -parallel 0       # coordinator policy search
 //	hcperf-sim -mode tune -spec tpl.json -strategy grid -report tune.json
 //
-// Every deterministic mode (sim, spec, suite, tune) goes through the
-// internal/run pipeline: the request is normalized and content-addressed,
-// and with -store the result persists to a disk store shared byte-for-byte
-// with hcperf-serve -store — a CLI run pre-warms the server's cache and a
+// Each mode reads only its own flags (see modeFlags); setting any other
+// flag is a usage error (exit 2). The full experiment suite is
+// hcperf-bench's.
+//
+// Both deterministic modes (sim, tune) go through the internal/run
+// pipeline: the request is normalized and content-addressed, and with
+// -store the result persists to a disk store shared byte-for-byte with
+// hcperf-serve -store — a CLI run pre-warms the server's cache and a
 // server-computed result replays here without recomputation.
 package main
 
@@ -32,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -40,7 +44,6 @@ import (
 	"hcperf/internal/lifecycle"
 	"hcperf/internal/rt"
 	runpkg "hcperf/internal/run"
-	"hcperf/internal/runner"
 	"hcperf/internal/scenario"
 	"hcperf/internal/sched"
 	"hcperf/internal/search"
@@ -50,40 +53,16 @@ import (
 )
 
 func main() {
-	var (
-		scenarioName = flag.String("scenario", "carfollow", "carfollow | lanekeep | motivation | hardware | jam | combined")
-		schemeName   = flag.String("scheme", "hcperf", "hpf | edf | edfvd | apollo | hcperf | hcperf-internal")
-		seed         = flag.Int64("seed", 1, "random seed")
-		duration     = flag.Float64("duration", 0, "override scenario duration (seconds; 0 = default)")
-		csvPath      = flag.String("csv", "", "write recorded series to this CSV file")
-		tracePath    = flag.String("trace", "", "write per-job lifecycle events to this file (.csv = CSV, else Chrome trace JSON)")
-		specPath     = flag.String("spec", "", "run a declarative scenario spec from this JSON file (overrides -scenario/-scheme/-seed/-duration)")
-		storeDir     = flag.String("store", "", "persist results to this disk store directory (shared with hcperf-serve -store)")
-		mode         = flag.String("mode", "sim", "sim (discrete-event) | rt (wall clock) | suite (full experiment suite) | tune (coordinator policy search)")
-		parallel     = flag.Int("parallel", 1, "suite/tune worker count: N>=1 workers, 0 = GOMAXPROCS")
-		budget       = flag.Int("budget", 0, "tune candidate-evaluation budget (0 = default)")
-		strategy     = flag.String("strategy", "", "tune search strategy: evolve | grid | random (default evolve)")
-		tuneSeeds    = flag.Int("seeds", 0, "tune replicas per candidate (0 = default)")
-		objectives   = flag.String("objectives", "", "tune objectives, comma-separated (default all: "+strings.Join(search.ObjectiveNames(), ",")+")")
-		reportPath   = flag.String("report", "", "tune: write the full search report JSON to this file")
-		showVersion  = flag.Bool("version", false, "print build identity and exit")
-	)
-	flag.Parse()
-	if *showVersion {
+	opts, showVersion, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hcperf-sim:", err)
+		os.Exit(2)
+	}
+	if showVersion {
 		fmt.Println(version.Get())
 		return
 	}
-	opts := options{
-		Scenario: *scenarioName, Scheme: *schemeName,
-		Seed: *seed, Duration: *duration,
-		CSVPath: *csvPath, TracePath: *tracePath, SpecPath: *specPath,
-		StoreDir: *storeDir, Mode: *mode,
-		Parallel: *parallel,
-		Budget:   *budget, Strategy: *strategy, TuneSeeds: *tuneSeeds,
-		Objectives: *objectives, ReportPath: *reportPath,
-	}
-	var err error
-	if *mode == "tune" {
+	if opts.Mode == "tune" {
 		err = runTune(opts)
 	} else {
 		err = run(opts)
@@ -92,6 +71,60 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hcperf-sim:", err)
 		os.Exit(1)
 	}
+}
+
+// modeFlags lists the flags each mode reads. -mode and -version are read
+// by every invocation; setting any flag outside its mode's list is
+// rejected before anything runs, because the mode would silently ignore
+// it.
+var modeFlags = map[string][]string{
+	"sim":  {"scenario", "scheme", "seed", "duration", "csv", "trace", "spec", "store"},
+	"rt":   {"scheme", "seed", "duration", "trace"},
+	"tune": {"scenario", "seed", "duration", "spec", "store", "parallel", "budget", "strategy", "seeds", "objectives", "report"},
+}
+
+// parseFlags parses one command line into options and checks every flag
+// it sets against modeFlags. A syntax error exits 2 inside the flag
+// package; an unknown mode or a flag the mode does not read returns an
+// error naming it.
+func parseFlags(args []string) (opts options, showVersion bool, err error) {
+	fs := flagSet(&opts, &showVersion)
+	fs.Parse(args)
+	if showVersion {
+		return opts, true, nil
+	}
+	reads, ok := modeFlags[opts.Mode]
+	if !ok {
+		return opts, false, fmt.Errorf("unknown mode %q (have sim, rt, tune)", opts.Mode)
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && f.Name != "mode" && !slices.Contains(reads, f.Name) {
+			err = fmt.Errorf("-%s is not read in %s mode", f.Name, opts.Mode)
+		}
+	})
+	return opts, false, err
+}
+
+// flagSet defines every hcperf-sim flag over opts and showVersion.
+func flagSet(opts *options, showVersion *bool) *flag.FlagSet {
+	fs := flag.NewFlagSet("hcperf-sim", flag.ExitOnError)
+	fs.StringVar(&opts.Scenario, "scenario", "carfollow", "carfollow | lanekeep | motivation | hardware | jam | combined")
+	fs.StringVar(&opts.Scheme, "scheme", "hcperf", "hpf | edf | edfvd | apollo | hcperf | hcperf-internal")
+	fs.Int64Var(&opts.Seed, "seed", 1, "random seed")
+	fs.Float64Var(&opts.Duration, "duration", 0, "override scenario duration (seconds; 0 = default)")
+	fs.StringVar(&opts.CSVPath, "csv", "", "write recorded series to this CSV file")
+	fs.StringVar(&opts.TracePath, "trace", "", "write per-job lifecycle events to this file (.csv = CSV, else Chrome trace JSON)")
+	fs.StringVar(&opts.SpecPath, "spec", "", "run a declarative scenario spec from this JSON file (overrides -scenario/-scheme/-seed/-duration)")
+	fs.StringVar(&opts.StoreDir, "store", "", "persist results to this disk store directory (shared with hcperf-serve -store)")
+	fs.StringVar(&opts.Mode, "mode", "sim", "sim (discrete-event) | rt (wall clock) | tune (coordinator policy search)")
+	fs.IntVar(&opts.Parallel, "parallel", 1, "tune worker count: N>=1 workers, 0 = GOMAXPROCS")
+	fs.IntVar(&opts.Budget, "budget", 0, "tune candidate-evaluation budget (0 = default)")
+	fs.StringVar(&opts.Strategy, "strategy", "", "tune search strategy: evolve | grid | random (default evolve)")
+	fs.IntVar(&opts.TuneSeeds, "seeds", 0, "tune replicas per candidate (0 = default)")
+	fs.StringVar(&opts.Objectives, "objectives", "", "tune objectives, comma-separated (default all: "+strings.Join(search.ObjectiveNames(), ",")+")")
+	fs.StringVar(&opts.ReportPath, "report", "", "tune: write the full search report JSON to this file")
+	fs.BoolVar(showVersion, "version", false, "print build identity and exit")
+	return fs
 }
 
 // options carries one CLI invocation's resolved flags.
@@ -115,26 +148,21 @@ type options struct {
 	Metrics *store.Metrics
 }
 
-// newPipeline builds this invocation's run pipeline and the store counters
-// it reports into: when -store is set, the disk tier shared byte-for-byte
-// with hcperf-serve. An unusable store directory — the read-only-volume
-// failure mode — degrades to no persistence with a warning rather than
-// failing the run.
-func newPipeline(opts options) (*runpkg.Pipeline, *store.Metrics) {
-	m := opts.Metrics
-	if m == nil {
-		m = &store.Metrics{}
-	}
+// newPipeline builds this invocation's run pipeline: when -store is set,
+// with the disk tier shared byte-for-byte with hcperf-serve. An unusable
+// store directory — the read-only-volume failure mode — degrades to no
+// persistence with a warning rather than failing the run.
+func newPipeline(opts options) *runpkg.Pipeline {
 	p := &runpkg.Pipeline{}
 	if opts.StoreDir != "" {
-		d, err := store.OpenDisk(opts.StoreDir, 0, m)
+		d, err := store.OpenDisk(opts.StoreDir, 0, opts.Metrics)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hcperf-sim: %v; continuing without persistence\n", err)
 		} else {
 			p.Disk = d
 		}
 	}
-	return p, m
+	return p
 }
 
 // runTune performs a coordinator policy search through the run pipeline:
@@ -179,7 +207,7 @@ func runTune(opts options) error {
 		fmt.Printf("tune: gen %d done, %d/%d candidates evaluated\n", p.Generations, p.Evaluated, norm.Budget)
 	})
 	ctx = runpkg.WithParallelism(ctx, opts.Parallel)
-	p, _ := newPipeline(opts)
+	p := newPipeline(opts)
 	res, tier, _, err := p.Run(ctx, runpkg.Request{Optimize: &norm})
 	if err != nil {
 		return err
@@ -271,22 +299,7 @@ func writeTraceEvents(tracePath string, events []lifecycle.Event) error {
 }
 
 func run(opts options) error {
-	if opts.Mode == "suite" || opts.Mode == "experiments" {
-		if opts.TracePath != "" {
-			return fmt.Errorf("-trace is not supported in suite mode")
-		}
-		if opts.SpecPath != "" {
-			return fmt.Errorf("-spec is not supported in suite mode")
-		}
-		return runSuite(opts)
-	}
 	if opts.Mode == "rt" {
-		if opts.SpecPath != "" {
-			return fmt.Errorf("-spec is not supported in rt mode")
-		}
-		if opts.StoreDir != "" {
-			return fmt.Errorf("-store is not supported in rt mode (wall-clock runs are not content-addressable)")
-		}
 		scheme, err := parseScheme(opts.Scheme)
 		if err != nil {
 			return err
@@ -334,7 +347,7 @@ func run(opts options) error {
 		req.Duration = opts.Duration
 	}
 
-	p, _ := newPipeline(opts)
+	p := newPipeline(opts)
 	res, tier, digest, err := p.Run(context.Background(), req)
 	if err != nil {
 		return err
@@ -369,42 +382,6 @@ func run(opts options) error {
 		fmt.Printf("series written to %s\n", opts.CSVPath)
 	}
 	return writeTraceEvents(opts.TracePath, res.Events)
-}
-
-// runSuite reproduces the full evaluation — every registered experiment —
-// through the run pipeline. Experiments fan out across the worker pool and
-// each experiment's internal scheme/seed sweeps use the same worker count,
-// so -parallel N engages the whole machine while the reports stay in
-// deterministic registry order (and, by the determinism harness, stay
-// byte-identical to a serial run). With -store each report is
-// content-addressed, so a repeated suite — or one warmed by hcperf-serve —
-// replays finished experiments from disk instead of recomputing them.
-func runSuite(opts options) error {
-	experiment.SetParallelism(opts.Parallel)
-	list := experiment.List()
-	fmt.Printf("suite: %d experiments (%s..%s)\n", len(list), list[0].ID, list[len(list)-1].ID)
-	start := time.Now()
-	p, m := newPipeline(opts)
-	reports, err := runner.Map(context.Background(), opts.Parallel, experiment.IDs(),
-		func(ctx context.Context, id string) (*experiment.Report, error) {
-			res, _, _, err := p.Run(ctx, runpkg.Request{Experiment: id, Seed: opts.Seed})
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", id, err)
-			}
-			return res.Report, nil
-		})
-	if err != nil {
-		return fmt.Errorf("experiment: %w", err)
-	}
-	if err := experiment.WriteReports(os.Stdout, reports); err != nil {
-		return err
-	}
-	if hits := m.DiskHits.Load(); hits > 0 {
-		fmt.Printf("suite: %d of %d reports replayed from %s\n", hits, len(reports), opts.StoreDir)
-	}
-	fmt.Printf("suite: %d experiments, seed %d, parallel=%d, %.2fs\n",
-		len(reports), opts.Seed, opts.Parallel, time.Since(start).Seconds())
-	return nil
 }
 
 // runWallClock demonstrates the real-time executor: the 23-task graph on

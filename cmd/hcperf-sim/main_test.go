@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -125,15 +127,59 @@ func TestRunWritesTraceCSV(t *testing.T) {
 	}
 }
 
-func TestRunSuiteParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment suite")
+// TestSuiteModesAreUnknown: the experiment suite is hcperf-bench's, so
+// the removed suite mode and its alias fail as unknown modes.
+func TestSuiteModesAreUnknown(t *testing.T) {
+	for _, mode := range []string{"suite", "experiments"} {
+		_, _, err := parseFlags([]string{"-mode", mode})
+		if err == nil || !strings.Contains(err.Error(), "unknown mode") {
+			t.Errorf("-mode %s: err = %v, want unknown mode", mode, err)
+		}
 	}
-	// The suite must complete through the worker pool with multiple
-	// workers; determinism vs the serial run is enforced separately in
-	// internal/runner's harness tests.
-	if err := run(options{Seed: 1, Mode: "suite", Parallel: 4}); err != nil {
-		t.Fatalf("suite run: %v", err)
+}
+
+// TestModeFlagTable sets every flag in every mode: a flag the mode reads
+// parses, and any other fails naming the flag and the mode.
+func TestModeFlagTable(t *testing.T) {
+	reads := map[string][]string{
+		"sim":  strings.Fields("scenario scheme seed duration csv trace spec store"),
+		"rt":   strings.Fields("scheme seed duration trace"),
+		"tune": strings.Fields("scenario seed duration spec store parallel budget strategy seeds objectives report"),
+	}
+	if len(modeFlags) != len(reads) {
+		t.Fatalf("modeFlags has %d modes, want %d", len(modeFlags), len(reads))
+	}
+	var all []*flag.Flag
+	flagSet(&options{}, new(bool)).VisitAll(func(f *flag.Flag) {
+		if f.Name != "mode" && f.Name != "version" {
+			all = append(all, f)
+		}
+	})
+	for mode, names := range reads {
+		for _, f := range all {
+			_, _, err := parseFlags([]string{"-mode", mode, "-" + f.Name + "=" + f.DefValue})
+			switch {
+			case slices.Contains(names, f.Name):
+				if err != nil {
+					t.Errorf("%s mode rejects -%s: %v", mode, f.Name, err)
+				}
+			case err == nil || !strings.Contains(err.Error(), "-"+f.Name) || !strings.Contains(err.Error(), mode+" mode"):
+				t.Errorf("%s mode with -%s: err = %v, want a rejection naming the flag and the mode", mode, f.Name, err)
+			}
+		}
+	}
+	// The two misconfigurations that used to run silently.
+	for _, args := range [][]string{
+		{"-scenario", "lanekeep", "-duration", "2", "-budget", "99", "-strategy", "grid", "-parallel", "3"},
+		{"-mode", "rt", "-scenario", "lanekeep", "-csv", "x.csv"},
+	} {
+		if _, _, err := parseFlags(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+	// -spec still overrides the scenario shorthand in sim mode.
+	if _, _, err := parseFlags([]string{"-spec", "s.json", "-scenario", "jam", "-seed", "3"}); err != nil {
+		t.Errorf("-spec with -scenario/-seed: %v", err)
 	}
 }
 
@@ -247,7 +293,7 @@ func TestRunSpecFileRejectsInvalid(t *testing.T) {
 
 func TestRunSpecRejectedOutsideSimMode(t *testing.T) {
 	for _, mode := range []string{"suite", "rt"} {
-		if err := run(options{Mode: mode, Parallel: 1, SpecPath: "spec.json"}); err == nil {
+		if _, _, err := parseFlags([]string{"-mode", mode, "-spec", "spec.json"}); err == nil {
 			t.Errorf("-spec accepted in %s mode", mode)
 		}
 	}
@@ -315,10 +361,8 @@ func TestRunStoreDegradesWhenUnusable(t *testing.T) {
 // TestRunStoreRejectedInRTMode: wall-clock runs are not deterministic, so
 // they are not content-addressable and -store must be refused outright.
 func TestRunStoreRejectedInRTMode(t *testing.T) {
-	opts := simOpts()
-	opts.Mode = "rt"
-	opts.StoreDir = t.TempDir()
-	if err := run(opts); err == nil || !strings.Contains(err.Error(), "-store") {
+	_, _, err := parseFlags([]string{"-mode", "rt", "-store", t.TempDir()})
+	if err == nil || !strings.Contains(err.Error(), "-store") {
 		t.Errorf("rt-mode -store error = %v, want rejection mentioning -store", err)
 	}
 }

@@ -234,36 +234,6 @@ func (e *Engine) SetSourceRate(id dag.TaskID, hz float64) (float64, error) {
 // SourceRate returns the current rate of a source task.
 func (e *Engine) SourceRate(id dag.TaskID) float64 { return e.k.Rate(id) }
 
-// SourceRates returns the current rates of all source tasks keyed by ID.
-func (e *Engine) SourceRates() map[dag.TaskID]float64 {
-	out := make(map[dag.TaskID]float64)
-	for id, tk := range e.tickers {
-		if tk != nil {
-			out[dag.TaskID(id)] = e.k.Rate(dag.TaskID(id))
-		}
-	}
-	return out
-}
-
-// ScaleSourceRates multiplies every source rate by factor (clamped to each
-// task's range), implementing the Task Rate Adapter's joint adjustment.
-// Sources are retuned in task-ID order, so the adjustment is deterministic.
-func (e *Engine) ScaleSourceRates(factor float64) error {
-	if factor <= 0 {
-		return fmt.Errorf("engine: non-positive rate factor %v", factor)
-	}
-	for id, tk := range e.tickers {
-		if tk == nil {
-			continue
-		}
-		tid := dag.TaskID(id)
-		if _, err := e.SetSourceRate(tid, e.k.Rate(tid)*factor); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Graph returns the executing graph.
 func (e *Engine) Graph() *dag.Graph { return e.k.Graph() }
 

@@ -259,28 +259,6 @@ func TestSetSourceRateClamped(t *testing.T) {
 	}
 }
 
-func TestScaleSourceRates(t *testing.T) {
-	g := chainGraph(t, 1*ms, 1*ms, 1*ms, 50*ms)
-	e, _ := newEngine(t, g, Config{})
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	src := g.TaskByName("source")
-	if err := e.ScaleSourceRates(1.5); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.SourceRate(src.ID); got != 15 {
-		t.Errorf("scaled rate = %v, want 15", got)
-	}
-	if err := e.ScaleSourceRates(0); err == nil {
-		t.Error("zero factor accepted")
-	}
-	rates := e.SourceRates()
-	if len(rates) != 1 || rates[src.ID] != 15 {
-		t.Errorf("SourceRates = %v", rates)
-	}
-}
-
 func TestRateChangeTakesEffect(t *testing.T) {
 	g := chainGraph(t, 1*ms, 1*ms, 1*ms, 50*ms)
 	e, q := newEngine(t, g, Config{})

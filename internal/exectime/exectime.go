@@ -218,39 +218,6 @@ func (p *Profile) Sample(rng *rand.Rand, at simtime.Time, scene Scene) simtime.D
 // Nominal implements Model.
 func (p *Profile) Nominal() simtime.Duration { return p.Inner.Nominal() }
 
-// Jitter wraps a model with multiplicative uniform noise of relative
-// amplitude Rel (sampled factor in [1-Rel, 1+Rel]).
-type Jitter struct {
-	Inner Model
-	Rel   float64
-}
-
-// NewJitter validates and builds a Jitter wrapper.
-func NewJitter(inner Model, rel float64) (Jitter, error) {
-	if inner == nil {
-		return Jitter{}, errors.New("exectime: jitter with nil inner model")
-	}
-	if rel < 0 || rel >= 1 {
-		return Jitter{}, fmt.Errorf("exectime: jitter amplitude %v outside [0,1)", rel)
-	}
-	return Jitter{Inner: inner, Rel: rel}, nil
-}
-
-// Sample implements Model.
-func (j Jitter) Sample(rng *rand.Rand, at simtime.Time, scene Scene) simtime.Duration {
-	d := j.Inner.Sample(rng, at, scene)
-	if j.Rel > 0 {
-		d *= simtime.Duration(1 + j.Rel*(2*rng.Float64()-1))
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// Nominal implements Model.
-func (j Jitter) Nominal() simtime.Duration { return j.Inner.Nominal() }
-
 func clampDur(x, lo, hi simtime.Duration) simtime.Duration {
 	if x < lo {
 		return lo

@@ -222,29 +222,6 @@ func TestProfileCopiesSteps(t *testing.T) {
 	}
 }
 
-func TestJitter(t *testing.T) {
-	if _, err := NewJitter(nil, 0.1); err == nil {
-		t.Error("nil inner accepted")
-	}
-	if _, err := NewJitter(Constant(1), 1.0); err == nil {
-		t.Error("rel = 1 accepted")
-	}
-	j, err := NewJitter(Constant(0.1), 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 500; i++ {
-		d := j.Sample(rng, 0, NominalScene())
-		if d < 0.08-1e-12 || d > 0.12+1e-12 {
-			t.Fatalf("jittered sample %v outside [0.08,0.12]", d)
-		}
-	}
-	if j.Nominal() != 0.1 {
-		t.Errorf("Nominal = %v, want 0.1", j.Nominal())
-	}
-}
-
 // Property: all models produce non-negative samples for arbitrary scenes
 // and times.
 func TestQuickSamplesNonNegative(t *testing.T) {

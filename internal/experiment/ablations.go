@@ -31,9 +31,9 @@ func init() {
 // AblateGammaCap sweeps the Dynamic scheduler's γ cap on car following
 // (internal coordinator only, isolating the γ mechanism): cap → 0 is
 // least-slack scheduling, large caps saturate into static-priority mode.
-func AblateGammaCap(seed int64) (*Report, error) {
+func AblateGammaCap(seed int64, workers int) (*Report, error) {
 	caps := []float64{1e-6, 0.005, 0.02, 0.1}
-	results, err := sweep(caps, func(cap float64) (*scenario.CarFollowingResult, error) {
+	results, err := sweep(workers, caps, func(cap float64) (*scenario.CarFollowingResult, error) {
 		return scenario.RunCarFollowing(scenario.CarFollowingConfig{
 			Scheme:   scenario.SchemeHCPerfInternal,
 			Seed:     seed,
@@ -68,7 +68,7 @@ func AblateGammaCap(seed int64) (*Report, error) {
 // end-to-end deadline and the input-age validity bound — individually and
 // together, for HCPerf. Misses are the rate adapter's only feedback signal,
 // so removing both guards leaves it blind to latency.
-func AblateE2E(seed int64) (*Report, error) {
+func AblateE2E(seed int64, workers int) (*Report, error) {
 	type variant struct {
 		label      string
 		disableE2E bool
@@ -80,7 +80,7 @@ func AblateE2E(seed int64) (*Report, error) {
 		{label: "no input-age bound", age: -1},
 		{label: "neither guard", disableE2E: true, age: -1},
 	}
-	results, err := sweep(variants, func(v variant) (*scenario.CarFollowingResult, error) {
+	results, err := sweep(workers, variants, func(v variant) (*scenario.CarFollowingResult, error) {
 		return scenario.RunCarFollowing(scenario.CarFollowingConfig{
 			Scheme:     scenario.SchemeHCPerf,
 			Seed:       seed,
@@ -116,7 +116,7 @@ func AblateE2E(seed int64) (*Report, error) {
 // AblateDataAge toggles the input-age validity bound: without it, starving
 // auxiliary tasks is free and static-priority policies look artificially
 // good (they shed exactly the work the metric ignores).
-func AblateDataAge(seed int64) (*Report, error) {
+func AblateDataAge(seed int64, workers int) (*Report, error) {
 	type variant struct {
 		label string
 		age   simtime.Duration
@@ -135,7 +135,7 @@ func AblateDataAge(seed int64) (*Report, error) {
 			grid = append(grid, cell{v: v, s: s})
 		}
 	}
-	results, err := sweep(grid, func(c cell) (*scenario.CarFollowingResult, error) {
+	results, err := sweep(workers, grid, func(c cell) (*scenario.CarFollowingResult, error) {
 		return scenario.RunCarFollowing(scenario.CarFollowingConfig{
 			Scheme:     c.s,
 			Seed:       seed,
@@ -168,7 +168,7 @@ func AblateDataAge(seed int64) (*Report, error) {
 
 // SweepProcs sweeps the processor count for HCPerf and EDF: the framework's
 // advantage is largest when the pool is scarce.
-func SweepProcs(seed int64) (*Report, error) {
+func SweepProcs(seed int64, workers int) (*Report, error) {
 	type cell struct {
 		m int
 		s scenario.Scheme
@@ -179,7 +179,7 @@ func SweepProcs(seed int64) (*Report, error) {
 			grid = append(grid, cell{m: m, s: s})
 		}
 	}
-	results, err := sweep(grid, func(c cell) (*scenario.CarFollowingResult, error) {
+	results, err := sweep(workers, grid, func(c cell) (*scenario.CarFollowingResult, error) {
 		return scenario.RunCarFollowing(scenario.CarFollowingConfig{
 			Scheme:   c.s,
 			Seed:     seed,
@@ -213,7 +213,7 @@ func SweepProcs(seed int64) (*Report, error) {
 // ExtAEB runs the emergency-braking extension: the lead panic-stops at
 // 7 m/s² while the scene complexity spikes; the minimum gap is the
 // stopping margin each scheduling scheme preserves.
-func ExtAEB(seed int64) (*Report, error) {
+func ExtAEB(seed int64, workers int) (*Report, error) {
 	const runs = 8 // single-event margins are command-phase sensitive
 	// Fan out the full scheme × seed grid: all 40 runs are independent, so
 	// the pool chews through them in any order while the aggregation below
@@ -229,7 +229,7 @@ func ExtAEB(seed int64) (*Report, error) {
 			grid = append(grid, cfg)
 		}
 	}
-	results, err := sweep(grid, scenario.RunCarFollowing)
+	results, err := sweep(workers, grid, scenario.RunCarFollowing)
 	if err != nil {
 		return nil, err
 	}
@@ -277,9 +277,9 @@ func ExtAEB(seed int64) (*Report, error) {
 // ExtDualControl runs the dual-sink extension: simultaneous car following
 // and lane keeping on the 24-task graph with separate longitudinal and
 // lateral control tasks.
-func ExtDualControl(seed int64) (*Report, error) {
+func ExtDualControl(seed int64, workers int) (*Report, error) {
 	schemes := scenario.AllSchemes()
-	results, err := sweep(schemes, func(s scenario.Scheme) (*scenario.CombinedResult, error) {
+	results, err := sweep(workers, schemes, func(s scenario.Scheme) (*scenario.CombinedResult, error) {
 		return scenario.RunCombined(scenario.CombinedConfig{Scheme: s, Seed: seed})
 	})
 	if err != nil {

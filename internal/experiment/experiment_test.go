@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -34,13 +35,13 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestRunUnknown(t *testing.T) {
-	if _, err := Run("nope", 1); err == nil {
+	if _, err := Run("nope", 1, 1); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
 func TestFig5ExactMatch(t *testing.T) {
-	rep, err := Run("fig5", 1)
+	rep, err := Run("fig5", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestFig5ExactMatch(t *testing.T) {
 }
 
 func TestFig4Collision(t *testing.T) {
-	rep, err := Run("fig4", 1)
+	rep, err := Run("fig4", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestFig4Collision(t *testing.T) {
 }
 
 func TestFig12Monotonicity(t *testing.T) {
-	rep, err := Run("fig12", 1)
+	rep, err := Run("fig12", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestTable2HCPerfWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	rep, err := Run("table2", 1)
+	rep, err := Run("table2", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestOverheadWithinPaperBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full run")
 	}
-	rep, err := Run("overhead", 1)
+	rep, err := Run("overhead", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestOverheadWithinPaperBound(t *testing.T) {
 }
 
 func TestWriteTextAndCSV(t *testing.T) {
-	rep, err := Run("fig5", 1)
+	rep, err := Run("fig5", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestWriteTextAndCSV(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	rep2, err := Run("fig4", 1)
+	rep2, err := Run("fig4", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,4 +188,38 @@ func fmtSscan(s string, v *float64) (int, error) {
 
 func sscan(s string, v *float64) (int, error) {
 	return fmt.Sscan(s, v)
+}
+
+// TestRunConcurrentWorkerCounts runs experiments at 1 and 4 workers from
+// concurrent goroutines. The worker count is each call's own argument, so
+// no run can change another's, and every run digests to the pinned value.
+func TestRunConcurrentWorkerCounts(t *testing.T) {
+	type call struct {
+		id      string
+		workers int
+	}
+	calls := []call{{"table2", 1}, {"table2", 4}, {"ext-tune", 1}, {"ext-tune", 4}}
+	digests := make([]string, len(calls))
+	errs := make([]error, len(calls))
+	var wg sync.WaitGroup
+	for i, c := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := Run(c.id, 1, c.workers)
+			if err == nil {
+				digests[i], err = rep.Digest()
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i, c := range calls {
+		if errs[i] != nil {
+			t.Fatalf("%s at %d workers: %v", c.id, c.workers, errs[i])
+		}
+		if digests[i] != goldenDigests[c.id] {
+			t.Errorf("%s at %d workers: digest %s, want %s", c.id, c.workers, digests[i], goldenDigests[c.id])
+		}
+	}
 }

@@ -19,10 +19,10 @@ func fmtF(v float64, decimals int) string {
 }
 
 // runCarFollowingSweep runs all five schemes of a car-following variant,
-// fanning the independent runs out across the sweep worker pool. Each run
-// owns its event queue, RNGs, task graph and recorder, so the map assembled
-// afterwards is identical to the one a serial loop builds.
-func runCarFollowingSweep(seed int64, build func(scenario.Scheme) (scenario.CarFollowingConfig, error)) (map[scenario.Scheme]*scenario.CarFollowingResult, error) {
+// fanning the independent runs out across workers. Each run owns its event
+// queue, RNGs, task graph and recorder, so the map assembled afterwards is
+// identical to the one a serial loop builds.
+func runCarFollowingSweep(workers int, build func(scenario.Scheme) (scenario.CarFollowingConfig, error)) (map[scenario.Scheme]*scenario.CarFollowingResult, error) {
 	schemes := scenario.AllSchemes()
 	cfgs := make([]scenario.CarFollowingConfig, len(schemes))
 	for i, s := range schemes {
@@ -32,7 +32,7 @@ func runCarFollowingSweep(seed int64, build func(scenario.Scheme) (scenario.CarF
 		}
 		cfgs[i] = cfg
 	}
-	results, err := sweep(cfgs, scenario.RunCarFollowing)
+	results, err := sweep(workers, cfgs, scenario.RunCarFollowing)
 	if err != nil {
 		return nil, err
 	}
@@ -43,8 +43,8 @@ func runCarFollowingSweep(seed int64, build func(scenario.Scheme) (scenario.CarF
 	return out, nil
 }
 
-func simCarFollowing(seed int64) (map[scenario.Scheme]*scenario.CarFollowingResult, error) {
-	return runCarFollowingSweep(seed, func(s scenario.Scheme) (scenario.CarFollowingConfig, error) {
+func simCarFollowing(seed int64, workers int) (map[scenario.Scheme]*scenario.CarFollowingResult, error) {
+	return runCarFollowingSweep(workers, func(s scenario.Scheme) (scenario.CarFollowingConfig, error) {
 		return scenario.CarFollowingConfig{Scheme: s, Seed: seed}, nil
 	})
 }
@@ -52,7 +52,7 @@ func simCarFollowing(seed int64) (map[scenario.Scheme]*scenario.CarFollowingResu
 // Fig4Motivation reproduces the §II motivation experiment: the red-light
 // scenario under Apollo's static-priority scheduling ends in a collision
 // while the deadline-miss ratio ramps (Fig. 4(a) and 4(b)).
-func Fig4Motivation(seed int64) (*Report, error) {
+func Fig4Motivation(seed int64, _ int) (*Report, error) {
 	r, err := scenario.RunMotivation(scenario.MotivationConfig{Scheme: scenario.SchemeApollo, Seed: seed})
 	if err != nil {
 		return nil, err
@@ -99,7 +99,7 @@ func avgRatio(ratios []float64, from, to int) float64 {
 // 9 s; the performance-preferred schedule groups by control cycle and emits
 // them at t = 3, 6, 9 s. HCPerf's γ mechanism produces exactly the
 // preferred grouping when the static priorities encode the cycle index.
-func Fig5ToySchedule(int64) (*Report, error) {
+func Fig5ToySchedule(int64, int) (*Report, error) {
 	type toyJob struct {
 		name     string
 		cycle    int
@@ -195,7 +195,7 @@ func fmtTimes(ts []float64) []string {
 // Fig12ExecTimes reproduces the execution-time characterisation: sampled
 // execution times of representative tasks across scene complexities,
 // showing the O(n^3) fusion blow-up and the linear detection growth.
-func Fig12ExecTimes(seed int64) (*Report, error) {
+func Fig12ExecTimes(seed int64, _ int) (*Report, error) {
 	g, err := dag.ADGraph23()
 	if err != nil {
 		return nil, err
@@ -242,8 +242,8 @@ func Fig12ExecTimes(seed int64) (*Report, error) {
 // Fig13CarFollowing reproduces the car-following evaluation's time series:
 // speeds, speed error, distance error and per-second deadline-miss ratio
 // for all five schemes (Fig. 13(a)-(d)).
-func Fig13CarFollowing(seed int64) (*Report, error) {
-	results, err := simCarFollowing(seed)
+func Fig13CarFollowing(seed int64, workers int) (*Report, error) {
+	results, err := simCarFollowing(seed, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -290,8 +290,8 @@ func Fig13CarFollowing(seed int64) (*Report, error) {
 
 // Table2SpeedRMS reproduces Table II: RMS speed tracking error of the five
 // schemes in the car-following simulation.
-func Table2SpeedRMS(seed int64) (*Report, error) {
-	results, err := simCarFollowing(seed)
+func Table2SpeedRMS(seed int64, workers int) (*Report, error) {
+	results, err := simCarFollowing(seed, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -301,8 +301,8 @@ func Table2SpeedRMS(seed int64) (*Report, error) {
 }
 
 // Table3DistanceRMS reproduces Table III: RMS distance tracking error.
-func Table3DistanceRMS(seed int64) (*Report, error) {
-	results, err := simCarFollowing(seed)
+func Table3DistanceRMS(seed int64, workers int) (*Report, error) {
+	results, err := simCarFollowing(seed, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -335,9 +335,9 @@ func rmsTable(id, title string, results map[scenario.Scheme]*scenario.CarFollowi
 
 // Fig14LaneKeeping reproduces the loop-driving experiment's offset series
 // (Fig. 14(b)) for all five schemes.
-func Fig14LaneKeeping(seed int64) (*Report, error) {
+func Fig14LaneKeeping(seed int64, workers int) (*Report, error) {
 	schemes := scenario.AllSchemes()
-	results, err := sweep(schemes, func(s scenario.Scheme) (*scenario.LaneKeepingResult, error) {
+	results, err := sweep(workers, schemes, func(s scenario.Scheme) (*scenario.LaneKeepingResult, error) {
 		return scenario.RunLaneKeeping(scenario.LaneKeepingConfig{Scheme: s, Seed: seed})
 	})
 	if err != nil {
@@ -367,13 +367,13 @@ func Fig14LaneKeeping(seed int64) (*Report, error) {
 }
 
 // Table4LateralRMS reproduces Table IV: RMS lateral offset error.
-func Table4LateralRMS(seed int64) (*Report, error) {
+func Table4LateralRMS(seed int64, workers int) (*Report, error) {
 	header := []string{"metric"}
 	measured := []string{"measured"}
 	paper := []string{"paper"}
 	paperVals := []string{"0.093", "0.075", "0.051", "0.159", "0.027"}
 	schemes := scenario.AllSchemes()
-	results, err := sweep(schemes, func(s scenario.Scheme) (*scenario.LaneKeepingResult, error) {
+	results, err := sweep(workers, schemes, func(s scenario.Scheme) (*scenario.LaneKeepingResult, error) {
 		return scenario.RunLaneKeeping(scenario.LaneKeepingConfig{Scheme: s, Seed: seed})
 	})
 	if err != nil {
@@ -396,8 +396,8 @@ func Table4LateralRMS(seed int64) (*Report, error) {
 	}, nil
 }
 
-func hardwareResults(seed int64) (map[scenario.Scheme]*scenario.CarFollowingResult, error) {
-	return runCarFollowingSweep(seed, func(s scenario.Scheme) (scenario.CarFollowingConfig, error) {
+func hardwareResults(seed int64, workers int) (map[scenario.Scheme]*scenario.CarFollowingResult, error) {
+	return runCarFollowingSweep(workers, func(s scenario.Scheme) (scenario.CarFollowingConfig, error) {
 		return scenario.HardwareCarFollowingConfig(s, seed)
 	})
 }
@@ -405,8 +405,8 @@ func hardwareResults(seed int64) (map[scenario.Scheme]*scenario.CarFollowingResu
 // Fig15Hardware reproduces the hardware-testbed car-following run: speed
 // records, speed error, distance error and per-second miss ratio on the
 // emulated 1:10-scale cars.
-func Fig15Hardware(seed int64) (*Report, error) {
-	results, err := hardwareResults(seed)
+func Fig15Hardware(seed int64, workers int) (*Report, error) {
+	results, err := hardwareResults(seed, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -439,8 +439,8 @@ func Fig15Hardware(seed int64) (*Report, error) {
 }
 
 // Table5HardwareSpeedRMS reproduces Table V.
-func Table5HardwareSpeedRMS(seed int64) (*Report, error) {
-	results, err := hardwareResults(seed)
+func Table5HardwareSpeedRMS(seed int64, workers int) (*Report, error) {
+	results, err := hardwareResults(seed, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -450,8 +450,8 @@ func Table5HardwareSpeedRMS(seed int64) (*Report, error) {
 }
 
 // Table6HardwareDistRMS reproduces Table VI.
-func Table6HardwareDistRMS(seed int64) (*Report, error) {
-	results, err := hardwareResults(seed)
+func Table6HardwareDistRMS(seed int64, workers int) (*Report, error) {
+	results, err := hardwareResults(seed, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -463,7 +463,7 @@ func Table6HardwareDistRMS(seed int64) (*Report, error) {
 // Fig16DrivingProcess reproduces the overall driving process of the
 // traffic-jam episode (Fig. 16): the two cars' speeds and the shrinking
 // gap as the lead brakes into the jam and accelerates out of it.
-func Fig16DrivingProcess(seed int64) (*Report, error) {
+func Fig16DrivingProcess(seed int64, _ int) (*Report, error) {
 	cfg, err := scenario.JamCarFollowingConfig(scenario.SchemeHCPerf, seed)
 	if err != nil {
 		return nil, err
@@ -498,7 +498,7 @@ func Fig16DrivingProcess(seed int64) (*Report, error) {
 // Fig17Responsiveness reproduces the §VII-C study: the traffic-jam episode's
 // tracking (gap) error, control response time and passenger discomfort for
 // HCPerf, showing the responsiveness/throughput trade-off.
-func Fig17Responsiveness(seed int64) (*Report, error) {
+func Fig17Responsiveness(seed int64, _ int) (*Report, error) {
 	cfg, err := scenario.JamCarFollowingConfig(scenario.SchemeHCPerf, seed)
 	if err != nil {
 		return nil, err
@@ -539,7 +539,7 @@ func Fig17Responsiveness(seed int64) (*Report, error) {
 
 // Fig18Ablation reproduces the ablation: full HCPerf vs the internal
 // coordinator alone (no Task Rate Adapter).
-func Fig18Ablation(seed int64) (*Report, error) {
+func Fig18Ablation(seed int64, workers int) (*Report, error) {
 	type variant struct {
 		label  string
 		scheme scenario.Scheme
@@ -548,7 +548,7 @@ func Fig18Ablation(seed int64) (*Report, error) {
 		{label: "full", scheme: scenario.SchemeHCPerf},
 		{label: "internal", scheme: scenario.SchemeHCPerfInternal},
 	}
-	results, err := sweep(variants, func(v variant) (*scenario.CarFollowingResult, error) {
+	results, err := sweep(workers, variants, func(v variant) (*scenario.CarFollowingResult, error) {
 		return scenario.RunCarFollowing(scenario.CarFollowingConfig{Scheme: v.scheme, Seed: seed})
 	})
 	if err != nil {
@@ -587,7 +587,7 @@ func Fig18Ablation(seed int64) (*Report, error) {
 // OverheadAnalysis reproduces §VII-E: the coordinator's own computation
 // cost per coordination step, measured in wall-clock time during a full
 // car-following run.
-func OverheadAnalysis(seed int64) (*Report, error) {
+func OverheadAnalysis(seed int64, _ int) (*Report, error) {
 	r, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Seed: seed})
 	if err != nil {
 		return nil, err

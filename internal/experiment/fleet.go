@@ -23,7 +23,7 @@ func init() {
 // uncoupled (N independent vehicles over the shared obstacle field) and
 // once platoon-coupled — and reports the fleet-wide distribution tails.
 // The attached series is the platoon run's fleet-level aggregate record.
-func ExtFleet(seed int64) (*Report, error) {
+func ExtFleet(seed int64, _ int) (*Report, error) {
 	couplings := []string{"none", "platoon"}
 	rows := make([][]string, 0, len(couplings))
 	var last *fleet.Result

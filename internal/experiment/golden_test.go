@@ -54,7 +54,7 @@ func TestGoldenDigests(t *testing.T) {
 			if !ok {
 				t.Fatalf("experiment %q has no golden digest; run it on seed 1, pin the value and note the addition in EXPERIMENTS.md", id)
 			}
-			rep, err := Run(id, 1)
+			rep, err := Run(id, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,9 +8,9 @@ import (
 )
 
 // Info describes one registered experiment without running it. The listing
-// is the single source the CLIs (hcperf-sim -mode suite, hcperf-bench
-// -list) and the serving layer's GET /v1/experiments all render from, so
-// every surface agrees on ids, titles and order.
+// is the single source hcperf-bench -list and the serving layer's
+// GET /v1/experiments both render from, so every surface agrees on ids,
+// titles and order.
 type Info struct {
 	// ID is the registry key, e.g. "table2" or "fig13".
 	ID string `json:"id"`
@@ -105,11 +105,17 @@ func Lookup(id string) (Info, bool) {
 	return e.info, ok
 }
 
-// Run executes the experiment with the given ID.
-func Run(id string, seed int64) (*Report, error) {
+// Run executes the experiment with the given ID and base seed, fanning its
+// internal sweeps across workers (runner.Parallelism rules). The report is
+// the same at every worker count.
+func Run(id string, seed int64, workers int) (*Report, error) {
 	e, ok := registry[id]
 	if !ok {
-		return nil, fmt.Errorf("experiment: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
+		return nil, unknownID(id)
 	}
-	return e.fn(seed)
+	return e.fn(seed, workers)
+}
+
+func unknownID(id string) error {
+	return fmt.Errorf("experiment: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
 }

@@ -42,7 +42,7 @@ func TestListReturnsCopy(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if _, err := Run("nope", 1); err == nil {
+	if _, err := Run("nope", 1, 1); err == nil {
 		t.Error("Run with unknown id returned nil error")
 	}
 }

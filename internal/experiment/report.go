@@ -93,21 +93,6 @@ func (r *Report) WriteText(w io.Writer) error {
 	return err
 }
 
-// WriteReports renders a sequence of reports to w, one blank line between
-// them — the shared rendering loop of hcperf-sim -mode suite and
-// hcperf-bench.
-func WriteReports(w io.Writer, reports []*Report) error {
-	for _, rep := range reports {
-		if err := rep.WriteText(w); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func writeTable(b *strings.Builder, label string, header []string, rows [][]string) {
 	widths := make([]int, len(header))
 	for i, h := range header {
@@ -167,8 +152,9 @@ func (r *Report) WriteCSV(dir string) error {
 	return nil
 }
 
-// Func runs one experiment with the given base seed.
-type Func func(seed int64) (*Report, error)
+// Func runs one experiment with the given base seed, fanning its internal
+// sweeps across workers.
+type Func func(seed int64, workers int) (*Report, error)
 
 // SeriesPoint is one sample of an exported time series.
 type SeriesPoint struct {

@@ -43,9 +43,9 @@ func extTuneRequest(seed int64) search.Request {
 // ExtTune runs the pinned coordinator policy search. The report's rows are
 // the baselines plus the canonical Pareto front; the notes summarize the
 // best candidate per objective against the paper defaults.
-func ExtTune(seed int64) (*Report, error) {
+func ExtTune(seed int64, workers int) (*Report, error) {
 	rq := extTuneRequest(seed)
-	rep, err := rq.Run(context.Background(), Parallelism(), nil)
+	rep, err := rq.Run(context.Background(), workers, nil)
 	if err != nil {
 		return nil, err
 	}

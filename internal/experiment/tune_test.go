@@ -18,7 +18,7 @@ func TestExtTuneRepeatByteIdentity(t *testing.T) {
 	}
 	var want string
 	for i := 0; i < 10; i++ {
-		rep, err := Run("ext-tune", 1)
+		rep, err := Run("ext-tune", 1, 1)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -65,7 +65,7 @@ func TestExtTuneImprovesOnDefaults(t *testing.T) {
 		t.Skip("full search")
 	}
 	rq := extTuneRequest(1)
-	rep, err := rq.Run(context.Background(), Parallelism(), nil)
+	rep, err := rq.Run(context.Background(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestExtTuneImprovesOnDefaults(t *testing.T) {
 		t.Fatalf("search found no improvement over the paper defaults: %+v", rep.Best)
 	}
 	// And the rendered notes carry the comparison (digest-covered).
-	full, err := Run("ext-tune", 1)
+	full, err := Run("ext-tune", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,7 @@
 //
 // Repeated solves on the hot path should go through a Solver, which keeps
 // its workspace across calls and allocates nothing in steady state; the
-// package-level Solve and SolveRect are one-shot wrappers around a fresh
-// Solver.
+// package-level Solve is a one-shot wrapper around a fresh Solver.
 package hungarian
 
 import (
@@ -35,13 +34,6 @@ type Solver struct {
 	used   []bool    // columns visited by the current augmenting search
 
 	assign []int // assignment buffer returned by Solve
-
-	// Rectangular-solve workspace: the square padded matrix is carved out
-	// of one flat buffer, and the rectangular assignment gets its own
-	// buffer because assign is occupied by the padded solution.
-	padded     [][]float64
-	padBuf     []float64
-	rectAssign []int
 }
 
 // grow ensures the square-solve workspace covers an n x n problem.
@@ -171,77 +163,12 @@ func (s *Solver) Solve(cost [][]float64) (assignment []int, total float64, err e
 	return assignment, total, nil
 }
 
-// SolveRect computes a minimum-cost matching for a rectangular rows x cols
-// cost matrix by padding the smaller dimension with zero-cost dummies.
-// assignment[i] is the column matched to row i, or -1 if row i is matched
-// to a dummy column. Like Solve, the returned slice is owned by the Solver
-// and overwritten by its next call.
-func (s *Solver) SolveRect(cost [][]float64) (assignment []int, total float64, err error) {
-	rows := len(cost)
-	if rows == 0 {
-		return nil, 0, nil
-	}
-	cols := len(cost[0])
-	for i, row := range cost {
-		if len(row) != cols {
-			return nil, 0, fmt.Errorf("%w: row %d has %d columns, want %d", ErrNotSquare, i, len(row), cols)
-		}
-	}
-	n := rows
-	if cols > n {
-		n = cols
-	}
-	if cap(s.padBuf) < n*n {
-		s.padBuf = make([]float64, n*n)
-		s.padded = make([][]float64, 0, n)
-	}
-	buf := s.padBuf[:n*n]
-	for k := range buf {
-		buf[k] = 0
-	}
-	padded := s.padded[:0]
-	for i := 0; i < n; i++ {
-		row := buf[i*n : (i+1)*n]
-		if i < rows {
-			copy(row, cost[i])
-		}
-		padded = append(padded, row)
-	}
-	s.padded = padded
-	full, _, err := s.Solve(padded)
-	if err != nil {
-		return nil, 0, err
-	}
-	if cap(s.rectAssign) < rows {
-		s.rectAssign = make([]int, rows)
-	}
-	assignment = s.rectAssign[:rows]
-	for i := 0; i < rows; i++ {
-		j := full[i]
-		if j >= cols {
-			assignment[i] = -1
-			continue
-		}
-		assignment[i] = j
-		total += cost[i][j]
-	}
-	return assignment, total, nil
-}
-
 // Solve computes a minimum-cost perfect matching on the square cost matrix
 // cost with a one-shot Solver; see Solver.Solve. The returned assignment is
 // freshly allocated and owned by the caller.
 func Solve(cost [][]float64) (assignment []int, total float64, err error) {
 	var s Solver
 	return s.Solve(cost)
-}
-
-// SolveRect computes a minimum-cost matching for a rectangular cost matrix
-// with a one-shot Solver; see Solver.SolveRect. The returned assignment is
-// freshly allocated and owned by the caller.
-func SolveRect(cost [][]float64) (assignment []int, total float64, err error) {
-	var s Solver
-	return s.SolveRect(cost)
 }
 
 // Ops returns the approximate number of elementary operations the O(n^3)

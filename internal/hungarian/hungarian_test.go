@@ -91,66 +91,6 @@ func TestSolveNaN(t *testing.T) {
 	}
 }
 
-func TestSolveRect(t *testing.T) {
-	// 2 rows (tracks), 3 columns (detections): every row must match.
-	cost := [][]float64{
-		{5, 1, 9},
-		{2, 8, 2},
-	}
-	got, total, err := SolveRect(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 3 { // row0->col1 (1) + row1->col0 or col2 (2)
-		t.Errorf("total = %v, want 3", total)
-	}
-	seen := make(map[int]bool)
-	for i, j := range got {
-		if j == -1 {
-			continue
-		}
-		if seen[j] {
-			t.Errorf("column %d assigned twice (row %d)", j, i)
-		}
-		seen[j] = true
-	}
-}
-
-func TestSolveRectMoreRowsThanCols(t *testing.T) {
-	cost := [][]float64{
-		{1},
-		{2},
-		{3},
-	}
-	got, total, err := SolveRect(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exactly one row gets the single real column, and the cheapest
-	// assignment puts row 0 there.
-	real := 0
-	for _, j := range got {
-		if j != -1 {
-			real++
-		}
-	}
-	if real != 1 {
-		t.Errorf("%d rows matched real columns, want 1 (got %v)", real, got)
-	}
-	if total != 1 {
-		t.Errorf("total = %v, want 1", total)
-	}
-}
-
-func TestSolveRectEmptyAndRagged(t *testing.T) {
-	if got, total, err := SolveRect(nil); err != nil || got != nil || total != 0 {
-		t.Errorf("SolveRect(nil) = %v, %v, %v", got, total, err)
-	}
-	if _, _, err := SolveRect([][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("ragged rect matrix accepted, want error")
-	}
-}
-
 func TestOps(t *testing.T) {
 	tests := []struct {
 		n    int

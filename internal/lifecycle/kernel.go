@@ -297,13 +297,6 @@ func (k *Kernel) queueChanged(now simtime.Time) {
 	}
 }
 
-// trace emits ev to the configured tracer, if any.
-func (k *Kernel) trace(ev Event) {
-	if k.tracer != nil {
-		k.tracer.Trace(ev)
-	}
-}
-
 // traceJob emits a job lifecycle event, building the Event only when a
 // tracer is configured — the event construction is pure overhead otherwise.
 func (k *Kernel) traceJob(kind EventKind, now simtime.Time, j *sched.Job, proc int) {

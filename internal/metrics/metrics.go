@@ -79,12 +79,6 @@ func (d *Discomfort) Note(t, accel float64) error {
 // Index returns the current windowed RMS jerk (m/s^3).
 func (d *Discomfort) Index() float64 { return d.window.RMS() }
 
-// Reset clears the index.
-func (d *Discomfort) Reset() {
-	d.window.Reset()
-	d.primed = false
-}
-
 // MissBuckets accumulates per-interval deadline accounting to reproduce the
 // paper's miss-ratio-over-time plots (Figs. 4(a), 13(d), 15(d), 18(b)).
 type MissBuckets struct {
@@ -121,9 +115,6 @@ func (m *MissBuckets) Note(t float64, missed bool) error {
 
 // Len returns the number of buckets observed so far.
 func (m *MissBuckets) Len() int { return len(m.decided) }
-
-// Width returns the bucket width in seconds.
-func (m *MissBuckets) Width() float64 { return m.width }
 
 // Ratio returns the miss ratio of bucket i (0 when the bucket is empty or
 // out of range).
@@ -162,16 +153,11 @@ func (m *MissBuckets) MeanRatio() float64 {
 // paper's related work (Choi et al., RTAS 2019) analyses; control loops
 // tolerate isolated misses but not bursts.
 type WeaklyHard struct {
-	m, k    int
-	window  []bool // ring of the last K outcomes: true = missed
-	head    int
-	filled  int
-	misses  int // misses within the ring
-	worst   int // worst observed misses in any window
-	burst   int // current consecutive-miss run
-	maxRun  int // longest consecutive-miss run
-	decided uint64
-	broken  uint64 // windows that violated the constraint
+	m, k   int
+	window []bool // ring of the last K outcomes: true = missed
+	head   int
+	misses int  // misses within the ring
+	broken bool // some window violated the constraint
 }
 
 // NewWeaklyHard builds a tracker for the (m, K) constraint; requires
@@ -184,48 +170,23 @@ func NewWeaklyHard(m, k int) (*WeaklyHard, error) {
 }
 
 // Note records one job outcome and reports whether the constraint holds for
-// the window ending at this job.
+// the window ending at this job. Until K outcomes are recorded, the slot
+// being overwritten is still false, so the ring needs no fill count.
 func (w *WeaklyHard) Note(missed bool) bool {
-	if w.filled == w.k {
-		if w.window[w.head] {
-			w.misses--
-		}
-	} else {
-		w.filled++
+	if w.window[w.head] {
+		w.misses--
 	}
 	w.window[w.head] = missed
 	if missed {
 		w.misses++
-		w.burst++
-		if w.burst > w.maxRun {
-			w.maxRun = w.burst
-		}
-	} else {
-		w.burst = 0
 	}
 	w.head = (w.head + 1) % w.k
-	if w.misses > w.worst {
-		w.worst = w.misses
-	}
-	w.decided++
 	ok := w.misses <= w.m
 	if !ok {
-		w.broken++
+		w.broken = true
 	}
 	return ok
 }
 
 // Holds reports whether the constraint has held for every window so far.
-func (w *WeaklyHard) Holds() bool { return w.broken == 0 }
-
-// Violations returns the number of windows that broke the constraint.
-func (w *WeaklyHard) Violations() uint64 { return w.broken }
-
-// WorstWindow returns the maximum misses observed in any K-window.
-func (w *WeaklyHard) WorstWindow() int { return w.worst }
-
-// MaxBurst returns the longest run of consecutive misses.
-func (w *WeaklyHard) MaxBurst() int { return w.maxRun }
-
-// Decided returns how many job outcomes have been recorded.
-func (w *WeaklyHard) Decided() uint64 { return w.decided }
+func (w *WeaklyHard) Holds() bool { return !w.broken }

@@ -94,13 +94,6 @@ func TestDiscomfortValidation(t *testing.T) {
 	if err := d.Note(1, 0); err == nil {
 		t.Error("non-increasing time accepted")
 	}
-	d.Reset()
-	if d.Index() != 0 {
-		t.Error("Reset did not clear index")
-	}
-	if err := d.Note(0.5, 0); err != nil {
-		t.Errorf("Note after Reset: %v", err)
-	}
 }
 
 func TestMissBuckets(t *testing.T) {
@@ -141,9 +134,6 @@ func TestMissBuckets(t *testing.T) {
 	}
 	if got := m.MeanRatio(); math.Abs(got-3.0/5) > 1e-12 {
 		t.Errorf("MeanRatio = %v, want 0.6", got)
-	}
-	if m.Width() != 1 {
-		t.Errorf("Width = %v", m.Width())
 	}
 }
 
@@ -212,17 +202,8 @@ func TestWeaklyHardHoldsOnIsolatedMisses(t *testing.T) {
 			t.Fatalf("constraint broken at job %d with isolated misses", i)
 		}
 	}
-	if !w.Holds() || w.Violations() != 0 {
+	if !w.Holds() {
 		t.Error("isolated misses should satisfy (1,5)")
-	}
-	if w.WorstWindow() != 1 {
-		t.Errorf("WorstWindow = %d, want 1", w.WorstWindow())
-	}
-	if w.MaxBurst() != 1 {
-		t.Errorf("MaxBurst = %d, want 1", w.MaxBurst())
-	}
-	if w.Decided() != 50 {
-		t.Errorf("Decided = %d, want 50", w.Decided())
 	}
 }
 
@@ -240,15 +221,6 @@ func TestWeaklyHardBreaksOnBurst(t *testing.T) {
 	}
 	if !broke || w.Holds() {
 		t.Error("two consecutive misses should break (1,5)")
-	}
-	if w.WorstWindow() != 2 {
-		t.Errorf("WorstWindow = %d, want 2", w.WorstWindow())
-	}
-	if w.MaxBurst() != 2 {
-		t.Errorf("MaxBurst = %d, want 2", w.MaxBurst())
-	}
-	if w.Violations() == 0 {
-		t.Error("no violations counted")
 	}
 }
 
@@ -291,7 +263,7 @@ func TestQuickWeaklyHardExtremes(t *testing.T) {
 		for i := 0; i < 3*k; i++ {
 			dirty.Note(true)
 		}
-		return clean.Holds() && !dirty.Holds() && dirty.WorstWindow() == k
+		return clean.Holds() && !dirty.Holds()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

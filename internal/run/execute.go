@@ -64,8 +64,9 @@ func (r *Result) ReportView() ([]byte, error) {
 type Func func(ctx context.Context, req Request) (*Result, error)
 
 // Execute runs a normalized request for real: registry experiments go
-// through experiment.Run, optimize requests through the search subsystem
-// (reporting generation progress through the ctx-carried sink), and
+// through experiment.Run with serial sweeps, optimize requests through the
+// search subsystem (fanned across the ctx-carried worker-count hint and
+// reporting generation progress through the ctx-carried sink), and
 // scenario and spec requests through the scenario package's spec runner
 // (capturing lifecycle events into a bounded ring when Trace is set).
 func Execute(ctx context.Context, req Request) (*Result, error) {
@@ -73,7 +74,7 @@ func Execute(ctx context.Context, req Request) (*Result, error) {
 		return runOptimize(ctx, req)
 	}
 	if req.Experiment != "" {
-		rep, err := experiment.Run(req.Experiment, req.Seed)
+		rep, err := experiment.Run(req.Experiment, req.Seed, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -167,8 +168,9 @@ type parallelKey struct{}
 
 // WithParallelism attaches a worker-count hint for optimize runs to ctx
 // (n >= 1 selects exactly n workers, 0 selects GOMAXPROCS — the runner
-// convention). The CLI's -parallel flag uses this; the serving layer leaves
-// it unset and gets GOMAXPROCS.
+// convention). hcperf-sim -mode tune's -parallel flag uses this; the
+// serving layer leaves it unset and gets GOMAXPROCS. No other run kind
+// reads it.
 func WithParallelism(ctx context.Context, n int) context.Context {
 	return context.WithValue(ctx, parallelKey{}, n)
 }

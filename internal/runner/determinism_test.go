@@ -22,9 +22,7 @@ import (
 // returns its canonical digest.
 func digestAt(t *testing.T, id string, seed int64, workers int) string {
 	t.Helper()
-	experiment.SetParallelism(workers)
-	defer experiment.SetParallelism(1)
-	rep, err := experiment.Run(id, seed)
+	rep, err := experiment.Run(id, seed, workers)
 	if err != nil {
 		t.Fatalf("%s (workers=%d): %v", id, workers, err)
 	}
@@ -75,9 +73,7 @@ func TestSuiteVerifySerialParallel(t *testing.T) {
 		t.Skip("runs the full suite twice")
 	}
 	err := runner.VerifySerialParallel(context.Background(), 4, func(ctx context.Context, workers int) (runner.Digester, error) {
-		experiment.SetParallelism(workers)
-		defer experiment.SetParallelism(1)
-		reports, err := experiment.RunAll(ctx, 7, workers)
+		reports, err := experiment.RunAll(ctx, experiment.IDs(), 7, workers)
 		if err != nil {
 			return nil, err
 		}

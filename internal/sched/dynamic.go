@@ -46,7 +46,6 @@ type Dynamic struct {
 
 	// Scratch state captured from the ready queue by the last Recompute
 	// (or direct feasible probe). Slices are reused across calls.
-	jobs   []*Job    // queue snapshot, in arrival order
 	prio   []float64 // p_i
 	latest []float64 // d_i: latest feasible start, absolute
 	exec   []float64 // c_i
@@ -54,12 +53,6 @@ type Dynamic struct {
 	keys   []float64 // P_i(γ) for the candidate γ under test
 	order  []int     // index permutation sorted by keys
 	sorter *keySorter
-
-	// Dispatch-order heap keyed on P_i under the γ in force, rebuilt
-	// lazily and only when γ (or the captured queue) changes.
-	heap      jobHeap
-	heapOrder []*Job
-	heapDirty bool
 }
 
 // DefaultGammaCap spans enough γ range that γ·Δp can dominate the largest
@@ -100,7 +93,6 @@ func (d *Dynamic) Overloaded() bool { return d.overloaded }
 func (d *Dynamic) capture(now simtime.Time, ready []*Job) {
 	n := len(ready)
 	if cap(d.prio) < n {
-		d.jobs = make([]*Job, n)
 		d.prio = make([]float64, n)
 		d.latest = make([]float64, n)
 		d.exec = make([]float64, n)
@@ -108,7 +100,6 @@ func (d *Dynamic) capture(now simtime.Time, ready []*Job) {
 		d.keys = make([]float64, n)
 		d.order = make([]int, n)
 	}
-	d.jobs = d.jobs[:n]
 	d.prio = d.prio[:n]
 	d.latest = d.latest[:n]
 	d.exec = d.exec[:n]
@@ -116,13 +107,11 @@ func (d *Dynamic) capture(now simtime.Time, ready []*Job) {
 	d.keys = d.keys[:n]
 	d.order = d.order[:n]
 	for i, j := range ready {
-		d.jobs[i] = j
 		d.prio[i] = float64(j.Task.Priority)
 		d.latest[i] = float64(j.LatestStart())
 		d.exec[i] = float64(j.EstExec)
 		d.slack[i] = float64(j.AbsDeadline - now)
 	}
-	d.heapDirty = true
 }
 
 // Recompute re-derives γmax from the current ready queue and processor
@@ -163,7 +152,6 @@ func (d *Dynamic) Recompute(now simtime.Time, ready []*Job, state *ProcState) {
 		d.gammaMax = d.bisect(d.gamma, np, base)
 		d.gamma = d.gammaMax
 	}
-	d.heapDirty = true
 }
 
 // bisect narrows [0, hi], where γ = 0 passes check and hi fails it, to its
@@ -266,38 +254,9 @@ func (d *Dynamic) priorityOf(j *Job, gamma float64) float64 {
 }
 
 // Select implements Scheduler: the queued job with the smallest dynamic
-// priority P_i under the γ currently in force. Select is a pure function of
-// its inputs (the Scheduler contract), so it scans rather than consuming
-// the dispatch heap; use DispatchOrder for the full ranking.
+// priority P_i under the γ currently in force.
 func (d *Dynamic) Select(_ simtime.Time, ready []*Job, _ int, _ *ProcState) int {
 	return pickBest(ready, nil, func(j *Job) float64 { return d.priorityOf(j, d.gamma) })
-}
-
-// DispatchOrder returns the ready queue captured by the last Recompute in
-// dispatch order under the γ in force: ascending P_i = γ·p_i + d_i with
-// Select's deterministic tie-breaks (earlier release, then lower task ID,
-// then arrival order). The ranking comes from a binary heap keyed on P_i
-// that is rebuilt lazily — only after γ or the queue changed — and reuses
-// its storage, so steady-state calls allocate nothing.
-//
-// The returned slice is owned by the scheduler and overwritten by the next
-// rebuild; copy it if it must outlive the next Recompute. Diagnostic
-// consumers (traces, tests, the serve layer) use it to see the whole
-// queue's ranking rather than just Select's single winner.
-func (d *Dynamic) DispatchOrder() []*Job {
-	if d.heapDirty {
-		d.heapOrder = d.heap.rank(d.jobs, d.keysInForce, d.heapOrder)
-		d.heapDirty = false
-	}
-	return d.heapOrder
-}
-
-// keysInForce fills keys[i] with P_i under the γ currently in force for the
-// captured queue snapshot.
-func (d *Dynamic) keysInForce(keys []float64) {
-	for i := range d.jobs {
-		keys[i] = d.gamma*d.prio[i] + d.latest[i]
-	}
 }
 
 // String summarises the scheduler state for traces.

@@ -129,3 +129,18 @@ func TestGammaMaxNeverAdmitsUnschedulable(t *testing.T) {
 		}
 	}
 }
+
+// TestRecomputeSteadyStateAllocs pins the γ search's scratch-buffer reuse:
+// once its buffers are sized, Recompute allocates nothing.
+func TestRecomputeSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	jobs := randomJobs(rng, 32, 0)
+	st := &ProcState{NumProcs: 2, Remaining: make([]simtime.Duration, 2)}
+	d := NewDynamic(0.02)
+	d.SetNominalU(0.01)
+	d.Recompute(0, jobs, st)
+	allocs := testing.AllocsPerRun(100, func() { d.Recompute(0, jobs, st) })
+	if allocs != 0 {
+		t.Errorf("steady-state Recompute allocates %v objects/op, want 0", allocs)
+	}
+}

@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"hcperf/internal/scenario"
@@ -132,16 +131,6 @@ func (rq Request) Normalize() (Request, error) {
 		rq.Seed = 1
 	}
 	return rq, nil
-}
-
-// CanonicalJSON encodes the normalized request deterministically — the
-// cache-digest component for /v1/optimize.
-func (rq Request) CanonicalJSON() ([]byte, error) {
-	n, err := rq.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(n)
 }
 
 // Run normalizes and executes the request with the given evaluation

@@ -138,18 +138,22 @@ func TestRequestNormalizeDefaultsAndIdempotence(t *testing.T) {
 	if !reflect.DeepEqual(n, n2) {
 		t.Fatalf("Normalize not idempotent:\n%+v\n%+v", n, n2)
 	}
-	// Canonical JSON is a fixed point through decode/encode.
-	b1, err := n.CanonicalJSON()
+	// A normalized request is a fixed point through encode, decode and
+	// normalize.
+	b1, err := json.Marshal(n)
 	if err != nil {
-		t.Fatalf("CanonicalJSON: %v", err)
+		t.Fatalf("encode: %v", err)
 	}
 	var back Request
 	if err := json.Unmarshal(b1, &back); err != nil {
-		t.Fatalf("decode canonical: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
-	b2, err := back.CanonicalJSON()
+	if back, err = back.Normalize(); err != nil {
+		t.Fatalf("re-normalize: %v", err)
+	}
+	b2, err := json.Marshal(back)
 	if err != nil {
-		t.Fatalf("re-canonicalize: %v", err)
+		t.Fatalf("re-encode: %v", err)
 	}
 	if string(b1) != string(b2) {
 		t.Fatalf("canonical JSON not a fixed point:\n%s\n%s", b1, b2)

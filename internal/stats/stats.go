@@ -1,109 +1,12 @@
-// Package stats provides the small set of statistics used throughout the
-// HCPerf evaluation: RMS, means, percentiles and online accumulators for
-// time-series metrics.
+// Package stats provides the online statistics used throughout the HCPerf
+// evaluation: a running accumulator (count, mean, RMS, standard deviation,
+// min, max) and a fixed-capacity sliding window.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
-
-// ErrEmpty is returned by reductions over empty sample sets.
-var ErrEmpty = errors.New("stats: empty sample set")
-
-// Mean returns the arithmetic mean of xs, or an error if xs is empty.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}
-
-// RMS returns the root-mean-square of xs, or an error if xs is empty.
-// This is the aggregation the paper uses for speed, distance and lateral
-// tracking errors (Tables II-VI).
-func RMS(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x * x
-	}
-	return math.Sqrt(sum / float64(len(xs))), nil
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs))), nil
-}
-
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. xs is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of [0,100]")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
 
 // Accumulator collects samples incrementally without retaining them,
 // tracking count, mean (Welford), sum of squares, min and max. The zero

@@ -1,12 +1,85 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 )
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+
+// The batch reductions below are the oracle the Accumulator tests compare
+// against: each recomputes its statistic from the whole sample slice.
+
+// errEmpty is returned by the batch reductions over empty sample sets.
+var errEmpty = errors.New("stats: empty sample set")
+
+// mean returns the arithmetic mean of xs, or an error if xs is empty.
+func mean(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, errEmpty
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs)), nil
+}
+
+// rms returns the root-mean-square of xs, or an error if xs is empty.
+func rms(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, errEmpty
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x * x
+	}
+	return math.Sqrt(sum / float64(len(xs))), nil
+}
+
+// stdDev returns the population standard deviation of xs.
+func stdDev(xs []float64) (float64, error) {
+	m, err := mean(xs)
+	if err != nil {
+		return 0, err
+	}
+	sum := 0.0
+	for _, x := range xs {
+		d := x - m
+		sum += d * d
+	}
+	return math.Sqrt(sum / float64(len(xs))), nil
+}
+
+// minOf returns the smallest element of xs.
+func minOf(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, errEmpty
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m, nil
+}
+
+// maxOf returns the largest element of xs.
+func maxOf(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, errEmpty
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m, nil
+}
 
 func TestMean(t *testing.T) {
 	tests := []struct {
@@ -21,17 +94,17 @@ func TestMean(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := Mean(tt.give)
+			got, err := mean(tt.give)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !almostEqual(got, tt.want) {
-				t.Errorf("Mean(%v) = %v, want %v", tt.give, got, tt.want)
+				t.Errorf("mean(%v) = %v, want %v", tt.give, got, tt.want)
 			}
 		})
 	}
-	if _, err := Mean(nil); err != ErrEmpty {
-		t.Errorf("Mean(nil) err = %v, want ErrEmpty", err)
+	if _, err := mean(nil); err != errEmpty {
+		t.Errorf("mean(nil) err = %v, want errEmpty", err)
 	}
 }
 
@@ -48,91 +121,48 @@ func TestRMS(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := RMS(tt.give)
+			got, err := rms(tt.give)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !almostEqual(got, tt.want) {
-				t.Errorf("RMS(%v) = %v, want %v", tt.give, got, tt.want)
+				t.Errorf("rms(%v) = %v, want %v", tt.give, got, tt.want)
 			}
 		})
 	}
-	if _, err := RMS(nil); err != ErrEmpty {
-		t.Errorf("RMS(nil) err = %v, want ErrEmpty", err)
+	if _, err := rms(nil); err != errEmpty {
+		t.Errorf("rms(nil) err = %v, want errEmpty", err)
 	}
 }
 
 func TestStdDev(t *testing.T) {
-	got, err := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	got, err := stdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(got, 2) {
-		t.Errorf("StdDev = %v, want 2", got)
+		t.Errorf("stdDev = %v, want 2", got)
 	}
-	if _, err := StdDev(nil); err != ErrEmpty {
-		t.Errorf("StdDev(nil) err = %v, want ErrEmpty", err)
+	if _, err := stdDev(nil); err != errEmpty {
+		t.Errorf("stdDev(nil) err = %v, want errEmpty", err)
 	}
 }
 
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 4, 1, 5}
-	mn, err := Min(xs)
+	mn, err := minOf(xs)
 	if err != nil || mn != -1 {
-		t.Errorf("Min = %v, %v; want -1, nil", mn, err)
+		t.Errorf("minOf = %v, %v; want -1, nil", mn, err)
 	}
-	mx, err := Max(xs)
+	mx, err := maxOf(xs)
 	if err != nil || mx != 5 {
-		t.Errorf("Max = %v, %v; want 5, nil", mx, err)
+		t.Errorf("maxOf = %v, %v; want 5, nil", mx, err)
 	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Error("Min(nil) should fail")
+	if _, err := minOf(nil); err != errEmpty {
+		t.Error("minOf(nil) should fail")
 	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Error("Max(nil) should fail")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{p: 0, want: 10},
-		{p: 100, want: 40},
-		{p: 50, want: 25},
-		{p: 25, want: 17.5},
-	}
-	for _, tt := range tests {
-		got, err := Percentile(xs, tt.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(got, tt.want) {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if _, err := Percentile(xs, -1); err == nil {
-		t.Error("Percentile(-1) succeeded, want error")
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("Percentile(101) succeeded, want error")
-	}
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Error("Percentile(nil) should return ErrEmpty")
-	}
-	one, err := Percentile([]float64{7}, 99)
-	if err != nil || one != 7 {
-		t.Errorf("Percentile single = %v, %v", one, err)
-	}
-	// Percentile must not mutate input.
-	unsorted := []float64{3, 1, 2}
-	if _, err := Percentile(unsorted, 50); err != nil {
-		t.Fatal(err)
-	}
-	if unsorted[0] != 3 || unsorted[1] != 1 || unsorted[2] != 2 {
-		t.Errorf("Percentile mutated input: %v", unsorted)
+	if _, err := maxOf(nil); err != errEmpty {
+		t.Error("maxOf(nil) should fail")
 	}
 }
 
@@ -142,11 +172,11 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 	for _, x := range xs {
 		a.Add(x)
 	}
-	wantMean, _ := Mean(xs)
-	wantRMS, _ := RMS(xs)
-	wantSD, _ := StdDev(xs)
-	wantMin, _ := Min(xs)
-	wantMax, _ := Max(xs)
+	wantMean, _ := mean(xs)
+	wantRMS, _ := rms(xs)
+	wantSD, _ := stdDev(xs)
+	wantMin, _ := minOf(xs)
+	wantMax, _ := maxOf(xs)
 	if a.N() != len(xs) {
 		t.Errorf("N = %d, want %d", a.N(), len(xs))
 	}
@@ -228,8 +258,8 @@ func TestQuickAccumulatorAgreesWithBatch(t *testing.T) {
 			xs[i] = float64(r) / 7
 			a.Add(xs[i])
 		}
-		wantMean, _ := Mean(xs)
-		wantRMS, _ := RMS(xs)
+		wantMean, _ := mean(xs)
+		wantRMS, _ := rms(xs)
 		return math.Abs(a.Mean()-wantMean) < 1e-6 && math.Abs(a.RMS()-wantRMS) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -247,8 +277,8 @@ func TestQuickRMSDominatesMean(t *testing.T) {
 		for i, r := range raw {
 			xs[i] = float64(r)
 		}
-		rms, _ := RMS(xs)
-		mean, _ := Mean(xs)
+		rms, _ := rms(xs)
+		mean, _ := mean(xs)
 		return rms >= math.Abs(mean)-1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -284,33 +284,3 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	}
 	return nil
 }
-
-// Percentile returns the p-th percentile (0..100, linear interpolation) of
-// the values with from <= T < to. It returns 0 for an empty range or an
-// out-of-range p.
-func (s *Series) Percentile(p, from, to float64) float64 {
-	if p < 0 || p > 100 {
-		return 0
-	}
-	var vals []float64
-	for _, q := range s.Samples {
-		if q.T >= from && q.T < to {
-			vals = append(vals, q.V)
-		}
-	}
-	if len(vals) == 0 {
-		return 0
-	}
-	sort.Float64s(vals)
-	if len(vals) == 1 {
-		return vals[0]
-	}
-	rank := p / 100 * float64(len(vals)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return vals[lo]
-	}
-	frac := rank - float64(lo)
-	return vals[lo]*(1-frac) + vals[hi]*frac
-}

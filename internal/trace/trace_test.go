@@ -199,35 +199,6 @@ func TestQuickSeriesRMS(t *testing.T) {
 	}
 }
 
-func TestSeriesPercentile(t *testing.T) {
-	var s Series
-	for i := 0; i < 10; i++ {
-		if err := s.Add(float64(i), float64(i)*10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tests := []struct {
-		p, from, to, want float64
-	}{
-		{p: 0, from: 0, to: 10, want: 0},
-		{p: 100, from: 0, to: 10, want: 90},
-		{p: 50, from: 0, to: 10, want: 45},
-		{p: 50, from: 4, to: 6, want: 45}, // samples 40,50
-		{p: 50, from: 100, to: 200, want: 0},
-		{p: -5, from: 0, to: 10, want: 0},
-		{p: 101, from: 0, to: 10, want: 0},
-	}
-	for _, tt := range tests {
-		if got := s.Percentile(tt.p, tt.from, tt.to); math.Abs(got-tt.want) > 1e-9 {
-			t.Errorf("Percentile(%v,[%v,%v)) = %v, want %v", tt.p, tt.from, tt.to, got, tt.want)
-		}
-	}
-	// Single-sample range.
-	if got := s.Percentile(75, 3, 4); got != 30 {
-		t.Errorf("single-sample percentile = %v, want 30", got)
-	}
-}
-
 // referenceCSV is the record-at-a-time encoding/csv writer that WriteCSV
 // must match byte for byte: one three-field record per sample, each float
 // in shortest 'g' form.
