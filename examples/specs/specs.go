@@ -9,3 +9,9 @@ import _ "embed"
 //
 //go:embed fusion-overload.json
 var FusionOverload []byte
+
+// PlatoonFleet is platoon-fleet.json: a 12 s platoon of 256 carfollow
+// vehicles under HCPerf.
+//
+//go:embed platoon-fleet.json
+var PlatoonFleet []byte

@@ -161,9 +161,6 @@ type Result struct {
 	// fleet_err_p95, fleet_err_max, fleet_gap_min), sampled once per
 	// summary period on the shared clock.
 	Rec *trace.Recorder
-	// VehicleRecs holds each vehicle's own series recorder, in fleet
-	// order (the same series a single-vehicle run records).
-	VehicleRecs []*trace.Recorder
 }
 
 // predProfile exposes a predecessor vehicle's simulated speed as its
@@ -243,7 +240,9 @@ func Run(cfg Config) (*Result, error) {
 				return n
 			}
 		}
-		r, err := scenario.AttachCarFollowing(q, vcfg)
+		// A fleet reads only each vehicle's stats, so no vehicle records
+		// series.
+		r, err := scenario.AttachCarFollowing(q, vcfg, nil)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: vehicle %d: %w", i, err)
 		}
@@ -289,12 +288,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		N:           cfg.N,
-		Coupling:    coupling,
-		Duration:    duration,
-		Vehicles:    make([]VehicleStats, cfg.N),
-		Rec:         rec,
-		VehicleRecs: make([]*trace.Recorder, cfg.N),
+		N:        cfg.N,
+		Coupling: coupling,
+		Duration: duration,
+		Vehicles: make([]VehicleStats, cfg.N),
+		Rec:      rec,
 	}
 	speed := make([]float64, cfg.N)
 	dist := make([]float64, cfg.N)
@@ -311,7 +309,6 @@ func Run(cfg Config) (*Result, error) {
 			MeanResponse: out.MeanResponse,
 			Collision:    out.Collision,
 		}
-		res.VehicleRecs[i] = out.Rec
 		speed[i], dist[i], miss[i] = out.SpeedErrRMS, out.DistErrRMS, res.Vehicles[i].MissRatio
 		if out.Collision {
 			res.Collisions++

@@ -9,14 +9,18 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"hcperf/examples/specs"
 	"hcperf/internal/experiment"
 	"hcperf/internal/fleet"
+	"hcperf/internal/lifecycle"
 	"hcperf/internal/runner"
 	"hcperf/internal/scenario"
-	"hcperf/internal/trace"
 )
 
 // reportOf wraps a spec result exactly the way the service does, so test
@@ -43,18 +47,6 @@ func specDigest(t *testing.T, spec scenario.Spec) string {
 		t.Fatal(err)
 	}
 	return d
-}
-
-// recDigest hashes a recorder's full CSV rendering — the byte-level
-// identity of one vehicle's simulated history.
-func recDigest(t *testing.T, rec *trace.Recorder) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := rec.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])
 }
 
 // platoonSpec is the battery's standard coupled fleet: small enough to run
@@ -205,43 +197,51 @@ func TestVehiclePermutationInvariance(t *testing.T) {
 }
 
 // TestFleetN1EquivalentToSingle pins the other metamorphic anchor: a fleet
-// of one uncoupled vehicle IS the existing single-vehicle scenario. The
-// vehicle's full simulated history (its series CSV) must be byte-identical
-// to a standalone run with the same seed, and its summary stats must match
-// exactly.
+// of one uncoupled vehicle IS the existing single-vehicle scenario. Its
+// lifecycle event stream must equal a standalone run's with the same seed,
+// event for event, and its stats must match in every bit.
 func TestFleetN1EquivalentToSingle(t *testing.T) {
 	const seed = 77
+	var fleetEvents, singleEvents []lifecycle.Event
 	res, err := fleet.Run(fleet.Config{
 		Base:         scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
 		N:            1,
 		VehicleSeeds: []int64{seed},
+		Tracer:       lifecycle.TracerFunc(func(ev lifecycle.Event) { fleetEvents = append(fleetEvents, ev) }),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	single, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{
 		Scheme: scenario.SchemeHCPerf, Seed: seed, Duration: 5,
+		Tracer: lifecycle.TracerFunc(func(ev lifecycle.Event) { singleEvents = append(singleEvents, ev) }),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := recDigest(t, res.VehicleRecs[0]), recDigest(t, single.Rec); got != want {
-		t.Errorf("N=1 fleet vehicle series digest %s != single-vehicle run %s", got, want)
+	if len(singleEvents) == 0 {
+		t.Fatal("single run traced no events")
 	}
-	v := res.Vehicles[0]
-	if v.SpeedErrRMS != single.SpeedErrRMS || v.DistErrRMS != single.DistErrRMS ||
-		v.MissRatio != single.Miss.MeanRatio() || v.Throughput != single.Throughput ||
-		v.MeanResponse != single.MeanResponse || v.Collision != single.Collision {
-		t.Errorf("N=1 fleet stats %+v diverge from single run", v)
+	if len(fleetEvents) != len(singleEvents) {
+		t.Fatalf("N=1 fleet traced %d events, single run %d", len(fleetEvents), len(singleEvents))
+	}
+	for i := range fleetEvents {
+		if fleetEvents[i] != singleEvents[i] {
+			t.Fatalf("event %d: fleet %+v != single %+v", i, fleetEvents[i], singleEvents[i])
+		}
+	}
+	if got, want := statsBits(res.Vehicles[0]), statsBits(statsOf(0, seed, single)); got != want {
+		t.Errorf("N=1 fleet stats diverge from the single run:\n fleet  %s\n single %s", got, want)
 	}
 }
 
 // TestFleetOfKEqualsKSingles generalises N=1 equivalence into the aliasing
 // regression the 1000× scale-up demands: K uncoupled vehicles sharing one
 // clock, one process and one address space must each produce the exact
-// byte-identical history of K fully independent runs. Any state leaking
+// stats of K fully independent runs, in every bit. Any state leaking
 // across vehicles — a shared engine slice, a reused solver scratch buffer,
-// an RNG touched by a neighbour — breaks byte identity here.
+// an RNG touched by a neighbour — breaks them. (The scenario layer's
+// TestAttachedLoopsDoNotAlias compares whole recorded histories.)
 func TestFleetOfKEqualsKSingles(t *testing.T) {
 	seeds := []int64{101, 202, 303}
 	res, err := fleet.Run(fleet.Config{
@@ -259,9 +259,105 @@ func TestFleetOfKEqualsKSingles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := recDigest(t, res.VehicleRecs[i]), recDigest(t, single.Rec); got != want {
-			t.Errorf("vehicle %d (seed %d): fleet series digest %s != independent run %s", i, seed, got, want)
+		if got, want := statsBits(res.Vehicles[i]), statsBits(statsOf(i, seed, single)); got != want {
+			t.Errorf("vehicle %d (seed %d): fleet stats diverge from an independent run:\n fleet  %s\n single %s", i, seed, got, want)
 		}
+	}
+}
+
+// statsOf is the VehicleStats a fleet reports for vehicle i, built from
+// an independent run of the same vehicle.
+func statsOf(i int, seed int64, r *scenario.CarFollowingResult) fleet.VehicleStats {
+	return fleet.VehicleStats{
+		Index:        i,
+		Seed:         seed,
+		SpeedErrRMS:  r.SpeedErrRMS,
+		DistErrRMS:   r.DistErrRMS,
+		MissRatio:    r.Miss.MeanRatio(),
+		Throughput:   r.Throughput,
+		MeanResponse: r.MeanResponse,
+		Collision:    r.Collision,
+	}
+}
+
+// statsBits renders every field of v, each float64 as its IEEE-754 bits,
+// so two renderings are equal only if the stats are equal bit for bit.
+func statsBits(v fleet.VehicleStats) string {
+	rv := reflect.ValueOf(v)
+	var b strings.Builder
+	for i := 0; i < rv.NumField(); i++ {
+		f := rv.Field(i)
+		if f.Kind() == reflect.Float64 {
+			fmt.Fprintf(&b, "%s=%016x ", rv.Type().Field(i).Name, math.Float64bits(f.Float()))
+		} else {
+			fmt.Fprintf(&b, "%s=%v ", rv.Type().Field(i).Name, f.Interface())
+		}
+	}
+	return b.String()
+}
+
+// fleetConfig maps a fleet spec onto the Config RunSpec runs it with.
+func fleetConfig(t *testing.T, spec scenario.Spec) fleet.Config {
+	t.Helper()
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := scenario.CarFollowingConfigFromSpec(norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := norm.Fleet
+	return fleet.Config{
+		Base:           base,
+		N:              f.N,
+		Coupling:       f.Coupling,
+		Spacing:        f.Spacing,
+		BrakeThreshold: f.BrakeThreshold,
+		BrakeObstacles: f.BrakeObstacles,
+		Seed:           norm.Seed,
+		VehicleSeeds:   f.VehicleSeeds,
+	}
+}
+
+// TestVehicleStatsPinned pins every vehicle's stats, each float64 in full
+// bits, for the shipped 256-vehicle platoon spec and a 16-vehicle
+// uncoupled 12 s fleet. Report rows print these stats with %.4f and cannot
+// see a change in the last bit; these digests can. A change to them is a
+// change to the simulation.
+func TestVehicleStatsPinned(t *testing.T) {
+	platoon, err := scenario.DecodeSpec(bytes.NewReader(specs.PlatoonFleet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		spec scenario.Spec
+		want string
+	}{
+		{"platoon-fleet.json", platoon, "07cdd6852176e80a1db0ffd6be43428b8e0ff46509fe29288e763dda0445b4ef"},
+		{"uncoupled N=16", scenario.Spec{
+			Scenario: "carfollow", Scheme: "hcperf", Seed: 5, Duration: 12,
+			Fleet: &scenario.FleetSpec{N: 16},
+		}, "7be95f427397dff8cd3152ad8585e08db5a552c3a6eed5c527c899e7ea924fb7"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && tc.spec.Fleet.N > 16 {
+				t.Skip("256-vehicle fleet skipped in -short mode")
+			}
+			res, err := fleet.Run(fleetConfig(t, tc.spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, v := range res.Vehicles {
+				fmt.Fprintln(h, statsBits(v))
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("per-vehicle stats digest %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -180,7 +180,8 @@ type CarFollowingResult struct {
 	Scheme Scheme
 	// Rec holds the recorded time series: lead_speed, follow_speed,
 	// speed_err, dist_err, gap, miss_ratio, throughput, response_ms,
-	// discomfort, and for HCPerf schemes gamma and u.
+	// discomfort, and for HCPerf schemes gamma and u. It is nil for a run
+	// attached without a recorder.
 	Rec *trace.Recorder
 	// SpeedErrRMS is the RMS speed tracking error (Table II / V).
 	SpeedErrRMS float64
@@ -226,7 +227,11 @@ type carFollowPlant struct {
 	lead     *vehicle.Lead
 
 	// Full-resolution world history for stale-perception lookups.
-	histLeadSpeed, histLeadPos, histFolPos, histFolSpeed trace.Series
+	hist history[lonState]
+
+	// The tracking errors' RMS over [0, Duration), kept as the run goes
+	// whether or not it records series.
+	speedErr, distErr rmsWindow
 
 	weaklyHard *metrics.WeaklyHard
 	discomfort *metrics.Discomfort
@@ -248,6 +253,8 @@ func newCarFollowPlant(cfg *CarFollowingConfig, rec *trace.Recorder) (*carFollow
 		noise:          rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 		gains:          cfg.FollowerGains,
 		gapWindowStart: math.Min(20, cfg.Duration/4),
+		speedErr:       rmsWindow{to: cfg.Duration},
+		distErr:        rmsWindow{to: cfg.Duration},
 	}
 	var err error
 	if p.follower, err = vehicle.NewLongitudinal(cfg.Longitudinal); err != nil {
@@ -261,7 +268,7 @@ func newCarFollowPlant(cfg *CarFollowingConfig, rec *trace.Recorder) (*carFollow
 	if p.lead, err = vehicle.NewLead(cfg.LeadProfile, gap0); err != nil {
 		return nil, err
 	}
-	if err := p.recordHistory(0); err != nil {
+	if err := p.hist.add(0, lonStateOf(p.lead, p.follower)); err != nil {
 		return nil, err
 	}
 	if p.weaklyHard, err = metrics.NewWeaklyHard(1, 10); err != nil {
@@ -273,25 +280,9 @@ func newCarFollowPlant(cfg *CarFollowingConfig, rec *trace.Recorder) (*carFollow
 	return p, nil
 }
 
-func (p *carFollowPlant) recordHistory(now float64) error {
-	if err := p.histLeadSpeed.Add(now, p.lead.Speed()); err != nil {
-		return err
-	}
-	if err := p.histLeadPos.Add(now, p.lead.Position); err != nil {
-		return err
-	}
-	if err := p.histFolSpeed.Add(now, p.follower.Speed); err != nil {
-		return err
-	}
-	return p.histFolPos.Add(now, p.follower.Position)
-}
-
 func (p *carFollowPlant) Perceive(cmd engine.ControlCommand) {
-	at := float64(cmd.SourceTime)
-	if leadSpd, ok := p.histLeadSpeed.At(at); ok {
-		leadPos, _ := p.histLeadPos.At(at)
-		folPos, _ := p.histFolPos.At(at)
-		folSpd, _ := p.histFolSpeed.At(at)
+	if s, ok := p.hist.at(float64(cmd.SourceTime)); ok {
+		leadSpd, leadPos, folPos, folSpd := s.leadSpeed, s.leadPos, s.folPos, s.folSpeed
 		if p.cfg.SpeedNoiseSD > 0 {
 			leadSpd += p.noise.NormFloat64() * p.cfg.SpeedNoiseSD
 		}
@@ -340,7 +331,7 @@ func (p *carFollowPlant) Step(now float64) {
 	if err := p.follower.Step(step); err != nil {
 		panic(fmt.Sprintf("scenario: follower step: %v", err))
 	}
-	if err := p.recordHistory(now); err != nil {
+	if err := p.hist.add(now, lonStateOf(p.lead, p.follower)); err != nil {
 		panic(fmt.Sprintf("scenario: history: %v", err))
 	}
 	gap := p.lead.Position - p.follower.Position
@@ -349,11 +340,36 @@ func (p *carFollowPlant) Step(now float64) {
 	if err := p.discomfort.Note(now, p.follower.Accel()); err != nil {
 		panic(fmt.Sprintf("scenario: discomfort: %v", err))
 	}
+	speedErr, distErr := p.lead.Speed()-p.follower.Speed, gap-desired
+	p.speedErr.add(now, speedErr)
+	p.distErr.add(now, distErr)
 	recAdd(p.rec, "lead_speed", now, p.lead.Speed())
 	recAdd(p.rec, "follow_speed", now, p.follower.Speed)
-	recAdd(p.rec, "speed_err", now, p.lead.Speed()-p.follower.Speed)
+	recAdd(p.rec, "speed_err", now, speedErr)
 	recAdd(p.rec, "gap", now, gap)
-	recAdd(p.rec, "dist_err", now, gap-desired)
+	recAdd(p.rec, "dist_err", now, distErr)
+}
+
+// rmsWindow is the RMS of the samples with 0 <= t < to, summed in sample
+// order: over the samples a series records, it is bit for bit
+// trace.Series.RMS(0, to).
+type rmsWindow struct {
+	to, sumSq float64
+	n         int
+}
+
+func (w *rmsWindow) add(t, v float64) {
+	if t >= 0 && t < w.to {
+		w.sumSq += v * v
+		w.n++
+	}
+}
+
+func (w *rmsWindow) rms() float64 {
+	if w.n == 0 {
+		return 0
+	}
+	return math.Sqrt(w.sumSq / float64(w.n))
 }
 
 func (p *carFollowPlant) Sample(t float64, env *Env) {
@@ -377,6 +393,7 @@ func (p *carFollowPlant) Sample(t float64, env *Env) {
 // collects the result once the owning queue has reached the run's duration.
 type CarFollowingRun struct {
 	cfg CarFollowingConfig
+	rec *trace.Recorder
 	a   *attachedLoop
 	p   *carFollowPlant
 }
@@ -384,13 +401,15 @@ type CarFollowingRun struct {
 // AttachCarFollowing validates cfg, applies its defaults and wires one
 // car-following closed loop onto q without running it. The caller owns the
 // queue and decides how far to advance it; the attached loop's events are
-// interleaved deterministically with everything else scheduled on q.
-func AttachCarFollowing(q *simtime.EventQueue, cfg CarFollowingConfig) (*CarFollowingRun, error) {
+// interleaved deterministically with everything else scheduled on q. The
+// loop records its series into rec; a nil rec records none, and the result
+// still carries the tracking-error RMS.
+func AttachCarFollowing(q *simtime.EventQueue, cfg CarFollowingConfig, rec *trace.Recorder) (*CarFollowingRun, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
 	var p *carFollowPlant
-	a, err := attachLoop(q, cfg.loop(), func(rec *trace.Recorder) (Plant, error) {
+	a, err := attachLoop(q, cfg.loop(), func() (Plant, error) {
 		var err error
 		p, err = newCarFollowPlant(&cfg, rec)
 		return p, err
@@ -398,7 +417,7 @@ func AttachCarFollowing(q *simtime.EventQueue, cfg CarFollowingConfig) (*CarFoll
 	if err != nil {
 		return nil, err
 	}
-	return &CarFollowingRun{cfg: cfg, a: a, p: p}, nil
+	return &CarFollowingRun{cfg: cfg, rec: rec, a: a, p: p}, nil
 }
 
 // Duration returns the run's defaulted duration in seconds — how far the
@@ -420,10 +439,6 @@ func (r *CarFollowingRun) Gap() float64 { return r.p.lead.Position - r.p.followe
 // the coordinator regulates and the fleet layer aggregates.
 func (r *CarFollowingRun) TrackingError(now simtime.Time) float64 { return r.p.TrackingError(now) }
 
-// Rec returns the run's series recorder (live; fully populated only after
-// the owning queue reached Duration).
-func (r *CarFollowingRun) Rec() *trace.Recorder { return r.a.rec }
-
 // Finish collects the run's result. It must be called only after the owning
 // queue has been advanced to at least Duration.
 func (r *CarFollowingRun) Finish() *CarFollowingResult {
@@ -431,7 +446,7 @@ func (r *CarFollowingRun) Finish() *CarFollowingResult {
 	p, cfg := r.p, &r.cfg
 	res := &CarFollowingResult{
 		Scheme:        cfg.Scheme,
-		Rec:           out.Rec,
+		Rec:           r.rec,
 		Miss:          out.Miss,
 		EngineStats:   out.EngineStats,
 		Collision:     p.collide.Collided(),
@@ -440,8 +455,8 @@ func (r *CarFollowingRun) Finish() *CarFollowingResult {
 		MaxCommandGap: p.maxGap,
 		Overhead:      out.Overhead,
 	}
-	res.SpeedErrRMS = out.Rec.Series("speed_err").RMS(0, cfg.Duration)
-	res.DistErrRMS = out.Rec.Series("dist_err").RMS(0, cfg.Duration)
+	res.SpeedErrRMS = p.speedErr.rms()
+	res.DistErrRMS = p.distErr.rms()
 	res.MeanResponse = out.EngineStats.ControlResponse.Mean()
 	res.Throughput = float64(out.EngineStats.ControlCommands) / cfg.Duration
 	return res
@@ -450,7 +465,7 @@ func (r *CarFollowingRun) Finish() *CarFollowingResult {
 // RunCarFollowing executes one car-following run and returns its result.
 func RunCarFollowing(cfg CarFollowingConfig) (*CarFollowingResult, error) {
 	q := simtime.NewEventQueue()
-	r, err := AttachCarFollowing(q, cfg)
+	r, err := AttachCarFollowing(q, cfg, trace.NewRecorder())
 	if err != nil {
 		return nil, err
 	}

@@ -161,9 +161,8 @@ type combinedPlant struct {
 	keeper vehicle.LaneKeeper
 	lat    *vehicle.Lateral
 
-	// Full-resolution histories for stale perception.
-	histLeadSpeed, histLeadPos, histFolPos, histFolSpeed trace.Series
-	histOffset, histHeading, histDist                    trace.Series
+	// Full-resolution world history for stale perception.
+	hist history[combinedState]
 
 	lonCmds, latCmds uint64
 }
@@ -189,54 +188,40 @@ func newCombinedPlant(cfg *CombinedConfig, rec *trace.Recorder) (*combinedPlant,
 		return nil, err
 	}
 	p.keeper = vehicle.LaneKeeper{Ky: 0.5, Kpsi: 1.4, WheelBase: latCfg.WheelBase}
-	if err := p.recordHistory(0); err != nil {
+	if err := p.hist.add(0, p.state()); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func (p *combinedPlant) recordHistory(now float64) error {
-	for _, pair := range []struct {
-		s *trace.Series
-		v float64
-	}{
-		{&p.histLeadSpeed, p.lead.Speed()},
-		{&p.histLeadPos, p.lead.Position},
-		{&p.histFolPos, p.follower.Position},
-		{&p.histFolSpeed, p.follower.Speed},
-		{&p.histOffset, p.lat.Y},
-		{&p.histHeading, p.lat.Psi},
-		{&p.histDist, p.follower.Position},
-	} {
-		if err := pair.s.Add(now, pair.v); err != nil {
-			return err
-		}
+// combinedState is the world both perceptions read; the lateral distance
+// travelled is the follower's position.
+type combinedState struct {
+	lon lonState
+	lat latState
+}
+
+// state is the world state a perception reads.
+func (p *combinedPlant) state() combinedState {
+	return combinedState{
+		lon: lonStateOf(p.lead, p.follower),
+		lat: latState{offset: p.lat.Y, heading: p.lat.Psi, dist: p.follower.Position},
 	}
-	return nil
 }
 
 func (p *combinedPlant) Perceive(cmd engine.ControlCommand) {
-	at := float64(cmd.SourceTime)
+	s, ok := p.hist.at(float64(cmd.SourceTime))
 	switch cmd.Task.Name {
 	case "lon_control":
 		p.lonCmds++
-		leadSpd, ok := p.histLeadSpeed.At(at)
-		if !ok {
-			return
+		if ok {
+			p.follower.SetAccelCommand(p.gains.Accel(s.lon.folSpeed, s.lon.leadSpeed, s.lon.leadPos-s.lon.folPos))
 		}
-		leadPos, _ := p.histLeadPos.At(at)
-		folPos, _ := p.histFolPos.At(at)
-		folSpd, _ := p.histFolSpeed.At(at)
-		p.follower.SetAccelCommand(p.gains.Accel(folSpd, leadSpd, leadPos-folPos))
 	case "lat_control":
 		p.latCmds++
-		offset, ok := p.histOffset.At(at)
-		if !ok {
-			return
+		if ok {
+			p.lat.SetSteerCommand(p.keeper.Steer(s.lat.offset, s.lat.heading, p.cfg.Curvature(s.lat.dist+0.3*p.follower.Speed)))
 		}
-		heading, _ := p.histHeading.At(at)
-		s, _ := p.histDist.At(at)
-		p.lat.SetSteerCommand(p.keeper.Steer(offset, heading, p.cfg.Curvature(s+0.3*p.follower.Speed)))
 	}
 }
 
@@ -265,7 +250,7 @@ func (p *combinedPlant) Step(now float64) {
 	if err := p.lat.Step(step, p.follower.Speed, p.cfg.Curvature(p.follower.Position)); err != nil {
 		panic(fmt.Sprintf("scenario: lateral step: %v", err))
 	}
-	if err := p.recordHistory(now); err != nil {
+	if err := p.hist.add(now, p.state()); err != nil {
 		panic(fmt.Sprintf("scenario: history: %v", err))
 	}
 	recAdd(p.rec, "speed_err", now, p.lead.Speed()-p.follower.Speed)

@@ -188,17 +188,16 @@ type loopResult struct {
 // shared queue so every vehicle advances on the same virtual clock.
 type attachedLoop struct {
 	lc    loopConfig
-	rec   *trace.Recorder
 	miss  *metrics.MissBuckets
 	eng   *engine.Engine
 	coord *core.Coordinator
 	plant Plant
 }
 
-// finish collects the loop's result after the owning queue has been run to
-// the loop's duration.
+// finish collects the loop's result, without series, after the owning
+// queue has been run to the loop's duration.
 func (a *attachedLoop) finish() *loopResult {
-	res := &loopResult{Rec: a.rec, Miss: a.miss, EngineStats: a.eng.Stats()}
+	res := &loopResult{Miss: a.miss, EngineStats: a.eng.Stats()}
 	if a.coord != nil {
 		res.Overhead = a.coord.Overhead()
 	}
@@ -207,18 +206,21 @@ func (a *attachedLoop) finish() *loopResult {
 
 // runLoop executes one closed-loop run: build the graph and scheduler,
 // wire engine + coordinator + plant, tick dynamics and summaries, run to
-// Duration. The build callback constructs the plant against the shared
+// Duration. The build callback constructs the plant against the run's
 // recorder after the static configuration is validated.
 func runLoop(lc loopConfig, build func(rec *trace.Recorder) (Plant, error)) (*loopResult, error) {
 	q := simtime.NewEventQueue()
-	a, err := attachLoop(q, lc, build)
+	rec := trace.NewRecorder()
+	a, err := attachLoop(q, lc, func() (Plant, error) { return build(rec) })
 	if err != nil {
 		return nil, err
 	}
 	if err := q.RunUntil(simtime.Time(lc.Duration)); err != nil {
 		return nil, err
 	}
-	return a.finish(), nil
+	res := a.finish()
+	res.Rec = rec
+	return res, nil
 }
 
 // attachLoop wires one closed loop onto q without running it: graph, load
@@ -227,7 +229,7 @@ func runLoop(lc loopConfig, build func(rec *trace.Recorder) (Plant, error)) (*lo
 // scheduled for the same instant fire in creation order, so the sequence
 // below (plant dynamics, summary sample, engine sources, coordinator) is
 // part of the simulation's observable behaviour and must not be reordered.
-func attachLoop(q *simtime.EventQueue, lc loopConfig, build func(rec *trace.Recorder) (Plant, error)) (*attachedLoop, error) {
+func attachLoop(q *simtime.EventQueue, lc loopConfig, build func() (Plant, error)) (*attachedLoop, error) {
 	tun, err := lc.Tunables.Resolved()
 	if err != nil {
 		return nil, err
@@ -280,8 +282,7 @@ func attachLoop(q *simtime.EventQueue, lc loopConfig, build func(rec *trace.Reco
 		samplePeriod = 1 / lc.SampleRate
 	}
 
-	rec := trace.NewRecorder()
-	plant, err := build(rec)
+	plant, err := build()
 	if err != nil {
 		return nil, err
 	}
@@ -370,7 +371,7 @@ func attachLoop(q *simtime.EventQueue, lc loopConfig, build func(rec *trace.Reco
 			return nil, err
 		}
 	}
-	return &attachedLoop{lc: lc, rec: rec, miss: miss, eng: eng, coord: coord, plant: plant}, nil
+	return &attachedLoop{lc: lc, miss: miss, eng: eng, coord: coord, plant: plant}, nil
 }
 
 // applyLoadSteps wraps the named task's execution model in a load profile.
@@ -413,9 +414,13 @@ func applyRateOverrides(g *dag.Graph, overrides map[string]float64) error {
 	return g.Validate()
 }
 
-// recAdd appends to a recorder series; recorder series only ever advance
-// with simulation time, so failures indicate harness bugs.
+// recAdd appends to a recorder series, or does nothing for a nil recorder;
+// recorder series only ever advance with simulation time, so failures
+// indicate harness bugs.
 func recAdd(rec *trace.Recorder, name string, t, v float64) {
+	if rec == nil {
+		return
+	}
 	if err := rec.Add(name, t, v); err != nil {
 		panic(fmt.Sprintf("scenario: record %s: %v", name, err))
 	}

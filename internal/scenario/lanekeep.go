@@ -186,8 +186,8 @@ type laneKeepPlant struct {
 	lat      *vehicle.Lateral
 	distance float64 // arc length along the track
 
-	// Full-resolution history for stale-perception lookups.
-	histOffset, histHeading, histDistance trace.Series
+	// Full-resolution world history for stale-perception lookups.
+	hist history[latState]
 
 	lastCmds uint64
 }
@@ -203,30 +203,23 @@ func newLaneKeepPlant(cfg *LaneKeepingConfig, rec *trace.Recorder) (*laneKeepPla
 	if p.lat, err = vehicle.NewLateral(cfg.Lateral); err != nil {
 		return nil, err
 	}
-	if err := p.recordHistory(0); err != nil {
+	if err := p.hist.add(0, p.state()); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func (p *laneKeepPlant) recordHistory(now float64) error {
-	if err := p.histOffset.Add(now, p.lat.Y); err != nil {
-		return err
-	}
-	if err := p.histHeading.Add(now, p.lat.Psi); err != nil {
-		return err
-	}
-	return p.histDistance.Add(now, p.distance)
+// state is the world state a perception reads.
+func (p *laneKeepPlant) state() latState {
+	return latState{offset: p.lat.Y, heading: p.lat.Psi, dist: p.distance}
 }
 
 func (p *laneKeepPlant) Perceive(cmd engine.ControlCommand) {
-	at := float64(cmd.SourceTime)
-	offset, ok := p.histOffset.At(at)
+	st, ok := p.hist.at(float64(cmd.SourceTime))
 	if !ok {
 		return
 	}
-	heading, _ := p.histHeading.At(at)
-	s, _ := p.histDistance.At(at)
+	offset, heading, s := st.offset, st.heading, st.dist
 	if p.cfg.OffsetNoiseSD > 0 {
 		offset += p.noise.NormFloat64() * p.cfg.OffsetNoiseSD
 	}
@@ -253,7 +246,7 @@ func (p *laneKeepPlant) Step(now float64) {
 		panic(fmt.Sprintf("scenario: lateral step: %v", err))
 	}
 	p.distance += p.cfg.Speed * step
-	if err := p.recordHistory(now); err != nil {
+	if err := p.hist.add(now, p.state()); err != nil {
 		panic(fmt.Sprintf("scenario: history: %v", err))
 	}
 	recAdd(p.rec, "offset", now, p.lat.Y)

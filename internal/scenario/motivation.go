@@ -159,7 +159,7 @@ type motivationPlant struct {
 	follower *vehicle.Longitudinal
 	lead     *vehicle.Lead
 
-	histLeadSpeed, histLeadPos, histFolPos, histFolSpeed trace.Series
+	hist history[lonState]
 
 	collide   metrics.CollisionDetector
 	minGap    float64
@@ -194,35 +194,18 @@ func newMotivationPlant(cfg *MotivationConfig, rec *trace.Recorder) (*motivation
 	if p.lead, err = vehicle.NewLead(leadProfile, p.gains.StandstillGap+p.gains.Headway*initSpeed); err != nil {
 		return nil, err
 	}
-	if err := p.recordHistory(0); err != nil {
+	if err := p.hist.add(0, lonStateOf(p.lead, p.follower)); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func (p *motivationPlant) recordHistory(now float64) error {
-	if err := p.histLeadSpeed.Add(now, p.lead.Speed()); err != nil {
-		return err
-	}
-	if err := p.histLeadPos.Add(now, p.lead.Position); err != nil {
-		return err
-	}
-	if err := p.histFolSpeed.Add(now, p.follower.Speed); err != nil {
-		return err
-	}
-	return p.histFolPos.Add(now, p.follower.Position)
-}
-
 func (p *motivationPlant) Perceive(cmd engine.ControlCommand) {
-	at := float64(cmd.SourceTime)
-	leadSpd, ok := p.histLeadSpeed.At(at)
+	s, ok := p.hist.at(float64(cmd.SourceTime))
 	if !ok {
 		return
 	}
-	leadPos, _ := p.histLeadPos.At(at)
-	folPos, _ := p.histFolPos.At(at)
-	folSpd, _ := p.histFolSpeed.At(at)
-	p.follower.SetAccelCommand(p.gains.Accel(folSpd, leadSpd, leadPos-folPos))
+	p.follower.SetAccelCommand(p.gains.Accel(s.folSpeed, s.leadSpeed, s.leadPos-s.folPos))
 	p.lastCmdAt = float64(cmd.Completed)
 }
 
@@ -248,7 +231,7 @@ func (p *motivationPlant) Step(now float64) {
 	if now-p.lastCmdAt > 0.5 {
 		p.follower.SetAccelCommand(0)
 	}
-	if err := p.recordHistory(now); err != nil {
+	if err := p.hist.add(now, lonStateOf(p.lead, p.follower)); err != nil {
 		panic(fmt.Sprintf("scenario: history: %v", err))
 	}
 	gap := p.lead.Position - p.follower.Position

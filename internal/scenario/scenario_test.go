@@ -1,8 +1,14 @@
 package scenario
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"math"
 	"testing"
 
+	"hcperf/examples/specs"
+	"hcperf/internal/simtime"
+	"hcperf/internal/trace"
 	"hcperf/internal/vehicle"
 )
 
@@ -174,6 +180,97 @@ func TestCarFollowingSeriesPresent(t *testing.T) {
 	if r2.Rec.Series("gamma") != nil {
 		t.Error("EDF run recorded a gamma series")
 	}
+}
+
+// TestStreamedRMSMatchesSeries pins the tracking-error sums a car-following
+// run keeps as it goes, which are all a fleet vehicle reports: SpeedErrRMS
+// and DistErrRMS equal the RMS of the recorded speed_err and dist_err
+// series over [0, Duration) bit for bit, under three schemes at three
+// seeds and for the shipped fusion-overload spec.
+func TestStreamedRMSMatchesSeries(t *testing.T) {
+	var cfgs []CarFollowingConfig
+	for _, scheme := range []Scheme{SchemeHCPerf, SchemeEDF, SchemeApollo} {
+		for seed := int64(1); seed <= 3; seed++ {
+			cfgs = append(cfgs, CarFollowingConfig{Scheme: scheme, Seed: seed, Duration: 30})
+		}
+	}
+	spec, err := DecodeSpec(bytes.NewReader(specs.FusionOverload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec, err = spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	overload, err := CarFollowingConfigFromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs = append(cfgs, overload)
+	for _, cfg := range cfgs {
+		r, err := RunCarFollowing(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			series string
+			got    float64
+		}{{"speed_err", r.SpeedErrRMS}, {"dist_err", r.DistErrRMS}} {
+			want := r.Rec.Series(c.series).RMS(0, cfg.Duration)
+			if math.Float64bits(c.got) != math.Float64bits(want) || want == 0 {
+				t.Errorf("%v seed %d: streamed %s RMS %v, series RMS %v", cfg.Scheme, cfg.Seed, c.series, c.got, want)
+			}
+		}
+	}
+}
+
+// TestAttachedLoopsDoNotAlias attaches three car-following loops, each with
+// its own recorder, to one queue: every recorder must write the CSV of an
+// independent RunCarFollowing with the same seed, byte for byte, and every
+// result must carry its tracking-error RMS bit for bit. Any state leaking
+// between loops on a shared clock (an engine slice, a solver scratch
+// buffer, an RNG, a history) breaks this.
+func TestAttachedLoopsDoNotAlias(t *testing.T) {
+	const duration = 5
+	seeds := []int64{101, 202, 303}
+	q := simtime.NewEventQueue()
+	recs := make([]*trace.Recorder, len(seeds))
+	runs := make([]*CarFollowingRun, len(seeds))
+	for i, seed := range seeds {
+		recs[i] = trace.NewRecorder()
+		var err error
+		runs[i], err = AttachCarFollowing(q, CarFollowingConfig{Scheme: SchemeHCPerf, Seed: seed, Duration: duration}, recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := q.RunUntil(duration); err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range seeds {
+		single, err := RunCarFollowing(CarFollowingConfig{Scheme: SchemeHCPerf, Seed: seed, Duration: duration})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := csvDigest(t, recs[i]), csvDigest(t, single.Rec); got != want {
+			t.Errorf("loop %d (seed %d): shared-queue series digest %x != independent run %x", i, seed, got, want)
+		}
+		got := runs[i].Finish()
+		if math.Float64bits(got.SpeedErrRMS) != math.Float64bits(single.SpeedErrRMS) ||
+			math.Float64bits(got.DistErrRMS) != math.Float64bits(single.DistErrRMS) {
+			t.Errorf("loop %d (seed %d): RMS %v/%v != independent run %v/%v", i, seed,
+				got.SpeedErrRMS, got.DistErrRMS, single.SpeedErrRMS, single.DistErrRMS)
+		}
+	}
+}
+
+// csvDigest hashes a recorder's full CSV rendering.
+func csvDigest(t *testing.T, rec *trace.Recorder) [sha256.Size]byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return sha256.Sum256(buf.Bytes())
 }
 
 func TestLaneKeepingValidation(t *testing.T) {

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"hcperf/internal/simtime"
 )
@@ -30,8 +29,8 @@ import (
 // set at up to 2+BisectIters candidate γ values. All per-job quantities the
 // constraints need (p_i, d_i, c_i, deadline slack) are therefore captured
 // once per Recompute into scratch buffers reused across calls, and each
-// candidate γ only sorts an index permutation; steady-state Recompute
-// allocates nothing.
+// candidate γ only re-sorts an index permutation, starting from the order
+// the previous candidate left; steady-state Recompute allocates nothing.
 type Dynamic struct {
 	// GammaCap bounds the γ search bracket (constraint 1b, γ^max).
 	GammaCap float64
@@ -51,8 +50,7 @@ type Dynamic struct {
 	exec   []float64 // c_i
 	slack  []float64 // deadline_i − now
 	keys   []float64 // P_i(γ) for the candidate γ under test
-	order  []int     // index permutation sorted by keys
-	sorter *keySorter
+	order  []int     // index permutation sorted by (keys, index)
 }
 
 // DefaultGammaCap spans enough γ range that γ·Δp can dominate the largest
@@ -111,6 +109,7 @@ func (d *Dynamic) capture(now simtime.Time, ready []*Job) {
 		d.latest[i] = float64(j.LatestStart())
 		d.exec[i] = float64(j.EstExec)
 		d.slack[i] = float64(j.AbsDeadline - now)
+		d.order[i] = i
 	}
 }
 
@@ -204,26 +203,33 @@ func (d *Dynamic) feasible(gamma float64, now simtime.Time, ready []*Job, state 
 //
 //	c_k + ΣT_p/n_p + Σ_{P_i<P_k} c_i/n_p  <  deadline_k − now.
 //
-// The sort permutes an index scratch slice (stable, so ties keep arrival
-// order exactly as a stable sort of the queue itself would); no per-call
-// allocation.
+// The order is an index scratch slice sorted by (key, index). That is a
+// total order, since no key is NaN, so ties keep arrival order exactly as
+// a stable sort of the queue itself would. An insertion sort puts it in
+// order starting from the order the previous check left, which the next
+// candidate γ mostly keeps; capture resets it to arrival order. No
+// per-call allocation.
 func (d *Dynamic) check(gamma, np, base float64) bool {
 	if np <= 0 {
 		return false
 	}
 	keys, order := d.keys, d.order
-	for i := range order {
-		order[i] = i
+	for i := range keys {
 		keys[i] = gamma*d.prio[i] + d.latest[i]
 	}
-	if d.sorter == nil {
-		d.sorter = &keySorter{}
+	for k := 1; k < len(order); k++ {
+		x := order[k]
+		kx := keys[x]
+		m := k
+		for ; m > 0; m-- {
+			y := order[m-1]
+			if ky := keys[y]; ky < kx || ky == kx && y < x {
+				break
+			}
+			order[m] = y
+		}
+		order[m] = x
 	}
-	d.sorter.keys, d.sorter.order = keys, order
-	// sort.Stable on a concrete sort.Interface: stable, like the previous
-	// sort.SliceStable of the queue copy (so ties keep arrival order), but
-	// without the closure and interface-conversion allocations per call.
-	sort.Stable(d.sorter)
 	cum := 0.0
 	for _, i := range order {
 		c := d.exec[i]
@@ -235,18 +241,6 @@ func (d *Dynamic) check(gamma, np, base float64) bool {
 	}
 	return true
 }
-
-// keySorter stably sorts an index permutation by its key values. A concrete
-// sort.Interface (instead of sort.SliceStable's closure) keeps the per-call
-// allocation count at zero.
-type keySorter struct {
-	keys  []float64
-	order []int
-}
-
-func (s *keySorter) Len() int           { return len(s.order) }
-func (s *keySorter) Less(a, b int) bool { return s.keys[s.order[a]] < s.keys[s.order[b]] }
-func (s *keySorter) Swap(a, b int)      { s.order[a], s.order[b] = s.order[b], s.order[a] }
 
 // priorityOf evaluates Eq. 10 for one job. Smaller is dispatched first.
 func (d *Dynamic) priorityOf(j *Job, gamma float64) float64 {

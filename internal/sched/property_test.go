@@ -6,7 +6,10 @@ package sched
 // never reports a γ under which the queue is unschedulable.
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"hcperf/internal/dag"
@@ -126,6 +129,54 @@ func TestGammaMaxNeverAdmitsUnschedulable(t *testing.T) {
 		if len(jobs) > 0 && !d.feasible(gammaMax, now, jobs, st) {
 			t.Fatalf("trial %d: Recompute admitted unschedulable queue: γmax=%v infeasible for %d jobs on %d procs",
 				trial, gammaMax, len(jobs), np)
+		}
+	}
+}
+
+// TestCheckOrderIsStableSort pins the order check serves jobs in: for
+// random queues of 0–200 jobs, with repeated keys and ±Inf latest starts,
+// and several candidate γ checked one after another without a re-capture,
+// each check's order equals a stable sort of the arrival order by P_i(γ).
+// The insertion sort starts from the previous check's order, so only its
+// (key, index) tie-break makes equal keys keep arrival order.
+func TestCheckOrderIsStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	st := &ProcState{NumProcs: 2, Remaining: make([]simtime.Duration, 2)}
+	np, base := float64(st.NumProcs), 0.0
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(201)
+		jobs := make([]*Job, n)
+		for i := range jobs {
+			// Priorities, deadlines and γ below are small multiples of
+			// powers of two, so P_i(γ) is exact and ties are frequent.
+			deadline := simtime.Time(rng.Intn(8)) / 4
+			switch rng.Intn(16) {
+			case 0:
+				deadline = simtime.Time(math.Inf(1))
+			case 1:
+				deadline = simtime.Time(math.Inf(-1))
+			}
+			exec := simtime.Duration(rng.Intn(4)) / 8
+			jobs[i] = &Job{
+				Task:        &dag.Task{Priority: 1 + rng.Intn(4)},
+				AbsDeadline: deadline,
+				EstExec:     exec,
+			}
+		}
+		d := NewDynamic(0)
+		d.capture(0, jobs)
+		for c := 0; c < 8; c++ {
+			gamma := []float64{0, 0.125, 0.25, 0.5, 1, 2, rng.Float64()}[rng.Intn(7)]
+			d.check(gamma, np, base)
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			key := func(i int) float64 { return gamma*float64(jobs[i].Task.Priority) + float64(jobs[i].LatestStart()) }
+			sort.SliceStable(want, func(a, b int) bool { return key(want[a]) < key(want[b]) })
+			if !slices.Equal(d.order, want) {
+				t.Fatalf("trial %d, check %d (γ=%v, %d jobs): order %v, stable sort %v", trial, c, gamma, n, d.order, want)
+			}
 		}
 	}
 }

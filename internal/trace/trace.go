@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -36,26 +35,6 @@ func (s *Series) Add(t, v float64) error {
 
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Samples) }
-
-// Values returns the sample values as a fresh slice.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Samples))
-	for i, p := range s.Samples {
-		out[i] = p.V
-	}
-	return out
-}
-
-// Slice returns the samples with from <= T < to as a fresh slice.
-func (s *Series) Slice(from, to float64) []Sample {
-	var out []Sample
-	for _, p := range s.Samples {
-		if p.T >= from && p.T < to {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // RMS returns the root-mean-square of values with from <= T < to, or 0 if
 // the range is empty.
@@ -97,16 +76,6 @@ func (s *Series) MaxAbs(from, to float64) float64 {
 		}
 	}
 	return m
-}
-
-// At returns the latest value with T <= t (zero-order hold) and whether any
-// sample qualifies.
-func (s *Series) At(t float64) (float64, bool) {
-	idx := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].T > t })
-	if idx == 0 {
-		return 0, false
-	}
-	return s.Samples[idx-1].V, true
 }
 
 // Recorder collects named series.

@@ -22,12 +22,8 @@ func TestSeriesAddOrdered(t *testing.T) {
 	if err := s.Add(1.5, 0); err == nil {
 		t.Error("backwards time accepted")
 	}
-	if s.Len() != 4 {
-		t.Errorf("Len = %d, want 4", s.Len())
-	}
-	vals := s.Values()
-	if len(vals) != 4 || vals[3] != 4 {
-		t.Errorf("Values = %v", vals)
+	if s.Len() != 4 || s.Samples[3] != (Sample{T: 2, V: 4}) {
+		t.Errorf("samples = %v, want 4 ending at {2 4}", s.Samples)
 	}
 }
 
@@ -53,27 +49,6 @@ func TestSeriesRangeReductions(t *testing.T) {
 	}
 	if got := s.MaxAbs(0, 10); got != 9 {
 		t.Errorf("MaxAbs = %v, want 9", got)
-	}
-	if got := len(s.Slice(3, 6)); got != 3 {
-		t.Errorf("Slice(3,6) has %d samples, want 3", got)
-	}
-}
-
-func TestSeriesAt(t *testing.T) {
-	var s Series
-	for _, tm := range []float64{1, 2, 3} {
-		if err := s.Add(tm, tm*10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := s.At(0.5); ok {
-		t.Error("At before first sample should report false")
-	}
-	if v, ok := s.At(2.5); !ok || v != 20 {
-		t.Errorf("At(2.5) = %v,%v; want 20,true", v, ok)
-	}
-	if v, ok := s.At(3); !ok || v != 30 {
-		t.Errorf("At(3) = %v,%v; want 30,true", v, ok)
 	}
 }
 
