@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"sort"
 
 	"hcperf/internal/vehicle"
 )
@@ -31,21 +32,12 @@ func (h *history[R]) add(t float64, row R) error {
 // at returns the latest row recorded at or before t (zero-order hold) and
 // whether there is one.
 func (h history[R]) at(t float64) (R, bool) {
-	// lo ends at the first row recorded after t.
-	lo, hi := 0, len(h)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if h[m].t > t {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	if lo == 0 {
+	i := sort.Search(len(h), func(i int) bool { return h[i].t > t })
+	if i == 0 {
 		var zero R
 		return zero, false
 	}
-	return h[lo-1].row, true
+	return h[i-1].row, true
 }
 
 // lonState is the longitudinal world a car-following perception reads:

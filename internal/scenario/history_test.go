@@ -1,9 +1,6 @@
 package scenario
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // TestHistoryAt pins the zero-order hold a perception reads: the latest
 // row recorded at or before the source time, the last of rows recorded at
@@ -31,39 +28,5 @@ func TestHistoryAt(t *testing.T) {
 	}
 	if len(h) != 4 {
 		t.Errorf("a refused row changed the history to %d rows", len(h))
-	}
-}
-
-// TestHistoryAtMatchesScan checks the binary search against a backward
-// scan over random histories with repeated times.
-func TestHistoryAtMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		var h history[int]
-		tm := rng.Float64()
-		for i := rng.Intn(40); i > 0; i-- {
-			if rng.Intn(3) > 0 {
-				tm += rng.Float64()
-			}
-			if err := h.add(tm, len(h)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for q := 0; q < 20; q++ {
-			at := rng.Float64() * (tm + 1)
-			if q%4 == 0 && len(h) > 0 {
-				at = h[rng.Intn(len(h))].t
-			}
-			want, wantOK := -1, false
-			for i := len(h) - 1; i >= 0; i-- {
-				if h[i].t <= at {
-					want, wantOK = h[i].row, true
-					break
-				}
-			}
-			if got, ok := h.at(at); ok != wantOK || (ok && got != want) {
-				t.Fatalf("trial %d: at(%v) = %v,%v; want %v,%v", trial, at, got, ok, want, wantOK)
-			}
-		}
 	}
 }
