@@ -140,9 +140,8 @@ func TestGammaMaxNeverAdmitsUnschedulable(t *testing.T) {
 // The insertion sort starts from the previous check's order, so only its
 // (key, index) tie-break makes equal keys keep arrival order.
 func TestCheckOrderIsStableSort(t *testing.T) {
+	const np, base = 2.0, 0.0
 	rng := rand.New(rand.NewSource(13))
-	st := &ProcState{NumProcs: 2, Remaining: make([]simtime.Duration, 2)}
-	np, base := float64(st.NumProcs), 0.0
 	for trial := 0; trial < 300; trial++ {
 		n := rng.Intn(201)
 		jobs := make([]*Job, n)
