@@ -114,7 +114,8 @@ suite:
 	$(GO) run ./cmd/hcperf-bench -parallel 0
 
 ## netlines: Go lines added, removed and net between BASE and HEAD, program
-## and test files apart, hcbench/ excluded: make netlines BASE=<rev>
+## and test files apart, hcbench/ excluded, then program code without blank
+## and comment-only lines: make netlines BASE=<rev>
 netlines:
 	@sh scripts/netlines.sh "$(BASE)"
 

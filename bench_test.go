@@ -52,7 +52,7 @@ func BenchmarkTable2SpeedRMS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		results = make(map[scenario.Scheme]*scenario.CarFollowingResult)
 		for _, s := range scenario.AllSchemes() {
-			r, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{Scheme: s, Seed: 1})
+			r, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: s, Seed: 1}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func BenchmarkTable4LateralRMS(b *testing.B) {
 	offsets := make(map[scenario.Scheme]float64)
 	for i := 0; i < b.N; i++ {
 		for _, s := range scenario.AllSchemes() {
-			r, err := scenario.RunLaneKeeping(scenario.LaneKeepingConfig{Scheme: s, Seed: 1})
+			r, err := scenario.RunLaneKeeping(scenario.Loop{Scheme: s, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -112,9 +112,9 @@ func BenchmarkFig18Ablation(b *testing.B) { benchExperiment(b, "fig18") }
 func BenchmarkOverheadCoordinatorStep(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		r, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{
+		r, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{Loop: scenario.Loop{
 			Scheme: scenario.SchemeHCPerf, Seed: 1,
-		})
+		}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func benchSweep(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		results, err := runner.Map(context.Background(), workers, schemes,
 			func(_ context.Context, s scenario.Scheme) (*scenario.CarFollowingResult, error) {
-				return scenario.RunCarFollowing(scenario.CarFollowingConfig{Scheme: s, Seed: 1})
+				return scenario.RunCarFollowing(scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: s, Seed: 1}})
 			})
 		if err != nil {
 			b.Fatal(err)

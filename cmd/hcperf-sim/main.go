@@ -45,7 +45,6 @@ import (
 	"hcperf/internal/rt"
 	runpkg "hcperf/internal/run"
 	"hcperf/internal/scenario"
-	"hcperf/internal/sched"
 	"hcperf/internal/search"
 	"hcperf/internal/simtime"
 	"hcperf/internal/store"
@@ -108,7 +107,7 @@ func parseFlags(args []string) (opts options, showVersion bool, err error) {
 // flagSet defines every hcperf-sim flag over opts and showVersion.
 func flagSet(opts *options, showVersion *bool) *flag.FlagSet {
 	fs := flag.NewFlagSet("hcperf-sim", flag.ExitOnError)
-	fs.StringVar(&opts.Scenario, "scenario", "carfollow", "carfollow | lanekeep | motivation | hardware | jam | combined")
+	fs.StringVar(&opts.Scenario, "scenario", "carfollow", strings.Join(scenario.ScenarioNames(), " | "))
 	fs.StringVar(&opts.Scheme, "scheme", "hcperf", "hpf | edf | edfvd | apollo | hcperf | hcperf-internal")
 	fs.Int64Var(&opts.Seed, "seed", 1, "random seed")
 	fs.Float64Var(&opts.Duration, "duration", 0, "override scenario duration (seconds; 0 = default)")
@@ -251,11 +250,6 @@ func runTune(opts options) error {
 	return nil
 }
 
-// parseScheme resolves a scheme name via the shared scenario parser.
-func parseScheme(name string) (scenario.Scheme, error) {
-	return scenario.ParseScheme(name)
-}
-
 // traceCapacity bounds the in-memory lifecycle event buffer for rt mode: at
 // the 23-task graph's aggregate job rate a full-length run fits comfortably,
 // and overflow drops oldest-first with a warning rather than growing
@@ -300,7 +294,7 @@ func writeTraceEvents(tracePath string, events []lifecycle.Event) error {
 
 func run(opts options) error {
 	if opts.Mode == "rt" {
-		scheme, err := parseScheme(opts.Scheme)
+		scheme, err := scenario.ParseScheme(opts.Scheme)
 		if err != nil {
 			return err
 		}
@@ -395,24 +389,15 @@ func runWallClock(scheme scenario.Scheme, seed int64, duration float64, tracer *
 	if err != nil {
 		return err
 	}
-	var scheduler sched.Scheduler
+	scheduler, dyn, err := scenario.NewScheduler(scheme)
+	if err != nil {
+		return err
+	}
 	var trackErr func(simtime.Time) float64
-	switch scheme {
-	case scenario.SchemeHCPerf, scenario.SchemeHCPerfInternal:
-		scheduler = sched.NewDynamic(0)
+	if dyn != nil {
 		trackErr = func(t simtime.Time) float64 {
 			return math.Abs(1.5 * math.Sin(2*math.Pi*float64(t)/7))
 		}
-	case scenario.SchemeHPF:
-		scheduler = sched.HPF{}
-	case scenario.SchemeEDF:
-		scheduler = sched.EDF{}
-	case scenario.SchemeEDFVD:
-		scheduler = sched.NewEDFVD(scenario.EDFVDScale)
-	case scenario.SchemeApollo:
-		scheduler = sched.Apollo{}
-	default:
-		return fmt.Errorf("unsupported scheme %v", scheme)
 	}
 	cfg := rt.Config{
 		Graph:           graph,

@@ -14,33 +14,6 @@ import (
 	"hcperf/internal/store"
 )
 
-func TestParseScheme(t *testing.T) {
-	tests := []struct {
-		give    string
-		want    scenario.Scheme
-		wantErr bool
-	}{
-		{give: "hpf", want: scenario.SchemeHPF},
-		{give: "edf", want: scenario.SchemeEDF},
-		{give: "edfvd", want: scenario.SchemeEDFVD},
-		{give: "edf-vd", want: scenario.SchemeEDFVD},
-		{give: "apollo", want: scenario.SchemeApollo},
-		{give: "hcperf", want: scenario.SchemeHCPerf},
-		{give: "hcperf-internal", want: scenario.SchemeHCPerfInternal},
-		{give: "bogus", wantErr: true},
-	}
-	for _, tt := range tests {
-		got, err := parseScheme(tt.give)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("parseScheme(%q) err = %v, wantErr %v", tt.give, err, tt.wantErr)
-			continue
-		}
-		if !tt.wantErr && got != tt.want {
-			t.Errorf("parseScheme(%q) = %v, want %v", tt.give, got, tt.want)
-		}
-	}
-}
-
 // simOpts is the baseline single-run invocation the tests start from.
 func simOpts() options {
 	return options{Scenario: "carfollow", Scheme: "hcperf", Seed: 1, Duration: 5,
@@ -48,7 +21,7 @@ func simOpts() options {
 }
 
 func TestRunScenariosShort(t *testing.T) {
-	for _, sc := range []string{"carfollow", "lanekeep", "motivation", "hardware", "jam", "combined"} {
+	for _, sc := range scenario.ScenarioNames() {
 		t.Run(sc, func(t *testing.T) {
 			opts := simOpts()
 			opts.Scenario, opts.Scheme = sc, "edf"

@@ -25,10 +25,10 @@ func run() error {
 	fmt.Fprintln(w, "scheme\tspeed RMS (m/s)\tdist RMS (m)\tmiss ratio\tcmds/s\te2e (ms)")
 	var hcperf, worst float64
 	for _, s := range scenario.AllSchemes() {
-		r, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{
+		r, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{Loop: scenario.Loop{
 			Scheme: s,
 			Seed:   1,
-		})
+		}})
 		if err != nil {
 			return err
 		}

@@ -28,7 +28,7 @@ func run(csvPath string) error {
 	merged := trace.NewRecorder()
 	fmt.Println("lane keeping, one lap at 5 m/s (four turns):")
 	for _, s := range scenario.AllSchemes() {
-		r, err := scenario.RunLaneKeeping(scenario.LaneKeepingConfig{Scheme: s, Seed: 1})
+		r, err := scenario.RunLaneKeeping(scenario.Loop{Scheme: s, Seed: 1})
 		if err != nil {
 			return err
 		}

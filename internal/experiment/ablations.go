@@ -34,11 +34,11 @@ func init() {
 func AblateGammaCap(seed int64, workers int) (*Report, error) {
 	caps := []float64{1e-6, 0.005, 0.02, 0.1}
 	results, err := sweep(workers, caps, func(cap float64) (*scenario.CarFollowingResult, error) {
-		return scenario.RunCarFollowing(scenario.CarFollowingConfig{
+		return scenario.RunCarFollowing(scenario.CarFollowingConfig{Loop: scenario.Loop{
 			Scheme:   scenario.SchemeHCPerfInternal,
 			Seed:     seed,
 			GammaCap: cap,
-		})
+		}})
 	})
 	if err != nil {
 		return nil, err
@@ -81,12 +81,12 @@ func AblateE2E(seed int64, workers int) (*Report, error) {
 		{label: "neither guard", disableE2E: true, age: -1},
 	}
 	results, err := sweep(workers, variants, func(v variant) (*scenario.CarFollowingResult, error) {
-		return scenario.RunCarFollowing(scenario.CarFollowingConfig{
+		return scenario.RunCarFollowing(scenario.CarFollowingConfig{Loop: scenario.Loop{
 			Scheme:     scenario.SchemeHCPerf,
 			Seed:       seed,
 			DisableE2E: v.disableE2E,
 			MaxDataAge: v.age,
-		})
+		}})
 	})
 	if err != nil {
 		return nil, err
@@ -136,11 +136,11 @@ func AblateDataAge(seed int64, workers int) (*Report, error) {
 		}
 	}
 	results, err := sweep(workers, grid, func(c cell) (*scenario.CarFollowingResult, error) {
-		return scenario.RunCarFollowing(scenario.CarFollowingConfig{
+		return scenario.RunCarFollowing(scenario.CarFollowingConfig{Loop: scenario.Loop{
 			Scheme:     c.s,
 			Seed:       seed,
 			MaxDataAge: c.v.age,
-		})
+		}})
 	})
 	if err != nil {
 		return nil, err
@@ -180,11 +180,11 @@ func SweepProcs(seed int64, workers int) (*Report, error) {
 		}
 	}
 	results, err := sweep(workers, grid, func(c cell) (*scenario.CarFollowingResult, error) {
-		return scenario.RunCarFollowing(scenario.CarFollowingConfig{
+		return scenario.RunCarFollowing(scenario.CarFollowingConfig{Loop: scenario.Loop{
 			Scheme:   c.s,
 			Seed:     seed,
 			NumProcs: c.m,
-		})
+		}})
 	})
 	if err != nil {
 		return nil, err
@@ -280,7 +280,7 @@ func ExtAEB(seed int64, workers int) (*Report, error) {
 func ExtDualControl(seed int64, workers int) (*Report, error) {
 	schemes := scenario.AllSchemes()
 	results, err := sweep(workers, schemes, func(s scenario.Scheme) (*scenario.CombinedResult, error) {
-		return scenario.RunCombined(scenario.CombinedConfig{Scheme: s, Seed: seed})
+		return scenario.RunCombined(scenario.Loop{Scheme: s, Seed: seed})
 	})
 	if err != nil {
 		return nil, err

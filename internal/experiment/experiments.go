@@ -45,7 +45,7 @@ func runCarFollowingSweep(workers int, build func(scenario.Scheme) (scenario.Car
 
 func simCarFollowing(seed int64, workers int) (map[scenario.Scheme]*scenario.CarFollowingResult, error) {
 	return runCarFollowingSweep(workers, func(s scenario.Scheme) (scenario.CarFollowingConfig, error) {
-		return scenario.CarFollowingConfig{Scheme: s, Seed: seed}, nil
+		return scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: s, Seed: seed}}, nil
 	})
 }
 
@@ -53,7 +53,7 @@ func simCarFollowing(seed int64, workers int) (map[scenario.Scheme]*scenario.Car
 // scenario under Apollo's static-priority scheduling ends in a collision
 // while the deadline-miss ratio ramps (Fig. 4(a) and 4(b)).
 func Fig4Motivation(seed int64, _ int) (*Report, error) {
-	r, err := scenario.RunMotivation(scenario.MotivationConfig{Scheme: scenario.SchemeApollo, Seed: seed})
+	r, err := scenario.RunMotivation(scenario.Loop{Scheme: scenario.SchemeApollo, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +338,7 @@ func rmsTable(id, title string, results map[scenario.Scheme]*scenario.CarFollowi
 func Fig14LaneKeeping(seed int64, workers int) (*Report, error) {
 	schemes := scenario.AllSchemes()
 	results, err := sweep(workers, schemes, func(s scenario.Scheme) (*scenario.LaneKeepingResult, error) {
-		return scenario.RunLaneKeeping(scenario.LaneKeepingConfig{Scheme: s, Seed: seed})
+		return scenario.RunLaneKeeping(scenario.Loop{Scheme: s, Seed: seed})
 	})
 	if err != nil {
 		return nil, err
@@ -374,7 +374,7 @@ func Table4LateralRMS(seed int64, workers int) (*Report, error) {
 	paperVals := []string{"0.093", "0.075", "0.051", "0.159", "0.027"}
 	schemes := scenario.AllSchemes()
 	results, err := sweep(workers, schemes, func(s scenario.Scheme) (*scenario.LaneKeepingResult, error) {
-		return scenario.RunLaneKeeping(scenario.LaneKeepingConfig{Scheme: s, Seed: seed})
+		return scenario.RunLaneKeeping(scenario.Loop{Scheme: s, Seed: seed})
 	})
 	if err != nil {
 		return nil, err
@@ -549,7 +549,7 @@ func Fig18Ablation(seed int64, workers int) (*Report, error) {
 		{label: "internal", scheme: scenario.SchemeHCPerfInternal},
 	}
 	results, err := sweep(workers, variants, func(v variant) (*scenario.CarFollowingResult, error) {
-		return scenario.RunCarFollowing(scenario.CarFollowingConfig{Scheme: v.scheme, Seed: seed})
+		return scenario.RunCarFollowing(scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: v.scheme, Seed: seed}})
 	})
 	if err != nil {
 		return nil, err
@@ -588,7 +588,7 @@ func Fig18Ablation(seed int64, workers int) (*Report, error) {
 // cost per coordination step, measured in wall-clock time during a full
 // car-following run.
 func OverheadAnalysis(seed int64, _ int) (*Report, error) {
-	r, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Seed: seed})
+	r, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: scenario.SchemeHCPerf, Seed: seed}})
 	if err != nil {
 		return nil, err
 	}

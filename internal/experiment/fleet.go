@@ -29,7 +29,7 @@ func ExtFleet(seed int64, _ int) (*Report, error) {
 	var last *fleet.Result
 	for _, coupling := range couplings {
 		res, err := fleet.Run(fleet.Config{
-			Base:     scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 30},
+			Base:     scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: scenario.SchemeHCPerf, Duration: 30}},
 			N:        24,
 			Coupling: coupling,
 			Spacing:  18,

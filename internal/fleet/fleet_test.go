@@ -173,7 +173,7 @@ func TestVehiclePermutationInvariance(t *testing.T) {
 	// Per-vehicle stats must follow their seed, not their slot.
 	statsBySeed := func(seeds []int64) map[int64]fleet.VehicleStats {
 		res, err := fleet.Run(fleet.Config{
-			Base:         scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
+			Base:         scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: scenario.SchemeHCPerf, Duration: 5}},
 			N:            len(seeds),
 			VehicleSeeds: seeds,
 		})
@@ -204,7 +204,7 @@ func TestFleetN1EquivalentToSingle(t *testing.T) {
 	const seed = 77
 	var fleetEvents, singleEvents []lifecycle.Event
 	res, err := fleet.Run(fleet.Config{
-		Base:         scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
+		Base:         scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: scenario.SchemeHCPerf, Duration: 5}},
 		N:            1,
 		VehicleSeeds: []int64{seed},
 		Tracer:       lifecycle.TracerFunc(func(ev lifecycle.Event) { fleetEvents = append(fleetEvents, ev) }),
@@ -212,10 +212,10 @@ func TestFleetN1EquivalentToSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{
+	single, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{Loop: scenario.Loop{
 		Scheme: scenario.SchemeHCPerf, Seed: seed, Duration: 5,
 		Tracer: lifecycle.TracerFunc(func(ev lifecycle.Event) { singleEvents = append(singleEvents, ev) }),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestFleetN1EquivalentToSingle(t *testing.T) {
 func TestFleetOfKEqualsKSingles(t *testing.T) {
 	seeds := []int64{101, 202, 303}
 	res, err := fleet.Run(fleet.Config{
-		Base:         scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
+		Base:         scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: scenario.SchemeHCPerf, Duration: 5}},
 		N:            len(seeds),
 		VehicleSeeds: seeds,
 	})
@@ -253,9 +253,9 @@ func TestFleetOfKEqualsKSingles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, seed := range seeds {
-		single, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{
+		single, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{Loop: scenario.Loop{
 			Scheme: scenario.SchemeHCPerf, Seed: seed, Duration: 5,
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +420,7 @@ func TestVehicleSeedPartition(t *testing.T) {
 
 // TestRunValidation exercises the fleet runner's parameter checks.
 func TestRunValidation(t *testing.T) {
-	base := scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5}
+	base := scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: scenario.SchemeHCPerf, Duration: 5}}
 	cases := []struct {
 		name string
 		cfg  fleet.Config
@@ -453,7 +453,7 @@ func TestPlatoonCouplingBites(t *testing.T) {
 		t.Error("platoon coupling had no observable effect on the fleet digest")
 	}
 	res, err := fleet.Run(fleet.Config{
-		Base:     scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
+		Base:     scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: scenario.SchemeHCPerf, Duration: 5}},
 		N:        8,
 		Coupling: scenario.FleetCouplingPlatoon,
 		Spacing:  18,

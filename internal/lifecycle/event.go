@@ -99,16 +99,6 @@ type TracerFunc func(ev Event)
 // Trace implements Tracer.
 func (f TracerFunc) Trace(ev Event) { f(ev) }
 
-// MultiTracer fans one event stream out to several tracers.
-type MultiTracer []Tracer
-
-// Trace implements Tracer.
-func (m MultiTracer) Trace(ev Event) {
-	for _, t := range m {
-		t.Trace(ev)
-	}
-}
-
 // Ring is a bounded ring-buffer event collector: it keeps the most recent
 // Cap events and counts how many older ones it dropped. The zero value is
 // not usable; construct with NewRing.

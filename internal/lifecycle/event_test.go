@@ -29,18 +29,13 @@ func TestEventKindStrings(t *testing.T) {
 	}
 }
 
-func TestTracerFuncAndMultiTracer(t *testing.T) {
-	var a, b []EventKind
-	mt := MultiTracer{
-		TracerFunc(func(ev Event) { a = append(a, ev.Kind) }),
-		TracerFunc(func(ev Event) { b = append(b, ev.Kind) }),
-	}
-	mt.Trace(Event{Kind: EventRelease})
-	mt.Trace(Event{Kind: EventComplete})
-	for name, got := range map[string][]EventKind{"a": a, "b": b} {
-		if len(got) != 2 || got[0] != EventRelease || got[1] != EventComplete {
-			t.Errorf("tracer %s saw %v", name, got)
-		}
+func TestTracerFunc(t *testing.T) {
+	var got []EventKind
+	var tr Tracer = TracerFunc(func(ev Event) { got = append(got, ev.Kind) })
+	tr.Trace(Event{Kind: EventRelease})
+	tr.Trace(Event{Kind: EventComplete})
+	if len(got) != 2 || got[0] != EventRelease || got[1] != EventComplete {
+		t.Errorf("tracer saw %v", got)
 	}
 }
 

@@ -488,7 +488,7 @@ func benchFleetSecond(b *testing.B, n int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := fleet.Run(fleet.Config{
-			Base:     scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 1},
+			Base:     scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: scenario.SchemeHCPerf, Duration: 1}},
 			N:        n,
 			Coupling: scenario.FleetCouplingPlatoon,
 			Spacing:  18,

@@ -100,7 +100,7 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 func shortSweep(workers int, seed int64) ([]float64, error) {
 	results, err := runner.Map(context.Background(), workers, scenario.AllSchemes(),
 		func(_ context.Context, s scenario.Scheme) (*scenario.CarFollowingResult, error) {
-			return scenario.RunCarFollowing(scenario.CarFollowingConfig{Scheme: s, Seed: seed, Duration: 5})
+			return scenario.RunCarFollowing(scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: s, Seed: seed, Duration: 5}})
 		})
 	if err != nil {
 		return nil, err

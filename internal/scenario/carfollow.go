@@ -1,14 +1,11 @@
 package scenario
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 
-	"hcperf/internal/core"
 	"hcperf/internal/engine"
-	"hcperf/internal/lifecycle"
 	"hcperf/internal/metrics"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
@@ -18,20 +15,14 @@ import (
 )
 
 // CarFollowingConfig parameterises the car-following scenario (paper
-// §VII-B1, §VII-C and the hardware study §VII-B3). Zero fields take the
-// defaults of the simulation evaluation: a sine-speed lead (10-20 m/s,
-// 7 s period), the 23-task graph on 2 processors and the complex-scene
+// §VII-B1, §VII-C and the hardware study §VII-B3): the closed loop plus
+// the longitudinal plant. Zero fields take the defaults of the simulation
+// evaluation: a 90 s run of a sine-speed lead (10-20 m/s, 7 s period)
+// over the 23-task graph on 2 processors, through the complex-scene
 // episode over t ∈ [10 s, 80 s) that doubles the sensor-fusion time
-// (obstacles 11 → 23).
+// (obstacles 11 → 23; DefaultCarFollowingObstacles).
 type CarFollowingConfig struct {
-	// Scheme selects the scheduling scheme.
-	Scheme Scheme
-	// Seed drives all scenario randomness.
-	Seed int64
-	// Duration is the simulated time span in seconds (default 90).
-	Duration float64
-	// NumProcs is the processor count (default 4).
-	NumProcs int
+	Loop
 	// LeadProfile is the lead vehicle's speed profile (default sine).
 	LeadProfile vehicle.SpeedProfile
 	// InitSpeed is the follower's starting speed (default: profile
@@ -41,14 +32,6 @@ type CarFollowingConfig struct {
 	// the desired gap at InitSpeed). Fleet platoons use it to set the
 	// initial inter-vehicle spacing.
 	InitGap float64
-	// Loads optionally multiply task execution times over time windows,
-	// on top of the obstacle profile (default none).
-	Loads []TaskLoad
-	// Obstacles maps time to detected-obstacle count. The default is
-	// the paper's complex-scene episode: 11 obstacles normally (fusion
-	// ≈ 20 ms) and 23 during t ∈ [10 s, 80 s) (fusion ≈ 40 ms, and the
-	// obstacle-sensitive detection/tracking tasks inflate with it).
-	Obstacles func(t float64) int
 	// SpeedNoiseSD adds Gaussian noise to the perceived lead speed
 	// (m/s; hardware emulation).
 	SpeedNoiseSD float64
@@ -58,41 +41,17 @@ type CarFollowingConfig struct {
 	Longitudinal vehicle.LongitudinalConfig
 	// FollowerGains tunes the car-following law (default gains).
 	FollowerGains vehicle.CarFollower
-	// RateOverrides sets initial source rates by task name; each must
-	// lie inside the task's allowable range.
-	RateOverrides map[string]float64
-	// VehicleStep is the dynamics integration step (default 10 ms).
-	VehicleStep float64
-	// SampleRate is the summary-series sample frequency in Hz
-	// (default 1).
-	SampleRate float64
-	// Tracer optionally receives the engine's structured lifecycle
-	// event stream (per-job timelines).
-	Tracer lifecycle.Tracer
 	// TrackGapError makes the coordinator track the gap error instead
 	// of the speed error (the Fig. 16/17 responsiveness study).
 	TrackGapError bool
-	// GammaCap overrides the Dynamic scheduler's γ cap for ablation
-	// studies (0 = default).
-	GammaCap float64
-	// DisableE2E removes the control task's explicit end-to-end deadline
-	// (ablation: the external coordinator loses its latency signal).
-	DisableE2E bool
-	// MaxDataAge overrides the input-age validity bound: 0 = default
-	// (DefaultMaxDataAge, 220 ms), negative = disabled (ablation:
-	// auxiliary-task starvation becomes free).
-	MaxDataAge simtime.Duration
-	// Tunables sets the coordinator parameter set (γ cap, MFC window,
-	// adapter gains, rate-band scales). Zero fields take the paper
-	// defaults (core.DefaultTunables); the search subsystem explores this
-	// space. A non-zero GammaCap field above wins over Tunables.GammaCap.
-	Tunables core.Tunables
 }
 
 // DefaultCarFollowingObstacles is the paper's complex-scene episode — 11
-// obstacles normally, 23 during t ∈ [10 s, 80 s) — the obstacle field a
-// zero-valued CarFollowingConfig runs over. It is exported so the fleet
-// layer can wrap the same shared field with per-follower coupling terms.
+// obstacles normally (fusion ≈ 20 ms), 23 during t ∈ [10 s, 80 s) (fusion
+// ≈ 40 ms, and the obstacle-sensitive detection/tracking tasks inflate
+// with it) — the obstacle field a zero-valued CarFollowingConfig runs
+// over. It is exported so the fleet layer can wrap the same shared field
+// with per-follower coupling terms.
 func DefaultCarFollowingObstacles(t float64) int {
 	if t >= 10 && t < 80 {
 		return 23
@@ -100,21 +59,34 @@ func DefaultCarFollowingObstacles(t float64) int {
 	return 11
 }
 
+// carFollowRates are the initial source rates of the car-following and
+// combined scenarios.
+var carFollowRates = map[string]float64{
+	"camera_front": 10, "camera_traffic_light": 8,
+	"lidar_scan": 10, "radar_scan": 12,
+}
+
+// carFollowFamily is what the car-following scenario fixes about its loop.
+var carFollowFamily = family{
+	graph:     GraphAD23,
+	duration:  90,
+	obstacles: DefaultCarFollowingObstacles,
+	rates:     carFollowRates,
+}
+
+// passengerCar is the default follower plant, and the one the combined
+// and motivation scenarios drive: a stiff longitudinal plant, so the
+// residual tracking error is dominated by sensing-to-actuation staleness —
+// the quantity scheduling actually controls — not by plant lag.
+var passengerCar = vehicle.LongitudinalConfig{MaxAccel: 6, MaxBrake: 8, ActuatorTau: 0.1, MaxSpeed: 40}
+
+// followerGains is the default car-following law, and the one the
+// combined and motivation scenarios drive.
+var followerGains = vehicle.CarFollower{Kv: 5, Kg: 1, StandstillGap: 5, Headway: 1.2}
+
 func (c *CarFollowingConfig) applyDefaults() error {
-	if c.Scheme == 0 {
-		return errors.New("scenario: no scheme selected")
-	}
-	if c.Duration == 0 {
-		c.Duration = 90
-	}
-	if c.Duration <= 0 {
-		return fmt.Errorf("scenario: non-positive duration %v", c.Duration)
-	}
-	if c.NumProcs == 0 {
-		c.NumProcs = 2
-	}
-	if c.NumProcs < 1 {
-		return fmt.Errorf("scenario: NumProcs %d < 1", c.NumProcs)
+	if err := c.Loop.applyDefaults(carFollowFamily); err != nil {
+		return err
 	}
 	if c.LeadProfile == nil {
 		c.LeadProfile = vehicle.SineProfile{Mean: 15, Amp: 5, Period: 7}
@@ -122,55 +94,16 @@ func (c *CarFollowingConfig) applyDefaults() error {
 	if c.InitSpeed == 0 {
 		c.InitSpeed = c.LeadProfile.Speed(0)
 	}
-	if c.Obstacles == nil {
-		c.Obstacles = DefaultCarFollowingObstacles
-	}
 	if c.Longitudinal == (vehicle.LongitudinalConfig{}) {
-		// A stiff longitudinal plant: the residual tracking error is
-		// then dominated by sensing-to-actuation staleness — the
-		// quantity scheduling actually controls — not by plant lag.
-		c.Longitudinal = vehicle.LongitudinalConfig{MaxAccel: 6, MaxBrake: 8, ActuatorTau: 0.1, MaxSpeed: 40}
+		c.Longitudinal = passengerCar
 	}
 	if c.FollowerGains == (vehicle.CarFollower{}) {
-		c.FollowerGains = vehicle.CarFollower{Kv: 5, Kg: 1, StandstillGap: 5, Headway: 1.2}
-	}
-	if c.RateOverrides == nil {
-		c.RateOverrides = map[string]float64{
-			"camera_front": 10, "camera_traffic_light": 8,
-			"lidar_scan": 10, "radar_scan": 12,
-		}
-	}
-	if c.VehicleStep == 0 {
-		c.VehicleStep = 0.01
-	}
-	if c.VehicleStep <= 0 {
-		return fmt.Errorf("scenario: non-positive vehicle step %v", c.VehicleStep)
+		c.FollowerGains = followerGains
 	}
 	if c.InitGap < 0 {
 		return fmt.Errorf("scenario: negative initial gap %v", c.InitGap)
 	}
 	return nil
-}
-
-// loop maps the config onto the shared closed-loop kernel.
-func (c *CarFollowingConfig) loop() loopConfig {
-	return loopConfig{
-		Graph:         GraphAD23,
-		Scheme:        c.Scheme,
-		Seed:          c.Seed,
-		Duration:      c.Duration,
-		NumProcs:      c.NumProcs,
-		VehicleStep:   c.VehicleStep,
-		SampleRate:    c.SampleRate,
-		MaxDataAge:    c.MaxDataAge,
-		GammaCap:      c.GammaCap,
-		DisableE2E:    c.DisableE2E,
-		Loads:         c.Loads,
-		RateOverrides: c.RateOverrides,
-		Obstacles:     c.Obstacles,
-		Tracer:        c.Tracer,
-		Tunables:      c.Tunables,
-	}
 }
 
 // CarFollowingResult aggregates everything the paper reports for one
@@ -409,7 +342,7 @@ func AttachCarFollowing(q *simtime.EventQueue, cfg CarFollowingConfig, rec *trac
 		return nil, err
 	}
 	var p *carFollowPlant
-	a, err := attachLoop(q, cfg.loop(), func() (Plant, error) {
+	a, err := attachLoop(q, cfg.Loop, carFollowFamily, func() (Plant, error) {
 		var err error
 		p, err = newCarFollowPlant(&cfg, rec)
 		return p, err

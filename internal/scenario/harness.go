@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -24,8 +25,10 @@ import (
 // graph construction, load steps, rate overrides, scheduler/γ-cap setup,
 // engine wiring, coordinator wiring, the vehicle-dynamics ticker, the
 // summary-sample ticker and per-second deadline accounting. A scenario is
-// a Plant (the vehicle-side world) plus a loopConfig (declarative knobs);
-// the four paper scenarios and any custom Spec all run through runLoop.
+// a Plant (the vehicle-side world) and a family (what the scenario fixes:
+// its graph and its default duration, obstacles and rates); the caller's
+// knobs are one Loop. The four paper scenarios and any custom Spec all run
+// through attachLoop.
 
 // DefaultMaxDataAge is the input-age validity bound every scenario uses
 // unless overridden: a control output computed from sensor data older than
@@ -132,45 +135,103 @@ type Env struct {
 	Miss  *metrics.MissBuckets
 }
 
-// loopConfig is the declarative half of a scenario: everything the closed
-// loop needs that is not vehicle dynamics.
-type loopConfig struct {
-	// Graph names the task graph (BuildGraph).
-	Graph string
+// Loop is the closed loop's configuration: every knob of a scenario run
+// that is not vehicle dynamics. Zero fields take the scenario's defaults;
+// Scheme is required.
+type Loop struct {
 	// Scheme selects the scheduling scheme.
 	Scheme Scheme
-	// Seed drives engine randomness.
+	// Seed drives all run randomness.
 	Seed int64
-	// Duration is the simulated span in seconds.
+	// Duration is the simulated span in seconds (0 = the scenario's
+	// default).
 	Duration float64
-	// NumProcs is the processor count.
+	// NumProcs is the processor count (0 = 2).
 	NumProcs int
-	// VehicleStep is the dynamics integration step in seconds.
+	// VehicleStep is the dynamics integration step in seconds (0 = 10 ms).
 	VehicleStep float64
-	// SampleRate is the summary-sample frequency in Hz (0 = 1 Hz).
+	// SampleRate is the summary-series sample frequency in Hz (0 = 1 Hz).
 	SampleRate float64
-	// MaxDataAge carries the config sentinel (see resolveMaxDataAge).
+	// MaxDataAge overrides the input-age validity bound: 0 = default
+	// (DefaultMaxDataAge, 220 ms), negative = disabled (ablation:
+	// auxiliary-task starvation becomes free).
 	MaxDataAge simtime.Duration
-	// GammaCap overrides the Dynamic scheduler's γ cap (0 = default).
+	// GammaCap overrides the Dynamic scheduler's γ cap for ablation
+	// studies (0 = default). A non-zero GammaCap wins over
+	// Tunables.GammaCap.
 	GammaCap float64
-	// DisableE2E clears the end-to-end deadline of every control task.
+	// DisableE2E clears the end-to-end deadline of every control task
+	// (ablation: the external coordinator loses its latency signal).
 	DisableE2E bool
-	// Loads multiply task execution times over time windows.
+	// Loads multiply task execution times over time windows, on top of
+	// the obstacle profile.
 	Loads []TaskLoad
-	// RateOverrides sets initial source rates by task name.
+	// RateOverrides sets initial source rates by task name; each must lie
+	// inside the task's allowable range (nil = the scenario's rates).
 	RateOverrides map[string]float64
-	// Obstacles maps time to detected-obstacle count.
+	// Obstacles maps time to detected-obstacle count (nil = the
+	// scenario's profile).
 	Obstacles func(t float64) int
-	// Tracer optionally receives the engine's lifecycle event stream.
+	// Tracer optionally receives the engine's structured lifecycle event
+	// stream (per-job timelines).
 	Tracer lifecycle.Tracer
-	// MFCScale overrides the MFC gain scale (0 = coordinator default).
-	MFCScale float64
-	// RateConfig tunes the Task Rate Adapter (zero value = default).
-	RateConfig rate.Config
-	// Tunables carries the coordinator parameter set; zero fields take
-	// the paper defaults (core.DefaultTunables), so a zero value is
-	// byte-identical to the pre-tunables behaviour.
+	// Tunables sets the coordinator parameter set (γ cap, MFC window,
+	// adapter gains, rate-band scales). Zero fields take the paper
+	// defaults (core.DefaultTunables); the search subsystem explores this
+	// space.
 	Tunables core.Tunables
+}
+
+// family is what one scenario fixes about its loop: the task graph, the
+// defaults of the Loop knobs that differ by scenario, and the coordinator
+// profile.
+type family struct {
+	graph     string
+	duration  float64
+	obstacles func(t float64) int
+	// rates are the initial source rates; nothing writes them.
+	rates map[string]float64
+	// mfcScale overrides the MFC gain scale (0 = coordinator default).
+	mfcScale float64
+	// rateConfig tunes the Task Rate Adapter (zero value = the tunable
+	// set's profile).
+	rateConfig rate.Config
+}
+
+// applyDefaults validates the loop knobs and fills each zero one from the
+// scenario family f or the common default.
+func (l *Loop) applyDefaults(f family) error {
+	if l.Scheme == 0 {
+		return errors.New("scenario: no scheme selected")
+	}
+	if l.Duration == 0 {
+		l.Duration = f.duration
+	}
+	if l.Duration <= 0 {
+		return fmt.Errorf("scenario: non-positive duration %v", l.Duration)
+	}
+	if l.NumProcs == 0 {
+		l.NumProcs = 2
+	}
+	if l.NumProcs < 1 {
+		return fmt.Errorf("scenario: NumProcs %d < 1", l.NumProcs)
+	}
+	if l.VehicleStep == 0 {
+		l.VehicleStep = 0.01
+	}
+	if l.VehicleStep <= 0 {
+		return fmt.Errorf("scenario: non-positive vehicle step %v", l.VehicleStep)
+	}
+	if l.SampleRate < 0 {
+		return fmt.Errorf("scenario: negative sample rate %v", l.SampleRate)
+	}
+	if l.Obstacles == nil {
+		l.Obstacles = f.obstacles
+	}
+	if l.RateOverrides == nil {
+		l.RateOverrides = f.rates
+	}
+	return nil
 }
 
 // loopResult is what the kernel hands back; plants keep their own
@@ -187,11 +248,9 @@ type loopResult struct {
 // it immediately (runLoop); the fleet layer attaches many loops to one
 // shared queue so every vehicle advances on the same virtual clock.
 type attachedLoop struct {
-	lc    loopConfig
 	miss  *metrics.MissBuckets
 	eng   *engine.Engine
 	coord *core.Coordinator
-	plant Plant
 }
 
 // finish collects the loop's result, without series, after the owning
@@ -204,18 +263,21 @@ func (a *attachedLoop) finish() *loopResult {
 	return res
 }
 
-// runLoop executes one closed-loop run: build the graph and scheduler,
-// wire engine + coordinator + plant, tick dynamics and summaries, run to
-// Duration. The build callback constructs the plant against the run's
-// recorder after the static configuration is validated.
-func runLoop(lc loopConfig, build func(rec *trace.Recorder) (Plant, error)) (*loopResult, error) {
+// runLoop applies f's defaults to *l and executes one closed-loop run:
+// build the graph and scheduler, wire engine + coordinator + plant, tick
+// dynamics and summaries, run to Duration. The build callback constructs
+// the plant against the run's recorder once *l holds its defaults.
+func runLoop(l *Loop, f family, build func(rec *trace.Recorder) (Plant, error)) (*loopResult, error) {
+	if err := l.applyDefaults(f); err != nil {
+		return nil, err
+	}
 	q := simtime.NewEventQueue()
 	rec := trace.NewRecorder()
-	a, err := attachLoop(q, lc, func() (Plant, error) { return build(rec) })
+	a, err := attachLoop(q, *l, f, func() (Plant, error) { return build(rec) })
 	if err != nil {
 		return nil, err
 	}
-	if err := q.RunUntil(simtime.Time(lc.Duration)); err != nil {
+	if err := q.RunUntil(simtime.Time(l.Duration)); err != nil {
 		return nil, err
 	}
 	res := a.finish()
@@ -229,12 +291,13 @@ func runLoop(lc loopConfig, build func(rec *trace.Recorder) (Plant, error)) (*lo
 // scheduled for the same instant fire in creation order, so the sequence
 // below (plant dynamics, summary sample, engine sources, coordinator) is
 // part of the simulation's observable behaviour and must not be reordered.
-func attachLoop(q *simtime.EventQueue, lc loopConfig, build func() (Plant, error)) (*attachedLoop, error) {
+// lc must hold its defaults (Loop.applyDefaults).
+func attachLoop(q *simtime.EventQueue, lc Loop, f family, build func() (Plant, error)) (*attachedLoop, error) {
 	tun, err := lc.Tunables.Resolved()
 	if err != nil {
 		return nil, err
 	}
-	graph, err := BuildGraph(lc.Graph)
+	graph, err := BuildGraph(f.graph)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +324,7 @@ func attachLoop(q *simtime.EventQueue, lc loopConfig, build func() (Plant, error
 			}
 		}
 	}
-	scheduler, dyn, err := buildScheduler(lc.Scheme)
+	scheduler, dyn, err := NewScheduler(lc.Scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -273,9 +336,6 @@ func attachLoop(q *simtime.EventQueue, lc loopConfig, build func() (Plant, error
 		if lc.GammaCap > 0 {
 			dyn.GammaCap = lc.GammaCap
 		}
-	}
-	if lc.SampleRate < 0 {
-		return nil, fmt.Errorf("scenario: negative sample rate %v", lc.SampleRate)
 	}
 	samplePeriod := 1.0
 	if lc.SampleRate > 0 {
@@ -331,7 +391,7 @@ func attachLoop(q *simtime.EventQueue, lc loopConfig, build func() (Plant, error
 		// tunable Kp0/decay overlay applies only on the default profile.
 		effective := tun
 		effective.GammaCap = dyn.GammaCap
-		rcfg := lc.RateConfig
+		rcfg := f.rateConfig
 		if rcfg == (rate.Config{}) {
 			rcfg = effective.RateConfig()
 		}
@@ -339,7 +399,7 @@ func attachLoop(q *simtime.EventQueue, lc loopConfig, build func() (Plant, error
 			Engine:          eng,
 			Queue:           q,
 			Dynamic:         dyn,
-			MFC:             effective.MFCConfig(lc.MFCScale),
+			MFC:             effective.MFCConfig(f.mfcScale),
 			Rate:            rcfg,
 			TrackingError:   plant.TrackingError,
 			DisableExternal: lc.Scheme == SchemeHCPerfInternal,
@@ -371,7 +431,7 @@ func attachLoop(q *simtime.EventQueue, lc loopConfig, build func() (Plant, error
 			return nil, err
 		}
 	}
-	return &attachedLoop{lc: lc, miss: miss, eng: eng, coord: coord, plant: plant}, nil
+	return &attachedLoop{miss: miss, eng: eng, coord: coord}, nil
 }
 
 // applyLoadSteps wraps the named task's execution model in a load profile.

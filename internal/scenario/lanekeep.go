@@ -1,13 +1,10 @@
 package scenario
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"hcperf/internal/engine"
-	"hcperf/internal/lifecycle"
 	"hcperf/internal/metrics"
 	"hcperf/internal/rate"
 	"hcperf/internal/simtime"
@@ -16,131 +13,44 @@ import (
 	"hcperf/internal/vehicle"
 )
 
-// LaneKeepingConfig parameterises the loop-driving lane-keeping scenario
-// (paper §VII-B2, Fig. 14): the vehicle circles an oval track clockwise at
-// a fixed longitudinal speed; the performance metric is the lateral offset
-// from the lane centre.
-type LaneKeepingConfig struct {
-	// Scheme selects the scheduling scheme.
-	Scheme Scheme
-	// Seed drives all scenario randomness.
-	Seed int64
-	// Duration is the simulated span in seconds (default: one full lap).
-	Duration float64
-	// NumProcs is the processor count (default 2).
-	NumProcs int
-	// Speed is the fixed longitudinal speed (default 5 m/s).
-	Speed float64
-	// Track is the closed circuit (default: oval with 100 m straights
-	// and 20 m corner radius — four distinct turns per lap).
-	Track *vehicle.Track
-	// Obstacles maps time to detected-obstacle count (default constant
-	// 14: busy urban loop).
-	Obstacles func(t float64) int
-	// Lateral bounds the steering plant (default passenger car).
-	Lateral vehicle.LateralConfig
-	// KeeperGains tunes the lane-keeping law.
-	KeeperGains vehicle.LaneKeeper
-	// RateOverrides sets initial source rates by task name.
-	RateOverrides map[string]float64
-	// Loads optionally multiply task execution times over time windows
-	// (default none).
-	Loads []TaskLoad
-	// VehicleStep is the dynamics integration step (default 10 ms).
-	VehicleStep float64
-	// SampleRate is the summary-series sample frequency in Hz
-	// (default 1).
-	SampleRate float64
-	// OffsetNoiseSD adds Gaussian noise to the perceived lateral offset
-	// (m).
-	OffsetNoiseSD float64
-	// GammaCap overrides the Dynamic scheduler's γ cap (0 = default).
-	GammaCap float64
-	// MaxDataAge overrides the input-age validity bound: 0 = default
-	// (DefaultMaxDataAge, 220 ms), negative = disabled.
-	MaxDataAge simtime.Duration
-	// Tracer optionally receives the engine's structured lifecycle
-	// event stream (per-job timelines).
-	Tracer lifecycle.Tracer
-}
+// laneKeepSpeed is the lane-keeping vehicle's fixed longitudinal speed
+// (m/s).
+const laneKeepSpeed = 5
 
-func (c *LaneKeepingConfig) applyDefaults() error {
-	if c.Scheme == 0 {
-		return errors.New("scenario: no scheme selected")
+// laneKeepTrack is the closed circuit: an oval with 100 m straights and a
+// 12 m corner radius — four distinct turns per lap.
+var laneKeepTrack = func() *vehicle.Track {
+	track, err := vehicle.OvalTrack(100, 12)
+	if err != nil {
+		panic(err) // fixed, valid dimensions
 	}
-	if c.Speed == 0 {
-		c.Speed = 5
-	}
-	if c.Speed <= 0 {
-		return fmt.Errorf("scenario: non-positive speed %v", c.Speed)
-	}
-	if c.Track == nil {
-		track, err := vehicle.OvalTrack(100, 12)
-		if err != nil {
-			return err
-		}
-		c.Track = track
-	}
-	if c.Duration == 0 {
-		c.Duration = c.Track.Length() / c.Speed
-	}
-	if c.Duration <= 0 {
-		return fmt.Errorf("scenario: non-positive duration %v", c.Duration)
-	}
-	if c.NumProcs == 0 {
-		c.NumProcs = 2
-	}
-	if c.NumProcs < 1 {
-		return fmt.Errorf("scenario: NumProcs %d < 1", c.NumProcs)
-	}
-	if c.Obstacles == nil {
-		c.Obstacles = func(float64) int { return 16 }
-	}
-	if c.Lateral == (vehicle.LateralConfig{}) {
-		c.Lateral = vehicle.LateralConfig{WheelBase: 2.7, MaxSteer: 0.5, ActuatorTau: 0.08}
-	}
-	if c.KeeperGains == (vehicle.LaneKeeper{}) {
-		c.KeeperGains = vehicle.LaneKeeper{Ky: 0.5, Kpsi: 1.4, WheelBase: c.Lateral.WheelBase}
-	}
-	if c.RateOverrides == nil {
-		c.RateOverrides = map[string]float64{
-			"camera_front": 12, "camera_traffic_light": 8,
-			"lidar_scan": 12, "radar_scan": 12,
-		}
-	}
-	if c.VehicleStep == 0 {
-		c.VehicleStep = 0.01
-	}
-	if c.VehicleStep <= 0 {
-		return fmt.Errorf("scenario: non-positive vehicle step %v", c.VehicleStep)
-	}
-	return nil
-}
+	return track
+}()
 
-// loop maps the config onto the shared closed-loop kernel. Lane keeping
-// uses the lane-keeping MFC scale and rate-adapter profile: the controller
-// gains are scaled to centimetre-scale errors, and the rate adapter probes
-// conservatively — at a fixed cruise speed extra sensor throughput cannot
-// improve steering, so the offline-profiled ε is small (paper §VI: K_p and
-// the probing error are set from offline profiled data).
-func (c *LaneKeepingConfig) loop() loopConfig {
-	return loopConfig{
-		Graph:         GraphAD23,
-		Scheme:        c.Scheme,
-		Seed:          c.Seed,
-		Duration:      c.Duration,
-		NumProcs:      c.NumProcs,
-		VehicleStep:   c.VehicleStep,
-		SampleRate:    c.SampleRate,
-		MaxDataAge:    c.MaxDataAge,
-		GammaCap:      c.GammaCap,
-		Loads:         c.Loads,
-		RateOverrides: c.RateOverrides,
-		Obstacles:     c.Obstacles,
-		Tracer:        c.Tracer,
-		MFCScale:      0.1,
-		RateConfig:    laneKeepingRateConfig(),
-	}
+// laneKeepLateral is the steering plant (a passenger car) and
+// laneKeeperGains its lane-keeping law, shared with the combined scenario.
+var (
+	laneKeepLateral = vehicle.LateralConfig{WheelBase: 2.7, MaxSteer: 0.5, ActuatorTau: 0.08}
+	laneKeeperGains = vehicle.LaneKeeper{Ky: 0.5, Kpsi: 1.4, WheelBase: laneKeepLateral.WheelBase}
+)
+
+// laneKeepFamily is what the lane-keeping scenario fixes about its loop: one
+// full lap over a busy urban loop (16 obstacles), with the lane-keeping
+// MFC scale and rate-adapter profile. The controller gains are scaled to
+// centimetre-scale errors, and the rate adapter probes conservatively —
+// at a fixed cruise speed extra sensor throughput cannot improve
+// steering, so the offline-profiled ε is small (paper §VI: K_p and the
+// probing error are set from offline profiled data).
+var laneKeepFamily = family{
+	graph:     GraphAD23,
+	duration:  laneKeepTrack.Length() / laneKeepSpeed,
+	obstacles: func(float64) int { return 16 },
+	rates: map[string]float64{
+		"camera_front": 12, "camera_traffic_light": 8,
+		"lidar_scan": 12, "radar_scan": 12,
+	},
+	mfcScale:   0.1,
+	rateConfig: laneKeepingRateConfig(),
 }
 
 // LaneKeepingResult aggregates the lane-keeping outcomes.
@@ -178,10 +88,8 @@ func laneKeepingRateConfig() rate.Config {
 // laneKeepPlant is the lateral lane-keeping world: a bicycle-model vehicle
 // steered along a closed track from stale pipeline outputs.
 type laneKeepPlant struct {
-	cfg   *LaneKeepingConfig
-	rec   *trace.Recorder
-	noise *rand.Rand
-	gains vehicle.LaneKeeper
+	rec  *trace.Recorder
+	step float64
 
 	lat      *vehicle.Lateral
 	distance float64 // arc length along the track
@@ -192,15 +100,10 @@ type laneKeepPlant struct {
 	lastCmds uint64
 }
 
-func newLaneKeepPlant(cfg *LaneKeepingConfig, rec *trace.Recorder) (*laneKeepPlant, error) {
-	p := &laneKeepPlant{
-		cfg:   cfg,
-		rec:   rec,
-		noise: rand.New(rand.NewSource(cfg.Seed ^ 0x1a4e)),
-		gains: cfg.KeeperGains,
-	}
+func newLaneKeepPlant(step float64, rec *trace.Recorder) (*laneKeepPlant, error) {
+	p := &laneKeepPlant{rec: rec, step: step}
 	var err error
-	if p.lat, err = vehicle.NewLateral(cfg.Lateral); err != nil {
+	if p.lat, err = vehicle.NewLateral(laneKeepLateral); err != nil {
 		return nil, err
 	}
 	if err := p.hist.add(0, p.state()); err != nil {
@@ -219,14 +122,10 @@ func (p *laneKeepPlant) Perceive(cmd engine.ControlCommand) {
 	if !ok {
 		return
 	}
-	offset, heading, s := st.offset, st.heading, st.dist
-	if p.cfg.OffsetNoiseSD > 0 {
-		offset += p.noise.NormFloat64() * p.cfg.OffsetNoiseSD
-	}
 	// Feed-forward uses the curvature a short preview ahead of the
 	// perceived position.
-	curv := p.cfg.Track.Curvature(s + 0.3*p.cfg.Speed)
-	p.lat.SetSteerCommand(p.gains.Steer(offset, heading, curv))
+	curv := laneKeepTrack.Curvature(st.dist + 0.3*laneKeepSpeed)
+	p.lat.SetSteerCommand(laneKeeperGains.Steer(st.offset, st.heading, curv))
 }
 
 // TrackingError is the performance metric: the lateral offset from the
@@ -240,12 +139,11 @@ func (p *laneKeepPlant) CoordSample(now simtime.Time, e, u, gamma float64) {
 }
 
 func (p *laneKeepPlant) Step(now float64) {
-	step := p.cfg.VehicleStep
-	curv := p.cfg.Track.Curvature(p.distance)
-	if err := p.lat.Step(step, p.cfg.Speed, curv); err != nil {
+	curv := laneKeepTrack.Curvature(p.distance)
+	if err := p.lat.Step(p.step, laneKeepSpeed, curv); err != nil {
 		panic(fmt.Sprintf("scenario: lateral step: %v", err))
 	}
-	p.distance += p.cfg.Speed * step
+	p.distance += laneKeepSpeed * p.step
 	if err := p.hist.add(now, p.state()); err != nil {
 		panic(fmt.Sprintf("scenario: history: %v", err))
 	}
@@ -261,28 +159,29 @@ func (p *laneKeepPlant) Sample(t float64, env *Env) {
 	recAdd(p.rec, "miss_ratio", t, env.Miss.Ratio(int(t)-1))
 }
 
-// RunLaneKeeping executes one loop-driving run.
-func RunLaneKeeping(cfg LaneKeepingConfig) (*LaneKeepingResult, error) {
-	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
-	}
-	out, err := runLoop(cfg.loop(), func(rec *trace.Recorder) (Plant, error) {
-		return newLaneKeepPlant(&cfg, rec)
+// RunLaneKeeping executes one loop-driving run (paper §VII-B2, Fig. 14):
+// the vehicle circles an oval track clockwise at a fixed longitudinal
+// speed; the performance metric is the lateral offset from the lane
+// centre. Zero Loop fields take the scenario's defaults: one full lap
+// over 16 obstacles.
+func RunLaneKeeping(l Loop) (*LaneKeepingResult, error) {
+	out, err := runLoop(&l, laneKeepFamily, func(rec *trace.Recorder) (Plant, error) {
+		return newLaneKeepPlant(l.VehicleStep, rec)
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	res := &LaneKeepingResult{
-		Scheme:      cfg.Scheme,
+		Scheme:      l.Scheme,
 		Rec:         out.Rec,
 		Miss:        out.Miss,
 		EngineStats: out.EngineStats,
 		Overhead:    out.Overhead,
 	}
 	off := out.Rec.Series("offset")
-	res.OffsetRMS = off.RMS(0, cfg.Duration)
-	res.OffsetMax = off.MaxAbs(0, cfg.Duration)
-	res.Throughput = float64(out.EngineStats.ControlCommands) / cfg.Duration
+	res.OffsetRMS = off.RMS(0, l.Duration)
+	res.OffsetMax = off.MaxAbs(0, l.Duration)
+	res.Throughput = float64(out.EngineStats.ControlCommands) / l.Duration
 	return res, nil
 }

@@ -1,133 +1,52 @@
 package scenario
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"hcperf/internal/engine"
-	"hcperf/internal/lifecycle"
 	"hcperf/internal/metrics"
 	"hcperf/internal/simtime"
 	"hcperf/internal/trace"
 	"hcperf/internal/vehicle"
 )
 
-// MotivationConfig parameterises the paper's §II motivation experiment
-// (Figs. 1-4): car A follows human-driven car B on an urban road at
-// 10 m/s; at t = 5 s car B sees a red light 200 m ahead and brakes to a
-// stop while the intersection scene fills with waiting vehicles and
-// pedestrians, inflating the O(n³) sensor-fusion time. Under Apollo's
-// static-priority scheduling the deadline-miss ratio climbs and car A's
-// speed updates become sluggish until the two cars collide.
-type MotivationConfig struct {
-	// Scheme selects the scheduling scheme (the paper uses Apollo; any
-	// scheme may be substituted to test whether it avoids the crash).
-	Scheme Scheme
-	// Seed drives all scenario randomness.
-	Seed int64
-	// Duration is the simulated span in seconds (default 42: at the
-	// paper's crowded intersection the fusion job alone exceeds any
+// The red-light episode of the motivation experiment.
+const (
+	// motivationBrakeStart is when car B begins braking (s).
+	motivationBrakeStart = 5.0
+	// motivationBrakeDecel is car B's deceleration magnitude (m/s²): it
+	// stops at t = 25 s, just past the paper's collision instant.
+	motivationBrakeDecel = 0.5
+	// motivationMaxObstacles is the intersection's obstacle count once
+	// car A is close to the light. At 42 the fusion job alone exceeds any
 	// feasible budget, so the sensing-to-control pipeline stalls under
-	// every scheduling policy — the motivation experiment demonstrates
-	// the failure, as in the paper, rather than a scheme that avoids
-	// it).
-	Duration float64
-	// NumProcs is the processor count (default 2).
-	NumProcs int
-	// BrakeStart is when car B begins braking (default 5 s).
-	BrakeStart float64
-	// BrakeDecel is car B's deceleration magnitude (default 0.45 m/s²,
-	// putting the stop just past the paper's collision instant).
-	BrakeDecel float64
-	// MaxObstacles is the intersection's obstacle count once car A is
-	// close to the light (default 42: at the
-	// paper's crowded intersection the fusion job alone exceeds any
-	// feasible budget, so the sensing-to-control pipeline stalls under
-	// every scheduling policy — the motivation experiment demonstrates
-	// the failure, as in the paper, rather than a scheme that avoids
-	// it).
-	MaxObstacles int
-	// VehicleStep is the dynamics integration step (default 10 ms).
-	VehicleStep float64
-	// SampleRate is the summary-series sample frequency in Hz
-	// (default 1).
-	SampleRate float64
-	// MaxDataAge overrides the input-age validity bound: 0 = default
-	// (DefaultMaxDataAge, 220 ms), negative = disabled.
-	MaxDataAge simtime.Duration
-	// Tracer optionally receives the engine's structured lifecycle
-	// event stream (per-job timelines).
-	Tracer lifecycle.Tracer
+	// every scheduling policy: the experiment demonstrates the failure,
+	// as in the paper, rather than a scheme that avoids it.
+	motivationMaxObstacles = 42
+)
+
+// motivationObstacles ramps the obstacle count from quiet road (8) to the
+// crowded intersection over the 12 s after car B starts braking.
+func motivationObstacles(t float64) int {
+	const rampLen = 12.0
+	switch {
+	case t < motivationBrakeStart:
+		return 8
+	case t < motivationBrakeStart+rampLen:
+		frac := (t - motivationBrakeStart) / rampLen
+		return 8 + int(frac*float64(motivationMaxObstacles-8))
+	default:
+		return motivationMaxObstacles
+	}
 }
 
-func (c *MotivationConfig) applyDefaults() error {
-	if c.Scheme == 0 {
-		return errors.New("scenario: no scheme selected")
-	}
-	if c.Duration == 0 {
-		c.Duration = 30
-	}
-	if c.Duration <= 0 {
-		return fmt.Errorf("scenario: non-positive duration %v", c.Duration)
-	}
-	if c.NumProcs == 0 {
-		c.NumProcs = 2
-	}
-	if c.NumProcs < 1 {
-		return fmt.Errorf("scenario: NumProcs %d < 1", c.NumProcs)
-	}
-	if c.BrakeStart == 0 {
-		c.BrakeStart = 5
-	}
-	if c.BrakeDecel == 0 {
-		c.BrakeDecel = 0.5
-	}
-	if c.BrakeDecel <= 0 {
-		return fmt.Errorf("scenario: non-positive brake decel %v", c.BrakeDecel)
-	}
-	if c.MaxObstacles == 0 {
-		c.MaxObstacles = 42
-	}
-	if c.MaxObstacles < 1 {
-		return fmt.Errorf("scenario: MaxObstacles %d < 1", c.MaxObstacles)
-	}
-	if c.VehicleStep == 0 {
-		c.VehicleStep = 0.01
-	}
-	if c.VehicleStep <= 0 {
-		return fmt.Errorf("scenario: non-positive vehicle step %v", c.VehicleStep)
-	}
-	return nil
-}
-
-// loop maps the config onto the shared closed-loop kernel. Obstacle count
-// ramps from quiet-road to crowded intersection as car A approaches the
-// light.
-func (c *MotivationConfig) loop() loopConfig {
-	return loopConfig{
-		Graph:       GraphMotivation,
-		Scheme:      c.Scheme,
-		Seed:        c.Seed,
-		Duration:    c.Duration,
-		NumProcs:    c.NumProcs,
-		VehicleStep: c.VehicleStep,
-		SampleRate:  c.SampleRate,
-		MaxDataAge:  c.MaxDataAge,
-		Obstacles: func(t float64) int {
-			const rampLen = 12.0
-			switch {
-			case t < c.BrakeStart:
-				return 8
-			case t < c.BrakeStart+rampLen:
-				frac := (t - c.BrakeStart) / rampLen
-				return 8 + int(frac*float64(c.MaxObstacles-8))
-			default:
-				return c.MaxObstacles
-			}
-		},
-		Tracer: c.Tracer,
-	}
+// motivationFamily is what the motivation experiment fixes about its loop: a
+// 30 s run on the Fig. 2 graph at the graph's own source rates.
+var motivationFamily = family{
+	graph:     GraphMotivation,
+	duration:  30,
+	obstacles: motivationObstacles,
 }
 
 // MotivationResult aggregates the motivation-experiment outcomes.
@@ -152,9 +71,8 @@ type MotivationResult struct {
 // motivationPlant is the red-light world: car B brakes to a stop while
 // car A's drive-by-wire watchdog coasts whenever the pipeline stalls.
 type motivationPlant struct {
-	cfg   *MotivationConfig
-	rec   *trace.Recorder
-	gains vehicle.CarFollower
+	rec  *trace.Recorder
+	step float64
 
 	follower *vehicle.Longitudinal
 	lead     *vehicle.Lead
@@ -166,32 +84,27 @@ type motivationPlant struct {
 	lastCmdAt float64
 }
 
-func newMotivationPlant(cfg *MotivationConfig, rec *trace.Recorder) (*motivationPlant, error) {
+func newMotivationPlant(step float64, rec *trace.Recorder) (*motivationPlant, error) {
 	const initSpeed = 10.0
-	p := &motivationPlant{
-		cfg:    cfg,
-		rec:    rec,
-		gains:  vehicle.CarFollower{Kv: 5, Kg: 1, StandstillGap: 5, Headway: 1.2},
-		minGap: math.Inf(1),
-	}
-	long := vehicle.LongitudinalConfig{MaxAccel: 6, MaxBrake: 8, ActuatorTau: 0.1, MaxSpeed: 40}
+	p := &motivationPlant{rec: rec, step: step, minGap: math.Inf(1)}
 	var err error
-	if p.follower, err = vehicle.NewLongitudinal(long); err != nil {
+	if p.follower, err = vehicle.NewLongitudinal(passengerCar); err != nil {
 		return nil, err
 	}
 	p.follower.Speed = initSpeed
 
-	// Car B: constant 10 m/s, then brakes to a stop from BrakeStart.
-	stopAt := cfg.BrakeStart + initSpeed/cfg.BrakeDecel
+	// Car B: constant 10 m/s, then brakes to a stop from
+	// motivationBrakeStart.
+	stopAt := motivationBrakeStart + initSpeed/motivationBrakeDecel
 	leadProfile, err := vehicle.NewPiecewiseProfile([]vehicle.PhasePoint{
 		{T: 0, Speed: initSpeed},
-		{T: cfg.BrakeStart, Speed: initSpeed},
+		{T: motivationBrakeStart, Speed: initSpeed},
 		{T: stopAt, Speed: 0},
 	})
 	if err != nil {
 		return nil, err
 	}
-	if p.lead, err = vehicle.NewLead(leadProfile, p.gains.StandstillGap+p.gains.Headway*initSpeed); err != nil {
+	if p.lead, err = vehicle.NewLead(leadProfile, followerGains.StandstillGap+followerGains.Headway*initSpeed); err != nil {
 		return nil, err
 	}
 	if err := p.hist.add(0, lonStateOf(p.lead, p.follower)); err != nil {
@@ -205,7 +118,7 @@ func (p *motivationPlant) Perceive(cmd engine.ControlCommand) {
 	if !ok {
 		return
 	}
-	p.follower.SetAccelCommand(p.gains.Accel(s.folSpeed, s.leadSpeed, s.leadPos-s.folPos))
+	p.follower.SetAccelCommand(followerGains.Accel(s.folSpeed, s.leadSpeed, s.leadPos-s.folPos))
 	p.lastCmdAt = float64(cmd.Completed)
 }
 
@@ -218,11 +131,10 @@ func (p *motivationPlant) TrackingError(simtime.Time) float64 {
 func (p *motivationPlant) CoordSample(simtime.Time, float64, float64, float64) {}
 
 func (p *motivationPlant) Step(now float64) {
-	step := p.cfg.VehicleStep
-	if err := p.lead.Step(step); err != nil {
+	if err := p.lead.Step(p.step); err != nil {
 		panic(fmt.Sprintf("scenario: lead step: %v", err))
 	}
-	if err := p.follower.Step(step); err != nil {
+	if err := p.follower.Step(p.step); err != nil {
 		panic(fmt.Sprintf("scenario: follower step: %v", err))
 	}
 	// Drive-by-wire watchdog: without a fresh control command the
@@ -249,15 +161,20 @@ func (p *motivationPlant) Sample(t float64, env *Env) {
 	recAdd(p.rec, "miss_ratio", t, env.Miss.Ratio(int(t)-1))
 }
 
-// RunMotivation executes the red-light scenario on the Fig. 2 task graph.
-func RunMotivation(cfg MotivationConfig) (*MotivationResult, error) {
-	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
-	}
+// RunMotivation executes the paper's §II motivation experiment (Figs. 1-4)
+// on the Fig. 2 task graph: car A follows human-driven car B on an urban
+// road at 10 m/s; at t = 5 s car B sees a red light 200 m ahead and brakes
+// to a stop while the intersection scene fills with waiting vehicles and
+// pedestrians, inflating the O(n³) sensor-fusion time. Under Apollo's
+// static-priority scheduling the deadline-miss ratio climbs and car A's
+// speed updates become sluggish until the two cars collide. The paper uses
+// Apollo; any scheme may be substituted to test whether it avoids the
+// crash. Zero Loop fields take the scenario's defaults: 30 s.
+func RunMotivation(l Loop) (*MotivationResult, error) {
 	var p *motivationPlant
-	out, err := runLoop(cfg.loop(), func(rec *trace.Recorder) (Plant, error) {
+	out, err := runLoop(&l, motivationFamily, func(rec *trace.Recorder) (Plant, error) {
 		var err error
-		p, err = newMotivationPlant(&cfg, rec)
+		p, err = newMotivationPlant(l.VehicleStep, rec)
 		return p, err
 	})
 	if err != nil {
@@ -265,7 +182,7 @@ func RunMotivation(cfg MotivationConfig) (*MotivationResult, error) {
 	}
 
 	return &MotivationResult{
-		Scheme:      cfg.Scheme,
+		Scheme:      l.Scheme,
 		Rec:         out.Rec,
 		Miss:        out.Miss,
 		Collision:   p.collide.Collided(),

@@ -23,9 +23,14 @@ func HardwareCarFollowingConfig(scheme Scheme, seed int64) (CarFollowingConfig, 
 		return CarFollowingConfig{}, fmt.Errorf("scenario: hardware preset: %w", err)
 	}
 	return CarFollowingConfig{
-		Scheme:       scheme,
-		Seed:         seed,
-		Duration:     20,
+		Loop: Loop{
+			Scheme:   scheme,
+			Seed:     seed,
+			Duration: 20,
+			// The hardware run has no complex-scene episode; the scaled
+			// indoor track keeps a constant obstacle count.
+			Obstacles: func(float64) int { return 18 },
+		},
 		LeadProfile:  lead,
 		InitSpeed:    0.02,
 		Longitudinal: vehicle.ScaledCarLongitudinal(),
@@ -36,9 +41,6 @@ func HardwareCarFollowingConfig(scheme Scheme, seed int64) (CarFollowingConfig, 
 		// lead car is affected by the presence of noise").
 		SpeedNoiseSD: 0.02,
 		GapNoiseSD:   0.01,
-		// The hardware run has no complex-scene episode; the scaled
-		// indoor track keeps a constant obstacle count.
-		Obstacles: func(float64) int { return 18 },
 	}, nil
 }
 
@@ -60,25 +62,27 @@ func JamCarFollowingConfig(scheme Scheme, seed int64) (CarFollowingConfig, error
 		return CarFollowingConfig{}, fmt.Errorf("scenario: jam preset: %w", err)
 	}
 	return CarFollowingConfig{
-		Scheme:        scheme,
-		Seed:          seed,
-		Duration:      35,
+		Loop: Loop{
+			Scheme:   scheme,
+			Seed:     seed,
+			Duration: 35,
+			Obstacles: func(t float64) int {
+				switch {
+				case t < 10:
+					return 11
+				case t < 20:
+					// The jam fills the scene with vehicles.
+					return 11 + int((t-10)/10*17)
+				case t < 24:
+					return 28 - int((t-20)/4*17)
+				default:
+					return 11
+				}
+			},
+		},
 		LeadProfile:   lead,
 		InitSpeed:     20,
 		TrackGapError: true,
-		Obstacles: func(t float64) int {
-			switch {
-			case t < 10:
-				return 11
-			case t < 20:
-				// The jam fills the scene with vehicles.
-				return 11 + int((t-10)/10*17)
-			case t < 24:
-				return 28 - int((t-20)/4*17)
-			default:
-				return 11
-			}
-		},
 	}, nil
 }
 
@@ -100,20 +104,22 @@ func AEBCarFollowingConfig(scheme Scheme, seed int64) (CarFollowingConfig, error
 		return CarFollowingConfig{}, fmt.Errorf("scenario: aeb preset: %w", err)
 	}
 	return CarFollowingConfig{
-		Scheme:       scheme,
-		Seed:         seed,
-		Duration:     15,
+		Loop: Loop{
+			Scheme:   scheme,
+			Seed:     seed,
+			Duration: 15,
+			Obstacles: func(t float64) int {
+				if t >= 5 {
+					return 24 // the braking event floods the scene
+				}
+				return 11
+			},
+		},
 		LeadProfile:  lead,
 		InitSpeed:    20,
 		Longitudinal: vehicle.LongitudinalConfig{MaxAccel: 6, MaxBrake: 7, ActuatorTau: 0.1, MaxSpeed: 40},
 		FollowerGains: vehicle.CarFollower{
 			Kv: 5, Kg: 1, StandstillGap: 5, Headway: 0.6,
-		},
-		Obstacles: func(t float64) int {
-			if t >= 5 {
-				return 24 // the braking event floods the scene
-			}
-			return 11
 		},
 	}, nil
 }

@@ -41,14 +41,41 @@ func TestSchemeStrings(t *testing.T) {
 	}
 }
 
+func TestParseScheme(t *testing.T) {
+	tests := []struct {
+		give    string
+		want    Scheme
+		wantErr bool
+	}{
+		{give: "hpf", want: SchemeHPF},
+		{give: "edf", want: SchemeEDF},
+		{give: "edfvd", want: SchemeEDFVD},
+		{give: "edf-vd", want: SchemeEDFVD},
+		{give: "apollo", want: SchemeApollo},
+		{give: "hcperf", want: SchemeHCPerf},
+		{give: "hcperf-internal", want: SchemeHCPerfInternal},
+		{give: "bogus", wantErr: true},
+	}
+	for _, tt := range tests {
+		got, err := ParseScheme(tt.give)
+		if (err != nil) != tt.wantErr {
+			t.Errorf("ParseScheme(%q) err = %v, wantErr %v", tt.give, err, tt.wantErr)
+			continue
+		}
+		if !tt.wantErr && got != tt.want {
+			t.Errorf("ParseScheme(%q) = %v, want %v", tt.give, got, tt.want)
+		}
+	}
+}
+
 func TestBuildSchedulerUnknown(t *testing.T) {
-	if _, _, err := buildScheduler(Scheme(42)); err == nil {
+	if _, _, err := NewScheduler(Scheme(42)); err == nil {
 		t.Error("unknown scheme accepted")
 	}
-	for _, s := range AllSchemes() {
-		sc, dyn, err := buildScheduler(s)
+	for _, s := range append(AllSchemes(), SchemeHCPerfInternal) {
+		sc, dyn, err := NewScheduler(s)
 		if err != nil || sc == nil {
-			t.Errorf("buildScheduler(%v) = %v, %v", s, sc, err)
+			t.Errorf("NewScheduler(%v) = %v, %v", s, sc, err)
 		}
 		if s.IsHCPerf() != (dyn != nil) {
 			t.Errorf("scheme %v dynamic mismatch", s)
@@ -62,11 +89,11 @@ func TestCarFollowingValidation(t *testing.T) {
 		cfg  CarFollowingConfig
 	}{
 		{name: "no scheme", cfg: CarFollowingConfig{}},
-		{name: "negative duration", cfg: CarFollowingConfig{Scheme: SchemeEDF, Duration: -1}},
-		{name: "negative procs", cfg: CarFollowingConfig{Scheme: SchemeEDF, NumProcs: -1}},
-		{name: "negative step", cfg: CarFollowingConfig{Scheme: SchemeEDF, VehicleStep: -0.1}},
-		{name: "unknown rate override", cfg: CarFollowingConfig{Scheme: SchemeEDF, RateOverrides: map[string]float64{"nope": 10}}},
-		{name: "rate outside range", cfg: CarFollowingConfig{Scheme: SchemeEDF, RateOverrides: map[string]float64{"camera_front": 500}}},
+		{name: "negative duration", cfg: CarFollowingConfig{Loop: Loop{Scheme: SchemeEDF, Duration: -1}}},
+		{name: "negative procs", cfg: CarFollowingConfig{Loop: Loop{Scheme: SchemeEDF, NumProcs: -1}}},
+		{name: "negative step", cfg: CarFollowingConfig{Loop: Loop{Scheme: SchemeEDF, VehicleStep: -0.1}}},
+		{name: "unknown rate override", cfg: CarFollowingConfig{Loop: Loop{Scheme: SchemeEDF, RateOverrides: map[string]float64{"nope": 10}}}},
+		{name: "rate outside range", cfg: CarFollowingConfig{Loop: Loop{Scheme: SchemeEDF, RateOverrides: map[string]float64{"camera_front": 500}}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -86,7 +113,7 @@ func TestCarFollowingShape(t *testing.T) {
 	}
 	results := make(map[Scheme]*CarFollowingResult, 5)
 	for _, s := range AllSchemes() {
-		r, err := RunCarFollowing(CarFollowingConfig{Scheme: s, Seed: 1})
+		r, err := RunCarFollowing(CarFollowingConfig{Loop: Loop{Scheme: s, Seed: 1}})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -122,15 +149,15 @@ func TestCarFollowingAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario sweep")
 	}
-	full, err := RunCarFollowing(CarFollowingConfig{Scheme: SchemeHCPerf, Seed: 1})
+	full, err := RunCarFollowing(CarFollowingConfig{Loop: Loop{Scheme: SchemeHCPerf, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	internal, err := RunCarFollowing(CarFollowingConfig{Scheme: SchemeHCPerfInternal, Seed: 1})
+	internal, err := RunCarFollowing(CarFollowingConfig{Loop: Loop{Scheme: SchemeHCPerfInternal, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	edf, err := RunCarFollowing(CarFollowingConfig{Scheme: SchemeEDF, Seed: 1})
+	edf, err := RunCarFollowing(CarFollowingConfig{Loop: Loop{Scheme: SchemeEDF, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +171,7 @@ func TestCarFollowingAblation(t *testing.T) {
 
 func TestCarFollowingDeterminism(t *testing.T) {
 	run := func() *CarFollowingResult {
-		r, err := RunCarFollowing(CarFollowingConfig{Scheme: SchemeHCPerf, Seed: 3, Duration: 20})
+		r, err := RunCarFollowing(CarFollowingConfig{Loop: Loop{Scheme: SchemeHCPerf, Seed: 3, Duration: 20}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +185,7 @@ func TestCarFollowingDeterminism(t *testing.T) {
 }
 
 func TestCarFollowingSeriesPresent(t *testing.T) {
-	r, err := RunCarFollowing(CarFollowingConfig{Scheme: SchemeHCPerf, Seed: 1, Duration: 10})
+	r, err := RunCarFollowing(CarFollowingConfig{Loop: Loop{Scheme: SchemeHCPerf, Seed: 1, Duration: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +200,7 @@ func TestCarFollowingSeriesPresent(t *testing.T) {
 		}
 	}
 	// Baselines do not record coordinator series.
-	r2, err := RunCarFollowing(CarFollowingConfig{Scheme: SchemeEDF, Seed: 1, Duration: 5})
+	r2, err := RunCarFollowing(CarFollowingConfig{Loop: Loop{Scheme: SchemeEDF, Seed: 1, Duration: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +218,7 @@ func TestStreamedRMSMatchesSeries(t *testing.T) {
 	var cfgs []CarFollowingConfig
 	for _, scheme := range []Scheme{SchemeHCPerf, SchemeEDF, SchemeApollo} {
 		for seed := int64(1); seed <= 3; seed++ {
-			cfgs = append(cfgs, CarFollowingConfig{Scheme: scheme, Seed: seed, Duration: 30})
+			cfgs = append(cfgs, CarFollowingConfig{Loop: Loop{Scheme: scheme, Seed: seed, Duration: 30}})
 		}
 	}
 	spec, err := DecodeSpec(bytes.NewReader(specs.FusionOverload))
@@ -238,7 +265,7 @@ func TestAttachedLoopsDoNotAlias(t *testing.T) {
 	for i, seed := range seeds {
 		recs[i] = trace.NewRecorder()
 		var err error
-		runs[i], err = AttachCarFollowing(q, CarFollowingConfig{Scheme: SchemeHCPerf, Seed: seed, Duration: duration}, recs[i])
+		runs[i], err = AttachCarFollowing(q, CarFollowingConfig{Loop: Loop{Scheme: SchemeHCPerf, Seed: seed, Duration: duration}}, recs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +274,7 @@ func TestAttachedLoopsDoNotAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, seed := range seeds {
-		single, err := RunCarFollowing(CarFollowingConfig{Scheme: SchemeHCPerf, Seed: seed, Duration: duration})
+		single, err := RunCarFollowing(CarFollowingConfig{Loop: Loop{Scheme: SchemeHCPerf, Seed: seed, Duration: duration}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,12 +303,11 @@ func csvDigest(t *testing.T, rec *trace.Recorder) [sha256.Size]byte {
 func TestLaneKeepingValidation(t *testing.T) {
 	tests := []struct {
 		name string
-		cfg  LaneKeepingConfig
+		cfg  Loop
 	}{
-		{name: "no scheme", cfg: LaneKeepingConfig{}},
-		{name: "negative speed", cfg: LaneKeepingConfig{Scheme: SchemeEDF, Speed: -1}},
-		{name: "negative duration", cfg: LaneKeepingConfig{Scheme: SchemeEDF, Duration: -5}},
-		{name: "negative procs", cfg: LaneKeepingConfig{Scheme: SchemeEDF, NumProcs: -1}},
+		{name: "no scheme", cfg: Loop{}},
+		{name: "negative duration", cfg: Loop{Scheme: SchemeEDF, Duration: -5}},
+		{name: "negative procs", cfg: Loop{Scheme: SchemeEDF, NumProcs: -1}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -301,7 +327,7 @@ func TestLaneKeepingShape(t *testing.T) {
 	}
 	results := make(map[Scheme]*LaneKeepingResult, 5)
 	for _, s := range AllSchemes() {
-		r, err := RunLaneKeeping(LaneKeepingConfig{Scheme: s, Seed: 1})
+		r, err := RunLaneKeeping(Loop{Scheme: s, Seed: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -324,14 +350,8 @@ func TestLaneKeepingShape(t *testing.T) {
 }
 
 func TestMotivationValidation(t *testing.T) {
-	if _, err := RunMotivation(MotivationConfig{}); err == nil {
+	if _, err := RunMotivation(Loop{}); err == nil {
 		t.Error("no scheme accepted")
-	}
-	if _, err := RunMotivation(MotivationConfig{Scheme: SchemeApollo, BrakeDecel: -1}); err == nil {
-		t.Error("negative decel accepted")
-	}
-	if _, err := RunMotivation(MotivationConfig{Scheme: SchemeApollo, MaxObstacles: -2}); err == nil {
-		t.Error("negative obstacles accepted")
 	}
 }
 
@@ -342,7 +362,7 @@ func TestMotivationCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario sweep")
 	}
-	r, err := RunMotivation(MotivationConfig{Scheme: SchemeApollo, Seed: 1})
+	r, err := RunMotivation(Loop{Scheme: SchemeApollo, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,10 +479,10 @@ func TestPresetsIndependentOfSchemes(t *testing.T) {
 }
 
 func TestCombinedValidation(t *testing.T) {
-	if _, err := RunCombined(CombinedConfig{}); err == nil {
+	if _, err := RunCombined(Loop{}); err == nil {
 		t.Error("no scheme accepted")
 	}
-	if _, err := RunCombined(CombinedConfig{Scheme: SchemeEDF, Duration: -1}); err == nil {
+	if _, err := RunCombined(Loop{Scheme: SchemeEDF, Duration: -1}); err == nil {
 		t.Error("negative duration accepted")
 	}
 }
@@ -476,7 +496,7 @@ func TestCombinedDualControl(t *testing.T) {
 	}
 	results := make(map[Scheme]*CombinedResult, 3)
 	for _, s := range []Scheme{SchemeEDF, SchemeApollo, SchemeHCPerf} {
-		r, err := RunCombined(CombinedConfig{Scheme: s, Seed: 1})
+		r, err := RunCombined(Loop{Scheme: s, Seed: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}

@@ -92,10 +92,10 @@ func (s Scheme) IsHCPerf() bool { return s == SchemeHCPerf || s == SchemeHCPerfI
 // EDFVDScale is the virtual-deadline scaling factor used for EDF-VD.
 const EDFVDScale = 0.75
 
-// buildScheduler constructs the scheduler for a scheme. For HCPerf schemes
+// NewScheduler constructs the scheduler for a scheme. For HCPerf schemes
 // the returned *sched.Dynamic is non-nil and must be handed to the
 // coordinator.
-func buildScheduler(s Scheme) (sched.Scheduler, *sched.Dynamic, error) {
+func NewScheduler(s Scheme) (sched.Scheduler, *sched.Dynamic, error) {
 	switch s {
 	case SchemeHPF:
 		return sched.HPF{}, nil, nil

@@ -425,46 +425,56 @@ func (l SpecLoad) steps() []exectime.Step {
 	return []exectime.Step{{From: simtime.Time(l.From), To: simtime.Time(l.To), Factor: l.Factor}}
 }
 
-// taskLoads converts the spec's load windows to harness form.
-func (s Spec) taskLoads() []TaskLoad {
-	if len(s.Loads) == 0 {
-		return nil
+// overlay applies the spec's loop knobs on top of l: a zero spec field
+// keeps l's value, and the spec's load windows are appended to l's. The
+// scheme and seed are the caller's: a scenario preset takes them as
+// arguments.
+func (s Spec) overlay(l *Loop) {
+	if s.Duration > 0 {
+		l.Duration = s.Duration
 	}
-	out := make([]TaskLoad, 0, len(s.Loads))
-	for _, l := range s.Loads {
-		out = append(out, TaskLoad{Task: l.Task, Steps: l.steps()})
+	if s.NumProcs > 0 {
+		l.NumProcs = s.NumProcs
 	}
-	return out
-}
-
-// obstaclesFunc converts the piecewise profile, or returns nil to keep the
-// scenario default.
-func (s Spec) obstaclesFunc() func(float64) int {
-	if len(s.Obstacles) == 0 {
-		return nil
+	if s.VehicleStep > 0 {
+		l.VehicleStep = s.VehicleStep
 	}
-	phases := s.Obstacles
-	return func(t float64) int {
-		n := phases[0].N
-		for _, p := range phases[1:] {
-			if t < p.T {
-				break
-			}
-			n = p.N
-		}
-		return n
+	if s.SampleRate > 0 {
+		l.SampleRate = s.SampleRate
 	}
-}
-
-// maxDataAge maps the millisecond sentinel to the config sentinel.
-func (s Spec) maxDataAge() simtime.Duration {
 	switch {
 	case s.MaxDataAgeMS > 0:
-		return simtime.Duration(s.MaxDataAgeMS) * simtime.Millisecond
+		l.MaxDataAge = simtime.Duration(s.MaxDataAgeMS) * simtime.Millisecond
 	case s.MaxDataAgeMS < 0:
-		return -1
-	default:
-		return 0
+		l.MaxDataAge = -1
+	}
+	if s.GammaCap > 0 {
+		l.GammaCap = s.GammaCap
+	}
+	if s.DisableE2E {
+		l.DisableE2E = true
+	}
+	for _, ld := range s.Loads {
+		l.Loads = append(l.Loads, TaskLoad{Task: ld.Task, Steps: ld.steps()})
+	}
+	if s.RateOverrides != nil {
+		l.RateOverrides = s.RateOverrides
+	}
+	if len(s.Obstacles) > 0 {
+		phases := s.Obstacles
+		l.Obstacles = func(t float64) int {
+			n := phases[0].N
+			for _, p := range phases[1:] {
+				if t < p.T {
+					break
+				}
+				n = p.N
+			}
+			return n
+		}
+	}
+	if s.Tunables != nil {
+		l.Tunables = s.Tunables.Core()
 	}
 }
 
@@ -479,10 +489,11 @@ type SpecResult struct {
 }
 
 // CarFollowingConfigFromSpec maps a car-following-family spec (carfollow,
-// hardware, jam, aeb) onto its scenario config. The spec is normalized
-// first; any fleet block is ignored — the fleet layer calls this to build
-// the per-vehicle template and then stamps per-vehicle seeds, coupling and
-// spacing on top.
+// hardware, jam, aeb) onto its scenario config: the scenario's preset
+// with the spec overlaid. The spec is normalized first; any fleet block
+// is ignored — the fleet layer calls this to build the per-vehicle
+// template and then stamps per-vehicle seeds, coupling and spacing on
+// top.
 func CarFollowingConfigFromSpec(spec Spec) (CarFollowingConfig, error) {
 	spec, err := spec.Normalize()
 	if err != nil {
@@ -492,51 +503,25 @@ func CarFollowingConfigFromSpec(spec Spec) (CarFollowingConfig, error) {
 	if err != nil {
 		return CarFollowingConfig{}, err
 	}
-	cfg := CarFollowingConfig{Scheme: scheme, Seed: spec.Seed}
+	var cfg CarFollowingConfig
 	switch spec.Scenario {
 	case "carfollow":
+		cfg.Scheme, cfg.Seed = scheme, spec.Seed
 	case "hardware":
-		if cfg, err = HardwareCarFollowingConfig(scheme, spec.Seed); err != nil {
-			return CarFollowingConfig{}, err
-		}
+		cfg, err = HardwareCarFollowingConfig(scheme, spec.Seed)
 	case "jam":
-		if cfg, err = JamCarFollowingConfig(scheme, spec.Seed); err != nil {
-			return CarFollowingConfig{}, err
-		}
+		cfg, err = JamCarFollowingConfig(scheme, spec.Seed)
 	case "aeb":
-		if cfg, err = AEBCarFollowingConfig(scheme, spec.Seed); err != nil {
-			return CarFollowingConfig{}, err
-		}
+		cfg, err = AEBCarFollowingConfig(scheme, spec.Seed)
 	default:
-		return CarFollowingConfig{}, fmt.Errorf("scenario: %s is not a car-following scenario", spec.Scenario)
+		err = fmt.Errorf("scenario: %s is not a car-following scenario", spec.Scenario)
 	}
-	if spec.Duration > 0 {
-		cfg.Duration = spec.Duration
+	if err != nil {
+		return CarFollowingConfig{}, err
 	}
-	if spec.NumProcs > 0 {
-		cfg.NumProcs = spec.NumProcs
-	}
-	if spec.VehicleStep > 0 {
-		cfg.VehicleStep = spec.VehicleStep
-	}
-	cfg.SampleRate = spec.SampleRate
-	cfg.MaxDataAge = spec.maxDataAge()
-	cfg.GammaCap = spec.GammaCap
-	if spec.DisableE2E {
-		cfg.DisableE2E = true
-	}
+	spec.overlay(&cfg.Loop)
 	if spec.TrackGapError {
 		cfg.TrackGapError = true
-	}
-	cfg.Loads = append(cfg.Loads, spec.taskLoads()...)
-	if spec.RateOverrides != nil {
-		cfg.RateOverrides = spec.RateOverrides
-	}
-	if obs := spec.obstaclesFunc(); obs != nil {
-		cfg.Obstacles = obs
-	}
-	if spec.Tunables != nil {
-		cfg.Tunables = spec.Tunables.Core()
 	}
 	return cfg, nil
 }
@@ -563,6 +548,8 @@ func RunSpec(spec Spec, tracer lifecycle.Tracer) (*SpecResult, error) {
 		Spec:  spec,
 		Title: fmt.Sprintf("%s under %v (seed %d)", spec.Scenario, scheme, spec.Seed),
 	}
+	l := Loop{Scheme: scheme, Seed: spec.Seed, Tracer: tracer}
+	spec.overlay(&l)
 	switch spec.Scenario {
 	case "carfollow", "hardware", "jam", "aeb":
 		cfg, err := CarFollowingConfigFromSpec(spec)
@@ -584,28 +571,7 @@ func RunSpec(spec Spec, tracer lifecycle.Tracer) (*SpecResult, error) {
 			{"collision", fmt.Sprintf("%t", r.Collision)},
 		}
 	case "lanekeep":
-		cfg := LaneKeepingConfig{Scheme: scheme, Seed: spec.Seed}
-		if spec.Duration > 0 {
-			cfg.Duration = spec.Duration
-		}
-		if spec.NumProcs > 0 {
-			cfg.NumProcs = spec.NumProcs
-		}
-		if spec.VehicleStep > 0 {
-			cfg.VehicleStep = spec.VehicleStep
-		}
-		cfg.SampleRate = spec.SampleRate
-		cfg.MaxDataAge = spec.maxDataAge()
-		cfg.GammaCap = spec.GammaCap
-		cfg.Loads = spec.taskLoads()
-		if spec.RateOverrides != nil {
-			cfg.RateOverrides = spec.RateOverrides
-		}
-		if obs := spec.obstaclesFunc(); obs != nil {
-			cfg.Obstacles = obs
-		}
-		cfg.Tracer = tracer
-		r, err := RunLaneKeeping(cfg)
+		r, err := RunLaneKeeping(l)
 		if err != nil {
 			return nil, err
 		}
@@ -617,28 +583,7 @@ func RunSpec(spec Spec, tracer lifecycle.Tracer) (*SpecResult, error) {
 			{"commands/s", fmt.Sprintf("%.1f", r.Throughput)},
 		}
 	case "combined":
-		cfg := CombinedConfig{Scheme: scheme, Seed: spec.Seed}
-		if spec.Duration > 0 {
-			cfg.Duration = spec.Duration
-		}
-		if spec.NumProcs > 0 {
-			cfg.NumProcs = spec.NumProcs
-		}
-		if spec.VehicleStep > 0 {
-			cfg.VehicleStep = spec.VehicleStep
-		}
-		cfg.SampleRate = spec.SampleRate
-		cfg.MaxDataAge = spec.maxDataAge()
-		cfg.GammaCap = spec.GammaCap
-		cfg.Loads = spec.taskLoads()
-		if spec.RateOverrides != nil {
-			cfg.RateOverrides = spec.RateOverrides
-		}
-		if obs := spec.obstaclesFunc(); obs != nil {
-			cfg.Obstacles = obs
-		}
-		cfg.Tracer = tracer
-		r, err := RunCombined(cfg)
+		r, err := RunCombined(l)
 		if err != nil {
 			return nil, err
 		}
@@ -651,20 +596,7 @@ func RunSpec(spec Spec, tracer lifecycle.Tracer) (*SpecResult, error) {
 			{"miss ratio", fmt.Sprintf("%.4f", r.Miss.MeanRatio())},
 		}
 	case "motivation":
-		cfg := MotivationConfig{Scheme: scheme, Seed: spec.Seed}
-		if spec.Duration > 0 {
-			cfg.Duration = spec.Duration
-		}
-		if spec.NumProcs > 0 {
-			cfg.NumProcs = spec.NumProcs
-		}
-		if spec.VehicleStep > 0 {
-			cfg.VehicleStep = spec.VehicleStep
-		}
-		cfg.SampleRate = spec.SampleRate
-		cfg.MaxDataAge = spec.maxDataAge()
-		cfg.Tracer = tracer
-		r, err := RunMotivation(cfg)
+		r, err := RunMotivation(l)
 		if err != nil {
 			return nil, err
 		}

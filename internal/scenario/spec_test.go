@@ -255,7 +255,7 @@ func TestRunSpecMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunCarFollowing(CarFollowingConfig{Scheme: SchemeEDF, Seed: 1, Duration: 5})
+	direct, err := RunCarFollowing(CarFollowingConfig{Loop: Loop{Scheme: SchemeEDF, Seed: 1, Duration: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
