@@ -178,7 +178,8 @@ type Loop struct {
 	// Tunables sets the coordinator parameter set (γ cap, MFC window,
 	// adapter gains, rate-band scales). Zero fields take the paper
 	// defaults (core.DefaultTunables); the search subsystem explores this
-	// space.
+	// space. Lane keeping keeps its own rate-adapter profile, so the
+	// adapter gains do not apply there.
 	Tunables core.Tunables
 }
 
