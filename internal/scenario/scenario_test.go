@@ -92,6 +92,7 @@ func TestCarFollowingValidation(t *testing.T) {
 		{name: "negative duration", cfg: CarFollowingConfig{Loop: Loop{Scheme: SchemeEDF, Duration: -1}}},
 		{name: "negative procs", cfg: CarFollowingConfig{Loop: Loop{Scheme: SchemeEDF, NumProcs: -1}}},
 		{name: "negative step", cfg: CarFollowingConfig{Loop: Loop{Scheme: SchemeEDF, VehicleStep: -0.1}}},
+		{name: "negative sample rate", cfg: CarFollowingConfig{Loop: Loop{Scheme: SchemeEDF, SampleRate: -1}}},
 		{name: "unknown rate override", cfg: CarFollowingConfig{Loop: Loop{Scheme: SchemeEDF, RateOverrides: map[string]float64{"nope": 10}}}},
 		{name: "rate outside range", cfg: CarFollowingConfig{Loop: Loop{Scheme: SchemeEDF, RateOverrides: map[string]float64{"camera_front": 500}}}},
 	}
