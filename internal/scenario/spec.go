@@ -548,6 +548,8 @@ func RunSpec(spec Spec, tracer lifecycle.Tracer) (*SpecResult, error) {
 		Spec:  spec,
 		Title: fmt.Sprintf("%s under %v (seed %d)", spec.Scenario, scheme, spec.Seed),
 	}
+	// The loop of the scenarios without presets; the car-following
+	// family overlays the spec on its preset's Loop instead.
 	l := Loop{Scheme: scheme, Seed: spec.Seed, Tracer: tracer}
 	spec.overlay(&l)
 	switch spec.Scenario {
