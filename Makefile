@@ -5,22 +5,22 @@ GO ?= go
 
 # Packages that own concurrency: the worker pool itself plus everything the
 # pool fans out (experiments, the simulation engine, the scenarios), the
-# wall-clock executor, the resilience policy layer and the load generator's
-# client. Every package under internal/ must appear in either RACE_PKGS or
-# RACE_EXEMPT — scripts/race_pkgs_guard.sh (run by `make race` and CI)
-# fails the build otherwise, so a new package cannot silently skip the
-# race detector.
+# wall-clock executor and the coordinator its ticker goroutines step, the
+# resilience policy layer and the load generator's client. Every package
+# under internal/ must appear in either RACE_PKGS or RACE_EXEMPT —
+# scripts/race_pkgs_guard.sh (run by `make race` and CI) fails the build
+# otherwise, so a new package cannot silently skip the race detector.
 RACE_PKGS := ./internal/runner/... ./internal/experiment/... \
              ./internal/engine/... ./internal/scenario/... ./internal/rt/... \
-             ./internal/lifecycle/... ./internal/service/... ./internal/fleet/... \
-             ./internal/search/... ./internal/run/... ./internal/store/... \
-             ./internal/policy/... ./internal/loadgen/...
+             ./internal/core/... ./internal/lifecycle/... ./internal/service/... \
+             ./internal/fleet/... ./internal/search/... ./internal/run/... \
+             ./internal/store/... ./internal/policy/... ./internal/loadgen/...
 
 # Provably single-threaded packages (pure math, data shapes, encoders):
 # exempted from the race pass, but still enumerated so the guard can tell
 # "deliberately exempt" from "forgotten".
-RACE_EXEMPT := ./internal/analysis/... ./internal/core/... \
-               ./internal/dag/... ./internal/exectime/... ./internal/hungarian/... \
+RACE_EXEMPT := ./internal/analysis/... ./internal/dag/... \
+               ./internal/exectime/... ./internal/hungarian/... \
                ./internal/metrics/... ./internal/mfc/... ./internal/perf/... \
                ./internal/rate/... ./internal/sched/... ./internal/simtime/... \
                ./internal/stats/... ./internal/trace/... ./internal/vehicle/... \

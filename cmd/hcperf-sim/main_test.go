@@ -340,16 +340,26 @@ func TestRunStoreRejectedInRTMode(t *testing.T) {
 	}
 }
 
+// TestRunWallClockBriefly runs -mode rt under HCPerf with a CSV trace,
+// which must record control commands, then under a baseline.
 func TestRunWallClockBriefly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock run")
 	}
 	opts := simOpts()
 	opts.Mode, opts.Duration = "rt", 2
+	opts.TracePath = filepath.Join(t.TempDir(), "rt.csv")
 	if err := run(opts); err != nil {
 		t.Fatal(err)
 	}
-	opts.Scheme = "edf"
+	data, err := os.ReadFile(opts.TracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "\ncontrol,") {
+		t.Error("rt trace CSV records no control events")
+	}
+	opts.Scheme, opts.TracePath = "edf", ""
 	if err := run(opts); err != nil {
 		t.Fatal(err)
 	}

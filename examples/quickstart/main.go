@@ -14,6 +14,7 @@ import (
 	"hcperf/internal/dag"
 	"hcperf/internal/engine"
 	"hcperf/internal/exectime"
+	"hcperf/internal/lifecycle"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
 )
@@ -82,7 +83,7 @@ func run() error {
 			}
 			return exectime.Scene{Obstacles: 10, LoadFactor: 1}
 		},
-		OnControl: func(cmd engine.ControlCommand) {
+		OnControl: func(cmd lifecycle.ControlCommand) {
 			// A real application would actuate the vehicle here.
 			_ = cmd
 		},
@@ -95,8 +96,7 @@ func run() error {
 	// driving-performance signal; here a synthetic oscillation stands in
 	// for a real vehicle's error.
 	coord, err := core.New(core.Config{
-		Engine:  eng,
-		Queue:   q,
+		Backend: eng,
 		Dynamic: dyn,
 		TrackingError: func(now simtime.Time) float64 {
 			return math.Abs(1.2 * math.Sin(float64(now)))
@@ -110,7 +110,7 @@ func run() error {
 	if err := eng.Start(); err != nil {
 		return err
 	}
-	if err := coord.Start(); err != nil {
+	if err := coord.Start(q); err != nil {
 		return err
 	}
 	if err := q.RunUntil(10); err != nil {
@@ -124,7 +124,7 @@ func run() error {
 	fmt.Printf("  control commands  %d\n", st.ControlCommands)
 	fmt.Printf("  mean e2e latency  %.1f ms\n", st.EndToEnd.Mean()*1000)
 	fmt.Printf("  gamma now         %.4f (u=%.4f)\n", coord.Gamma(), coord.NominalU())
-	fmt.Printf("  camera rate now   %.1f Hz (adapter-tuned)\n", eng.SourceRate(g.TaskByName("camera").ID))
+	fmt.Printf("  camera rate now   %.1f Hz (adapter-tuned)\n", eng.Rate(g.TaskByName("camera").ID))
 	overhead := coord.Overhead()
 	fmt.Printf("  coordinator cost  %.1f µs/step\n", overhead.Mean()*1e6)
 	return nil

@@ -18,6 +18,7 @@ import (
 
 	"hcperf/internal/dag"
 	"hcperf/internal/exectime"
+	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
 )
 
@@ -87,16 +88,15 @@ func (r *Report) Overloaded() []int {
 	return out
 }
 
+// execSamples is the execution-time sample count per task.
+const execSamples = 256
+
 // Options tunes Analyze.
 type Options struct {
 	// Scene is the driving scene to analyse at (zero value: nominal).
 	Scene exectime.Scene
 	// NumProcs is the processor count (default 2).
 	NumProcs int
-	// NumLabels is the Apollo binding-label space (default 4).
-	NumLabels int
-	// Samples is the execution-time sample count per task (default 256).
-	Samples int
 	// Seed seeds the sampling RNG.
 	Seed int64
 }
@@ -115,12 +115,6 @@ func Analyze(g *dag.Graph, opts Options) (*Report, error) {
 	if opts.NumProcs < 1 {
 		return nil, fmt.Errorf("analysis: NumProcs %d < 1", opts.NumProcs)
 	}
-	if opts.NumLabels <= 0 {
-		opts.NumLabels = 4
-	}
-	if opts.Samples <= 0 {
-		opts.Samples = 256
-	}
 	if opts.Scene == (exectime.Scene{}) {
 		opts.Scene = exectime.NominalScene()
 	}
@@ -137,12 +131,12 @@ func Analyze(g *dag.Graph, opts Options) (*Report, error) {
 	}
 	scheduled := 0
 	for _, t := range g.Tasks() {
-		exec := ExpectedExec(t.Exec, opts.Scene, opts.Samples, rng)
+		exec := ExpectedExec(t.Exec, opts.Scene, execSamples, rng)
 		row := TaskReport{
 			Task:         t,
 			Cadence:      cadences[t.ID],
 			ExpectedExec: exec,
-			Processor:    blockProcessor(t.Processor, opts.NumProcs, opts.NumLabels),
+			Processor:    sched.ApolloProcessor(t.Processor, opts.NumProcs),
 		}
 		if len(g.Predecessors(t.ID)) > 0 { // sources run off-CPU
 			row.Utilization = row.Cadence * float64(exec)
@@ -165,7 +159,7 @@ func Analyze(g *dag.Graph, opts Options) (*Report, error) {
 		id := sink.ID
 		for id >= 0 {
 			t := g.Task(id)
-			latency += ExpectedExec(t.Exec, opts.Scene, opts.Samples, rng)
+			latency += ExpectedExec(t.Exec, opts.Scene, execSamples, rng)
 			id = g.PrimaryPred(id)
 		}
 		rep.SinkLatencies[sink.ID] = latency
@@ -206,14 +200,6 @@ func ExpectedExec(m exectime.Model, scene exectime.Scene, samples int, rng *rand
 		sum += m.Sample(rng, 0, scene)
 	}
 	return sum / simtime.Duration(samples)
-}
-
-// blockProcessor mirrors sched.Apollo's contiguous block mapping.
-func blockProcessor(label, numProcs, numLabels int) int {
-	if label < 1 || numProcs <= 0 {
-		return -1
-	}
-	return ((label - 1) % numLabels) * numProcs / numLabels
 }
 
 // BottleneckChain returns the sink with the largest nominal primary-chain

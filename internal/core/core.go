@@ -1,6 +1,7 @@
 // Package core implements HCPerf itself: the performance-directed
 // hierarchical coordination framework (paper Fig. 6). It wires the two
-// coordinators around the task engine:
+// coordinators around a task executor, the discrete-event engine or the
+// wall-clock executor's lifecycle kernel alike:
 //
 //   - The internal coordinator runs once per control period: it samples the
 //     vehicle's driving-performance tracking error E(t), feeds it through
@@ -10,9 +11,9 @@
 //     schedulable range [0, γmax] and dispatches by P_i = γ·p_i + d_i.
 //
 //   - The external coordinator runs once per adaptation period: it reads
-//     the windowed end-to-end deadline-miss ratio from the engine, runs the
-//     Task Rate Adapter (package rate), and applies the resulting source-
-//     task rates. It also watches the observed execution-time regime and
+//     the windowed end-to-end deadline-miss ratio from the executor, runs
+//     the Task Rate Adapter (package rate), and applies the resulting
+//     source-task rates. It also watches the observed execution-time regime and
 //     resets the adapter gain when the scene changes abruptly.
 package core
 
@@ -22,7 +23,7 @@ import (
 	"time"
 
 	"hcperf/internal/dag"
-	"hcperf/internal/engine"
+	"hcperf/internal/lifecycle"
 	"hcperf/internal/mfc"
 	"hcperf/internal/rate"
 	"hcperf/internal/sched"
@@ -31,25 +32,43 @@ import (
 )
 
 // TrackingErrorFunc reports the vehicle's driving-performance tracking
-// error E(t) at virtual time now — |R(t) − P(t)| in the problem statement
+// error E(t) at time now on the backend's clock — |R(t) − P(t)| in the problem statement
 // (Eq. 1a), e.g. the speed difference to the lead car for car following or
 // the lateral offset for lane keeping. The sign convention is positive =
 // performance degrading; the controller only needs consistency.
 type TrackingErrorFunc func(now simtime.Time) float64
 
+// Backend is the task executor a Coordinator steers, named after the
+// lifecycle kernel's own methods: *lifecycle.Kernel and *engine.Engine
+// implement it.
+type Backend interface {
+	Graph() *dag.Graph
+	Scheduler() sched.Scheduler
+	// WindowStats returns the counters since the last ResetWindow.
+	WindowStats() lifecycle.Stats
+	ResetWindow()
+	// ObservedExec returns the current estimate of a task's c_i.
+	ObservedExec(id dag.TaskID) simtime.Duration
+	// Rate returns a source task's release rate; SetRate retunes it,
+	// clamped to the task's range, and returns the rate applied.
+	Rate(id dag.TaskID) float64
+	SetRate(id dag.TaskID, hz float64) (float64, error)
+	// RefreshObserver re-derives the scheduler's queue-dependent state
+	// (Dynamic's γmax and γ) against the live ready queue at now.
+	RefreshObserver(now simtime.Time)
+}
+
 // Config configures a Coordinator.
 type Config struct {
-	// Engine is the task engine to coordinate.
-	Engine *engine.Engine
-	// Queue is the simulation event queue shared with the engine.
-	Queue *simtime.EventQueue
-	// Dynamic is the HCPerf scheduler instance the engine was built
-	// with. It must be the same object passed to the engine.
+	// Backend is the task executor to coordinate.
+	Backend Backend
+	// Dynamic is the HCPerf scheduler instance the backend was built
+	// with. It must be the same object the backend dispatches with.
 	Dynamic *sched.Dynamic
 	// TrackingError samples the driving performance each control period.
 	TrackingError TrackingErrorFunc
-	// MFC parameterises the Performance Directed Controller.
-	// Zero value selects mfc.DefaultConfig.
+	// MFC parameterises the Performance Directed Controller. Zero value
+	// selects MFCConfigForScale(DefaultErrScale, Dynamic.GammaCap).
 	MFC mfc.Config
 	// Rate parameterises the Task Rate Adapter. Zero value selects
 	// rate.DefaultConfig.
@@ -91,8 +110,7 @@ func MFCConfigForScale(errScale, gammaCap float64) mfc.Config {
 
 // Coordinator is a running HCPerf instance.
 type Coordinator struct {
-	eng     *engine.Engine
-	q       *simtime.EventQueue
+	b       Backend
 	dyn     *sched.Dynamic
 	pdc     *mfc.Controller
 	adapter *rate.Adapter
@@ -110,20 +128,18 @@ type Coordinator struct {
 	overhead stats.Accumulator // wall-clock seconds per coordinator step
 }
 
-// New validates cfg and builds a coordinator. Call Start to begin
-// coordinating; the engine must be started separately.
+// New validates cfg and builds a coordinator. Call Start to coordinate on
+// an event queue, or call ControlStep and AdaptStep from another clock; the
+// backend must be started separately.
 func New(cfg Config) (*Coordinator, error) {
-	if cfg.Engine == nil {
-		return nil, errors.New("core: nil engine")
-	}
-	if cfg.Queue == nil {
-		return nil, errors.New("core: nil event queue")
+	if cfg.Backend == nil {
+		return nil, errors.New("core: nil backend")
 	}
 	if cfg.Dynamic == nil {
 		return nil, errors.New("core: nil dynamic scheduler")
 	}
-	if cfg.Engine.Scheduler() != sched.Scheduler(cfg.Dynamic) {
-		return nil, errors.New("core: engine is not driven by the given dynamic scheduler")
+	if cfg.Backend.Scheduler() != sched.Scheduler(cfg.Dynamic) {
+		return nil, errors.New("core: backend is not driven by the given dynamic scheduler")
 	}
 	if cfg.TrackingError == nil {
 		return nil, errors.New("core: nil tracking-error source")
@@ -153,8 +169,7 @@ func New(cfg Config) (*Coordinator, error) {
 		adaptPeriod = simtime.Second
 	}
 	return &Coordinator{
-		eng:           cfg.Engine,
-		q:             cfg.Queue,
+		b:             cfg.Backend,
 		dyn:           cfg.Dynamic,
 		pdc:           pdc,
 		adapter:       adapter,
@@ -164,26 +179,29 @@ func New(cfg Config) (*Coordinator, error) {
 		external:      !cfg.DisableExternal,
 		onControl:     cfg.OnControlPeriod,
 		onAdapt:       cfg.OnAdaptPeriod,
-		sources:       cfg.Engine.Graph().Sources(),
+		sources:       cfg.Backend.Graph().Sources(),
 	}, nil
 }
 
-// Start schedules both coordination loops on the event queue. The first
+// Start schedules both coordination loops on the event queue q. The first
 // control period fires one period from now, the first adaptation period
 // one adaptation period from now.
-func (c *Coordinator) Start() error {
+func (c *Coordinator) Start(q *simtime.EventQueue) error {
+	if q == nil {
+		return errors.New("core: nil event queue")
+	}
 	if c.started {
 		return errors.New("core: already started")
 	}
 	c.started = true
-	now := c.q.Now()
-	tk, err := c.q.NewTicker(now+c.controlPeriod, c.controlPeriod, c.controlStep)
+	now := q.Now()
+	tk, err := q.NewTicker(now+c.controlPeriod, c.controlPeriod, c.ControlStep)
 	if err != nil {
 		return fmt.Errorf("core: start internal coordinator: %w", err)
 	}
 	c.tickers = append(c.tickers, tk)
 	if c.external {
-		tk, err = c.q.NewTicker(now+c.adaptPeriod, c.adaptPeriod, c.adaptStep)
+		tk, err = q.NewTicker(now+c.adaptPeriod, c.adaptPeriod, c.AdaptStep)
 		if err != nil {
 			return fmt.Errorf("core: start external coordinator: %w", err)
 		}
@@ -214,31 +232,34 @@ func (c *Coordinator) AdapterKp() float64 { return c.adapter.Kp() }
 // §VII-E overhead metric.
 func (c *Coordinator) Overhead() stats.Accumulator { return c.overhead }
 
-// controlStep is one internal-coordinator period (paper Fig. 6 left loop).
-func (c *Coordinator) controlStep(now simtime.Time) {
+// ControlStep is one internal-coordinator period (paper Fig. 6 left loop)
+// at time now on the backend's clock. Steps must not overlap any other
+// call into the backend, and now must not decrease from step to step.
+func (c *Coordinator) ControlStep(now simtime.Time) {
 	wall := time.Now()
 	e := c.trkErr(now)
 	u, err := c.pdc.Step(now, e)
 	if err != nil {
-		// Time is monotone on a single event queue; a failure here
-		// means the harness is broken, not a runtime condition.
+		// Both drivers step on a monotone clock; a failure here means
+		// the harness is broken, not a runtime condition.
 		panic(fmt.Sprintf("core: controller step: %v", err))
 	}
 	c.dyn.SetNominalU(u)
 	// Re-derive γmax and γ against the live queue immediately rather
 	// than waiting for the next queue change.
-	c.eng.RefreshScheduler()
+	c.b.RefreshObserver(now)
 	c.overhead.Add(time.Since(wall).Seconds())
 	if c.onControl != nil {
 		c.onControl(now, e, u, c.dyn.Gamma())
 	}
 }
 
-// adaptStep is one external-coordinator period (paper Fig. 6 right loop).
-func (c *Coordinator) adaptStep(now simtime.Time) {
+// AdaptStep is one external-coordinator period (paper Fig. 6 right loop),
+// under the same rules as ControlStep.
+func (c *Coordinator) AdaptStep(now simtime.Time) {
 	wall := time.Now()
-	win := c.eng.WindowStats()
-	c.eng.ResetWindow()
+	win := c.b.WindowStats()
+	c.b.ResetWindow()
 	// The adapter regulates the deadline miss ratio of the system; the
 	// binding constraint is whichever is worse of the end-to-end
 	// (control-job) ratio and the overall job ratio, so both queue
@@ -255,7 +276,7 @@ func (c *Coordinator) adaptStep(now simtime.Time) {
 
 	current := make(map[*dag.Task]float64, len(c.sources))
 	for _, s := range c.sources {
-		current[s] = c.eng.SourceRate(s.ID)
+		current[s] = c.b.Rate(s.ID)
 	}
 	proposals, err := c.adapter.Step(miss, current)
 	if err != nil {
@@ -265,7 +286,7 @@ func (c *Coordinator) adaptStep(now simtime.Time) {
 		if p.NewRate == p.OldRate {
 			continue
 		}
-		if _, err := c.eng.SetSourceRate(p.Task.ID, p.NewRate); err != nil {
+		if _, err := c.b.SetRate(p.Task.ID, p.NewRate); err != nil {
 			panic(fmt.Sprintf("core: apply rate: %v", err))
 		}
 	}
@@ -279,12 +300,12 @@ func (c *Coordinator) adaptStep(now simtime.Time) {
 // time — a dimensionless load-regime indicator (1 = nominal).
 func (c *Coordinator) execRegimeSignal() float64 {
 	maxRatio := 1.0
-	for _, t := range c.eng.Graph().Tasks() {
+	for _, t := range c.b.Graph().Tasks() {
 		nom := float64(t.Exec.Nominal())
 		if nom <= 0 {
 			continue
 		}
-		if r := float64(c.eng.ObservedExec(t.ID)) / nom; r > maxRatio {
+		if r := float64(c.b.ObservedExec(t.ID)) / nom; r > maxRatio {
 			maxRatio = r
 		}
 	}

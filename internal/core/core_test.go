@@ -43,8 +43,7 @@ func newHarness(t *testing.T, cfg Config, trkErr TrackingErrorFunc) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Engine = eng
-	cfg.Queue = q
+	cfg.Backend = eng
 	cfg.Dynamic = dyn
 	cfg.TrackingError = trkErr
 	coor, err := New(cfg)
@@ -54,7 +53,7 @@ func newHarness(t *testing.T, cfg Config, trkErr TrackingErrorFunc) *harness {
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := coor.Start(); err != nil {
+	if err := coor.Start(q); err != nil {
 		t.Fatal(err)
 	}
 	return &harness{q: q, g: g, dyn: dyn, eng: eng, coor: coor}
@@ -75,13 +74,12 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid := Config{Engine: eng, Queue: q, Dynamic: dyn, TrackingError: constErr(0)}
+	valid := Config{Backend: eng, Dynamic: dyn, TrackingError: constErr(0)}
 	tests := []struct {
 		name   string
 		mutate func(*Config)
 	}{
-		{name: "nil engine", mutate: func(c *Config) { c.Engine = nil }},
-		{name: "nil queue", mutate: func(c *Config) { c.Queue = nil }},
+		{name: "nil engine", mutate: func(c *Config) { c.Backend = nil }},
 		{name: "nil dynamic", mutate: func(c *Config) { c.Dynamic = nil }},
 		{name: "nil tracking error", mutate: func(c *Config) { c.TrackingError = nil }},
 		{name: "foreign dynamic", mutate: func(c *Config) { c.Dynamic = sched.NewDynamic(0.02) }},
@@ -97,6 +95,17 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(valid); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+}
+
+func TestStartRejectsNilQueue(t *testing.T) {
+	h := newHarness(t, Config{}, constErr(0))
+	c, err := New(Config{Backend: h.eng, Dynamic: h.dyn, TrackingError: constErr(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(nil); err == nil {
+		t.Error("Start accepted a nil event queue")
 	}
 }
 
@@ -147,14 +156,14 @@ func TestExternalRaisesRatesWhenIdle(t *testing.T) {
 		},
 	}, constErr(0))
 	src := h.g.TaskByName("image_preproc")
-	initial := h.eng.SourceRate(src.ID)
+	initial := h.eng.Rate(src.ID)
 	if err := h.q.RunUntil(10); err != nil {
 		t.Fatal(err)
 	}
 	if adaptSteps == 0 {
 		t.Fatal("external coordinator never stepped")
 	}
-	if got := h.eng.SourceRate(src.ID); got <= initial {
+	if got := h.eng.Rate(src.ID); got <= initial {
 		t.Errorf("source rate %v did not rise from %v on a no-miss system", got, initial)
 	}
 }
@@ -173,11 +182,11 @@ func TestExternalShedsLoadUnderOverload(t *testing.T) {
 	if err := h.q.RunUntil(2); err != nil {
 		t.Fatal(err)
 	}
-	rateBefore := h.eng.SourceRate(src.ID)
+	rateBefore := h.eng.Rate(src.ID)
 	if err := h.q.RunUntil(12); err != nil {
 		t.Fatal(err)
 	}
-	rateAfter := h.eng.SourceRate(src.ID)
+	rateAfter := h.eng.Rate(src.ID)
 	if rateAfter >= rateBefore {
 		t.Errorf("source rate %v did not drop from %v under overload", rateAfter, rateBefore)
 	}
@@ -186,11 +195,11 @@ func TestExternalShedsLoadUnderOverload(t *testing.T) {
 func TestDisableExternalFreezesRates(t *testing.T) {
 	h := newHarness(t, Config{DisableExternal: true}, constErr(0))
 	src := h.g.TaskByName("image_preproc")
-	initial := h.eng.SourceRate(src.ID)
+	initial := h.eng.Rate(src.ID)
 	if err := h.q.RunUntil(10); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.eng.SourceRate(src.ID); got != initial {
+	if got := h.eng.Rate(src.ID); got != initial {
 		t.Errorf("rates moved to %v with external coordinator disabled", got)
 	}
 }
@@ -226,7 +235,7 @@ func TestStopHaltsCoordination(t *testing.T) {
 	if steps != at {
 		t.Errorf("coordinator stepped %d more times after Stop", steps-at)
 	}
-	if err := h.coor.Start(); err == nil {
+	if err := h.coor.Start(h.q); err == nil {
 		t.Error("second Start accepted")
 	}
 }
@@ -350,12 +359,12 @@ func TestInvalidMFCConfigRejected(t *testing.T) {
 	}
 	bad := mfc.DefaultConfig()
 	bad.Alpha = 1 // must be negative
-	if _, err := New(Config{Engine: eng, Queue: q, Dynamic: dyn, TrackingError: constErr(0), MFC: bad}); err == nil {
+	if _, err := New(Config{Backend: eng, Dynamic: dyn, TrackingError: constErr(0), MFC: bad}); err == nil {
 		t.Error("invalid MFC config accepted")
 	}
 	badRate := rate.DefaultConfig()
 	badRate.Kp0 = -1
-	if _, err := New(Config{Engine: eng, Queue: q, Dynamic: dyn, TrackingError: constErr(0), Rate: badRate}); err == nil {
+	if _, err := New(Config{Backend: eng, Dynamic: dyn, TrackingError: constErr(0), Rate: badRate}); err == nil {
 		t.Error("invalid rate config accepted")
 	}
 }

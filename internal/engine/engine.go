@@ -24,20 +24,6 @@ import (
 	"hcperf/internal/simtime"
 )
 
-// Canonical lifecycle types, re-exported so existing callers (examples,
-// scenarios) keep compiling unchanged.
-type (
-	// ControlCommand describes one completed control-task job.
-	ControlCommand = lifecycle.ControlCommand
-	// Stats aggregates engine-wide outcomes.
-	Stats = lifecycle.Stats
-	// TaskStats aggregates per-task outcomes.
-	TaskStats = lifecycle.TaskStats
-	// QueueObserver is implemented by schedulers (HCPerf's Dynamic) that
-	// want to re-derive internal state whenever the ready queue changes.
-	QueueObserver = lifecycle.QueueObserver
-)
-
 // Config configures an Engine.
 type Config struct {
 	// Graph is the validated task graph to execute.
@@ -53,7 +39,7 @@ type Config struct {
 	// Scene supplies the runtime scene; nil means exectime.NominalScene.
 	Scene func(now simtime.Time) exectime.Scene
 	// OnControl is invoked for every emitted control command.
-	OnControl func(cmd ControlCommand)
+	OnControl func(cmd lifecycle.ControlCommand)
 	// OnJobDecided is invoked whenever a job's outcome is decided:
 	// missed=false for an on-time completion, missed=true for a late
 	// completion or queue expiration.
@@ -85,9 +71,8 @@ type Engine struct {
 	procs []processor
 	// tickers is indexed by task ID (task IDs are dense); nil entries are
 	// tasks that are not started sources. A dense slice instead of a map
-	// keeps every iteration (Stop, SourceRates, ScaleSourceRates) in task
-	// order — deterministic by construction — and avoids map overhead on
-	// the rate-adaptation path.
+	// keeps Stop's iteration in task order — deterministic by
+	// construction — and avoids map overhead on the rate-adaptation path.
 	tickers []*simtime.Ticker
 	started bool
 	// procState is the reusable processor-pool snapshot handed to
@@ -207,9 +192,9 @@ func (e *Engine) Stop() {
 	}
 }
 
-// SetSourceRate retunes a source task's release rate, clamped to the
-// task's [MinRate, MaxRate]. It returns the rate actually applied.
-func (e *Engine) SetSourceRate(id dag.TaskID, hz float64) (float64, error) {
+// SetRate retunes a source task's release rate, clamped to the task's
+// [MinRate, MaxRate]. It returns the rate actually applied.
+func (e *Engine) SetRate(id dag.TaskID, hz float64) (float64, error) {
 	t := e.k.Graph().Task(id)
 	if t == nil {
 		return 0, fmt.Errorf("engine: unknown task %d", id)
@@ -231,8 +216,8 @@ func (e *Engine) SetSourceRate(id dag.TaskID, hz float64) (float64, error) {
 	return hz, nil
 }
 
-// SourceRate returns the current rate of a source task.
-func (e *Engine) SourceRate(id dag.TaskID) float64 { return e.k.Rate(id) }
+// Rate returns the current rate of a source task.
+func (e *Engine) Rate(id dag.TaskID) float64 { return e.k.Rate(id) }
 
 // Graph returns the executing graph.
 func (e *Engine) Graph() *dag.Graph { return e.k.Graph() }
@@ -244,26 +229,24 @@ func (e *Engine) Scheduler() sched.Scheduler { return e.k.Scheduler() }
 func (e *Engine) QueueLen() int { return e.k.QueueLen() }
 
 // Stats returns a copy of the engine-wide counters.
-func (e *Engine) Stats() Stats { return e.k.Stats() }
+func (e *Engine) Stats() lifecycle.Stats { return e.k.Stats() }
 
 // WindowStats returns a copy of the counters since the last ResetWindow.
-func (e *Engine) WindowStats() Stats { return e.k.WindowStats() }
+func (e *Engine) WindowStats() lifecycle.Stats { return e.k.WindowStats() }
 
 // ResetWindow zeroes the windowed counters; the Task Rate Adapter calls
 // this once per adaptation period.
 func (e *Engine) ResetWindow() { e.k.ResetWindow() }
 
 // TaskStats returns a copy of the per-task counters.
-func (e *Engine) TaskStats(id dag.TaskID) TaskStats { return e.k.TaskStats(id) }
+func (e *Engine) TaskStats(id dag.TaskID) lifecycle.TaskStats { return e.k.TaskStats(id) }
 
 // ObservedExec returns the engine's current estimate of c_i.
 func (e *Engine) ObservedExec(id dag.TaskID) simtime.Duration { return e.k.ObservedExec(id) }
 
-// RefreshScheduler re-runs the queue observer (if any) against the live
-// ready queue and processor state. The coordinator calls this after
-// installing a new nominal u so γ is re-derived immediately instead of at
-// the next queue change.
-func (e *Engine) RefreshScheduler() { e.k.RefreshObserver(e.q.Now()) }
+// RefreshObserver re-runs the queue observer (if any) against the live
+// ready queue (see lifecycle.Kernel.RefreshObserver).
+func (e *Engine) RefreshObserver(now simtime.Time) { e.k.RefreshObserver(now) }
 
 // Utilization returns mean processor utilisation over [0, now].
 func (e *Engine) Utilization() float64 {

@@ -6,6 +6,7 @@ import (
 
 	"hcperf/internal/dag"
 	"hcperf/internal/exectime"
+	"hcperf/internal/lifecycle"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
 )
@@ -88,8 +89,8 @@ func TestConfigValidation(t *testing.T) {
 
 func TestPipelineRunsEndToEnd(t *testing.T) {
 	g := chainGraph(t, 2*ms, 5*ms, 1*ms, 50*ms)
-	var cmds []ControlCommand
-	e, q := newEngine(t, g, Config{OnControl: func(c ControlCommand) { cmds = append(cmds, c) }})
+	var cmds []lifecycle.ControlCommand
+	e, q := newEngine(t, g, Config{OnControl: func(c lifecycle.ControlCommand) { cmds = append(cmds, c) }})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -232,30 +233,30 @@ func TestSetSourceRateClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := g.TaskByName("source") // range [5,20]
-	got, err := e.SetSourceRate(src.ID, 100)
+	got, err := e.SetRate(src.ID, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 20 {
 		t.Errorf("rate clamped to %v, want 20", got)
 	}
-	got, err = e.SetSourceRate(src.ID, 1)
+	got, err = e.SetRate(src.ID, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 5 {
 		t.Errorf("rate clamped to %v, want 5", got)
 	}
-	if e.SourceRate(src.ID) != 5 {
-		t.Errorf("SourceRate = %v, want 5", e.SourceRate(src.ID))
+	if e.Rate(src.ID) != 5 {
+		t.Errorf("Rate = %v, want 5", e.Rate(src.ID))
 	}
 	// Non-source task.
 	mid := g.TaskByName("middle")
-	if _, err := e.SetSourceRate(mid.ID, 10); err == nil {
-		t.Error("SetSourceRate on non-source accepted")
+	if _, err := e.SetRate(mid.ID, 10); err == nil {
+		t.Error("SetRate on non-source accepted")
 	}
-	if _, err := e.SetSourceRate(999, 10); err == nil {
-		t.Error("SetSourceRate on unknown task accepted")
+	if _, err := e.SetRate(999, 10); err == nil {
+		t.Error("SetRate on unknown task accepted")
 	}
 }
 
@@ -270,7 +271,7 @@ func TestRateChangeTakesEffect(t *testing.T) {
 	}
 	src := g.TaskByName("source")
 	before := e.TaskStats(src.ID).Released
-	if _, err := e.SetSourceRate(src.ID, 20); err != nil {
+	if _, err := e.SetRate(src.ID, 20); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.RunUntil(2); err != nil {
@@ -305,7 +306,7 @@ func TestWindowStatsReset(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	run := func() Stats {
+	run := func() lifecycle.Stats {
 		g := chainGraph(t, 2*ms, 5*ms, 1*ms, 40*ms)
 		// Add jitter via a uniform model on middle to exercise the RNG.
 		uni, err := exectime.NewUniform(3*ms, 8*ms)
@@ -440,7 +441,7 @@ func TestStopHaltsReleases(t *testing.T) {
 }
 
 func TestMissRatio(t *testing.T) {
-	var s Stats
+	var s lifecycle.Stats
 	if s.MissRatio() != 0 {
 		t.Error("empty stats miss ratio should be 0")
 	}

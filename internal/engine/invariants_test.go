@@ -8,6 +8,7 @@ import (
 
 	"hcperf/internal/dag"
 	"hcperf/internal/exectime"
+	"hcperf/internal/lifecycle"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
 )
@@ -106,7 +107,7 @@ func TestQuickEngineInvariants(t *testing.T) {
 			Queue:      q,
 			Seed:       seed,
 			MaxDataAge: 300 * ms,
-			OnControl: func(cmd ControlCommand) {
+			OnControl: func(cmd lifecycle.ControlCommand) {
 				if cmd.SourceTime > cmd.Release || cmd.Release > cmd.Completed {
 					timingOK = false
 				}
@@ -181,11 +182,11 @@ func TestQuickEngineInvariants(t *testing.T) {
 // yield identical statistics.
 func TestQuickEngineDeterminism(t *testing.T) {
 	f := func(seed int64, pick uint8) bool {
-		run := func() Stats {
+		run := func() lifecycle.Stats {
 			rng := rand.New(rand.NewSource(seed))
 			g, err := randomGraph(rng)
 			if err != nil {
-				return Stats{}
+				return lifecycle.Stats{}
 			}
 			q := simtime.NewEventQueue()
 			e, err := New(Config{
@@ -196,13 +197,13 @@ func TestQuickEngineDeterminism(t *testing.T) {
 				Seed:      seed,
 			})
 			if err != nil {
-				return Stats{}
+				return lifecycle.Stats{}
 			}
 			if err := e.Start(); err != nil {
-				return Stats{}
+				return lifecycle.Stats{}
 			}
 			if err := q.RunUntil(2); err != nil {
-				return Stats{}
+				return lifecycle.Stats{}
 			}
 			return e.Stats()
 		}

@@ -25,9 +25,8 @@ import (
 	"hcperf/internal/stats"
 )
 
-// ControlCommand describes one completed control-task job. It is the
-// canonical command type for both execution backends (engine.ControlCommand
-// and rt.ControlCommand are aliases).
+// ControlCommand describes one completed control-task job, the command
+// type of both execution backends.
 type ControlCommand struct {
 	// Task is the control task that produced the command.
 	Task *dag.Task

@@ -8,15 +8,13 @@
 // end-to-end-budget expiry, discard of late output, control-command emission
 // — live in the shared internal/lifecycle kernel; this package is the
 // kernel's wall-clock Backend. It contributes exactly the execution
-// substrate: worker goroutines as processors, time.After for capture
-// latencies, and a mutex/cond pair serializing kernel access. Execution is
-// emulated either by sleeping for the sampled duration (default;
-// timing-accurate and cheap) or by busy work running real Hungarian matching
-// over the scene's obstacles (Busy mode; generates genuinely scene-dependent
-// CPU load).
+// substrate: worker goroutines as processors that sleep for each job's
+// sampled execution time, time.After for capture latencies, and a
+// mutex/cond pair serializing kernel access.
 //
-// The executor coordinates with the same mfc and rate controllers as the
-// simulation when a tracking-error source is configured, so HCPerf's full
+// When a tracking-error source is configured, the executor runs the
+// simulation's HCPerf coordinator (internal/core) on its kernel, stepping
+// both coordination loops from wall-clock tickers, so HCPerf's full
 // hierarchy runs on wall clock too.
 package rt
 
@@ -24,27 +22,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
+	"hcperf/internal/core"
 	"hcperf/internal/dag"
 	"hcperf/internal/exectime"
-	"hcperf/internal/hungarian"
 	"hcperf/internal/lifecycle"
-	"hcperf/internal/mfc"
-	"hcperf/internal/rate"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
-)
-
-// Canonical lifecycle types, re-exported so existing callers keep compiling
-// unchanged.
-type (
-	// ControlCommand describes one completed control-task job.
-	ControlCommand = lifecycle.ControlCommand
-	// Stats aggregates executor-wide outcomes.
-	Stats = lifecycle.Stats
 )
 
 // DefaultStopTimeout bounds how long Stop waits for goroutines to exit.
@@ -64,19 +50,17 @@ type Config struct {
 	// Scene supplies the runtime scene by wall-clock offset; nil means
 	// exectime.NominalScene.
 	Scene func(elapsed simtime.Time) exectime.Scene
-	// Busy selects busy-work execution (real Hungarian matching) instead
-	// of sleeping.
-	Busy bool
 	// MaxDataAge bounds input ages as in the engine (0 disables).
 	MaxDataAge simtime.Duration
 	// OnControl observes emitted control commands (called off the worker
 	// goroutines' critical section but potentially concurrently).
-	OnControl func(cmd ControlCommand)
+	OnControl func(cmd lifecycle.ControlCommand)
 	// Tracer optionally receives the structured lifecycle event stream.
 	// It is invoked with the executor lock held and must not block.
 	Tracer lifecycle.Tracer
 	// TrackingError, when set together with a *sched.Dynamic scheduler,
-	// enables the HCPerf coordinators on wall clock.
+	// enables the HCPerf coordinators on wall clock. It is called with the
+	// executor lock held and must not call back into the executor.
 	TrackingError func(elapsed simtime.Time) float64
 	// DisableExternal turns off the Task Rate Adapter.
 	DisableExternal bool
@@ -102,9 +86,7 @@ type Executor struct {
 	wg      sync.WaitGroup
 	stopCh  chan struct{}
 
-	pdc     *mfc.Controller
-	adapter *rate.Adapter
-	dyn     *sched.Dynamic
+	coord *core.Coordinator // nil without a TrackingError
 }
 
 // rtBackend adapts the Executor onto lifecycle.Backend: capture latencies
@@ -162,9 +144,6 @@ func New(cfg Config) (*Executor, error) {
 	if cfg.NumProcs < 1 {
 		return nil, fmt.Errorf("rt: NumProcs %d < 1", cfg.NumProcs)
 	}
-	if cfg.Scene == nil {
-		cfg.Scene = func(simtime.Time) exectime.Scene { return exectime.NominalScene() }
-	}
 	if cfg.ControlPeriod <= 0 {
 		cfg.ControlPeriod = 100 * time.Millisecond
 	}
@@ -188,7 +167,7 @@ func New(cfg Config) (*Executor, error) {
 		Seed:       cfg.Seed,
 		Scene:      cfg.Scene,
 		MaxDataAge: cfg.MaxDataAge,
-		OnControl: func(cmd ControlCommand) {
+		OnControl: func(cmd lifecycle.ControlCommand) {
 			if onControl == nil {
 				return
 			}
@@ -209,30 +188,19 @@ func New(cfg Config) (*Executor, error) {
 		if !ok {
 			return nil, errors.New("rt: TrackingError requires a *sched.Dynamic scheduler")
 		}
-		e.dyn = dyn
-		pdc, err := mfc.New(mfcConfigFor(cfg.ControlPeriod, dyn.GammaCap))
+		e.coord, err = core.New(core.Config{
+			Backend:         k,
+			Dynamic:         dyn,
+			TrackingError:   cfg.TrackingError,
+			ControlPeriod:   simtime.FromDuration(cfg.ControlPeriod),
+			AdaptPeriod:     simtime.FromDuration(cfg.AdaptPeriod),
+			DisableExternal: cfg.DisableExternal,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("rt: %w", err)
 		}
-		e.pdc = pdc
-		if !cfg.DisableExternal {
-			adapter, err := rate.New(rate.DefaultConfig())
-			if err != nil {
-				return nil, fmt.Errorf("rt: %w", err)
-			}
-			e.adapter = adapter
-		}
 	}
 	return e, nil
-}
-
-func mfcConfigFor(period time.Duration, gammaCap float64) mfc.Config {
-	cfg := mfc.DefaultConfig()
-	cfg.Ts = simtime.FromDuration(period)
-	cfg.ADEWindow = 5 * cfg.Ts
-	cfg.Alpha = -2 * 10 / gammaCap
-	cfg.UClamp = 2 * gammaCap
-	return cfg
 }
 
 // Start launches workers, source tickers and (if configured) coordinators.
@@ -252,21 +220,21 @@ func (e *Executor) Start() error {
 		e.wg.Add(1)
 		go e.sourceLoop(src.ID)
 	}
-	if e.pdc != nil {
+	if c := e.coord; c != nil {
 		e.wg.Add(1)
-		go e.controlLoop()
-	}
-	if e.adapter != nil {
-		e.wg.Add(1)
-		go e.adaptLoop()
+		go e.every(e.cfg.ControlPeriod, c.ControlStep)
+		if !e.cfg.DisableExternal {
+			e.wg.Add(1)
+			go e.every(e.cfg.AdaptPeriod, c.AdaptStep)
+		}
 	}
 	return nil
 }
 
 // Shutdown signals every goroutine to stop and waits until they exit or ctx
-// is done, whichever comes first. A wedged worker (e.g. mid busy-burn) makes
-// Shutdown return ctx.Err() instead of hanging; the straggler still exits
-// once its current job finishes. Shutdown is idempotent.
+// is done, whichever comes first. A wedged worker (e.g. one blocked in an
+// OnControl callback) makes Shutdown return ctx.Err() instead of hanging;
+// the straggler still exits once it unblocks. Shutdown is idempotent.
 func (e *Executor) Shutdown(ctx context.Context) error {
 	e.mu.Lock()
 	if !e.started {
@@ -301,7 +269,7 @@ func (e *Executor) Stop() error {
 }
 
 // Stats returns a snapshot of the counters.
-func (e *Executor) Stats() Stats {
+func (e *Executor) Stats() lifecycle.Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.k.Stats()
@@ -372,58 +340,28 @@ func (e *Executor) worker(w int) {
 		e.running[w] = now + actual
 		e.mu.Unlock()
 
-		e.execute(actual, now)
+		// Execution is a sleep for the sampled time, cut short by Shutdown.
+		select {
+		case <-e.stopCh:
+		case <-time.After(actual.ToDuration()):
+		}
 
 		done := e.Elapsed()
 		e.mu.Lock()
 		e.running[w] = 0
 		// The observed execution time is the wall clock actually spent,
-		// not the sampled target: sleep overshoot and busy-burn jitter
-		// feed back into c_i like on real hardware.
+		// not the sampled target: sleep overshoot feeds back into c_i
+		// like on real hardware.
 		e.k.Complete(done, w, j, done-now)
 		e.mu.Unlock()
 	}
 }
 
-// execute burns the sampled duration: by sleeping, or by real Hungarian
-// matching sized to the scene in Busy mode. The busy burn deliberately
-// ignores stopCh — it models non-preemptable CPU-bound work — which is why
-// Shutdown is deadline-bounded.
-func (e *Executor) execute(d simtime.Duration, now simtime.Time) {
-	if d <= 0 {
-		return
-	}
-	if !e.cfg.Busy {
-		select {
-		case <-e.stopCh:
-		case <-time.After(d.ToDuration()):
-		}
-		return
-	}
-	deadline := time.Now().Add(d.ToDuration())
-	n := e.cfg.Scene(now).Obstacles
-	if n < 4 {
-		n = 4
-	}
-	cost := make([][]float64, n)
-	for i := range cost {
-		cost[i] = make([]float64, n)
-		for k := range cost[i] {
-			cost[i][k] = float64((i*31 + k*17) % 97)
-		}
-	}
-	var solver hungarian.Solver // reused across iterations: the burn loop allocates nothing
-	for time.Now().Before(deadline) {
-		if _, _, err := solver.Solve(cost); err != nil {
-			return // unreachable with a well-formed matrix
-		}
-	}
-}
-
-// controlLoop is the wall-clock internal coordinator.
-func (e *Executor) controlLoop() {
+// every runs one coordination loop on wall clock: step, called with the
+// executor lock held, once per period until Shutdown.
+func (e *Executor) every(period time.Duration, step func(now simtime.Time)) {
 	defer e.wg.Done()
-	ticker := time.NewTicker(e.cfg.ControlPeriod)
+	ticker := time.NewTicker(period)
 	defer ticker.Stop()
 	for {
 		select {
@@ -431,71 +369,10 @@ func (e *Executor) controlLoop() {
 			return
 		case <-ticker.C:
 		}
-		now := e.Elapsed()
-		u, err := e.pdc.Step(now, e.cfg.TrackingError(now))
-		if err != nil {
-			continue // wall clock is monotone; spurious only on restart
-		}
 		e.mu.Lock()
-		e.dyn.SetNominalU(u)
-		e.k.RefreshObserver(now)
-		e.mu.Unlock()
-	}
-}
-
-// adaptLoop is the wall-clock external coordinator.
-func (e *Executor) adaptLoop() {
-	defer e.wg.Done()
-	ticker := time.NewTicker(e.cfg.AdaptPeriod)
-	defer ticker.Stop()
-	var last Stats
-	for {
-		select {
-		case <-e.stopCh:
-			return
-		case <-ticker.C:
-		}
-		e.mu.Lock()
-		cur := e.k.Stats()
-		window := Stats{
-			Completed:  cur.Completed - last.Completed,
-			Missed:     cur.Missed - last.Missed,
-			E2EDecided: cur.E2EDecided - last.E2EDecided,
-			E2EMissed:  cur.E2EMissed - last.E2EMissed,
-		}
-		last = cur
-		regime := 1.0
-		for _, t := range e.k.Graph().Tasks() {
-			nom := float64(t.Exec.Nominal())
-			if nom <= 0 {
-				continue
-			}
-			if r := float64(e.k.ObservedExec(t.ID)) / nom; r > regime {
-				regime = r
-			}
-		}
-		sources := make(map[*dag.Task]float64)
-		for _, s := range e.k.Graph().Sources() {
-			sources[s] = e.k.Rate(s.ID)
+		if !e.stopped {
+			step(e.Elapsed())
 		}
 		e.mu.Unlock()
-
-		miss := window.MissRatio()
-		if e2e := window.E2EMissRatio(); e2e > miss {
-			miss = e2e
-		}
-		miss = math.Min(miss, 1)
-		e.adapter.NoteExecTime(simtime.Duration(regime))
-		proposals, err := e.adapter.Step(miss, sources)
-		if err != nil {
-			continue // empty source sets cannot occur on validated graphs
-		}
-		for _, p := range proposals {
-			if p.NewRate != p.OldRate {
-				if _, err := e.SetSourceRate(p.Task.ID, p.NewRate); err != nil {
-					continue
-				}
-			}
-		}
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hcperf/internal/dag"
 	"hcperf/internal/exectime"
+	"hcperf/internal/lifecycle"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
 )
@@ -82,7 +84,7 @@ func TestPipelineRunsOnWallClock(t *testing.T) {
 		Scheduler: sched.EDF{},
 		NumProcs:  2,
 		Seed:      1,
-		OnControl: func(cmd ControlCommand) {
+		OnControl: func(cmd lifecycle.ControlCommand) {
 			cmds.Add(1)
 			lastE2E.Store(int64(cmd.EndToEndLatency().ToDuration()))
 		},
@@ -202,19 +204,53 @@ func TestHCPerfCoordinationOnWallClock(t *testing.T) {
 	}
 }
 
-func TestBusyModeBurnsSceneDependentTime(t *testing.T) {
-	if testing.Short() {
-		t.Skip("busy-wait test")
+// TestRateAdapterActsOnWallClock: the external coordinator retunes source
+// rates on wall clock, and DisableExternal leaves them alone.
+func TestRateAdapterActsOnWallClock(t *testing.T) {
+	sensorRate := func(disableExternal bool) float64 {
+		g := fastGraph(t)
+		ex, err := New(Config{
+			Graph:           g,
+			Scheduler:       sched.NewDynamic(0.02),
+			NumProcs:        2,
+			Seed:            1,
+			TrackingError:   func(simtime.Time) float64 { return 0 },
+			DisableExternal: disableExternal,
+			ControlPeriod:   20 * time.Millisecond,
+			AdaptPeriod:     100 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.Start(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(550 * time.Millisecond)
+		ex.Stop()
+		ex.mu.Lock()
+		defer ex.mu.Unlock()
+		return ex.k.Rate(g.TaskByName("sensor").ID)
 	}
-	g := fastGraph(t)
+	const initial = 50 // fastGraph's sensor rate
+	if got := sensorRate(false); got == initial {
+		t.Errorf("sensor rate still %v Hz after five adaptation periods", got)
+	}
+	if got := sensorRate(true); got != initial {
+		t.Errorf("sensor rate moved to %v Hz with the external coordinator disabled", got)
+	}
+}
+
+// TestShutdownBoundedWithWedgedWorker pins the bounded-shutdown contract: a
+// worker blocked in an OnControl callback must not block Shutdown past its
+// context deadline, and the straggler must still drain once it unblocks.
+func TestShutdownBoundedWithWedgedWorker(t *testing.T) {
+	wedged, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
 	ex, err := New(Config{
-		Graph:     g,
-		Scheduler: sched.EDF{},
-		NumProcs:  1,
-		Seed:      1,
-		Busy:      true,
-		Scene: func(simtime.Time) exectime.Scene {
-			return exectime.Scene{Obstacles: 8, LoadFactor: 1}
+		Graph: fastGraph(t), Scheduler: sched.EDF{}, NumProcs: 1, Seed: 1,
+		OnControl: func(lifecycle.ControlCommand) {
+			once.Do(func() { close(wedged) })
+			<-release
 		},
 	})
 	if err != nil {
@@ -223,49 +259,11 @@ func TestBusyModeBurnsSceneDependentTime(t *testing.T) {
 	if err := ex.Start(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
-	ex.Stop()
-	if st := ex.Stats(); st.ControlCommands == 0 {
-		t.Errorf("busy mode produced no commands: %+v", st)
+	select {
+	case <-wedged:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no control command within 5s")
 	}
-}
-
-// TestShutdownBoundedWithWedgedWorker pins the bounded-shutdown contract: a
-// worker stuck in a non-preemptable busy burn must not block Shutdown past
-// its context deadline, and the straggler must still drain once the burn
-// ends.
-func TestShutdownBoundedWithWedgedWorker(t *testing.T) {
-	if testing.Short() {
-		t.Skip("busy-wait test")
-	}
-	g := dag.New()
-	if _, err := g.AddTask(dag.Task{
-		Name: "sensor", Priority: 2, RelDeadline: 5 * simtime.Second,
-		Rate: 100, MinRate: 100, MaxRate: 100,
-		Exec: exectime.Constant(0.1 * ms),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.AddTask(dag.Task{
-		Name: "heavy", Priority: 1, RelDeadline: 5 * simtime.Second, IsControl: true,
-		Exec: exectime.Constant(800 * ms),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdgeByName("sensor", "heavy"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ex, err := New(Config{Graph: g, Scheduler: sched.EDF{}, NumProcs: 1, Seed: 1, Busy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.Start(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond) // let the worker wedge in its 800ms burn
 
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
@@ -281,21 +279,22 @@ func TestShutdownBoundedWithWedgedWorker(t *testing.T) {
 		t.Errorf("Shutdown blocked %v despite a 150ms deadline", waited)
 	}
 
-	// Once the burn finishes, the straggler exits and a second Shutdown
+	// Once the callback returns, the straggler exits and a second Shutdown
 	// drains cleanly.
+	close(release)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
 	if err := ex.Shutdown(ctx2); err != nil {
-		t.Errorf("drain after burn: %v", err)
+		t.Errorf("drain after release: %v", err)
 	}
 }
 
 func TestStatsRatios(t *testing.T) {
-	var s Stats
+	var s lifecycle.Stats
 	if s.MissRatio() != 0 || s.E2EMissRatio() != 0 {
 		t.Error("empty stats should report zero ratios")
 	}
-	s = Stats{Completed: 8, Missed: 2, E2EDecided: 4, E2EMissed: 1}
+	s = lifecycle.Stats{Completed: 8, Missed: 2, E2EDecided: 4, E2EMissed: 1}
 	if got := s.MissRatio(); math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("MissRatio = %v, want 0.2", got)
 	}

@@ -5,7 +5,7 @@ import (
 	"math"
 	"math/rand"
 
-	"hcperf/internal/engine"
+	"hcperf/internal/lifecycle"
 	"hcperf/internal/metrics"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
@@ -74,16 +74,6 @@ var carFollowFamily = family{
 	rates:     carFollowRates,
 }
 
-// passengerCar is the default follower plant, and the one the combined
-// and motivation scenarios drive: a stiff longitudinal plant, so the
-// residual tracking error is dominated by sensing-to-actuation staleness —
-// the quantity scheduling actually controls — not by plant lag.
-var passengerCar = vehicle.LongitudinalConfig{MaxAccel: 6, MaxBrake: 8, ActuatorTau: 0.1, MaxSpeed: 40}
-
-// followerGains is the default car-following law, and the one the
-// combined and motivation scenarios drive.
-var followerGains = vehicle.CarFollower{Kv: 5, Kg: 1, StandstillGap: 5, Headway: 1.2}
-
 func (c *CarFollowingConfig) applyDefaults() error {
 	if err := c.Loop.applyDefaults(carFollowFamily); err != nil {
 		return err
@@ -95,10 +85,10 @@ func (c *CarFollowingConfig) applyDefaults() error {
 		c.InitSpeed = c.LeadProfile.Speed(0)
 	}
 	if c.Longitudinal == (vehicle.LongitudinalConfig{}) {
-		c.Longitudinal = passengerCar
+		c.Longitudinal = vehicle.DefaultLongitudinal()
 	}
 	if c.FollowerGains == (vehicle.CarFollower{}) {
-		c.FollowerGains = followerGains
+		c.FollowerGains = vehicle.DefaultCarFollower()
 	}
 	if c.InitGap < 0 {
 		return fmt.Errorf("scenario: negative initial gap %v", c.InitGap)
@@ -123,7 +113,7 @@ type CarFollowingResult struct {
 	// Miss holds per-second deadline accounting (Fig. 13(d) / 15(d)).
 	Miss *metrics.MissBuckets
 	// EngineStats is the engine's final counter snapshot.
-	EngineStats engine.Stats
+	EngineStats lifecycle.Stats
 	// Collision reports a gap <= 0 event and its time.
 	Collision   bool
 	CollisionAt float64
@@ -213,7 +203,7 @@ func newCarFollowPlant(cfg *CarFollowingConfig, rec *trace.Recorder) (*carFollow
 	return p, nil
 }
 
-func (p *carFollowPlant) Perceive(cmd engine.ControlCommand) {
+func (p *carFollowPlant) Perceive(cmd lifecycle.ControlCommand) {
 	if s, ok := p.hist.at(float64(cmd.SourceTime)); ok {
 		leadSpd, leadPos, folPos, folSpd := s.leadSpeed, s.leadPos, s.folPos, s.folSpeed
 		if p.cfg.SpeedNoiseSD > 0 {
@@ -315,8 +305,8 @@ func (p *carFollowPlant) Sample(t float64, env *Env) {
 	recAdd(p.rec, "miss_ratio", t, env.Miss.Ratio(int(t)-1))
 	recAdd(p.rec, "queue_len", t, float64(env.Eng.QueueLen()))
 	recAdd(p.rec, "utilization", t, env.Eng.Utilization())
-	recAdd(p.rec, "rate_camera", t, env.Eng.SourceRate(env.Graph.TaskByName("camera_front").ID))
-	recAdd(p.rec, "rate_lidar", t, env.Eng.SourceRate(env.Graph.TaskByName("lidar_scan").ID))
+	recAdd(p.rec, "rate_camera", t, env.Eng.Rate(env.Graph.TaskByName("camera_front").ID))
+	recAdd(p.rec, "rate_lidar", t, env.Eng.Rate(env.Graph.TaskByName("lidar_scan").ID))
 }
 
 // CarFollowingRun is one car-following closed loop attached to an external

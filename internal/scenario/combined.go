@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"hcperf/internal/engine"
+	"hcperf/internal/lifecycle"
 	"hcperf/internal/metrics"
 	"hcperf/internal/simtime"
 	"hcperf/internal/trace"
@@ -57,7 +57,7 @@ type CombinedResult struct {
 	// Miss holds per-second deadline accounting.
 	Miss *metrics.MissBuckets
 	// EngineStats is the engine's final counter snapshot.
-	EngineStats engine.Stats
+	EngineStats lifecycle.Stats
 }
 
 // combinedPlant runs the longitudinal and lateral worlds side by side and
@@ -79,14 +79,15 @@ type combinedPlant struct {
 func newCombinedPlant(step float64, rec *trace.Recorder) (*combinedPlant, error) {
 	p := &combinedPlant{rec: rec, step: step}
 	var err error
-	if p.follower, err = vehicle.NewLongitudinal(passengerCar); err != nil {
+	if p.follower, err = vehicle.NewLongitudinal(vehicle.DefaultLongitudinal()); err != nil {
 		return nil, err
 	}
 	p.follower.Speed = combinedLead.Speed(0)
-	if p.lead, err = vehicle.NewLead(combinedLead, followerGains.StandstillGap+followerGains.Headway*p.follower.Speed); err != nil {
+	gains := vehicle.DefaultCarFollower()
+	if p.lead, err = vehicle.NewLead(combinedLead, gains.StandstillGap+gains.Headway*p.follower.Speed); err != nil {
 		return nil, err
 	}
-	if p.lat, err = vehicle.NewLateral(laneKeepLateral); err != nil {
+	if p.lat, err = vehicle.NewLateral(vehicle.DefaultLateral()); err != nil {
 		return nil, err
 	}
 	if err := p.hist.add(0, p.state()); err != nil {
@@ -110,18 +111,18 @@ func (p *combinedPlant) state() combinedState {
 	}
 }
 
-func (p *combinedPlant) Perceive(cmd engine.ControlCommand) {
+func (p *combinedPlant) Perceive(cmd lifecycle.ControlCommand) {
 	s, ok := p.hist.at(float64(cmd.SourceTime))
 	switch cmd.Task.Name {
 	case "lon_control":
 		p.lonCmds++
 		if ok {
-			p.follower.SetAccelCommand(followerGains.Accel(s.lon.folSpeed, s.lon.leadSpeed, s.lon.leadPos-s.lon.folPos))
+			p.follower.SetAccelCommand(vehicle.DefaultCarFollower().Accel(s.lon.folSpeed, s.lon.leadSpeed, s.lon.leadPos-s.lon.folPos))
 		}
 	case "lat_control":
 		p.latCmds++
 		if ok {
-			p.lat.SetSteerCommand(laneKeeperGains.Steer(s.lat.offset, s.lat.heading, combinedCurvature(s.lat.dist+0.3*p.follower.Speed)))
+			p.lat.SetSteerCommand(vehicle.DefaultLaneKeeper().Steer(s.lat.offset, s.lat.heading, combinedCurvature(s.lat.dist+0.3*p.follower.Speed)))
 		}
 	}
 }

@@ -107,7 +107,7 @@ type Plant interface {
 	// Perceive handles one control command: look up world history at the
 	// command's source time and actuate. Called for every command the
 	// pipeline emits.
-	Perceive(cmd engine.ControlCommand)
+	Perceive(cmd lifecycle.ControlCommand)
 	// Step advances vehicle dynamics by one VehicleStep ending at now,
 	// records world history and per-step series.
 	Step(now float64)
@@ -240,7 +240,7 @@ func (l *Loop) applyDefaults(f family) error {
 type loopResult struct {
 	Rec         *trace.Recorder
 	Miss        *metrics.MissBuckets
-	EngineStats engine.Stats
+	EngineStats lifecycle.Stats
 	Overhead    stats.Accumulator
 }
 
@@ -397,8 +397,7 @@ func attachLoop(q *simtime.EventQueue, lc Loop, f family, build func() (Plant, e
 			rcfg = effective.RateConfig()
 		}
 		ccfg := core.Config{
-			Engine:          eng,
-			Queue:           q,
+			Backend:         eng,
 			Dynamic:         dyn,
 			MFC:             effective.MFCConfig(f.mfcScale),
 			Rate:            rcfg,
@@ -428,7 +427,7 @@ func attachLoop(q *simtime.EventQueue, lc Loop, f family, build func() (Plant, e
 		return nil, err
 	}
 	if coord != nil {
-		if err := coord.Start(); err != nil {
+		if err := coord.Start(q); err != nil {
 			return nil, err
 		}
 	}

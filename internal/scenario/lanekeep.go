@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"hcperf/internal/engine"
+	"hcperf/internal/lifecycle"
 	"hcperf/internal/metrics"
 	"hcperf/internal/rate"
 	"hcperf/internal/simtime"
@@ -26,13 +26,6 @@ var laneKeepTrack = func() *vehicle.Track {
 	}
 	return track
 }()
-
-// laneKeepLateral is the steering plant (a passenger car) and
-// laneKeeperGains its lane-keeping law, shared with the combined scenario.
-var (
-	laneKeepLateral = vehicle.LateralConfig{WheelBase: 2.7, MaxSteer: 0.5, ActuatorTau: 0.08}
-	laneKeeperGains = vehicle.LaneKeeper{Ky: 0.5, Kpsi: 1.4, WheelBase: laneKeepLateral.WheelBase}
-)
 
 // laneKeepFamily is what the lane-keeping scenario fixes about its loop: one
 // full lap over a busy urban loop (16 obstacles), with the lane-keeping
@@ -67,7 +60,7 @@ type LaneKeepingResult struct {
 	// Miss holds per-second deadline accounting.
 	Miss *metrics.MissBuckets
 	// EngineStats is the engine's final counter snapshot.
-	EngineStats engine.Stats
+	EngineStats lifecycle.Stats
 	// Throughput is control commands per second.
 	Throughput float64
 	// Overhead is the coordinator's wall-clock cost per step (HCPerf
@@ -103,7 +96,7 @@ type laneKeepPlant struct {
 func newLaneKeepPlant(step float64, rec *trace.Recorder) (*laneKeepPlant, error) {
 	p := &laneKeepPlant{rec: rec, step: step}
 	var err error
-	if p.lat, err = vehicle.NewLateral(laneKeepLateral); err != nil {
+	if p.lat, err = vehicle.NewLateral(vehicle.DefaultLateral()); err != nil {
 		return nil, err
 	}
 	if err := p.hist.add(0, p.state()); err != nil {
@@ -117,7 +110,7 @@ func (p *laneKeepPlant) state() latState {
 	return latState{offset: p.lat.Y, heading: p.lat.Psi, dist: p.distance}
 }
 
-func (p *laneKeepPlant) Perceive(cmd engine.ControlCommand) {
+func (p *laneKeepPlant) Perceive(cmd lifecycle.ControlCommand) {
 	st, ok := p.hist.at(float64(cmd.SourceTime))
 	if !ok {
 		return
@@ -125,7 +118,7 @@ func (p *laneKeepPlant) Perceive(cmd engine.ControlCommand) {
 	// Feed-forward uses the curvature a short preview ahead of the
 	// perceived position.
 	curv := laneKeepTrack.Curvature(st.dist + 0.3*laneKeepSpeed)
-	p.lat.SetSteerCommand(laneKeeperGains.Steer(st.offset, st.heading, curv))
+	p.lat.SetSteerCommand(vehicle.DefaultLaneKeeper().Steer(st.offset, st.heading, curv))
 }
 
 // TrackingError is the performance metric: the lateral offset from the

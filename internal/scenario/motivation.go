@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"hcperf/internal/engine"
+	"hcperf/internal/lifecycle"
 	"hcperf/internal/metrics"
 	"hcperf/internal/simtime"
 	"hcperf/internal/trace"
@@ -65,7 +65,7 @@ type MotivationResult struct {
 	// MinGap is the closest approach between the two cars.
 	MinGap float64
 	// EngineStats is the engine's final counter snapshot.
-	EngineStats engine.Stats
+	EngineStats lifecycle.Stats
 }
 
 // motivationPlant is the red-light world: car B brakes to a stop while
@@ -88,7 +88,7 @@ func newMotivationPlant(step float64, rec *trace.Recorder) (*motivationPlant, er
 	const initSpeed = 10.0
 	p := &motivationPlant{rec: rec, step: step, minGap: math.Inf(1)}
 	var err error
-	if p.follower, err = vehicle.NewLongitudinal(passengerCar); err != nil {
+	if p.follower, err = vehicle.NewLongitudinal(vehicle.DefaultLongitudinal()); err != nil {
 		return nil, err
 	}
 	p.follower.Speed = initSpeed
@@ -104,7 +104,8 @@ func newMotivationPlant(step float64, rec *trace.Recorder) (*motivationPlant, er
 	if err != nil {
 		return nil, err
 	}
-	if p.lead, err = vehicle.NewLead(leadProfile, followerGains.StandstillGap+followerGains.Headway*initSpeed); err != nil {
+	gains := vehicle.DefaultCarFollower()
+	if p.lead, err = vehicle.NewLead(leadProfile, gains.StandstillGap+gains.Headway*initSpeed); err != nil {
 		return nil, err
 	}
 	if err := p.hist.add(0, lonStateOf(p.lead, p.follower)); err != nil {
@@ -113,12 +114,12 @@ func newMotivationPlant(step float64, rec *trace.Recorder) (*motivationPlant, er
 	return p, nil
 }
 
-func (p *motivationPlant) Perceive(cmd engine.ControlCommand) {
+func (p *motivationPlant) Perceive(cmd lifecycle.ControlCommand) {
 	s, ok := p.hist.at(float64(cmd.SourceTime))
 	if !ok {
 		return
 	}
-	p.follower.SetAccelCommand(followerGains.Accel(s.folSpeed, s.leadSpeed, s.leadPos-s.folPos))
+	p.follower.SetAccelCommand(vehicle.DefaultCarFollower().Accel(s.folSpeed, s.leadSpeed, s.leadPos-s.folPos))
 	p.lastCmdAt = float64(cmd.Completed)
 }
 

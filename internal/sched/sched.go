@@ -159,40 +159,34 @@ func (s *EDFVD) Select(_ simtime.Time, ready []*Job, _ int, _ *ProcState) int {
 }
 
 // Apollo is the state-of-the-practice baseline: tasks are statically bound
-// to processors (dag.Task.Processor, a 1-based binding label) and each
-// processor picks its highest static priority job. Unbound tasks
-// (Processor < 0) may run anywhere.
-//
-// Labels are mapped to processors in contiguous blocks — label L of
-// NumLabels runs on processor (L-1)·M/NumLabels — mirroring how Apollo
-// deployments group pipeline stages (perception node, planning node) when
-// fewer processors than binding groups are available.
-type Apollo struct {
-	// NumLabels is the size of the binding-label space (default 4, the
-	// AD graph's label count).
-	NumLabels int
-}
+// to processors (dag.Task.Processor, a 1-based binding label, placed by
+// ApolloProcessor) and each processor picks its highest static priority
+// job. Unbound tasks (Processor < 0) may run anywhere.
+type Apollo struct{}
 
 // Name implements Scheduler.
 func (Apollo) Name() string { return "Apollo" }
 
 // Select implements Scheduler.
-func (a Apollo) Select(_ simtime.Time, ready []*Job, proc int, state *ProcState) int {
-	labels := a.NumLabels
-	if labels <= 0 {
-		labels = 4
-	}
+func (Apollo) Select(_ simtime.Time, ready []*Job, proc int, state *ProcState) int {
 	return pickBest(ready, func(j *Job) bool {
-		return boundProcessor(j.Task, state.NumProcs, labels) == proc || j.Task.Processor < 0
+		return ApolloProcessor(j.Task.Processor, state.NumProcs) == proc || j.Task.Processor < 0
 	}, func(j *Job) float64 { return float64(j.Task.Priority) })
 }
 
-// boundProcessor maps a task's 1-based binding label onto a processor
-// index, or -1 when unbound. Labels beyond the label space wrap.
-func boundProcessor(t *dag.Task, numProcs, numLabels int) int {
-	if t.Processor < 1 || numProcs <= 0 {
+// apolloLabels is the size of Apollo's binding-label space, the AD graph's
+// label count.
+const apolloLabels = 4
+
+// ApolloProcessor maps a 1-based binding label onto one of numProcs
+// processors, or returns -1 for an unbound label (< 1). Labels are placed in
+// contiguous blocks — label L runs on processor (L-1)·M/4 — mirroring how
+// Apollo deployments group pipeline stages (perception node, planning node)
+// when fewer processors than binding groups are available. Labels beyond
+// the label space wrap.
+func ApolloProcessor(label, numProcs int) int {
+	if label < 1 || numProcs <= 0 {
 		return -1
 	}
-	label := (t.Processor - 1) % numLabels
-	return label * numProcs / numLabels
+	return ((label - 1) % apolloLabels) * numProcs / apolloLabels
 }

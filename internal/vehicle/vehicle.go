@@ -44,9 +44,12 @@ func (c LongitudinalConfig) Validate() error {
 	return nil
 }
 
-// DefaultLongitudinal returns passenger-car-scale limits.
+// DefaultLongitudinal returns the passenger car the simulation scenarios
+// drive: a stiff plant, so the residual tracking error is dominated by
+// sensing-to-actuation staleness — the quantity scheduling actually
+// controls — not by plant lag.
 func DefaultLongitudinal() LongitudinalConfig {
-	return LongitudinalConfig{MaxAccel: 3, MaxBrake: 8, ActuatorTau: 0.2, MaxSpeed: 40}
+	return LongitudinalConfig{MaxAccel: 6, MaxBrake: 8, ActuatorTau: 0.1, MaxSpeed: 40}
 }
 
 // ScaledCarLongitudinal returns limits matching the 1:10 scaled hardware
@@ -230,9 +233,10 @@ type CarFollower struct {
 	Headway float64
 }
 
-// DefaultCarFollower returns gains tuned for the simulation scenarios.
+// DefaultCarFollower returns the car-following law the simulation
+// scenarios drive.
 func DefaultCarFollower() CarFollower {
-	return CarFollower{Kv: 1.2, Kg: 0.25, StandstillGap: 5, Headway: 1.2}
+	return CarFollower{Kv: 5, Kg: 1, StandstillGap: 5, Headway: 1.2}
 }
 
 // Accel returns the commanded acceleration for the follower given its own
@@ -266,9 +270,10 @@ func (c LateralConfig) Validate() error {
 	return nil
 }
 
-// DefaultLateral returns passenger-car-scale lateral limits.
+// DefaultLateral returns the passenger car's steering plant the
+// lane-keeping scenarios drive.
 func DefaultLateral() LateralConfig {
-	return LateralConfig{WheelBase: 2.7, MaxSteer: 0.5, ActuatorTau: 0.15}
+	return LateralConfig{WheelBase: 2.7, MaxSteer: 0.5, ActuatorTau: 0.08}
 }
 
 // Lateral is a kinematic-bicycle lane-keeping model in path coordinates:
@@ -325,9 +330,10 @@ type LaneKeeper struct {
 	WheelBase float64
 }
 
-// DefaultLaneKeeper returns gains tuned for the loop scenario.
+// DefaultLaneKeeper returns the lane-keeping law the lane-keeping
+// scenarios drive, for DefaultLateral's wheel base.
 func DefaultLaneKeeper() LaneKeeper {
-	return LaneKeeper{Ky: 0.35, Kpsi: 1.1, WheelBase: 2.7}
+	return LaneKeeper{Ky: 0.5, Kpsi: 1.4, WheelBase: 2.7}
 }
 
 // Steer returns the steering command for the given perceived offset,
