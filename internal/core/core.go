@@ -13,8 +13,8 @@
 //   - The external coordinator runs once per adaptation period: it reads
 //     the windowed end-to-end deadline-miss ratio from the executor, runs
 //     the Task Rate Adapter (package rate), and applies the resulting
-//     source-task rates. It also watches the observed execution-time regime and
-//     resets the adapter gain when the scene changes abruptly.
+//     source-task rates. It also watches the observed execution-time
+//     regime and resets the adapter gain when the scene changes abruptly.
 package core
 
 import (
@@ -32,10 +32,11 @@ import (
 )
 
 // TrackingErrorFunc reports the vehicle's driving-performance tracking
-// error E(t) at time now on the backend's clock — |R(t) − P(t)| in the problem statement
-// (Eq. 1a), e.g. the speed difference to the lead car for car following or
-// the lateral offset for lane keeping. The sign convention is positive =
-// performance degrading; the controller only needs consistency.
+// error E(t) at time now on the backend's clock — |R(t) − P(t)| in the
+// problem statement (Eq. 1a), e.g. the speed difference to the lead car for
+// car following or the lateral offset for lane keeping. The sign convention
+// is positive = performance degrading; the controller only needs
+// consistency.
 type TrackingErrorFunc func(now simtime.Time) float64
 
 // Backend is the task executor a Coordinator steers, named after the

@@ -71,8 +71,9 @@ type Engine struct {
 	procs []processor
 	// tickers is indexed by task ID (task IDs are dense); nil entries are
 	// tasks that are not started sources. A dense slice instead of a map
-	// keeps Stop's iteration in task order — deterministic by
-	// construction — and avoids map overhead on the rate-adaptation path.
+	// keeps every iteration (Stop, SourceRates, ScaleSourceRates) in task
+	// order — deterministic by construction — and avoids map overhead on
+	// the rate-adaptation path.
 	tickers []*simtime.Ticker
 	started bool
 	// procState is the reusable processor-pool snapshot handed to

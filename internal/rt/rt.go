@@ -59,8 +59,8 @@ type Config struct {
 	// It is invoked with the executor lock held and must not block.
 	Tracer lifecycle.Tracer
 	// TrackingError, when set together with a *sched.Dynamic scheduler,
-	// enables the HCPerf coordinators on wall clock. It is called with the
-	// executor lock held and must not call back into the executor.
+	// enables the HCPerf coordinators on wall clock. It is called outside
+	// the executor lock, from one goroutine.
 	TrackingError func(elapsed simtime.Time) float64
 	// DisableExternal turns off the Task Rate Adapter.
 	DisableExternal bool
@@ -188,10 +188,17 @@ func New(cfg Config) (*Executor, error) {
 		if !ok {
 			return nil, errors.New("rt: TrackingError requires a *sched.Dynamic scheduler")
 		}
+		trackingError := cfg.TrackingError
 		e.coord, err = core.New(core.Config{
-			Backend:         k,
-			Dynamic:         dyn,
-			TrackingError:   cfg.TrackingError,
+			Backend: k,
+			Dynamic: dyn,
+			// The control step runs under e.mu; like OnControl, the user
+			// callback runs with it released.
+			TrackingError: func(now simtime.Time) float64 {
+				e.mu.Unlock()
+				defer e.mu.Lock()
+				return trackingError(now)
+			},
 			ControlPeriod:   simtime.FromDuration(cfg.ControlPeriod),
 			AdaptPeriod:     simtime.FromDuration(cfg.AdaptPeriod),
 			DisableExternal: cfg.DisableExternal,
