@@ -113,9 +113,7 @@ func run() error {
 	if err := coord.Start(q); err != nil {
 		return err
 	}
-	if err := q.RunUntil(10); err != nil {
-		return err
-	}
+	q.RunUntil(10)
 
 	st := eng.Stats()
 	fmt.Println("HCPerf quickstart — 10 simulated seconds")

@@ -118,9 +118,7 @@ func TestSustainedErrorRaisesU(t *testing.T) {
 			steps++
 		},
 	}, constErr(2.0))
-	if err := h.q.RunUntil(5); err != nil {
-		t.Fatal(err)
-	}
+	h.q.RunUntil(5)
 	if steps == 0 {
 		t.Fatal("internal coordinator never stepped")
 	}
@@ -137,9 +135,7 @@ func TestSustainedErrorRaisesU(t *testing.T) {
 
 func TestZeroErrorKeepsUZero(t *testing.T) {
 	h := newHarness(t, Config{}, constErr(0))
-	if err := h.q.RunUntil(3); err != nil {
-		t.Fatal(err)
-	}
+	h.q.RunUntil(3)
 	if u := h.coor.NominalU(); u != 0 {
 		t.Errorf("u = %v with zero tracking error, want 0", u)
 	}
@@ -157,9 +153,7 @@ func TestExternalRaisesRatesWhenIdle(t *testing.T) {
 	}, constErr(0))
 	src := h.g.TaskByName("image_preproc")
 	initial := h.eng.Rate(src.ID)
-	if err := h.q.RunUntil(10); err != nil {
-		t.Fatal(err)
-	}
+	h.q.RunUntil(10)
 	if adaptSteps == 0 {
 		t.Fatal("external coordinator never stepped")
 	}
@@ -179,13 +173,9 @@ func TestExternalShedsLoadUnderOverload(t *testing.T) {
 	}
 	fusion.Exec = prof
 	src := h.g.TaskByName("image_preproc")
-	if err := h.q.RunUntil(2); err != nil {
-		t.Fatal(err)
-	}
+	h.q.RunUntil(2)
 	rateBefore := h.eng.Rate(src.ID)
-	if err := h.q.RunUntil(12); err != nil {
-		t.Fatal(err)
-	}
+	h.q.RunUntil(12)
 	rateAfter := h.eng.Rate(src.ID)
 	if rateAfter >= rateBefore {
 		t.Errorf("source rate %v did not drop from %v under overload", rateAfter, rateBefore)
@@ -196,9 +186,7 @@ func TestDisableExternalFreezesRates(t *testing.T) {
 	h := newHarness(t, Config{DisableExternal: true}, constErr(0))
 	src := h.g.TaskByName("image_preproc")
 	initial := h.eng.Rate(src.ID)
-	if err := h.q.RunUntil(10); err != nil {
-		t.Fatal(err)
-	}
+	h.q.RunUntil(10)
 	if got := h.eng.Rate(src.ID); got != initial {
 		t.Errorf("rates moved to %v with external coordinator disabled", got)
 	}
@@ -206,9 +194,7 @@ func TestDisableExternalFreezesRates(t *testing.T) {
 
 func TestOverheadRecorded(t *testing.T) {
 	h := newHarness(t, Config{}, constErr(1))
-	if err := h.q.RunUntil(3); err != nil {
-		t.Fatal(err)
-	}
+	h.q.RunUntil(3)
 	oh := h.coor.Overhead()
 	if oh.N() == 0 {
 		t.Fatal("no overhead samples recorded")
@@ -224,14 +210,10 @@ func TestStopHaltsCoordination(t *testing.T) {
 	h := newHarness(t, Config{
 		OnControlPeriod: func(simtime.Time, float64, float64, float64) { steps++ },
 	}, constErr(1))
-	if err := h.q.RunUntil(1); err != nil {
-		t.Fatal(err)
-	}
+	h.q.RunUntil(1)
 	h.coor.Stop()
 	at := steps
-	if err := h.q.RunUntil(3); err != nil {
-		t.Fatal(err)
-	}
+	h.q.RunUntil(3)
 	if steps != at {
 		t.Errorf("coordinator stepped %d more times after Stop", steps-at)
 	}
@@ -245,9 +227,7 @@ func TestAdapterKpVisible(t *testing.T) {
 	if h.coor.AdapterKp() != rate.DefaultConfig().Kp0 {
 		t.Errorf("initial Kp = %v, want Kp0", h.coor.AdapterKp())
 	}
-	if err := h.q.RunUntil(1); err != nil {
-		t.Fatal(err)
-	}
+	h.q.RunUntil(1)
 	_ = h.coor.Gamma() // must not panic before/after steps
 }
 
@@ -256,9 +236,7 @@ func TestControlPeriodDefaultsToTs(t *testing.T) {
 	h := newHarness(t, Config{
 		OnControlPeriod: func(now simtime.Time, _, _, _ float64) { times = append(times, now) },
 	}, constErr(0))
-	if err := h.q.RunUntil(0.55); err != nil {
-		t.Fatal(err)
-	}
+	h.q.RunUntil(0.55)
 	if len(times) < 4 {
 		t.Fatalf("only %d control periods in 0.55s, want >= 4 at Ts=100ms", len(times))
 	}
@@ -298,9 +276,7 @@ func TestOnAdaptPeriodObserves(t *testing.T) {
 			proposalsSeen += len(props)
 		},
 	}, constErr(0))
-	if err := h.q.RunUntil(5); err != nil {
-		t.Fatal(err)
-	}
+	h.q.RunUntil(5)
 	if len(observedMiss) < 4 {
 		t.Fatalf("adapt callback fired %d times in 5s at 1 Hz, want >= 4", len(observedMiss))
 	}
@@ -326,9 +302,7 @@ func TestCustomPeriods(t *testing.T) {
 			adaptTimes = append(adaptTimes, now)
 		},
 	}, constErr(0))
-	if err := h.q.RunUntil(1.01); err != nil {
-		t.Fatal(err)
-	}
+	h.q.RunUntil(1.01)
 	if len(controlTimes) < 19 {
 		t.Errorf("%d control periods in ~1s at 50ms, want >= 19", len(controlTimes))
 	}

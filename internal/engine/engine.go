@@ -92,7 +92,7 @@ type backend struct {
 func (b backend) DeliverAfter(now simtime.Time, d simtime.Duration, fn func(at simtime.Time)) {
 	// Delivery is never scheduled in the past relative to now, so
 	// Schedule cannot fail.
-	if _, err := b.e.q.Schedule(now+d, fn); err != nil {
+	if err := b.e.q.Schedule(now+d, fn); err != nil {
 		panic(fmt.Sprintf("engine: schedule delivery: %v", err))
 	}
 }
@@ -293,7 +293,7 @@ func (e *Engine) run(now simtime.Time, p int, j *sched.Job) {
 	pr.actual = actual
 	// Completion events always run in the future relative to now, so
 	// Schedule cannot fail.
-	if _, err := e.q.Schedule(finish, pr.complete); err != nil {
+	if err := e.q.Schedule(finish, pr.complete); err != nil {
 		panic(fmt.Sprintf("engine: schedule completion: %v", err))
 	}
 }

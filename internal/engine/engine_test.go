@@ -94,9 +94,7 @@ func TestPipelineRunsEndToEnd(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.RunUntil(1.001); err != nil {
-		t.Fatal(err)
-	}
+	q.RunUntil(1.001)
 	// Source at 10 Hz over ~1s: 11 releases (t=0..1.0). Each cycle flows
 	// through middle and control (source is marked freshness-critical, so
 	// SourceTime tracks the capture instant).
@@ -132,9 +130,7 @@ func TestDeadlineMissDiscardsOutput(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.RunUntil(1); err != nil {
-		t.Fatal(err)
-	}
+	q.RunUntil(1)
 	st := e.Stats()
 	if st.ControlCommands != 0 {
 		t.Errorf("control ran %d times despite upstream misses", st.ControlCommands)
@@ -167,9 +163,7 @@ func TestOverloadExpiresQueuedJobs(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.RunUntil(3); err != nil {
-		t.Fatal(err)
-	}
+	q.RunUntil(3)
 	st := e.Stats()
 	if st.Expired == 0 {
 		t.Errorf("no queued jobs expired under overload: %+v", st)
@@ -210,9 +204,7 @@ func TestPrimaryTriggerSemantics(t *testing.T) {
 		if err := e.Start(); err != nil {
 			t.Fatal(err)
 		}
-		if err := q.RunUntil(2.001); err != nil {
-			t.Fatal(err)
-		}
+		q.RunUntil(2.001)
 		fusion := g.TaskByName("fusion")
 		return e.TaskStats(fusion.ID).Released, e.Stats().Released
 	}
@@ -266,17 +258,13 @@ func TestRateChangeTakesEffect(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.RunUntil(1); err != nil {
-		t.Fatal(err)
-	}
+	q.RunUntil(1)
 	src := g.TaskByName("source")
 	before := e.TaskStats(src.ID).Released
 	if _, err := e.SetRate(src.ID, 20); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.RunUntil(2); err != nil {
-		t.Fatal(err)
-	}
+	q.RunUntil(2)
 	during := e.TaskStats(src.ID).Released - before
 	if during < 18 {
 		t.Errorf("released %d jobs at 20 Hz over 1s, want >= 18", during)
@@ -289,9 +277,7 @@ func TestWindowStatsReset(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.RunUntil(0.5); err != nil {
-		t.Fatal(err)
-	}
+	q.RunUntil(0.5)
 	if e.WindowStats().Released == 0 {
 		t.Fatal("window counters empty after activity")
 	}
@@ -318,9 +304,7 @@ func TestDeterminism(t *testing.T) {
 		if err := e.Start(); err != nil {
 			t.Fatal(err)
 		}
-		if err := q.RunUntil(5); err != nil {
-			t.Fatal(err)
-		}
+		q.RunUntil(5)
 		return e.Stats()
 	}
 	a, b := run(), run()
@@ -343,9 +327,7 @@ func TestQueueObserverNotified(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.RunUntil(0.5); err != nil {
-		t.Fatal(err)
-	}
+	q.RunUntil(0.5)
 	if obs.calls == 0 {
 		t.Error("queue observer never notified")
 	}
@@ -359,9 +341,7 @@ func TestDynamicSchedulerIntegration(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.RunUntil(2); err != nil {
-		t.Fatal(err)
-	}
+	q.RunUntil(2)
 	if e.Stats().ControlCommands == 0 {
 		t.Error("dynamic scheduler produced no control commands")
 	}
@@ -379,9 +359,7 @@ func TestUtilizationBounds(t *testing.T) {
 	if e.Utilization() != 0 {
 		t.Errorf("utilization before start = %v, want 0", e.Utilization())
 	}
-	if err := q.RunUntil(2); err != nil {
-		t.Fatal(err)
-	}
+	q.RunUntil(2)
 	u := e.Utilization()
 	if u <= 0 || u > 1 {
 		t.Errorf("utilization %v outside (0,1]", u)
@@ -398,9 +376,7 @@ func TestObservedExecUpdates(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.RunUntil(0.2); err != nil {
-		t.Fatal(err)
-	}
+	q.RunUntil(0.2)
 	if got := e.ObservedExec(src.ID); got != 2*ms {
 		t.Errorf("observed exec %v after constant-time runs, want 2ms", got)
 	}
@@ -415,14 +391,10 @@ func TestStopHaltsReleases(t *testing.T) {
 	if err := e.Start(); err == nil {
 		t.Error("second Start accepted")
 	}
-	if err := q.RunUntil(0.5); err != nil {
-		t.Fatal(err)
-	}
+	q.RunUntil(0.5)
 	e.Stop()
 	before := e.Stats().Released
-	if err := q.RunUntil(1.5); err != nil {
-		t.Fatal(err)
-	}
+	q.RunUntil(1.5)
 	// Derived jobs already in flight may still release, but no new
 	// source cycles should start.
 	src := g.TaskByName("source")
@@ -432,9 +404,7 @@ func TestStopHaltsReleases(t *testing.T) {
 		t.Logf("source released %d total", after)
 	}
 	srcReleased := e.TaskStats(src.ID).Released
-	if err := q.RunUntil(2.5); err != nil {
-		t.Fatal(err)
-	}
+	q.RunUntil(2.5)
 	if e.TaskStats(src.ID).Released != srcReleased {
 		t.Error("source kept releasing after Stop")
 	}

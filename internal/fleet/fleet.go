@@ -283,9 +283,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("fleet: sampler: %w", err)
 	}
 
-	if err := q.RunUntil(simtime.Time(duration)); err != nil {
-		return nil, fmt.Errorf("fleet: run: %w", err)
-	}
+	q.RunUntil(simtime.Time(duration))
 
 	res := &Result{
 		N:        cfg.N,

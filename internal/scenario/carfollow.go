@@ -392,8 +392,6 @@ func RunCarFollowing(cfg CarFollowingConfig) (*CarFollowingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := q.RunUntil(simtime.Time(r.cfg.Duration)); err != nil {
-		return nil, err
-	}
+	q.RunUntil(simtime.Time(r.cfg.Duration))
 	return r.Finish(), nil
 }

@@ -278,9 +278,7 @@ func runLoop(l *Loop, f family, build func(rec *trace.Recorder) (Plant, error)) 
 	if err != nil {
 		return nil, err
 	}
-	if err := q.RunUntil(simtime.Time(l.Duration)); err != nil {
-		return nil, err
-	}
+	q.RunUntil(simtime.Time(l.Duration))
 	res := a.finish()
 	res.Rec = rec
 	return res, nil

@@ -14,9 +14,7 @@ func benchTickerSecond(b *testing.B, newQ func() *EventQueue) {
 				b.Fatal(err)
 			}
 		}
-		if err := q.RunUntil(1); err != nil {
-			b.Fatal(err)
-		}
+		q.RunUntil(1)
 	}
 }
 
@@ -28,7 +26,7 @@ func benchScheduleStep(b *testing.B, newQ func() *EventQueue) {
 	q := newQ()
 	fn := func(Time) {}
 	for i := 0; i < 64; i++ {
-		if _, err := q.After(0.001, fn); err != nil {
+		if err := q.After(0.001, fn); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -37,7 +35,7 @@ func benchScheduleStep(b *testing.B, newQ func() *EventQueue) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := q.After(0.004, fn); err != nil {
+		if err := q.After(0.004, fn); err != nil {
 			b.Fatal(err)
 		}
 		q.Step()

@@ -12,27 +12,15 @@ type firing struct {
 }
 
 // runSchedulerScript interprets script as a deterministic stream of
-// schedule / cancel / ticker / halt operations against q, interleaved with
-// event execution, and returns the complete firing sequence. The same script
-// run on the wheel and on the heap must return identical slices.
+// schedule / ticker start, stop and retime operations against q, interleaved
+// with event execution, and returns the complete firing sequence. The same
+// script run on the wheel and on the heap must return identical slices.
 func runSchedulerScript(q *EventQueue, script []byte) []firing {
 	var fired []firing
 	var tickers []*Ticker
-	// Handles are only valid until the event reaches a terminal state and the
-	// queue schedules again (records are recycled), so the script tracks
-	// which tags have fired and never cancels a stale handle — cancelling one
-	// would target whatever event reused the record, and the two schedulers
-	// recycle at different times.
-	type handle struct {
-		ev  *Event
-		tag int
-	}
-	var pending []handle
-	firedTags := map[int]bool{}
 	tag := 0
 	note := func(id int) func(Time) {
 		return func(now Time) {
-			firedTags[id] = true
 			fired = append(fired, firing{now, id, len(fired)})
 		}
 	}
@@ -54,22 +42,14 @@ func runSchedulerScript(q *EventQueue, script []byte) []firing {
 				off = Duration(b) * 100000 // deep overflow pages
 			}
 			tag++
-			ev, err := q.Schedule(q.Now()+off, note(tag))
-			if err != nil {
+			if err := q.Schedule(q.Now()+off, note(tag)); err != nil {
 				panic(err)
 			}
-			pending = append(pending, handle{ev, tag})
-		case 2: // cancel a previously scheduled, still-valid event
-			for len(pending) > 0 {
-				idx := int(a) % len(pending)
-				h := pending[idx]
-				pending[idx] = pending[len(pending)-1]
-				pending = pending[:len(pending)-1]
-				if firedTags[h.tag] {
-					continue // stale handle: the record may have been reused
+		case 2: // retime a live ticker, as the Task Rate Adapter does
+			if len(tickers) > 0 {
+				if err := tickers[int(a)%len(tickers)].SetPeriod(Duration(b%50+1) / 128); err != nil {
+					panic(err)
 				}
-				q.Cancel(h.ev)
-				break
 			}
 		case 3: // start a ticker
 			period := Duration(a%50+1) / 128
@@ -84,10 +64,8 @@ func runSchedulerScript(q *EventQueue, script []byte) []firing {
 				tickers[int(a)%len(tickers)].Stop()
 			}
 		case 5: // run a bounded slice of virtual time
-			if err := q.RunUntil(q.Now() + Duration(a)/16); err != nil && err != ErrHalted {
-				panic(err)
-			}
-		case 6: // step a few events, occasionally halting a nested run
+			q.RunUntil(q.Now() + Duration(a)/16)
+		case 6: // step a few events
 			for n := 0; n < int(a%8); n++ {
 				if !q.Step() {
 					break
@@ -115,6 +93,9 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add([]byte{0, 251, 9, 0, 251, 9, 2, 0, 0, 5, 255, 0})
 	f.Add([]byte{0, 17, 1, 0, 34, 1, 0, 51, 1, 6, 7, 0})
 	f.Add([]byte{1, 85, 3, 3, 12, 128, 5, 90, 0, 2, 1, 0, 5, 255, 0})
+	// A ticker retimed mid-run, then run on: the retime engine.SetRate
+	// applies to a source ticker.
+	f.Add([]byte{3, 7, 0, 5, 40, 0, 2, 0, 20, 5, 255, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		wheel := runSchedulerScript(NewEventQueue(), script)
 		heap := runSchedulerScript(NewHeapEventQueue(), script)

@@ -13,53 +13,16 @@ func both(t *testing.T, f func(t *testing.T, q *EventQueue)) {
 	t.Run("heap", func(t *testing.T) { f(t, NewHeapEventQueue()) })
 }
 
-// TestEventStateMachine pins the three-state machine the Event doc promises:
-// pending (index >= 0), fired (-1), cancelled (-2), with the accessors
-// mutually exclusive in every state.
-func TestEventStateMachine(t *testing.T) {
-	both(t, func(t *testing.T, q *EventQueue) {
-		pending, err := q.Schedule(1, func(Time) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pending.Pending() || pending.Fired() || pending.Cancelled() {
-			t.Fatalf("scheduled event: Pending=%v Fired=%v Cancelled=%v, want true,false,false",
-				pending.Pending(), pending.Fired(), pending.Cancelled())
-		}
-
-		cancelled, err := q.Schedule(2, func(Time) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q.Cancel(cancelled)
-		if cancelled.Pending() || cancelled.Fired() || !cancelled.Cancelled() {
-			t.Fatalf("cancelled event: Pending=%v Fired=%v Cancelled=%v, want false,false,true",
-				cancelled.Pending(), cancelled.Fired(), cancelled.Cancelled())
-		}
-
-		if !q.Step() {
-			t.Fatal("expected the pending event to fire")
-		}
-		if pending.Pending() || !pending.Fired() || pending.Cancelled() {
-			t.Fatalf("fired event: Pending=%v Fired=%v Cancelled=%v, want false,true,false",
-				pending.Pending(), pending.Fired(), pending.Cancelled())
-		}
-
-		// Terminal states are sticky for Cancel: a second Cancel (or a Cancel
-		// of a fired event) is a no-op, not a corruption.
-		q.Cancel(pending)
-		q.Cancel(cancelled)
-		if !pending.Fired() || !cancelled.Cancelled() {
-			t.Fatal("Cancel on a terminal event must not change its state")
-		}
-	})
+// drain steps q until no event is pending.
+func drain(q *EventQueue) {
+	for q.Step() {
+	}
 }
 
-// TestTickerSetPeriodAfterSameInstantStopStart is the regression test for the
-// freelist + ticker interaction: stop ticker A from inside its own callback
-// and immediately start ticker B at the same instant. B's first event may
-// reuse A's just-recycled record; a SetPeriod on B must still take effect on
-// the next tick, and stopping A again must never cancel B's event.
+// TestTickerSetPeriodAfterSameInstantStopStart stops ticker A from inside its
+// own callback and immediately starts ticker B at the same instant. A
+// SetPeriod on B must take effect from B's next tick, and stopping A again
+// must leave B alone.
 func TestTickerSetPeriodAfterSameInstantStopStart(t *testing.T) {
 	both(t, func(t *testing.T, q *EventQueue) {
 		var fires []Time
@@ -76,14 +39,12 @@ func TestTickerSetPeriodAfterSameInstantStopStart(t *testing.T) {
 			if err := b.SetPeriod(2); err != nil {
 				t.Fatal(err)
 			}
-			a.Stop() // must be a no-op, not a cancel of b's reused record
+			a.Stop() // must be a no-op for b
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := q.RunUntil(5); err != nil {
-			t.Fatal(err)
-		}
+		q.RunUntil(5)
 		// b starts at the same instant as a's only tick (t=0); its first tick
 		// fires immediately, then the updated period of 2 applies.
 		want := []Time{0, 2, 4}
@@ -104,13 +65,11 @@ func TestWheelOverflowCascade(t *testing.T) {
 	var got []Time
 	// Schedule in reverse to exercise out-of-order insertion.
 	for i := len(ats) - 1; i >= 0; i-- {
-		if _, err := q.Schedule(ats[i], func(now Time) { got = append(got, now) }); err != nil {
+		if err := q.Schedule(ats[i], func(now Time) { got = append(got, now) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := q.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(q)
 	if len(got) != len(ats) {
 		t.Fatalf("fired %d events, want %d", len(got), len(ats))
 	}
@@ -129,80 +88,52 @@ func TestWheelFarFutureClamp(t *testing.T) {
 	far := Time(float64(wheelHorizon)) // 2^52 ticks * 2^-10 s/tick = 2^42 s
 	var got []Time
 	for _, at := range []Time{far + 3, far + 1, far + 2, far + 1} {
-		if _, err := q.Schedule(at, func(now Time) { got = append(got, now) }); err != nil {
+		if err := q.Schedule(at, func(now Time) { got = append(got, now) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := q.Schedule(1, func(now Time) { got = append(got, now) }); err != nil {
+	if err := q.Schedule(1, func(now Time) { got = append(got, now) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Run(); err != nil {
-		t.Fatal(err)
-	}
+	drain(q)
 	want := []Time{1, far + 1, far + 1, far + 2, far + 3}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
 }
 
-// TestWheelCancelThenReuse pins the tombstone rule: cancelling a wheel event
-// must not let a later Schedule alias the still-bucketed record into firing
-// twice or out of order.
-func TestWheelCancelThenReuse(t *testing.T) {
-	q := NewEventQueue()
-	var got []string
-	evA, err := q.Schedule(1, func(Time) { got = append(got, "a") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Cancel(evA)
-	// The record is tombstoned inside the wheel; these schedules must draw
-	// fresh records, and the tombstone must be skipped at drain time.
-	if _, err := q.Schedule(1, func(Time) { got = append(got, "b") }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Schedule(2, func(Time) { got = append(got, "c") }); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != "[b c]" {
-		t.Fatalf("got %v, want [b c]", got)
-	}
-}
-
 // TestSteadyStateZeroAllocs pins the freelist contract: once warmed up, a
-// schedule→step cycle and a ticker churn cycle allocate nothing, on both
+// schedule→step cycle and a retimed ticker's tick allocate nothing, on both
 // schedulers.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	both(t, func(t *testing.T, q *EventQueue) {
 		fn := func(Time) {}
 		// Warm-up: populate the freelist and container capacity.
 		for i := 0; i < 64; i++ {
-			if _, err := q.After(0.001, fn); err != nil {
+			if err := q.After(0.001, fn); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for q.Step() {
-		}
+		drain(q)
 		allocs := testing.AllocsPerRun(100, func() {
-			ev, _ := q.After(0.001, fn)
-			_ = ev
+			_ = q.After(0.001, fn)
 			q.Step()
 		})
 		if allocs != 0 {
 			t.Errorf("schedule/step steady state: %v allocs/op, want 0", allocs)
 		}
+		tk, err := q.NewTicker(q.Now(), 0.001, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		period := Duration(0.001)
 		allocs = testing.AllocsPerRun(100, func() {
-			ev, _ := q.After(0.002, fn)
-			q.Cancel(ev)
-			ev2, _ := q.After(0.001, fn)
-			_ = ev2
+			period = 0.003 - period
+			_ = tk.SetPeriod(period)
 			q.Step()
 		})
 		if allocs != 0 {
-			t.Errorf("schedule/cancel/step steady state: %v allocs/op, want 0", allocs)
+			t.Errorf("ticker retime/step steady state: %v allocs/op, want 0", allocs)
 		}
 	})
 }

@@ -22,9 +22,7 @@ import "math/bits"
 //	          an (At, seq) min-heap, cascaded page by page.
 //
 // Advancing never walks empty ticks: occupancy bitmaps plus TrailingZeros
-// jump straight to the next occupied slot. Cancellation is lazy — the
-// record is tombstoned in place (index == -2) and recycled when its
-// container drains — so Cancel is O(1) and slot lists are never unlinked.
+// jump straight to the next occupied slot.
 //
 // Ordering equivalence with the reference heap: pop always serves the drain
 // heap, which holds exactly the events with tick <= cur; every other
@@ -63,32 +61,26 @@ func wheelTickOf(at Time) uint64 {
 const wheelHorizonScale = 1 << wheelTickShift
 
 type wheelScheduler struct {
-	q   *EventQueue
 	cur uint64 // ticks drained so far: pending wheel events have tick > cur
 	// drain holds the imminent events (tick <= cur), ordered by (At, seq).
-	drain []*Event
+	drain []*event
 	// Wheel slots are intrusive singly-linked lists threaded through the
-	// Event records (Event.next), so parking an event in a slot never
+	// event records (event.next), so parking an event in a slot never
 	// allocates and the scheduler needs no per-slot backing storage. List
 	// order is irrelevant: a level-0 slot is a single tick whose records
 	// drain through the (At, seq) heap, and a level-1 record re-routes
 	// purely by its own tick.
-	l0    [wheelSlots]*Event
+	l0    [wheelSlots]*event
 	l0bit [wheelBitmapLen]uint64
-	l1    [wheelSlots]*Event
+	l1    [wheelSlots]*event
 	l1bit [wheelBitmapLen]uint64
 	// overflow holds events past the current 65536-tick page (or past the
 	// quantization horizon), ordered by (At, seq).
-	overflow []*Event
-	live     int // pending minus tombstoned
+	overflow []*event
+	live     int // pending events
 }
 
-func newWheelScheduler(q *EventQueue) *wheelScheduler {
-	return &wheelScheduler{q: q}
-}
-
-func (w *wheelScheduler) push(ev *Event) {
-	ev.index = 0
+func (w *wheelScheduler) push(ev *event) {
 	w.live++
 	w.place(ev)
 }
@@ -96,7 +88,7 @@ func (w *wheelScheduler) push(ev *Event) {
 // place routes a record to the container its tick belongs in, relative to
 // the current cur. Used by push and by cascades (which re-place records
 // after cur advanced).
-func (w *wheelScheduler) place(ev *Event) {
+func (w *wheelScheduler) place(ev *event) {
 	t := wheelTickOf(ev.At)
 	switch {
 	case t <= w.cur:
@@ -116,14 +108,12 @@ func (w *wheelScheduler) place(ev *Event) {
 	}
 }
 
-func (w *wheelScheduler) pop() *Event {
+func (w *wheelScheduler) pop() *event {
 	if !w.ensure() {
 		return nil
 	}
-	ev := evHeapPop(&w.drain)
-	ev.index = -1
 	w.live--
-	return ev
+	return evHeapPop(&w.drain)
 }
 
 func (w *wheelScheduler) peekAt() (Time, bool) {
@@ -133,31 +123,16 @@ func (w *wheelScheduler) peekAt() (Time, bool) {
 	return w.drain[0].At, true
 }
 
-func (w *wheelScheduler) cancel(ev *Event) {
-	// Lazy: tombstone in place; the record is recycled when its container
-	// drains. Until then the tombstone keeps the record out of reuse, so
-	// the stale container pointer can never alias a new event.
-	ev.index = -2
-	w.live--
-}
-
-func (w *wheelScheduler) size() int { return w.live }
-
-// ensure advances the wheel until the drain heap's top is a live event,
-// returning false when no live events remain anywhere.
+// ensure advances the wheel until the drain heap holds an event, returning
+// false when no events remain anywhere.
 func (w *wheelScheduler) ensure() bool {
-	for {
-		for len(w.drain) > 0 && w.drain[0].index == -2 {
-			w.q.recycle(evHeapPop(&w.drain))
-		}
-		if len(w.drain) > 0 {
-			return true
-		}
+	for len(w.drain) == 0 {
 		if w.live == 0 {
 			return false
 		}
 		w.advance()
 	}
+	return true
 }
 
 // advance moves cur forward to the next occupied tick and shifts that
@@ -192,29 +167,19 @@ func (w *wheelScheduler) advance() {
 		top := wheelTickOf(w.overflow[0].At)
 		w.cur = top &^ uint64(wheelPageMask)
 		for len(w.overflow) > 0 && wheelTickOf(w.overflow[0].At)>>16 == w.cur>>16 {
-			ev := evHeapPop(&w.overflow)
-			if ev.index == -2 {
-				w.q.recycle(ev)
-				continue
-			}
-			w.place(ev)
+			w.place(evHeapPop(&w.overflow))
 		}
 		return
 	}
 	panic("simtime: wheel invariant violated: live events but every container is empty")
 }
 
-// drainSlot re-places a slot list's records relative to the advanced cur,
-// recycling tombstones on the way.
-func (w *wheelScheduler) drainSlot(head *Event) {
+// drainSlot re-places a slot list's records relative to the advanced cur.
+func (w *wheelScheduler) drainSlot(head *event) {
 	for ev := head; ev != nil; {
 		nxt := ev.next
 		ev.next = nil
-		if ev.index == -2 {
-			w.q.recycle(ev)
-		} else {
-			w.place(ev)
-		}
+		w.place(ev)
 		ev = nxt
 	}
 }
@@ -237,13 +202,12 @@ func nextBit(bm *[wheelBitmapLen]uint64, from uint64) int {
 
 // evHeapPush / evHeapPop maintain a binary min-heap over (At, seq) on a
 // plain slice — the drain and overflow containers. Hand-rolled instead of
-// container/heap: no interface boxing on the hot path, and no index
-// maintenance (cancellation is lazy here).
-func evLess(a, b *Event) bool {
+// container/heap: no interface boxing on the hot path.
+func evLess(a, b *event) bool {
 	return a.At < b.At || (a.At == b.At && a.seq < b.seq)
 }
 
-func evHeapPush(h *[]*Event, ev *Event) {
+func evHeapPush(h *[]*event, ev *event) {
 	s := append(*h, ev)
 	i := len(s) - 1
 	for i > 0 {
@@ -257,7 +221,7 @@ func evHeapPush(h *[]*Event, ev *Event) {
 	*h = s
 }
 
-func evHeapPop(h *[]*Event) *Event {
+func evHeapPop(h *[]*event) *event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
