@@ -193,7 +193,7 @@ func TestAnalyzeValidation(t *testing.T) {
 }
 
 func TestExpectedExecDeterministic(t *testing.T) {
-	m, err := exectime.NewUniform(10*ms, 20*ms)
+	m, err := exectime.NewTruncNormal(15*ms, 2*ms, 10*ms, 20*ms)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,6 @@ type Coordinator struct {
 
 	sources  []*dag.Task
 	started  bool
-	tickers  []*simtime.Ticker
 	overhead stats.Accumulator // wall-clock seconds per coordinator step
 }
 
@@ -196,27 +195,15 @@ func (c *Coordinator) Start(q *simtime.EventQueue) error {
 	}
 	c.started = true
 	now := q.Now()
-	tk, err := q.NewTicker(now+c.controlPeriod, c.controlPeriod, c.ControlStep)
-	if err != nil {
+	if _, err := q.NewTicker(now+c.controlPeriod, c.controlPeriod, c.ControlStep); err != nil {
 		return fmt.Errorf("core: start internal coordinator: %w", err)
 	}
-	c.tickers = append(c.tickers, tk)
 	if c.external {
-		tk, err = q.NewTicker(now+c.adaptPeriod, c.adaptPeriod, c.AdaptStep)
-		if err != nil {
+		if _, err := q.NewTicker(now+c.adaptPeriod, c.adaptPeriod, c.AdaptStep); err != nil {
 			return fmt.Errorf("core: start external coordinator: %w", err)
 		}
-		c.tickers = append(c.tickers, tk)
 	}
 	return nil
-}
-
-// Stop cancels both coordination loops.
-func (c *Coordinator) Stop() {
-	for _, tk := range c.tickers {
-		tk.Stop()
-	}
-	c.tickers = nil
 }
 
 // Gamma returns the scheduler's current priority-adjustment coefficient.

@@ -205,18 +205,8 @@ func TestOverheadRecorded(t *testing.T) {
 	}
 }
 
-func TestStopHaltsCoordination(t *testing.T) {
-	steps := 0
-	h := newHarness(t, Config{
-		OnControlPeriod: func(simtime.Time, float64, float64, float64) { steps++ },
-	}, constErr(1))
-	h.q.RunUntil(1)
-	h.coor.Stop()
-	at := steps
-	h.q.RunUntil(3)
-	if steps != at {
-		t.Errorf("coordinator stepped %d more times after Stop", steps-at)
-	}
+func TestSecondStartRejected(t *testing.T) {
+	h := newHarness(t, Config{}, constErr(1))
 	if err := h.coor.Start(h.q); err == nil {
 		t.Error("second Start accepted")
 	}

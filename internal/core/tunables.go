@@ -7,7 +7,6 @@ import (
 	"hcperf/internal/dag"
 	"hcperf/internal/mfc"
 	"hcperf/internal/rate"
-	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
 )
 
@@ -23,13 +22,12 @@ const DefaultErrScale = 2
 // defaults, so the search space and the scenarios read the same values.
 //
 // The zero value of any field means "paper default" (see DefaultTunables);
-// Resolved fills the gaps. All six knobs only take effect under the HCPerf
+// Resolved fills the gaps. All five knobs only take effect under the HCPerf
 // schemes — baselines have no coordinator to tune, though RMinScale and
-// RMaxScale still reshape the graph's allowable rate bands.
+// RMaxScale still reshape the graph's allowable rate bands. The γ cap is not
+// among them: it belongs to the scheduler (sched.Dynamic.GammaCap), and
+// MFCConfig takes it as an argument.
 type Tunables struct {
-	// GammaCap is γmax, the Dynamic scheduler's priority-adjustment cap
-	// (sched.DefaultGammaCap when zero).
-	GammaCap float64
 	// MFCWindow is T_ADE, the Performance Directed Controller's
 	// derivative-estimation window (500 ms when zero). It must cover at
 	// least one MFC sampling period (100 ms).
@@ -55,7 +53,6 @@ type Tunables struct {
 func DefaultTunables() Tunables {
 	rc := rate.DefaultConfig()
 	return Tunables{
-		GammaCap:  sched.DefaultGammaCap,
 		MFCWindow: mfc.DefaultConfig().ADEWindow,
 		RateKp0:   rc.Kp0,
 		RateDecay: rc.Decay,
@@ -69,9 +66,6 @@ func DefaultTunables() Tunables {
 // existing configurations are unchanged byte-for-byte.
 func (t Tunables) Resolved() (Tunables, error) {
 	d := DefaultTunables()
-	if t.GammaCap == 0 {
-		t.GammaCap = d.GammaCap
-	}
 	if t.MFCWindow == 0 {
 		t.MFCWindow = d.MFCWindow
 	}
@@ -95,7 +89,6 @@ func (t Tunables) validate() error {
 		name string
 		v    float64
 	}{
-		{"gamma cap", t.GammaCap},
 		{"rate Kp0", t.RateKp0},
 		{"r_min scale", t.RMinScale},
 		{"r_max scale", t.RMaxScale},
@@ -115,14 +108,13 @@ func (t Tunables) validate() error {
 
 // MFCConfig builds the Performance Directed Controller configuration for a
 // driving application whose emergency-scale tracking error is errScale
-// (<= 0 selects DefaultErrScale), under this tunable set's γ cap and ADE
-// window. Callers that override the scheduler's γ cap independently should
-// pass the effective cap via a Tunables copy with GammaCap set.
-func (t Tunables) MFCConfig(errScale float64) mfc.Config {
+// (<= 0 selects DefaultErrScale), under the scheduler's γ cap gammaCap and
+// this tunable set's ADE window.
+func (t Tunables) MFCConfig(errScale, gammaCap float64) mfc.Config {
 	if errScale <= 0 {
 		errScale = DefaultErrScale
 	}
-	cfg := MFCConfigForScale(errScale, t.GammaCap)
+	cfg := MFCConfigForScale(errScale, gammaCap)
 	cfg.ADEWindow = t.MFCWindow
 	return cfg
 }

@@ -239,9 +239,6 @@ func (e *Engine) WindowStats() lifecycle.Stats { return e.k.WindowStats() }
 // this once per adaptation period.
 func (e *Engine) ResetWindow() { e.k.ResetWindow() }
 
-// TaskStats returns a copy of the per-task counters.
-func (e *Engine) TaskStats(id dag.TaskID) lifecycle.TaskStats { return e.k.TaskStats(id) }
-
 // ObservedExec returns the engine's current estimate of c_i.
 func (e *Engine) ObservedExec(id dag.TaskID) simtime.Duration { return e.k.ObservedExec(id) }
 

@@ -56,30 +56,6 @@ func (c Constant) Sample(*rand.Rand, simtime.Time, Scene) simtime.Duration {
 // Nominal implements Model.
 func (c Constant) Nominal() simtime.Duration { return simtime.Duration(c) }
 
-// Uniform samples uniformly from [Lo, Hi].
-type Uniform struct {
-	Lo, Hi simtime.Duration
-}
-
-// NewUniform validates and builds a Uniform model.
-func NewUniform(lo, hi simtime.Duration) (Uniform, error) {
-	if lo < 0 || hi < lo {
-		return Uniform{}, fmt.Errorf("exectime: invalid uniform range [%v,%v]", lo, hi)
-	}
-	return Uniform{Lo: lo, Hi: hi}, nil
-}
-
-// Sample implements Model.
-func (u Uniform) Sample(rng *rand.Rand, _ simtime.Time, _ Scene) simtime.Duration {
-	if u.Hi <= u.Lo {
-		return u.Lo
-	}
-	return u.Lo + simtime.Duration(rng.Float64())*(u.Hi-u.Lo)
-}
-
-// Nominal implements Model.
-func (u Uniform) Nominal() simtime.Duration { return (u.Lo + u.Hi) / 2 }
-
 // TruncNormal samples from a normal distribution truncated to [Lo, Hi].
 // This matches the unimodal-with-tail execution-time histograms the paper
 // measures on the Jetson TX2 (Fig. 12).

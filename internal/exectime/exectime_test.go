@@ -22,50 +22,6 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestUniformValidation(t *testing.T) {
-	tests := []struct {
-		name    string
-		lo, hi  simtime.Duration
-		wantErr bool
-	}{
-		{name: "ok", lo: 0.01, hi: 0.02},
-		{name: "point", lo: 0.01, hi: 0.01},
-		{name: "inverted", lo: 0.02, hi: 0.01, wantErr: true},
-		{name: "negative", lo: -0.01, hi: 0.02, wantErr: true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			_, err := NewUniform(tt.lo, tt.hi)
-			if (err != nil) != tt.wantErr {
-				t.Errorf("NewUniform(%v,%v) err = %v, wantErr %v", tt.lo, tt.hi, err, tt.wantErr)
-			}
-		})
-	}
-}
-
-func TestUniformSamplesInRange(t *testing.T) {
-	m, err := NewUniform(0.010, 0.030)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	var acc float64
-	for i := 0; i < 2000; i++ {
-		d := m.Sample(rng, 0, NominalScene())
-		if d < 0.010 || d > 0.030 {
-			t.Fatalf("sample %v outside [0.010,0.030]", d)
-		}
-		acc += float64(d)
-	}
-	mean := acc / 2000
-	if math.Abs(mean-0.020) > 0.001 {
-		t.Errorf("empirical mean %v too far from 0.020", mean)
-	}
-	if m.Nominal() != 0.020 {
-		t.Errorf("Nominal = %v, want 0.020", m.Nominal())
-	}
-}
-
 func TestTruncNormal(t *testing.T) {
 	if _, err := NewTruncNormal(0.02, 0.005, 0.01, 0.05); err != nil {
 		t.Fatal(err)
@@ -229,15 +185,11 @@ func TestQuickSamplesNonNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uni, err := NewUniform(0, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tn, err := NewTruncNormal(0.02, 0.01, 0, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := []Model{Constant(0.01), uni, tn, fusion}
+	models := []Model{Constant(0.01), tn, fusion}
 	f := func(seed int64, obstacles uint8, load uint8, at uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		scene := Scene{Obstacles: int(obstacles), LoadFactor: float64(load) / 16}

@@ -129,9 +129,6 @@ func (r *Ring) Trace(ev Event) {
 	r.dropped++
 }
 
-// Len returns the number of retained events.
-func (r *Ring) Len() int { return len(r.buf) }
-
 // Dropped returns how many events were evicted to make room.
 func (r *Ring) Dropped() uint64 { return r.dropped }
 

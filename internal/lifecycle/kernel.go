@@ -119,7 +119,6 @@ type Kernel struct {
 
 	total    Stats
 	window   Stats // reset by ResetWindow (Task Rate Adapter sampling)
-	perTask  []TaskStats
 	observer QueueObserver
 }
 
@@ -155,7 +154,6 @@ func NewKernel(cfg Config, b Backend) (*Kernel, error) {
 		observed:  make([]simtime.Duration, n),
 		cycles:    make([]uint64, n),
 		rates:     make([]float64, n),
-		perTask:   make([]TaskStats, n),
 		maxAge:    cfg.MaxDataAge,
 	}
 	k.succs = make([][]dag.TaskID, n)
@@ -228,14 +226,6 @@ func (k *Kernel) WindowStats() Stats { return k.window }
 // ResetWindow zeroes the windowed counters; the Task Rate Adapter calls
 // this once per adaptation period.
 func (k *Kernel) ResetWindow() { k.window = Stats{} }
-
-// TaskStats returns a copy of the per-task counters.
-func (k *Kernel) TaskStats(id dag.TaskID) TaskStats {
-	if id < 0 || int(id) >= len(k.perTask) {
-		return TaskStats{}
-	}
-	return k.perTask[id]
-}
 
 // ObservedExec returns the kernel's current estimate of c_i.
 func (k *Kernel) ObservedExec(id dag.TaskID) simtime.Duration { return k.observed[id] }
@@ -335,7 +325,6 @@ func (k *Kernel) SourceFired(now simtime.Time, id dag.TaskID) {
 	j.SourceTime = now
 	k.total.Released++
 	k.window.Released++
-	k.perTask[id].Released++
 	k.traceJob(EventRelease, now, j, -1)
 	actual := k.SampleExec(now, t)
 	d := k.newDelivery()
@@ -381,10 +370,8 @@ func (k *Kernel) newDelivery() *delivery {
 func (k *Kernel) deliverSource(now simtime.Time, j *sched.Job, actual simtime.Duration) {
 	id := j.Task.ID
 	k.observed[id] = actual
-	k.perTask[id].ExecTime.Add(float64(actual))
 	k.total.Completed++
 	k.window.Completed++
-	k.perTask[id].Completed++
 	k.traceJob(EventDeliver, now, j, -1)
 	if k.onDecided != nil {
 		k.onDecided(now, j, false)
@@ -419,7 +406,6 @@ func (k *Kernel) release(now simtime.Time, id dag.TaskID, sourceTime simtime.Tim
 	k.ready = append(k.ready, j)
 	k.total.Released++
 	k.window.Released++
-	k.perTask[id].Released++
 	k.traceJob(EventRelease, now, j, -1)
 	k.queueChanged(now)
 	k.b.Wake(now)
@@ -432,13 +418,10 @@ func (k *Kernel) PurgeExpired(now simtime.Time) {
 	k.purged = k.purged[:0]
 	for _, j := range k.ready {
 		if j.AbsDeadline <= now {
-			id := j.Task.ID
 			k.total.Missed++
 			k.total.Expired++
 			k.window.Missed++
 			k.window.Expired++
-			k.perTask[id].Missed++
-			k.perTask[id].Expired++
 			if j.Task.IsControl {
 				k.total.E2EDecided++
 				k.total.E2EMissed++
@@ -490,7 +473,6 @@ func (k *Kernel) Next(now simtime.Time, proc int) *sched.Job {
 func (k *Kernel) Complete(now simtime.Time, proc int, j *sched.Job, actual simtime.Duration) {
 	id := j.Task.ID
 	k.observed[id] = actual
-	k.perTask[id].ExecTime.Add(float64(actual))
 
 	missed := now > j.AbsDeadline
 	if j.Task.IsControl {
@@ -507,12 +489,10 @@ func (k *Kernel) Complete(now simtime.Time, proc int, j *sched.Job, actual simti
 	if missed {
 		k.total.Missed++
 		k.window.Missed++
-		k.perTask[id].Missed++
 		k.traceJob(EventMiss, now, j, proc)
 	} else {
 		k.total.Completed++
 		k.window.Completed++
-		k.perTask[id].Completed++
 		k.traceJob(EventComplete, now, j, proc)
 		k.Propagate(now, j)
 	}
@@ -592,10 +572,8 @@ func (k *Kernel) invalidCycle(now simtime.Time, id dag.TaskID, sourceTime simtim
 	j.SourceTime = sourceTime
 	k.total.Released++
 	k.window.Released++
-	k.perTask[id].Released++
 	k.total.Missed++
 	k.window.Missed++
-	k.perTask[id].Missed++
 	if t.IsControl {
 		k.total.E2EDecided++
 		k.total.E2EMissed++

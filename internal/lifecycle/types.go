@@ -48,15 +48,6 @@ func (c ControlCommand) ResponseTime() simtime.Duration { return c.Completed - c
 // EndToEndLatency returns sensing-to-actuation latency.
 func (c ControlCommand) EndToEndLatency() simtime.Duration { return c.Completed - c.SourceTime }
 
-// TaskStats aggregates per-task outcomes.
-type TaskStats struct {
-	Released  uint64
-	Completed uint64
-	Missed    uint64 // late completions + expirations in queue
-	Expired   uint64 // subset of Missed: dropped from the queue unrun
-	ExecTime  stats.Accumulator
-}
-
 // Stats aggregates kernel-wide outcomes. The struct is comparable: two runs
 // with identical semantics yield identical Stats values.
 type Stats struct {

@@ -113,9 +113,6 @@ func (m *MissBuckets) Note(t float64, missed bool) error {
 	return nil
 }
 
-// Len returns the number of buckets observed so far.
-func (m *MissBuckets) Len() int { return len(m.decided) }
-
 // Ratio returns the miss ratio of bucket i (0 when the bucket is empty or
 // out of range).
 func (m *MissBuckets) Ratio(i int) float64 {

@@ -89,7 +89,6 @@ type Controller struct {
 	window  []sample
 	lastU   float64
 	lastDot float64
-	steps   uint64
 }
 
 // New validates cfg and builds a controller with u(0) = 0.
@@ -121,7 +120,6 @@ func (c *Controller) Step(now simtime.Time, trackingErr float64) (float64, error
 		}
 	}
 	c.lastU = u
-	c.steps++
 	return u, nil
 }
 
@@ -130,16 +128,6 @@ func (c *Controller) LastU() float64 { return c.lastU }
 
 // LastDerivative returns the most recent ADE derivative estimate Ê̇.
 func (c *Controller) LastDerivative() float64 { return c.lastDot }
-
-// Steps returns the number of Step calls so far.
-func (c *Controller) Steps() uint64 { return c.steps }
-
-// Reset clears the sample window and output history.
-func (c *Controller) Reset() {
-	c.window = c.window[:0]
-	c.lastU = 0
-	c.lastDot = 0
-}
 
 // trim evicts samples older than now − ADEWindow, always keeping at least
 // one sample at or before the window edge so the integral spans the full

@@ -199,29 +199,6 @@ func TestStepRejectsTimeTravel(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := controller(t, DefaultConfig())
-	for i := 0; i < 10; i++ {
-		if _, err := c.Step(simtime.Time(i)*100*ms, 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.LastU() == 0 {
-		t.Fatal("precondition: u should be non-zero")
-	}
-	c.Reset()
-	if c.LastU() != 0 || c.LastDerivative() != 0 {
-		t.Error("Reset did not clear state")
-	}
-	// Time may restart after reset.
-	if _, err := c.Step(0, 1); err != nil {
-		t.Errorf("Step after Reset: %v", err)
-	}
-	if c.Steps() == 0 {
-		t.Error("Steps counter should survive")
-	}
-}
-
 // Property: the ADE estimate of a·t + b sampled on an arbitrary regular
 // grid converges to a.
 func TestQuickADERecoversSlope(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -26,8 +25,6 @@ type Budget struct {
 	ratio  float64
 	cap    float64
 	tokens float64
-
-	exhausted atomic.Uint64
 }
 
 // NewBudget builds a budget crediting ratio tokens per fresh request
@@ -58,15 +55,11 @@ func (b *Budget) Withdraw() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.tokens < 1 {
-		b.exhausted.Add(1)
 		return false
 	}
 	b.tokens--
 	return true
 }
-
-// Exhausted counts retries refused for lack of budget.
-func (b *Budget) Exhausted() uint64 { return b.exhausted.Load() }
 
 // permanentError marks an error as not worth retrying.
 type permanentError struct{ err error }

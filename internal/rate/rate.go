@@ -106,7 +106,6 @@ type Adapter struct {
 	execEWMA float64
 	hasEWMA  bool
 	resets   uint64
-	steps    uint64
 }
 
 // New validates cfg and builds an adapter with Kp = Kp0.
@@ -122,9 +121,6 @@ func (a *Adapter) Kp() float64 { return a.kp }
 
 // Resets returns how many times the gain was reset by regime changes.
 func (a *Adapter) Resets() uint64 { return a.resets }
-
-// Steps returns the number of adaptation periods processed.
-func (a *Adapter) Steps() uint64 { return a.steps }
 
 // NoteExecTime feeds the regime tracker with an observed execution-time
 // signal (e.g. the fusion task's latest run time). A relative jump beyond
@@ -159,7 +155,6 @@ func (a *Adapter) Step(missRatio float64, sources map[*dag.Task]float64) ([]Prop
 	if len(sources) == 0 {
 		return nil, errors.New("rate: no source tasks")
 	}
-	a.steps++
 	e := a.cfg.TargetMissRatio - missRatio
 	if missRatio == 0 {
 		e = a.cfg.Epsilon

@@ -205,8 +205,8 @@ func TestNoteExecTimeSmallDriftNoReset(t *testing.T) {
 		t.Errorf("small drift caused %d resets", a.Resets())
 	}
 	a.NoteExecTime(0) // ignored
-	if a.Steps() != 0 {
-		t.Errorf("Steps = %d before any Step call", a.Steps())
+	if a.Resets() != 0 {
+		t.Errorf("a zero execution time caused %d resets", a.Resets())
 	}
 }
 

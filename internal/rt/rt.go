@@ -287,17 +287,6 @@ func (e *Executor) Elapsed() simtime.Time {
 	return simtime.Time(time.Since(e.start).Seconds())
 }
 
-// SetSourceRate retunes a source rate (clamped to the task's range).
-func (e *Executor) SetSourceRate(id dag.TaskID, hz float64) (float64, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	applied, err := e.k.SetRate(id, hz)
-	if err != nil {
-		return 0, fmt.Errorf("rt: %w", err)
-	}
-	return applied, nil
-}
-
 // sourceLoop emulates one sensor: periodic captures at the (adjustable)
 // source rate; the kernel delivers each capture downstream after its sampled
 // latency via DeliverAfter.

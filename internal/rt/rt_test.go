@@ -3,7 +3,6 @@ package rt
 import (
 	"context"
 	"errors"
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -153,25 +152,6 @@ func TestDeadlineMissesUnderOverloadWallClock(t *testing.T) {
 	}
 }
 
-func TestSetSourceRateWallClock(t *testing.T) {
-	g := fastGraph(t)
-	ex, err := New(Config{Graph: g, Scheduler: sched.EDF{}, NumProcs: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sensor := g.TaskByName("sensor")
-	got, err := ex.SetSourceRate(sensor.ID, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 100 {
-		t.Errorf("rate clamped to %v, want 100", got)
-	}
-	if _, err := ex.SetSourceRate(999, 10); err == nil {
-		t.Error("unknown task accepted")
-	}
-}
-
 func TestHCPerfCoordinationOnWallClock(t *testing.T) {
 	g := fastGraph(t)
 	dyn := sched.NewDynamic(0.02)
@@ -286,19 +266,5 @@ func TestShutdownBoundedWithWedgedWorker(t *testing.T) {
 	defer cancel2()
 	if err := ex.Shutdown(ctx2); err != nil {
 		t.Errorf("drain after release: %v", err)
-	}
-}
-
-func TestStatsRatios(t *testing.T) {
-	var s lifecycle.Stats
-	if s.MissRatio() != 0 || s.E2EMissRatio() != 0 {
-		t.Error("empty stats should report zero ratios")
-	}
-	s = lifecycle.Stats{Completed: 8, Missed: 2, E2EDecided: 4, E2EMissed: 1}
-	if got := s.MissRatio(); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("MissRatio = %v, want 0.2", got)
-	}
-	if got := s.E2EMissRatio(); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("E2EMissRatio = %v, want 0.25", got)
 	}
 }

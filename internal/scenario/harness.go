@@ -157,8 +157,7 @@ type Loop struct {
 	// auxiliary-task starvation becomes free).
 	MaxDataAge simtime.Duration
 	// GammaCap overrides the Dynamic scheduler's γ cap for ablation
-	// studies (0 = default). A non-zero GammaCap wins over
-	// Tunables.GammaCap.
+	// studies (0 = sched.DefaultGammaCap).
 	GammaCap float64
 	// DisableE2E clears the end-to-end deadline of every control task
 	// (ablation: the external coordinator loses its latency signal).
@@ -175,8 +174,8 @@ type Loop struct {
 	// Tracer optionally receives the engine's structured lifecycle event
 	// stream (per-job timelines).
 	Tracer lifecycle.Tracer
-	// Tunables sets the coordinator parameter set (γ cap, MFC window,
-	// adapter gains, rate-band scales). Zero fields take the paper
+	// Tunables sets the coordinator parameter set (MFC window, adapter
+	// gains, rate-band scales). Zero fields take the paper
 	// defaults (core.DefaultTunables); the search subsystem explores this
 	// space. Lane keeping keeps its own rate-adapter profile, so the
 	// adapter gains do not apply there.
@@ -327,14 +326,8 @@ func attachLoop(q *simtime.EventQueue, lc Loop, f family, build func() (Plant, e
 	if err != nil {
 		return nil, err
 	}
-	// γ-cap precedence: the scenario's explicit GammaCap (ablation knob)
-	// wins over the tunable set, whose default is sched.DefaultGammaCap —
-	// exactly what NewDynamic(0) picked before tunables existed.
-	if dyn != nil {
-		dyn.GammaCap = tun.GammaCap
-		if lc.GammaCap > 0 {
-			dyn.GammaCap = lc.GammaCap
-		}
+	if dyn != nil && lc.GammaCap > 0 {
+		dyn.GammaCap = lc.GammaCap
 	}
 	samplePeriod := 1.0
 	if lc.SampleRate > 0 {
@@ -384,20 +377,18 @@ func attachLoop(q *simtime.EventQueue, lc Loop, f family, build func() (Plant, e
 
 	var coord *core.Coordinator
 	if lc.Scheme.IsHCPerf() {
-		// The MFC and adapter configurations are built from the tunable
-		// set around the *effective* γ cap (post-override). Scenarios
-		// with a bespoke adapter profile (lane keeping) keep it; the
-		// tunable Kp0/decay overlay applies only on the default profile.
-		effective := tun
-		effective.GammaCap = dyn.GammaCap
+		// The MFC configuration is built from the tunable set around the
+		// scheduler's γ cap. Scenarios with a bespoke adapter profile
+		// (lane keeping) keep it; the tunable Kp0/decay overlay applies
+		// only on the default profile.
 		rcfg := f.rateConfig
 		if rcfg == (rate.Config{}) {
-			rcfg = effective.RateConfig()
+			rcfg = tun.RateConfig()
 		}
 		ccfg := core.Config{
 			Backend:         eng,
 			Dynamic:         dyn,
-			MFC:             effective.MFCConfig(f.mfcScale),
+			MFC:             tun.MFCConfig(f.mfcScale, dyn.GammaCap),
 			Rate:            rcfg,
 			TrackingError:   plant.TrackingError,
 			DisableExternal: lc.Scheme == SchemeHCPerfInternal,

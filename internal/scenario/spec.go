@@ -125,9 +125,9 @@ type FleetSpec struct {
 	VehicleSeeds []int64 `json:"vehicle_seeds,omitempty"`
 }
 
-// SpecTunables is the declarative form of core.Tunables (minus the γ cap,
-// which predates it as the spec's top-level gamma_cap field). Zero fields
-// take the paper defaults, so the block only needs the knobs being moved.
+// SpecTunables is the declarative form of core.Tunables; the γ cap is the
+// spec's top-level gamma_cap field. Zero fields take the paper defaults, so
+// the block only needs the knobs being moved.
 type SpecTunables struct {
 	// MFCWindowMS is the Performance Directed Controller's derivative-
 	// estimation window in milliseconds (0 = default 500; must cover the

@@ -22,11 +22,13 @@ import (
 
 	"hcperf/internal/core"
 	"hcperf/internal/scenario"
+	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
 )
 
 // Parameter names the space understands, in canonical (sorted) order. Each
-// maps onto one core.Tunables knob through the scenario spec surface.
+// maps onto one scenario spec knob: gamma_cap onto the top-level γ cap, the
+// rest onto the core.Tunables block.
 const (
 	ParamGammaCap    = "gamma_cap"     // Dynamic scheduler γmax cap
 	ParamMFCWindowMS = "mfc_window_ms" // PDC derivative-estimation window
@@ -57,7 +59,7 @@ func paramDefault(name string) float64 {
 	d := core.DefaultTunables()
 	switch name {
 	case ParamGammaCap:
-		return d.GammaCap
+		return sched.DefaultGammaCap
 	case ParamMFCWindowMS:
 		return float64(d.MFCWindow) / float64(simtime.Millisecond)
 	case ParamRMaxScale:

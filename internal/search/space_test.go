@@ -8,6 +8,7 @@ import (
 
 	"hcperf/internal/core"
 	"hcperf/internal/scenario"
+	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
 )
 
@@ -97,7 +98,7 @@ func TestBaselineMatchesPaperDefaults(t *testing.T) {
 		var want float64
 		switch p.Name {
 		case ParamGammaCap:
-			want = d.GammaCap
+			want = sched.DefaultGammaCap
 		case ParamMFCWindowMS:
 			want = float64(d.MFCWindow) / float64(simtime.Millisecond)
 		case ParamRMaxScale:

@@ -1,6 +1,6 @@
 // Package stats provides the online statistics used throughout the HCPerf
-// evaluation: a running accumulator (count, mean, RMS, standard deviation,
-// min, max) and a fixed-capacity sliding window.
+// evaluation: a running accumulator (count, mean, max) and a
+// fixed-capacity sliding window.
 package stats
 
 import (
@@ -9,34 +9,20 @@ import (
 )
 
 // Accumulator collects samples incrementally without retaining them,
-// tracking count, mean (Welford), sum of squares, min and max. The zero
-// value is ready to use.
+// tracking count, mean and max. The zero value is ready to use.
 type Accumulator struct {
-	n     int
-	mean  float64
-	m2    float64 // sum of squared deviations from the mean
-	sumSq float64 // raw sum of squares, for RMS
-	min   float64
-	max   float64
+	n    int
+	mean float64
+	max  float64
 }
 
 // Add incorporates one sample.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
+	if a.n == 1 || x > a.max {
+		a.max = x
 	}
-	delta := x - a.mean
-	a.mean += delta / float64(a.n)
-	a.m2 += delta * (x - a.mean)
-	a.sumSq += x * x
+	a.mean += (x - a.mean) / float64(a.n)
 }
 
 // N returns the number of samples added.
@@ -45,33 +31,14 @@ func (a *Accumulator) N() int { return a.n }
 // Mean returns the running mean (0 for an empty accumulator).
 func (a *Accumulator) Mean() float64 { return a.mean }
 
-// RMS returns the running root-mean-square (0 for an empty accumulator).
-func (a *Accumulator) RMS() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return math.Sqrt(a.sumSq / float64(a.n))
-}
-
-// StdDev returns the running population standard deviation.
-func (a *Accumulator) StdDev() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return math.Sqrt(a.m2 / float64(a.n))
-}
-
-// Min returns the smallest sample (0 for an empty accumulator).
-func (a *Accumulator) Min() float64 { return a.min }
-
 // Max returns the largest sample (0 for an empty accumulator).
 func (a *Accumulator) Max() float64 { return a.max }
 
 // Reset discards all samples.
 func (a *Accumulator) Reset() { *a = Accumulator{} }
 
-// Window is a fixed-capacity sliding window of samples supporting windowed
-// RMS/mean, used for jerk-based passenger-discomfort and ADE integration.
+// Window is a fixed-capacity sliding window of samples supporting a
+// windowed RMS, used for jerk-based passenger discomfort.
 type Window struct {
 	buf  []float64
 	head int
@@ -104,9 +71,6 @@ func (w *Window) Len() int {
 	return w.head
 }
 
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
-
 // Samples returns the held samples oldest-first as a fresh slice.
 func (w *Window) Samples() []float64 {
 	n := w.Len()
@@ -129,23 +93,4 @@ func (w *Window) RMS() float64 {
 		sum += x * x
 	}
 	return math.Sqrt(sum / float64(n))
-}
-
-// Mean returns the mean of the held samples (0 when empty).
-func (w *Window) Mean() float64 {
-	n := w.Len()
-	if n == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range w.Samples() {
-		sum += x
-	}
-	return sum / float64(n)
-}
-
-// Reset discards all samples but keeps the capacity.
-func (w *Window) Reset() {
-	w.head = 0
-	w.full = false
 }

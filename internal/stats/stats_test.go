@@ -39,34 +39,6 @@ func rms(xs []float64) (float64, error) {
 	return math.Sqrt(sum / float64(len(xs))), nil
 }
 
-// stdDev returns the population standard deviation of xs.
-func stdDev(xs []float64) (float64, error) {
-	m, err := mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs))), nil
-}
-
-// minOf returns the smallest element of xs.
-func minOf(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // maxOf returns the largest element of xs.
 func maxOf(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -135,31 +107,10 @@ func TestRMS(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	got, err := stdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 2) {
-		t.Errorf("stdDev = %v, want 2", got)
-	}
-	if _, err := stdDev(nil); err != errEmpty {
-		t.Errorf("stdDev(nil) err = %v, want errEmpty", err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5}
-	mn, err := minOf(xs)
-	if err != nil || mn != -1 {
-		t.Errorf("minOf = %v, %v; want -1, nil", mn, err)
-	}
-	mx, err := maxOf(xs)
+func TestMax(t *testing.T) {
+	mx, err := maxOf([]float64{3, -1, 4, 1, 5})
 	if err != nil || mx != 5 {
 		t.Errorf("maxOf = %v, %v; want 5, nil", mx, err)
-	}
-	if _, err := minOf(nil); err != errEmpty {
-		t.Error("minOf(nil) should fail")
 	}
 	if _, err := maxOf(nil); err != errEmpty {
 		t.Error("maxOf(nil) should fail")
@@ -173,9 +124,6 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 		a.Add(x)
 	}
 	wantMean, _ := mean(xs)
-	wantRMS, _ := rms(xs)
-	wantSD, _ := stdDev(xs)
-	wantMin, _ := minOf(xs)
 	wantMax, _ := maxOf(xs)
 	if a.N() != len(xs) {
 		t.Errorf("N = %d, want %d", a.N(), len(xs))
@@ -183,25 +131,19 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 	if !almostEqual(a.Mean(), wantMean) {
 		t.Errorf("Mean = %v, want %v", a.Mean(), wantMean)
 	}
-	if !almostEqual(a.RMS(), wantRMS) {
-		t.Errorf("RMS = %v, want %v", a.RMS(), wantRMS)
-	}
-	if !almostEqual(a.StdDev(), wantSD) {
-		t.Errorf("StdDev = %v, want %v", a.StdDev(), wantSD)
-	}
-	if a.Min() != wantMin || a.Max() != wantMax {
-		t.Errorf("Min/Max = %v/%v, want %v/%v", a.Min(), a.Max(), wantMin, wantMax)
+	if a.Max() != wantMax {
+		t.Errorf("Max = %v, want %v", a.Max(), wantMax)
 	}
 }
 
 func TestAccumulatorEmptyAndReset(t *testing.T) {
 	var a Accumulator
-	if a.Mean() != 0 || a.RMS() != 0 || a.StdDev() != 0 || a.N() != 0 {
+	if a.Mean() != 0 || a.Max() != 0 || a.N() != 0 {
 		t.Error("empty accumulator should report zeros")
 	}
 	a.Add(5)
 	a.Reset()
-	if a.N() != 0 || a.Mean() != 0 {
+	if a.N() != 0 || a.Mean() != 0 || a.Max() != 0 {
 		t.Error("Reset did not clear accumulator")
 	}
 }
@@ -211,8 +153,8 @@ func TestWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Cap() != 3 {
-		t.Errorf("Cap = %d, want 3", w.Cap())
+	if w.RMS() != 0 {
+		t.Errorf("empty window RMS = %v, want 0", w.RMS())
 	}
 	w.Push(1)
 	w.Push(2)
@@ -229,16 +171,8 @@ func TestWindow(t *testing.T) {
 	if len(got) != 3 || got[0] != 2 || got[2] != 4 {
 		t.Errorf("Samples after wrap = %v, want [2 3 4]", got)
 	}
-	if !almostEqual(w.Mean(), 3) {
-		t.Errorf("windowed Mean = %v, want 3", w.Mean())
-	}
-	wantRMS := math.Sqrt((4.0 + 9 + 16) / 3)
-	if !almostEqual(w.RMS(), wantRMS) {
+	if wantRMS, _ := rms([]float64{2, 3, 4}); !almostEqual(w.RMS(), wantRMS) {
 		t.Errorf("windowed RMS = %v, want %v", w.RMS(), wantRMS)
-	}
-	w.Reset()
-	if w.Len() != 0 || w.RMS() != 0 || w.Mean() != 0 {
-		t.Error("Reset did not clear window")
 	}
 	if _, err := NewWindow(0); err == nil {
 		t.Error("NewWindow(0) succeeded, want error")
@@ -259,27 +193,30 @@ func TestQuickAccumulatorAgreesWithBatch(t *testing.T) {
 			a.Add(xs[i])
 		}
 		wantMean, _ := mean(xs)
-		wantRMS, _ := rms(xs)
-		return math.Abs(a.Mean()-wantMean) < 1e-6 && math.Abs(a.RMS()-wantRMS) < 1e-6
+		wantMax, _ := maxOf(xs)
+		return math.Abs(a.Mean()-wantMean) < 1e-6 && a.Max() == wantMax
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: RMS >= |Mean| for any non-empty sample set.
+// Property: a full window's RMS >= |Mean| of the same samples.
 func TestQuickRMSDominatesMean(t *testing.T) {
 	f := func(raw []int8) bool {
 		if len(raw) == 0 {
 			return true
 		}
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r)
+		w, err := NewWindow(len(raw))
+		if err != nil {
+			return false
 		}
-		rms, _ := rms(xs)
-		mean, _ := mean(xs)
-		return rms >= math.Abs(mean)-1e-9
+		var a Accumulator
+		for _, r := range raw {
+			w.Push(float64(r))
+			a.Add(float64(r))
+		}
+		return w.RMS() >= math.Abs(a.Mean())-1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
