@@ -45,8 +45,13 @@ BENCH_FLAGS ?=
 ## ci: the tier-1 gate — vet, build, full test suite, then the race pass.
 ci: vet build test race
 
+## vet: go vet over this module, then over the hcbench benchmark module
+## under the environment hcbench/run.sh sets. hcbench compiles against
+## internal/run, store, service, fleet and lifecycle, so an API change
+## there fails here rather than only in the benchmark run.
 vet:
 	$(GO) vet ./...
+	cd hcbench && GOWORK=off GOFLAGS=-mod=mod $(GO) vet .
 
 build:
 	$(GO) build ./...
