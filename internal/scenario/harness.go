@@ -175,10 +175,10 @@ type Loop struct {
 	// stream (per-job timelines).
 	Tracer lifecycle.Tracer
 	// Tunables sets the coordinator parameter set (MFC window, adapter
-	// gains, rate-band scales). Zero fields take the paper
-	// defaults (core.DefaultTunables); the search subsystem explores this
-	// space. Lane keeping keeps its own rate-adapter profile, so the
-	// adapter gains do not apply there.
+	// gains, rate-band scales). Zero fields take the paper defaults
+	// (core.DefaultTunables); the search subsystem explores this space.
+	// Lane keeping keeps its own rate-adapter profile, so the adapter
+	// gains do not apply there.
 	Tunables core.Tunables
 }
 
