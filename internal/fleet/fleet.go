@@ -1,14 +1,22 @@
 // Package fleet scales the single-vehicle HCPerf closed loop to a fleet:
 // N vehicles (hundreds to thousands), each running its own task graph,
-// engine and coordinator on the existing lifecycle kernel, all advanced
-// deterministically on ONE shared virtual clock.
+// engine and coordinator on the existing lifecycle kernel, and each on its
+// own event queue, one vehicle after another in index order.
 //
 // Determinism at fleet scale rests on three rules:
 //
-//   - One clock. Every vehicle's events live on a single
-//     simtime.EventQueue; events at the same instant fire in creation
-//     order, so the interleaving is fixed by construction order, not by
-//     scheduling accidents.
+//   - One queue per vehicle. A vehicle's events live on its own
+//     simtime.EventQueue, where events at the same instant fire in the
+//     order they were scheduled. Each vehicle runs to the end and is
+//     dropped before the next is attached, so its working set stays in
+//     cache for its whole run. Every result is the one a single queue
+//     shared by all vehicles gives, bit for bit: a vehicle reads no other
+//     vehicle's state, except that a platoon follower reads its
+//     predecessor's, and a replay ticker created on the follower's queue
+//     before its loop installs that state at the instants, and in the
+//     order among the follower's events, that the predecessor's own
+//     dynamics steps held on the shared queue
+//     (scenario.CarFollowingRun.Replay).
 //   - Partitioned randomness. Each vehicle's engine and sensing noise are
 //     seeded from its own per-vehicle seed — either pinned explicitly or
 //     derived from the fleet seed with a splitmix64 partition
@@ -73,8 +81,9 @@ type Config struct {
 	// VehicleSeeds pins each vehicle's seed explicitly (length must be
 	// N when non-empty).
 	VehicleSeeds []int64
-	// Tracer optionally receives every vehicle's lifecycle events,
-	// interleaved in virtual-time order.
+	// Tracer optionally receives every vehicle's lifecycle events:
+	// vehicle 0's whole stream, then vehicle 1's, and so on, each in its
+	// own virtual-time order.
 	Tracer lifecycle.Tracer
 }
 
@@ -158,23 +167,12 @@ type Result struct {
 	// Collisions counts vehicles that collided.
 	Collisions int
 	// Rec holds the fleet-level aggregate series (fleet_err_mean,
-	// fleet_err_p95, fleet_err_max, fleet_gap_min), sampled once per
-	// summary period on the shared clock.
+	// fleet_err_p95, fleet_err_max, fleet_gap_min): each vehicle is
+	// sampled once per summary period, by a sampler created after its own
+	// loop, and the samples are reduced instant by instant after the last
+	// vehicle has run.
 	Rec *trace.Recorder
 }
-
-// predProfile exposes a predecessor vehicle's simulated speed as its
-// follower's lead-speed profile. Speed ignores the profile clock and reads
-// the predecessor's current state: the shared queue steps vehicle i-1's
-// dynamics before vehicle i's at every instant (tickers fire in creation
-// order), so the follower always perceives the predecessor's already-
-// integrated state for the step ending now.
-type predProfile struct {
-	pred *scenario.CarFollowingRun
-}
-
-// Speed implements vehicle.SpeedProfile.
-func (p predProfile) Speed(float64) float64 { return p.pred.FollowerSpeed() }
 
 // Run executes one fleet run to completion and aggregates the results.
 func Run(cfg Config) (*Result, error) {
@@ -205,36 +203,54 @@ func Run(cfg Config) (*Result, error) {
 		brakeObstacles = DefaultBrakeObstacles
 	}
 
-	seeds := make([]int64, cfg.N)
-	for i := range seeds {
-		if len(cfg.VehicleSeeds) > 0 {
-			seeds[i] = cfg.VehicleSeeds[i]
-		} else {
-			seeds[i] = VehicleSeed(cfg.Seed, i)
-		}
-	}
-
 	// The shared obstacle field every vehicle drives through; coupling
 	// terms stack on top per follower.
 	shared := cfg.Base.Obstacles
 	if shared == nil {
 		shared = scenario.DefaultCarFollowingObstacles
 	}
+	samplePeriod := 1.0
+	if cfg.Base.SampleRate > 0 {
+		samplePeriod = 1 / cfg.Base.SampleRate
+	}
 
-	q := simtime.NewEventQueue()
-	runs := make([]*scenario.CarFollowingRun, cfg.N)
+	res := &Result{
+		N:        cfg.N,
+		Coupling: coupling,
+		Vehicles: make([]VehicleStats, cfg.N),
+	}
+	speed := make([]float64, cfg.N)
+	dist := make([]float64, cfg.N)
+	miss := make([]float64, cfg.N)
+	// The sample instants vehicle 0's sampler fired at, and every
+	// vehicle's tracking error and gap at them, vehicle after vehicle.
+	var times, errs, gaps []float64
+	var pred *scenario.CarFollowingRun // the finished vehicle i-1 of a platoon
 	for i := 0; i < cfg.N; i++ {
+		seed := VehicleSeed(cfg.Seed, i)
+		if len(cfg.VehicleSeeds) > 0 {
+			seed = cfg.VehicleSeeds[i]
+		}
+		q := simtime.NewEventQueue()
 		vcfg := cfg.Base
-		vcfg.Seed = seeds[i]
+		vcfg.Seed = seed
 		vcfg.Obstacles = shared
 		vcfg.Tracer = cfg.Tracer
-		if coupling == scenario.FleetCouplingPlatoon && i > 0 {
-			pred := runs[i-1]
-			vcfg.LeadProfile = predProfile{pred: pred}
+		if pred != nil {
+			// The replay ticker goes on q before the follower's loop, so
+			// its ticks take the place among the follower's events that
+			// the predecessor's dynamics ticks take on one queue shared by
+			// every vehicle.
+			lead, err := pred.Replay(q)
+			if err != nil {
+				return nil, fmt.Errorf("fleet: vehicle %d: %w", i, err)
+			}
+			pred = nil // lead keeps its history rows; the rest is dropped
+			vcfg.LeadProfile = lead
 			vcfg.InitGap = cfg.Spacing
 			vcfg.Obstacles = func(t float64) int {
 				n := shared(t)
-				if pred.FollowerAccel() <= -brakeThreshold {
+				if lead.Accel() <= -brakeThreshold {
 					n += brakeObstacles
 				}
 				return n
@@ -246,60 +262,30 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: vehicle %d: %w", i, err)
 		}
-		runs[i] = r
-	}
-	duration := runs[0].Duration()
-
-	// Fleet-level aggregate sampler: created after every vehicle so at
-	// each sample instant it observes post-step state. The per-vehicle
-	// errors are sorted before summing, keeping the recorded aggregates
-	// permutation-invariant bit for bit.
-	samplePeriod := 1.0
-	if cfg.Base.SampleRate > 0 {
-		samplePeriod = 1 / cfg.Base.SampleRate
-	}
-	rec := trace.NewRecorder()
-	errs := make([]float64, cfg.N)
-	if _, err := q.NewTicker(simtime.Time(samplePeriod), simtime.Duration(samplePeriod), func(now simtime.Time) {
-		gapMin := runs[0].Gap()
-		for i, r := range runs {
-			errs[i] = r.TrackingError(now)
-			if g := r.Gap(); g < gapMin {
-				gapMin = g
+		if i == 0 {
+			res.Duration = r.Duration()
+			ns := int(res.Duration/samplePeriod) + 1
+			times = make([]float64, 0, ns)
+			errs = make([]float64, 0, ns*cfg.N)
+			gaps = make([]float64, 0, ns*cfg.N)
+		}
+		// The vehicle's sampler is created after its loop, so at each
+		// sample instant it observes the vehicle's post-step state.
+		if _, err := q.NewTicker(simtime.Time(samplePeriod), simtime.Duration(samplePeriod), func(now simtime.Time) {
+			if i == 0 {
+				times = append(times, float64(now))
 			}
+			errs = append(errs, r.TrackingError(now))
+			gaps = append(gaps, r.Gap())
+		}); err != nil {
+			return nil, fmt.Errorf("fleet: vehicle %d: sampler: %w", i, err)
 		}
-		sort.Float64s(errs)
-		sum := 0.0
-		for _, e := range errs {
-			sum += e
-		}
-		d := distribution(errs)
-		t := float64(now)
-		recAdd(rec, "fleet_err_mean", t, sum/float64(len(errs)))
-		recAdd(rec, "fleet_err_p95", t, d.P95)
-		recAdd(rec, "fleet_err_max", t, d.Max)
-		recAdd(rec, "fleet_gap_min", t, gapMin)
-	}); err != nil {
-		return nil, fmt.Errorf("fleet: sampler: %w", err)
-	}
+		q.RunUntil(simtime.Time(res.Duration))
 
-	q.RunUntil(simtime.Time(duration))
-
-	res := &Result{
-		N:        cfg.N,
-		Coupling: coupling,
-		Duration: duration,
-		Vehicles: make([]VehicleStats, cfg.N),
-		Rec:      rec,
-	}
-	speed := make([]float64, cfg.N)
-	dist := make([]float64, cfg.N)
-	miss := make([]float64, cfg.N)
-	for i, r := range runs {
 		out := r.Finish()
 		res.Vehicles[i] = VehicleStats{
 			Index:        i,
-			Seed:         seeds[i],
+			Seed:         seed,
 			SpeedErrRMS:  out.SpeedErrRMS,
 			DistErrRMS:   out.DistErrRMS,
 			MissRatio:    out.Miss.MeanRatio(),
@@ -311,15 +297,50 @@ func Run(cfg Config) (*Result, error) {
 		if out.Collision {
 			res.Collisions++
 		}
+		if coupling == scenario.FleetCouplingPlatoon {
+			pred = r
+		}
 	}
 	res.SpeedRMS = distribution(speed)
 	res.DistRMS = distribution(dist)
 	res.Miss = distribution(miss)
+	res.Rec = aggregate(times, errs, gaps, cfg.N)
 	return res, nil
 }
 
-// recAdd appends to a recorder series; the fleet sampler only ever advances
-// with simulation time, so failures indicate harness bugs.
+// aggregate reduces the fleet's samples to its aggregate series. errs and
+// gaps hold each vehicle's samples at the instants in times, vehicle after
+// vehicle. At each instant the gap minimum starts from vehicle 0 and runs
+// in index order, and the errors are sorted before any floating-point
+// arithmetic, so the aggregates are permutation-invariant bit for bit.
+func aggregate(times, errs, gaps []float64, n int) *trace.Recorder {
+	rec := trace.NewRecorder()
+	ns := len(times)
+	col := make([]float64, n)
+	for j, t := range times {
+		gapMin := gaps[j]
+		for i := range col {
+			col[i] = errs[i*ns+j]
+			if g := gaps[i*ns+j]; g < gapMin {
+				gapMin = g
+			}
+		}
+		sort.Float64s(col)
+		sum := 0.0
+		for _, e := range col {
+			sum += e
+		}
+		d := distribution(col)
+		recAdd(rec, "fleet_err_mean", t, sum/float64(n))
+		recAdd(rec, "fleet_err_p95", t, d.P95)
+		recAdd(rec, "fleet_err_max", t, d.Max)
+		recAdd(rec, "fleet_gap_min", t, gapMin)
+	}
+	return rec
+}
+
+// recAdd appends to a recorder series; the sample instants only ever
+// advance with simulation time, so failures indicate harness bugs.
 func recAdd(rec *trace.Recorder, name string, t, v float64) {
 	if err := rec.Add(name, t, v); err != nil {
 		panic(fmt.Sprintf("fleet: record %s: %v", name, err))

@@ -236,18 +236,22 @@ func TestFleetN1EquivalentToSingle(t *testing.T) {
 }
 
 // TestFleetOfKEqualsKSingles generalises N=1 equivalence into the aliasing
-// regression the 1000× scale-up demands: K uncoupled vehicles sharing one
-// clock, one process and one address space must each produce the exact
-// stats of K fully independent runs, in every bit. Any state leaking
-// across vehicles — a shared engine slice, a reused solver scratch buffer,
-// an RNG touched by a neighbour — breaks them. (The scenario layer's
+// regression the 1000× scale-up demands: K uncoupled vehicles in one
+// process and one address space must each produce the exact stats of K
+// fully independent runs, in every bit. Any state leaking across vehicles
+// — a shared engine slice, a reused solver scratch buffer, an RNG touched
+// by a neighbour — breaks them. Each vehicle runs on its own event queue,
+// one after another, so the fleet's lifecycle event stream is the K single
+// runs' streams joined end to end, event for event. (The scenario layer's
 // TestAttachedLoopsDoNotAlias compares whole recorded histories.)
 func TestFleetOfKEqualsKSingles(t *testing.T) {
 	seeds := []int64{101, 202, 303}
+	var fleetEvents, singleEvents []lifecycle.Event
 	res, err := fleet.Run(fleet.Config{
 		Base:         scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: scenario.SchemeHCPerf, Duration: 5}},
 		N:            len(seeds),
 		VehicleSeeds: seeds,
+		Tracer:       lifecycle.TracerFunc(func(ev lifecycle.Event) { fleetEvents = append(fleetEvents, ev) }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,12 +259,21 @@ func TestFleetOfKEqualsKSingles(t *testing.T) {
 	for i, seed := range seeds {
 		single, err := scenario.RunCarFollowing(scenario.CarFollowingConfig{Loop: scenario.Loop{
 			Scheme: scenario.SchemeHCPerf, Seed: seed, Duration: 5,
+			Tracer: lifecycle.TracerFunc(func(ev lifecycle.Event) { singleEvents = append(singleEvents, ev) }),
 		}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := statsBits(res.Vehicles[i]), statsBits(statsOf(i, seed, single)); got != want {
 			t.Errorf("vehicle %d (seed %d): fleet stats diverge from an independent run:\n fleet  %s\n single %s", i, seed, got, want)
+		}
+	}
+	if len(fleetEvents) != len(singleEvents) {
+		t.Fatalf("fleet traced %d events, the single runs %d", len(fleetEvents), len(singleEvents))
+	}
+	for i := range fleetEvents {
+		if fleetEvents[i] != singleEvents[i] {
+			t.Fatalf("event %d: fleet %+v != single runs %+v", i, fleetEvents[i], singleEvents[i])
 		}
 	}
 }

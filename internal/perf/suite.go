@@ -58,6 +58,7 @@ func Suite() []Bench {
 		{"MFCStep", benchMFCStep},
 		{"FleetSecond/N=16", func(b *testing.B) { benchFleetSecond(b, 16) }},
 		{"FleetSecond/N=256", func(b *testing.B) { benchFleetSecond(b, 256) }},
+		{"FleetSecond/N=1024", func(b *testing.B) { benchFleetSecond(b, 1024) }},
 		{"SimtimeSchedule", benchSimtimeSchedule},
 		{"SimtimeTickerChurn", benchSimtimeTickerChurn},
 		{"ReportDigest/samples=20000", func(b *testing.B) { benchReportDigest(b, carFollowingReport(b, 20000)) }},
@@ -478,7 +479,7 @@ func benchEngineSecond(b *testing.B, mk func() sched.Scheduler) {
 
 // benchFleetSecond measures one simulated second of an N-vehicle
 // platoon-coupled fleet — N full closed loops (engine, coordinator,
-// vehicle dynamics) interleaved on one shared clock, the fleet layer's
+// vehicle dynamics), each on its own event queue, the fleet layer's
 // end-to-end hot path.
 func benchFleetSecond(b *testing.B, n int) {
 	b.ReportAllocs()

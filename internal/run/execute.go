@@ -16,7 +16,9 @@ import (
 // traceCapacity bounds the per-run lifecycle event buffer. At the 23-task
 // graph's aggregate job rate a full-length run fits comfortably; overflow
 // drops oldest-first (the ring records the drop count) rather than growing
-// without bound while a request is in flight.
+// without bound while a request is in flight. A fleet traces its vehicles
+// one after another, so a fleet that overflows the ring drops its earliest
+// vehicles' events.
 const traceCapacity = 1 << 20
 
 // Result is a completed run: the rendered report plus, for traced

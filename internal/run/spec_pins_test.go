@@ -48,9 +48,10 @@ func knobs(scenarioName string, carFollow, loads bool) scenario.Spec {
 }
 
 // specPins covers every spec family at its defaults and with every knob it
-// accepts set, plus an uncoupled and a platoon fleet. The figures were
+// accepts set, plus an uncoupled fleet and two platoons. The figures were
 // recorded before the scenario configs were folded into one closed-loop
-// config: they witness that every spec family computes what it did then.
+// config, and the tie platoon's before fleets left the shared event queue:
+// they witness that every spec family computes what it did then.
 func specPins() []specPin {
 	cfHCPerf := knobs("carfollow", true, true)
 	cfHCPerf.Name, cfHCPerf.Scheme, cfHCPerf.MaxDataAgeMS = "carfollow-knobs-hcperf", "hcperf", -1
@@ -60,6 +61,15 @@ func specPins() []specPin {
 	fleetPlatoon := scenario.Spec{Scenario: "jam", Duration: 8,
 		Tunables: &scenario.SpecTunables{RateKp0: 0.6},
 		Fleet:    &scenario.FleetSpec{N: 3, Coupling: scenario.FleetCouplingPlatoon, Spacing: 15, BrakeThreshold: 2, BrakeObstacles: 10}}
+	// A platoon whose ticks coincide: a binary-fraction vehicle step puts
+	// every predecessor dynamics step on the same instant as its
+	// follower's, and on the follower's 8 Hz source releases, adapt steps
+	// and 1 Hz samples; the low brake threshold makes the brake-obstacle
+	// term fire. Which state a follower reads at those instants is decided
+	// by the order events fire in at one instant.
+	fleetTies := scenario.Spec{Scenario: "carfollow", Scheme: "hcperf", Seed: 4, Duration: 8,
+		VehicleStep: 0.0625, SampleRate: 1,
+		Fleet: &scenario.FleetSpec{N: 5, Coupling: scenario.FleetCouplingPlatoon, Spacing: 16, BrakeThreshold: 1}}
 	return []specPin{
 		{"aeb", scenario.Spec{Scenario: "aeb"},
 			"667f5dc359d4e35f8136c64bf185573d409aa2d28c4cd20ec274475ca754290b", 9706},
@@ -95,6 +105,8 @@ func specPins() []specPin {
 			"05c4ee2e2871ce71b51bb51f34ab5eab6ea8915a6ad290427f57de876cb9094c", 10515},
 		{"fleet-platoon", fleetPlatoon,
 			"b52ea508e5894e2d4c55d17eee0e3d015e3377bc95ef2d6d671db43b7497371e", 16777},
+		{"fleet-platoon-ties", fleetTies,
+			"05c1e8d071591840fbd4d6a9264bccbc985baac5921bc779f63e26fde2c2540e", 29185},
 	}
 }
 

@@ -171,10 +171,12 @@ type carFollowPlant struct {
 
 func newCarFollowPlant(cfg *CarFollowingConfig, rec *trace.Recorder) (*carFollowPlant, error) {
 	p := &carFollowPlant{
-		cfg:            cfg,
-		rec:            rec,
-		noise:          rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
-		gains:          cfg.FollowerGains,
+		cfg:   cfg,
+		rec:   rec,
+		noise: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
+		gains: cfg.FollowerGains,
+		// Room for the initial row and one per dynamics step.
+		hist:           make(history[lonState], 0, int(cfg.Duration/cfg.VehicleStep)+2),
 		gapWindowStart: math.Min(20, cfg.Duration/4),
 		speedErr:       rmsWindow{to: cfg.Duration},
 		distErr:        rmsWindow{to: cfg.Duration},
@@ -309,11 +311,12 @@ func (p *carFollowPlant) Sample(t float64, env *Env) {
 	recAdd(p.rec, "rate_lidar", t, env.Eng.Rate(env.Graph.TaskByName("lidar_scan").ID))
 }
 
-// CarFollowingRun is one car-following closed loop attached to an external
-// event queue but not yet run to completion. The fleet layer attaches many
-// of these to one shared queue; the live accessors expose exactly the state
-// neighbouring vehicles may observe (V2X-style coupling), and Finish
-// collects the result once the owning queue has reached the run's duration.
+// CarFollowingRun is one car-following closed loop attached to an event
+// queue but not yet run to completion. The fleet layer runs one per
+// vehicle, each on its own queue: the live accessors expose the state the
+// fleet samples, Finish collects the result once the queue has reached the
+// run's duration, and Replay hands a finished run's follower on to the next
+// vehicle of a platoon.
 type CarFollowingRun struct {
 	cfg CarFollowingConfig
 	rec *trace.Recorder
@@ -324,7 +327,7 @@ type CarFollowingRun struct {
 // AttachCarFollowing validates cfg, applies its defaults and wires one
 // car-following closed loop onto q without running it. The caller owns the
 // queue and decides how far to advance it; the attached loop's events are
-// interleaved deterministically with everything else scheduled on q. The
+// ordered deterministically with everything else scheduled on q. The
 // loop records its series into rec; a nil rec records none, and the result
 // still carries the tracking-error RMS.
 func AttachCarFollowing(q *simtime.EventQueue, cfg CarFollowingConfig, rec *trace.Recorder) (*CarFollowingRun, error) {
@@ -346,14 +349,6 @@ func AttachCarFollowing(q *simtime.EventQueue, cfg CarFollowingConfig, rec *trac
 // Duration returns the run's defaulted duration in seconds — how far the
 // owning queue must be advanced before Finish.
 func (r *CarFollowingRun) Duration() float64 { return r.cfg.Duration }
-
-// FollowerSpeed returns the follower's current speed (m/s).
-func (r *CarFollowingRun) FollowerSpeed() float64 { return r.p.follower.Speed }
-
-// FollowerAccel returns the follower's current achieved acceleration
-// (m/s^2, negative while braking) — the signal platoon coupling turns into
-// follower-side obstacles.
-func (r *CarFollowingRun) FollowerAccel() float64 { return r.p.follower.Accel() }
 
 // Gap returns the current gap to the lead vehicle (m).
 func (r *CarFollowingRun) Gap() float64 { return r.p.lead.Position - r.p.follower.Position }
@@ -383,6 +378,48 @@ func (r *CarFollowingRun) Finish() *CarFollowingResult {
 	res.MeanResponse = out.EngineStats.ControlResponse.Mean()
 	res.Throughput = float64(out.EngineStats.ControlCommands) / cfg.Duration
 	return res
+}
+
+// Predecessor is a finished run's follower as the next vehicle of a platoon
+// perceives it: the speed and achieved acceleration the follower had after
+// its latest dynamics step. A replay ticker on the next vehicle's queue
+// (Replay) advances it one recorded step at a time.
+type Predecessor struct {
+	rows history[lonState]
+	k    int // the row of the latest replayed step; row 0 is the start
+}
+
+// Speed implements vehicle.SpeedProfile: the predecessor's speed after its
+// latest replayed step, whatever t.
+func (p *Predecessor) Speed(float64) float64 { return p.rows[p.k].row.folSpeed }
+
+// Accel returns the predecessor's achieved acceleration after its latest
+// replayed step (m/s^2, negative while braking): the signal platoon
+// coupling turns into follower-side obstacles.
+func (p *Predecessor) Accel() float64 { return p.rows[p.k].row.folAccel }
+
+// Replay attaches to q a ticker that replays r's follower, as recorded in
+// its world history, for the next vehicle of a platoon. r's queue must have
+// been run to its duration, and q must not yet hold the next vehicle's
+// loop. The ticker has the start and period of r's dynamics ticker and
+// moves the Predecessor to the state after the step r took at the same
+// instant. Attached before the next vehicle's loop, each of its ticks fires
+// where r's dynamics tick fired among that vehicle's events when every
+// vehicle shared one queue: at a common instant, events fire in the order
+// they were scheduled, and both orders are fixed by the same construction
+// order. The Predecessor holds only r's history rows.
+func (r *CarFollowingRun) Replay(q *simtime.EventQueue) (*Predecessor, error) {
+	p := &Predecessor{rows: r.p.hist}
+	step := r.cfg.VehicleStep
+	if _, err := q.NewTicker(simtime.Time(step), simtime.Duration(step), func(now simtime.Time) {
+		p.k++
+		if p.k >= len(p.rows) || p.rows[p.k].t != float64(now) {
+			panic(fmt.Sprintf("scenario: replay at %v has no predecessor step", now))
+		}
+	}); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // RunCarFollowing executes one car-following run and returns its result.

@@ -41,14 +41,16 @@ func (h history[R]) at(t float64) (R, bool) {
 }
 
 // lonState is the longitudinal world a car-following perception reads:
-// the lead's and the follower's speed and position.
+// the lead's and the follower's speed and position. It also keeps the
+// follower's achieved acceleration, which a platoon successor perceives
+// (Predecessor).
 type lonState struct {
-	leadSpeed, leadPos, folSpeed, folPos float64
+	leadSpeed, leadPos, folSpeed, folPos, folAccel float64
 }
 
 // lonStateOf reads the longitudinal world of a lead and its follower.
 func lonStateOf(lead *vehicle.Lead, fol *vehicle.Longitudinal) lonState {
-	return lonState{leadSpeed: lead.Speed(), leadPos: lead.Position, folSpeed: fol.Speed, folPos: fol.Position}
+	return lonState{leadSpeed: lead.Speed(), leadPos: lead.Position, folSpeed: fol.Speed, folPos: fol.Position, folAccel: fol.Accel()}
 }
 
 // latState is the lateral world a lane-keeping perception reads: offset

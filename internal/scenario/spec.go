@@ -76,8 +76,8 @@ type Spec struct {
 	// take the paper defaults; a block with every field zero normalizes
 	// to nil.
 	Tunables *SpecTunables `json:"tunables,omitempty"`
-	// Fleet scales the run from one vehicle to N coupled vehicles on one
-	// shared virtual clock (car-following family only). Fleet specs are
+	// Fleet scales the run from one vehicle to N vehicles, uncoupled or
+	// chained as a platoon (car-following family only). Fleet specs are
 	// executed by internal/fleet; nil keeps the single-vehicle run.
 	Fleet *FleetSpec `json:"fleet,omitempty"`
 }

@@ -160,7 +160,7 @@ func TestFailedRunErrorText(t *testing.T) {
 
 func TestHTTPSingleflight(t *testing.T) {
 	f := newFakeRunner(true)
-	_, ts := newTestServer(t, Config{Workers: 2, QueueSize: 16, Run: f.Run})
+	srv, ts := newTestServer(t, Config{Workers: 2, QueueSize: 16, Run: f.Run})
 
 	const n = 6
 	ids := make([]string, n)
@@ -183,6 +183,13 @@ func TestHTTPSingleflight(t *testing.T) {
 			t.Errorf("submission %d got id %s, want %s", i, ids[i], ids[0])
 		}
 	}
+	// The job may not have reached a worker yet: count executions only
+	// once it is done.
+	job, ok := srv.Manager().Job(ids[0])
+	if !ok {
+		t.Fatalf("job %s not resolvable", ids[0])
+	}
+	<-job.Done()
 	if got := f.executions.Load(); got != 1 {
 		t.Errorf("executions = %d, want exactly 1", got)
 	}
