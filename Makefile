@@ -94,10 +94,10 @@ bench-update:
 	$(GO) run ./cmd/hcperf-bench -json -benchtime $(BENCHTIME) -out BENCH_baseline.json
 
 ## fuzz: short fuzz passes — Hungarian solver vs brute force, the
-## scenario-spec JSON decode/validate/re-encode round trip, the
-## heap-vs-wheel event-scheduler differential (identical firing sequences),
-## the search-space JSON normalize fixed point, the series CSV kernel vs an
-## encoding/csv reference writer (identical bytes), its shortest-float
+## scenario-spec JSON decode/validate/re-encode round trip, the event
+## queue vs its heap oracle (identical firing sequences), the search-space
+## JSON normalize fixed point, the series CSV kernel vs an encoding/csv
+## reference writer (identical bytes), its shortest-float
 ## writer vs strconv on raw float64 bits (identical bytes), the disk
 ## result codec (no panic or outsized allocation on any bytes; bit-exact
 ## round trip), and the status-body writer vs encoding/json (identical

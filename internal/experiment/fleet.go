@@ -9,10 +9,10 @@ import (
 
 // This experiment extends the paper's single-vehicle evaluation to fleet
 // scale: the same HCPerf-scheduled car-following loop replicated across N
-// vehicles, each on its own event queue, uncoupled and as a platoon whose
-// lead-vehicle braking inflates follower obstacle counts. The paper's
-// claims are per-vehicle; what matters operationally is the fleet tail,
-// which the platoon's coupled load spikes stress directly.
+// vehicles, one after another on one event queue, uncoupled and as a
+// platoon whose lead-vehicle braking inflates follower obstacle counts.
+// The paper's claims are per-vehicle; what matters operationally is the
+// fleet tail, which the platoon's coupled load spikes stress directly.
 
 func init() {
 	register("ext-fleet", "Extension: fleet-scale platoon",

@@ -1,21 +1,21 @@
 // Package fleet scales the single-vehicle HCPerf closed loop to a fleet:
 // N vehicles (hundreds to thousands), each running its own task graph,
-// engine and coordinator on the existing lifecycle kernel, and each on its
-// own event queue, one vehicle after another in index order.
+// engine and coordinator on the existing lifecycle kernel, one vehicle
+// after another in index order.
 //
 // Determinism at fleet scale rests on three rules:
 //
-//   - One queue per vehicle. A vehicle's events live on its own
-//     simtime.EventQueue, where events at the same instant fire in the
-//     order they were scheduled. Each vehicle runs to the end and is
-//     dropped before the next is attached, so its working set stays in
-//     cache for its whole run. Every result is the one a single queue
-//     shared by all vehicles gives, bit for bit: a vehicle reads no other
-//     vehicle's state, except that a platoon follower reads its
-//     predecessor's, and a replay ticker created on the follower's queue
-//     before its loop installs that state at the instants, and in the
-//     order among the follower's events, that the predecessor's own
-//     dynamics steps held on the shared queue
+//   - One vehicle on the queue at a time. A vehicle's events are the only
+//     ones on the fleet's simtime.EventQueue, where events at the same
+//     instant fire in the order they were scheduled. Each vehicle runs to
+//     the end and is dropped, and the queue reset, before the next is
+//     attached, so its working set stays in cache for its whole run.
+//     Every result is the one a queue shared by all vehicles at once
+//     gives, bit for bit: a vehicle reads no other vehicle's state, except
+//     that a platoon follower reads its predecessor's, and a replay ticker
+//     created before the follower's loop installs that state at the
+//     instants, and in the order among the follower's events, that the
+//     predecessor's own dynamics steps held on the shared queue
 //     (scenario.CarFollowingRun.Replay).
 //   - Partitioned randomness. Each vehicle's engine and sensing noise are
 //     seeded from its own per-vehicle seed — either pinned explicitly or
@@ -226,12 +226,15 @@ func Run(cfg Config) (*Result, error) {
 	// vehicle's tracking error and gap at them, vehicle after vehicle.
 	var times, errs, gaps []float64
 	var pred *scenario.CarFollowingRun // the finished vehicle i-1 of a platoon
+	// One queue carries every vehicle: the reset drops the previous
+	// vehicle's pending ticks unfired and restarts the clock.
+	q := simtime.NewEventQueue()
 	for i := 0; i < cfg.N; i++ {
 		seed := VehicleSeed(cfg.Seed, i)
 		if len(cfg.VehicleSeeds) > 0 {
 			seed = cfg.VehicleSeeds[i]
 		}
-		q := simtime.NewEventQueue()
+		q.Reset()
 		vcfg := cfg.Base
 		vcfg.Seed = seed
 		vcfg.Obstacles = shared

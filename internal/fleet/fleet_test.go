@@ -240,7 +240,7 @@ func TestFleetN1EquivalentToSingle(t *testing.T) {
 // process and one address space must each produce the exact stats of K
 // fully independent runs, in every bit. Any state leaking across vehicles
 // — a shared engine slice, a reused solver scratch buffer, an RNG touched
-// by a neighbour — breaks them. Each vehicle runs on its own event queue,
+// by a neighbour — breaks them. Each vehicle runs alone on the event queue,
 // one after another, so the fleet's lifecycle event stream is the K single
 // runs' streams joined end to end, event for event. (The scenario layer's
 // TestAttachedLoopsDoNotAlias compares whole recorded histories.)

@@ -15,10 +15,11 @@ const perVehicleRowCap = 32
 
 // RunSpec executes a declarative spec, fleet-aware: a spec without a fleet
 // block runs the existing single-vehicle path unchanged, while a fleet
-// block fans the spec's car-following scenario out to N vehicles, each on
-// its own event queue. Either way the result is a scenario.SpecResult, so fleet
-// runs flow through the CLI, the service, the content-addressed cache and
-// golden-digest pinning exactly like single-vehicle runs.
+// block fans the spec's car-following scenario out to N vehicles, one after
+// another on one event queue. Either way the result is a
+// scenario.SpecResult, so fleet runs flow through the CLI, the service,
+// the content-addressed cache and golden-digest pinning exactly like
+// single-vehicle runs.
 func RunSpec(spec scenario.Spec, tracer lifecycle.Tracer) (*scenario.SpecResult, error) {
 	norm, err := spec.Normalize()
 	if err != nil {

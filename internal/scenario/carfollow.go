@@ -313,10 +313,10 @@ func (p *carFollowPlant) Sample(t float64, env *Env) {
 
 // CarFollowingRun is one car-following closed loop attached to an event
 // queue but not yet run to completion. The fleet layer runs one per
-// vehicle, each on its own queue: the live accessors expose the state the
-// fleet samples, Finish collects the result once the queue has reached the
-// run's duration, and Replay hands a finished run's follower on to the next
-// vehicle of a platoon.
+// vehicle, one after another on one queue: the live accessors expose the
+// state the fleet samples, Finish collects the result once the queue has
+// reached the run's duration, and Replay hands a finished run's follower
+// on to the next vehicle of a platoon.
 type CarFollowingRun struct {
 	cfg CarFollowingConfig
 	rec *trace.Recorder

@@ -245,9 +245,9 @@ type loopResult struct {
 
 // attachedLoop is one closed loop wired onto an event queue but not yet run
 // to completion. Single-vehicle scenarios attach to a private queue and run
-// it immediately (runLoop); the fleet layer attaches each vehicle's loop to
-// its own queue, after a platoon follower's replay ticker, and runs it
-// before the next vehicle's.
+// it immediately (runLoop); the fleet layer attaches each vehicle's loop,
+// after a platoon follower's replay ticker, to a queue reset since the
+// previous vehicle ran, and runs it before the next vehicle's.
 type attachedLoop struct {
 	miss  *metrics.MissBuckets
 	eng   *engine.Engine

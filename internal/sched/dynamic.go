@@ -18,19 +18,23 @@ import (
 // static-priority scheduling.
 //
 // γ is derived from the Performance Directed Controller's nominal signal
-// u(t): Recompute finds the largest γmax for which every queued job remains
-// schedulable under the Eq. 11 load constraints, then clamps u into
+// u(t): the γ search finds the largest γmax for which every queued job
+// remains schedulable under the Eq. 11 load constraints, then clamps u into
 // [0, γmax] (Eq. 12). When even γ = 0 is infeasible the system is
 // overloaded; γ is forced to 0 and the Overloaded flag is raised for the
 // external coordinator.
 //
-// Recompute is the scheduler's hot path — the kernel invokes it on every
-// ready-queue change, and each invocation evaluates the Eq. 11 constraint
-// set at up to 2+BisectIters candidate γ values. All per-job quantities the
-// constraints need (p_i, d_i, c_i, deadline slack) are therefore captured
-// once per Recompute into scratch buffers reused across calls, and each
-// candidate γ only re-sorts an index permutation, starting from the order
-// the previous candidate left; steady-state Recompute allocates nothing.
+// The kernel calls Recompute on every ready-queue change, and a search
+// evaluates the Eq. 11 constraint set at up to 2+BisectIters candidate γ
+// values. Recompute therefore only captures the search's inputs: the
+// per-job quantities (p_i, d_i, c_i, deadline slack) into scratch buffers
+// reused across calls, and n_p, ΣT_p/n_p and u. The search runs at the
+// first read of γ after it (Select, Gamma, GammaMax, Overloaded, String),
+// so a search that the next queue change overwrites unread never runs. Its
+// outcome is a function of the captured inputs alone, so it is the one an
+// eager search at Recompute would find, bit for bit. Each candidate γ only
+// re-sorts an index permutation, starting from the order the previous
+// candidate left; steady-state Recompute and search allocate nothing.
 type Dynamic struct {
 	// GammaCap bounds the γ search bracket (constraint 1b, γ^max).
 	GammaCap float64
@@ -43,6 +47,13 @@ type Dynamic struct {
 	gammaMax   float64
 	overloaded bool
 
+	// The inputs of the search the last Recompute asked for, which runs
+	// at the next read of γ while stale is set.
+	stale bool
+	u     float64 // nominal u
+	np    float64 // n_p
+	base  float64 // ΣT_p/n_p
+
 	// Scratch state captured from the ready queue by the last Recompute
 	// (or direct feasible probe). Slices are reused across calls.
 	prio   []float64 // p_i
@@ -51,6 +62,9 @@ type Dynamic struct {
 	slack  []float64 // deadline_i − now
 	keys   []float64 // P_i(γ) for the candidate γ under test
 	order  []int     // index permutation sorted by (keys, index)
+	// checked marks that order has been checked since the last capture,
+	// with outcome lastOK.
+	checked, lastOK bool
 }
 
 // DefaultGammaCap spans enough γ range that γ·Δp can dominate the largest
@@ -77,15 +91,24 @@ func (d *Dynamic) SetNominalU(u float64) { d.nominalU = u }
 func (d *Dynamic) NominalU() float64 { return d.nominalU }
 
 // Gamma returns the actual priority-adjustment coefficient in force.
-func (d *Dynamic) Gamma() float64 { return d.gamma }
+func (d *Dynamic) Gamma() float64 {
+	d.resolve()
+	return d.gamma
+}
 
-// GammaMax returns the schedulability bound found by the last Recompute.
-func (d *Dynamic) GammaMax() float64 { return d.gammaMax }
+// GammaMax returns the schedulability bound found for the last Recompute.
+func (d *Dynamic) GammaMax() float64 {
+	d.resolve()
+	return d.gammaMax
+}
 
-// Overloaded reports whether the last Recompute found no feasible γ
+// Overloaded reports whether the last Recompute's queue has no feasible γ
 // (Eq. 11 unsatisfiable even at γ = 0). The external coordinator uses this
 // to shed load.
-func (d *Dynamic) Overloaded() bool { return d.overloaded }
+func (d *Dynamic) Overloaded() bool {
+	d.resolve()
+	return d.overloaded
+}
 
 // capture snapshots the per-job constraint inputs into the scratch buffers.
 func (d *Dynamic) capture(now simtime.Time, ready []*Job) {
@@ -111,43 +134,63 @@ func (d *Dynamic) capture(now simtime.Time, ready []*Job) {
 		d.slack[i] = float64(j.AbsDeadline - now)
 		d.order[i] = i
 	}
+	d.checked = false
 }
 
-// Recompute re-derives γmax from the current ready queue and processor
-// state, then maps the nominal u into γ per Eq. 12. Call it when the ready
-// queue changes materially or when the controller publishes a new u.
+// Recompute asks for γmax to be re-derived from the ready queue and
+// processor state, and the nominal u installed now to be mapped into γ per
+// Eq. 12. Call it when the ready queue changes materially or when the
+// controller publishes a new u. It captures the search's inputs, so the
+// queue's job records may be reused once it returns; the search itself runs
+// at the next read of γ.
+func (d *Dynamic) Recompute(now simtime.Time, ready []*Job, state *ProcState) {
+	d.capture(now, ready)
+	d.np = float64(state.NumProcs)
+	d.base = 0
+	if d.np > 0 {
+		d.base = float64(state.TotalRemaining()) / d.np
+	}
+	d.u = d.nominalU
+	d.stale = true
+}
+
+// resolve runs the γ search the last Recompute asked for, if it has not
+// run yet.
 //
 // Feasibility is not perfectly monotone in γ (the constraint set depends on
 // the induced ordering), but it is monotone for the workloads in the paper's
 // regime — tight deadlines favour small γ — so a bisection over [0,
 // GammaCap] finds γmax to within GammaCap·2^-BisectIters. Where it is not,
 // a clamped γ strictly inside (0, γmax) can fail Eq. 11 although both ends
-// pass; Recompute then bisects [0, γ] and lowers γmax and γ to its feasible
+// pass; resolve then bisects [0, γ] and lowers γmax and γ to its feasible
 // end, so Eq. 12 still holds and the γ in force always satisfies Eq. 11.
-func (d *Dynamic) Recompute(now simtime.Time, ready []*Job, state *ProcState) {
-	d.capture(now, ready)
-	np := float64(state.NumProcs)
-	base := 0.0
-	if np > 0 {
-		base = float64(state.TotalRemaining()) / np
+//
+// The order of a one-job queue cannot depend on γ, so there check(γ) is
+// check(0) for every γ, and neither the GammaCap probe nor the re-check of
+// the clamped γ runs.
+func (d *Dynamic) resolve() {
+	if !d.stale {
+		return
 	}
+	d.stale = false
+	n, np, base := len(d.prio), d.np, d.base
 	switch {
-	case len(ready) == 0:
+	case n == 0:
 		// Empty queue: every γ is trivially feasible.
 		d.gammaMax = d.GammaCap
 		d.overloaded = false
 	case !d.check(0, np, base):
 		d.gammaMax = 0
 		d.overloaded = true
-	case d.check(d.GammaCap, np, base):
+	case n == 1 || d.check(d.GammaCap, np, base):
 		d.gammaMax = d.GammaCap
 		d.overloaded = false
 	default:
 		d.gammaMax = d.bisect(d.GammaCap, np, base)
 		d.overloaded = false
 	}
-	d.gamma = clampGamma(d.nominalU, d.gammaMax)
-	if len(ready) > 0 && d.gamma > 0 && d.gamma < d.gammaMax && !d.check(d.gamma, np, base) {
+	d.gamma = clampGamma(d.u, d.gammaMax)
+	if n > 1 && d.gamma > 0 && d.gamma < d.gammaMax && !d.check(d.gamma, np, base) {
 		d.gammaMax = d.bisect(d.gamma, np, base)
 		d.gamma = d.gammaMax
 	}
@@ -186,13 +229,15 @@ func clampGamma(u, gammaMax float64) float64 {
 
 // feasible checks the Eq. 11 constraint set for a candidate γ against an
 // arbitrary queue snapshot; it re-captures the scratch state, so tests and
-// external probes can call it directly. Recompute captures once and probes
-// many γ values via check.
+// external probes can call it directly. It first runs any search still
+// pending on the scratch state it overwrites. A search captures once and
+// probes many γ values via check.
 func (d *Dynamic) feasible(gamma float64, now simtime.Time, ready []*Job, state *ProcState) bool {
 	np := float64(state.NumProcs)
 	if np <= 0 {
 		return false
 	}
+	d.resolve()
 	d.capture(now, ready)
 	return d.check(gamma, np, float64(state.TotalRemaining())/np)
 }
@@ -207,8 +252,9 @@ func (d *Dynamic) feasible(gamma float64, now simtime.Time, ready []*Job, state 
 // total order, since no key is NaN, so ties keep arrival order exactly as
 // a stable sort of the queue itself would. An insertion sort puts it in
 // order starting from the order the previous check left, which the next
-// candidate γ mostly keeps; capture resets it to arrival order. No
-// per-call allocation.
+// candidate γ mostly keeps; capture resets it to arrival order. When the
+// sort moves nothing, the order is the previous check's, and so is the
+// outcome. No per-call allocation.
 func (d *Dynamic) check(gamma, np, base float64) bool {
 	if np <= 0 {
 		return false
@@ -217,6 +263,7 @@ func (d *Dynamic) check(gamma, np, base float64) bool {
 	for i := range keys {
 		keys[i] = gamma*d.prio[i] + d.latest[i]
 	}
+	moved := false
 	for k := 1; k < len(order); k++ {
 		x := order[k]
 		kx := keys[x]
@@ -228,18 +275,27 @@ func (d *Dynamic) check(gamma, np, base float64) bool {
 			}
 			order[m] = y
 		}
-		order[m] = x
+		if m != k {
+			order[m] = x
+			moved = true
+		}
 	}
+	if d.checked && !moved {
+		return d.lastOK
+	}
+	ok := true
 	cum := 0.0
 	for _, i := range order {
 		c := d.exec[i]
 		need := c + base + cum/np
 		if need >= d.slack[i] {
-			return false
+			ok = false
+			break
 		}
 		cum += c
 	}
-	return true
+	d.checked, d.lastOK = true, ok
+	return ok
 }
 
 // priorityOf evaluates Eq. 10 for one job. Smaller is dispatched first.
@@ -250,11 +306,13 @@ func (d *Dynamic) priorityOf(j *Job, gamma float64) float64 {
 // Select implements Scheduler: the queued job with the smallest dynamic
 // priority P_i under the γ currently in force.
 func (d *Dynamic) Select(_ simtime.Time, ready []*Job, _ int, _ *ProcState) int {
+	d.resolve()
 	return pickBest(ready, nil, func(j *Job) float64 { return d.priorityOf(j, d.gamma) })
 }
 
 // String summarises the scheduler state for traces.
 func (d *Dynamic) String() string {
+	d.resolve()
 	return fmt.Sprintf("Dynamic{u=%.4g γ=%.4g γmax=%.4g overloaded=%t}",
 		d.nominalU, d.gamma, d.gammaMax, d.overloaded)
 }

@@ -2,13 +2,13 @@ package simtime
 
 import "testing"
 
-// benchTickerSecond drives a realistic kernel workload: 32 tickers with
+// BenchmarkTickerSecond drives a realistic kernel workload: 32 tickers with
 // HCPerf-like periods sharing one queue for one simulated second.
-func benchTickerSecond(b *testing.B, newQ func() *EventQueue) {
+func BenchmarkTickerSecond(b *testing.B) {
 	periods := []Duration{0.008, 0.010, 0.0125, 0.020, 0.025, 0.040, 0.050, 0.125}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q := newQ()
+		q := NewEventQueue()
 		for t := 0; t < 32; t++ {
 			if _, err := q.NewTicker(0, periods[t%len(periods)], func(Time) {}); err != nil {
 				b.Fatal(err)
@@ -18,12 +18,9 @@ func benchTickerSecond(b *testing.B, newQ func() *EventQueue) {
 	}
 }
 
-func BenchmarkTickerSecondWheel(b *testing.B) { benchTickerSecond(b, NewEventQueue) }
-func BenchmarkTickerSecondHeap(b *testing.B)  { benchTickerSecond(b, NewHeapEventQueue) }
-
-// benchScheduleStep measures raw schedule+step churn on a warm queue.
-func benchScheduleStep(b *testing.B, newQ func() *EventQueue) {
-	q := newQ()
+// BenchmarkScheduleStep measures raw schedule+step churn on a warm queue.
+func BenchmarkScheduleStep(b *testing.B) {
+	q := NewEventQueue()
 	fn := func(Time) {}
 	for i := 0; i < 64; i++ {
 		if err := q.After(0.001, fn); err != nil {
@@ -41,6 +38,3 @@ func benchScheduleStep(b *testing.B, newQ func() *EventQueue) {
 		q.Step()
 	}
 }
-
-func BenchmarkScheduleStepWheel(b *testing.B) { benchScheduleStep(b, NewEventQueue) }
-func BenchmarkScheduleStepHeap(b *testing.B)  { benchScheduleStep(b, NewHeapEventQueue) }

@@ -4,7 +4,8 @@ import "testing"
 
 // firing is one observed event execution: the instant it ran, the queue's
 // sequence-derived tag, and the firing ordinal. Comparing slices of firings
-// across schedulers pins bit-for-bit (At, seq) equivalence.
+// across the queue and its heap oracle pins bit-for-bit (At, seq)
+// equivalence.
 type firing struct {
 	At  Time
 	Tag int
@@ -14,10 +15,11 @@ type firing struct {
 // runSchedulerScript interprets script as a deterministic stream of
 // schedule / ticker start, stop and retime operations against q, interleaved
 // with event execution, and returns the complete firing sequence. The same
-// script run on the wheel and on the heap must return identical slices.
-func runSchedulerScript(q *EventQueue, script []byte) []firing {
+// script run on the EventQueue and on the heap oracle must return identical
+// slices.
+func runSchedulerScript(q queue, script []byte) []firing {
 	var fired []firing
-	var tickers []*Ticker
+	var tickers []ticker
 	tag := 0
 	note := func(id int) func(Time) {
 		return func(now Time) {
@@ -27,19 +29,19 @@ func runSchedulerScript(q *EventQueue, script []byte) []firing {
 	for i := 0; i+2 < len(script) && len(fired) < 1<<14; i += 3 {
 		op, a, b := script[i], script[i+1], script[i+2]
 		switch op % 7 {
-		case 0, 1: // schedule a one-shot at a quantized-or-not offset
-			// Offsets deliberately mix sub-tick fractions, exact tick
-			// multiples, same-instant duplicates, and far-future jumps so the
-			// wheel's drain/l0/l1/overflow routing all get exercised.
+		case 0, 1: // schedule a one-shot at an offset from now
+			// Offsets deliberately mix fractions, whole seconds,
+			// same-instant duplicates and far-future jumps, so events
+			// land anywhere in the pending order.
 			off := Duration(a) * Duration(b+1) / 997
 			if a%5 == 0 {
-				off = Duration(a) // exact integer seconds: l1/overflow
+				off = Duration(a) // whole seconds
 			}
 			if a%17 == 0 {
 				off = 0 // same-instant FIFO
 			}
 			if a == 251 {
-				off = Duration(b) * 100000 // deep overflow pages
+				off = Duration(b) * 100000 // far future
 			}
 			tag++
 			if err := q.Schedule(q.Now()+off, note(tag)); err != nil {
@@ -54,7 +56,7 @@ func runSchedulerScript(q *EventQueue, script []byte) []firing {
 		case 3: // start a ticker
 			period := Duration(a%50+1) / 128
 			tag++
-			tk, err := q.NewTicker(q.Now()+Duration(b)/256, period, note(tag))
+			tk, err := q.newTicker(q.Now()+Duration(b)/256, period, note(tag))
 			if err != nil {
 				panic(err)
 			}
@@ -73,8 +75,8 @@ func runSchedulerScript(q *EventQueue, script []byte) []firing {
 			}
 		}
 	}
-	// Drain everything still queued so late-container routing is compared
-	// too; tickers would run forever, so stop them first.
+	// Drain everything still queued so far-future events are compared too;
+	// tickers would run forever, so stop them first.
 	for _, tk := range tickers {
 		tk.Stop()
 	}
@@ -84,8 +86,8 @@ func runSchedulerScript(q *EventQueue, script []byte) []firing {
 	return fired
 }
 
-// FuzzSchedulerEquivalence feeds random operation scripts to the wheel-backed
-// and heap-backed queues and requires byte-identical firing sequences — the
+// FuzzSchedulerEquivalence feeds random operation scripts to the EventQueue
+// and to its heap oracle and requires byte-identical firing sequences — the
 // (At, seq) total order the determinism guarantees rest on.
 func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add([]byte{0, 10, 20, 0, 10, 20, 5, 255, 0})
@@ -97,14 +99,14 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	// applies to a source ticker.
 	f.Add([]byte{3, 7, 0, 5, 40, 0, 2, 0, 20, 5, 255, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
-		wheel := runSchedulerScript(NewEventQueue(), script)
-		heap := runSchedulerScript(NewHeapEventQueue(), script)
-		if len(wheel) != len(heap) {
-			t.Fatalf("wheel fired %d events, heap fired %d", len(wheel), len(heap))
+		sorted := runSchedulerScript(sortedQueue{NewEventQueue()}, script)
+		heap := runSchedulerScript(&heapQueue{}, script)
+		if len(sorted) != len(heap) {
+			t.Fatalf("queue fired %d events, heap oracle fired %d", len(sorted), len(heap))
 		}
-		for i := range wheel {
-			if wheel[i] != heap[i] {
-				t.Fatalf("firing %d diverges: wheel %+v, heap %+v", i, wheel[i], heap[i])
+		for i := range sorted {
+			if sorted[i] != heap[i] {
+				t.Fatalf("firing %d diverges: queue %+v, heap oracle %+v", i, sorted[i], heap[i])
 			}
 		}
 	})

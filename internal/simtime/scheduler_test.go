@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// both runs the same subtest against the wheel-backed (default) and
-// heap-backed queues, so every behavior below is pinned on both schedulers.
-func both(t *testing.T, f func(t *testing.T, q *EventQueue)) {
+// both runs the same subtest against the EventQueue and its heap oracle, so
+// the oracle the differential tests trust behaves as the queue does.
+func both(t *testing.T, f func(t *testing.T, q queue)) {
 	t.Helper()
-	t.Run("wheel", func(t *testing.T) { f(t, NewEventQueue()) })
-	t.Run("heap", func(t *testing.T) { f(t, NewHeapEventQueue()) })
+	t.Run("sorted", func(t *testing.T) { f(t, sortedQueue{NewEventQueue()}) })
+	t.Run("heap", func(t *testing.T) { f(t, &heapQueue{}) })
 }
 
 // drain steps q until no event is pending.
@@ -24,13 +24,13 @@ func drain(q *EventQueue) {
 // SetPeriod on B must take effect from B's next tick, and stopping A again
 // must leave B alone.
 func TestTickerSetPeriodAfterSameInstantStopStart(t *testing.T) {
-	both(t, func(t *testing.T, q *EventQueue) {
+	both(t, func(t *testing.T, q queue) {
 		var fires []Time
-		var a, b *Ticker
+		var a, b ticker
 		var err error
-		a, err = q.NewTicker(0, 1, func(now Time) {
+		a, err = q.newTicker(0, 1, func(now Time) {
 			a.Stop()
-			b, err = q.NewTicker(now, 1, func(now Time) {
+			b, err = q.newTicker(now, 1, func(now Time) {
 				fires = append(fires, now)
 			})
 			if err != nil {
@@ -54,38 +54,30 @@ func TestTickerSetPeriodAfterSameInstantStopStart(t *testing.T) {
 	})
 }
 
-// TestWheelOverflowCascade schedules events far enough apart to live in the
-// level-1 wheel and the overflow heap, interleaved with near events, and
-// checks global firing order.
-func TestWheelOverflowCascade(t *testing.T) {
+// TestFarApartInstants schedules, in reverse order, instants from a tenth
+// of a millisecond to a day apart, with a tie, and checks the global firing
+// order.
+func TestFarApartInstants(t *testing.T) {
 	q := NewEventQueue()
-	// Instants chosen to span all containers: sub-tick (drain after quantize),
-	// level 0 (< 0.25 s), level 1 (< 64 s), overflow (>= 64 s), plus ties.
 	ats := []Time{0.0001, 0.01, 0.2, 1.5, 30, 63.9, 64, 500, 500, 4096.25, 100000}
 	var got []Time
-	// Schedule in reverse to exercise out-of-order insertion.
 	for i := len(ats) - 1; i >= 0; i-- {
 		if err := q.Schedule(ats[i], func(now Time) { got = append(got, now) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	drain(q)
-	if len(got) != len(ats) {
-		t.Fatalf("fired %d events, want %d", len(got), len(ats))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("out of order at %d: %v after %v (all: %v)", i, got[i], got[i-1], got)
-		}
+	if fmt.Sprint(got) != fmt.Sprint(ats) {
+		t.Fatalf("fired at %v, want %v", got, ats)
 	}
 }
 
-// TestWheelFarFutureClamp pins the beyond-horizon degradation: events past
-// the quantization horizon share one clamped tick but still fire in exact
-// (At, seq) order from the overflow heap.
-func TestWheelFarFutureClamp(t *testing.T) {
+// TestFarFutureInstants schedules instants beyond 2^42 s, where float64
+// instants lie about a millisecond apart, among a near one: they fire in
+// exact (At, seq) order.
+func TestFarFutureInstants(t *testing.T) {
 	q := NewEventQueue()
-	far := Time(float64(wheelHorizon)) // 2^52 ticks * 2^-10 s/tick = 2^42 s
+	far := Time(1 << 42)
 	var got []Time
 	for _, at := range []Time{far + 3, far + 1, far + 2, far + 1} {
 		if err := q.Schedule(at, func(now Time) { got = append(got, now) }); err != nil {
@@ -103,18 +95,18 @@ func TestWheelFarFutureClamp(t *testing.T) {
 }
 
 // TestSteadyStateZeroAllocs pins the freelist contract: once warmed up, a
-// schedule→step cycle and a retimed ticker's tick allocate nothing, on both
-// schedulers.
+// schedule→step cycle and a retimed ticker's tick allocate nothing.
 func TestSteadyStateZeroAllocs(t *testing.T) {
-	both(t, func(t *testing.T, q *EventQueue) {
+	both(t, func(t *testing.T, q queue) {
 		fn := func(Time) {}
-		// Warm-up: populate the freelist and container capacity.
+		// Warm-up: populate the freelist and the pending store's capacity.
 		for i := 0; i < 64; i++ {
 			if err := q.After(0.001, fn); err != nil {
 				t.Fatal(err)
 			}
 		}
-		drain(q)
+		for q.Step() {
+		}
 		allocs := testing.AllocsPerRun(100, func() {
 			_ = q.After(0.001, fn)
 			q.Step()
@@ -122,7 +114,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("schedule/step steady state: %v allocs/op, want 0", allocs)
 		}
-		tk, err := q.NewTicker(q.Now(), 0.001, fn)
+		tk, err := q.newTicker(q.Now(), 0.001, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,10 +130,48 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	})
 }
 
-// TestHeapAndWheelIdenticalSequences is the deterministic sibling of
-// FuzzSchedulerEquivalence: a fixed pseudo-random script replayed on both
-// queues must fire at identical instants in identical order.
-func TestHeapAndWheelIdenticalSequences(t *testing.T) {
+// TestResetDropsPendingEvents pins the reset a fleet reuses one queue by:
+// pending events never fire, their tickers stay silent, the clock restarts
+// at zero and the dropped records serve the next run without allocating.
+func TestResetDropsPendingEvents(t *testing.T) {
+	q := NewEventQueue()
+	fired := 0
+	fn := func(Time) { fired++ }
+	if _, err := q.NewTicker(0, 0.01, fn); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := q.Schedule(5+Time(i), fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q.RunUntil(1)
+	before := fired
+	q.Reset()
+	if q.Now() != 0 {
+		t.Fatalf("clock at %v after Reset, want 0", q.Now())
+	}
+	q.RunUntil(100)
+	if fired != before {
+		t.Fatalf("%d dropped events fired after Reset", fired-before)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		q.Reset()
+		for i := 0; i < 9; i++ {
+			_ = q.Schedule(Time(i), fn)
+		}
+		q.RunUntil(10)
+	})
+	if allocs != 0 {
+		t.Errorf("a run of 9 events after Reset: %v allocs, want 0", allocs)
+	}
+}
+
+// TestSortedAndHeapIdenticalSequences is the deterministic sibling of
+// FuzzSchedulerEquivalence: a fixed pseudo-random script replayed on the
+// EventQueue and on the heap oracle must fire at identical instants in
+// identical order.
+func TestSortedAndHeapIdenticalSequences(t *testing.T) {
 	script := make([]byte, 0, 4096)
 	s := uint64(0x9e3779b97f4a7c15)
 	for i := 0; i < 4096; i++ {
@@ -150,9 +180,9 @@ func TestHeapAndWheelIdenticalSequences(t *testing.T) {
 		s ^= s << 17
 		script = append(script, byte(s))
 	}
-	wheel := runSchedulerScript(NewEventQueue(), script)
-	heap := runSchedulerScript(NewHeapEventQueue(), script)
-	if fmt.Sprint(wheel) != fmt.Sprint(heap) {
-		t.Fatalf("wheel fired %d events, heap fired %d; sequences differ", len(wheel), len(heap))
+	sorted := runSchedulerScript(sortedQueue{NewEventQueue()}, script)
+	heap := runSchedulerScript(&heapQueue{}, script)
+	if fmt.Sprint(sorted) != fmt.Sprint(heap) {
+		t.Fatalf("queue fired %d events, heap oracle fired %d; sequences differ", len(sorted), len(heap))
 	}
 }

@@ -6,11 +6,10 @@
 // virtual clock, which makes every run exactly reproducible for a given
 // seed and configuration.
 //
-// The pending-event store behind an EventQueue is pluggable (see Scheduler):
-// the default is a hierarchical timer wheel tuned for the periodic-tick
-// workloads the simulator generates, with a binary heap as the reference
-// implementation. Both fire events in exactly the same (At, seq) order, so
-// the choice is invisible to simulation results.
+// An EventQueue keeps its pending events in one slice sorted by (At, seq),
+// the order they fire in. A queue carries one vehicle's loop, whose task
+// graph and plant tickers bound it to a few dozen pending events, so a
+// backward insertion scan costs less than a heap or a timer wheel.
 package simtime
 
 import (
@@ -52,46 +51,25 @@ type event struct {
 	At Time
 	Fn func(now Time)
 
-	seq  uint64
-	next *event // intrusive slot-list link while parked in a wheel slot
-}
-
-// Scheduler is the pending-event store strategy behind an EventQueue. It is
-// sealed: the two implementations are the hierarchical timer wheel
-// (NewEventQueue, the default) and the reference binary heap
-// (NewHeapEventQueue). Both fire events in identical (At, seq) order — the
-// differential fuzz harness pins that equivalence — so scheduler choice
-// never changes simulation results, only their cost.
-type Scheduler interface {
-	// push stores a pending event.
-	push(ev *event)
-	// pop removes and returns the earliest (At, seq) event, or returns nil
-	// when none is pending.
-	pop() *event
-	// peekAt returns the instant of the earliest pending event.
-	peekAt() (Time, bool)
+	seq uint64
 }
 
 // EventQueue is a discrete-event scheduler. The zero value is not usable;
-// construct with NewEventQueue (timer wheel) or NewHeapEventQueue (binary
-// heap).
+// construct with NewEventQueue.
 type EventQueue struct {
 	now Time
-	sch Scheduler
 	seq uint64
+	// pending holds the scheduled events sorted by (At, seq), earliest
+	// last, so the next event pops off the end. seq is unique, so the
+	// order is total and events fire in exactly the order of a heap.
+	pending []*event
 	// free recycles fired event records so steady-state Schedule/Step
 	// allocates nothing.
 	free []*event
 }
 
-// NewEventQueue returns an empty queue with the clock at zero, backed by the
-// hierarchical timer wheel.
-func NewEventQueue() *EventQueue { return &EventQueue{sch: &wheelScheduler{}} }
-
-// NewHeapEventQueue returns an empty queue with the clock at zero, backed by
-// the reference binary-heap scheduler. It exists for differential testing
-// and benchmarking against the default wheel.
-func NewHeapEventQueue() *EventQueue { return &EventQueue{sch: &heapScheduler{}} }
+// NewEventQueue returns an empty queue with the clock at zero.
+func NewEventQueue() *EventQueue { return &EventQueue{} }
 
 // Now returns the current virtual time.
 func (q *EventQueue) Now() Time { return q.now }
@@ -121,7 +99,16 @@ func (q *EventQueue) Schedule(at Time, fn func(now Time)) error {
 	ev.Fn = fn
 	ev.seq = q.seq
 	q.seq++
-	q.sch.push(ev)
+	// ev has the largest seq yet, so it fires after every pending event
+	// at or before its instant: shift those up one place and put ev below
+	// the first later one.
+	p := append(q.pending, ev)
+	i := len(p) - 1
+	for ; i > 0 && p[i-1].At <= at; i-- {
+		p[i] = p[i-1]
+	}
+	p[i] = ev
+	q.pending = p
 	return nil
 }
 
@@ -137,10 +124,13 @@ func (q *EventQueue) After(d Duration, fn func(now Time)) error {
 // Step executes the single earliest pending event, advancing the clock to
 // its instant. It reports whether an event ran.
 func (q *EventQueue) Step() bool {
-	ev := q.sch.pop()
-	if ev == nil {
+	n := len(q.pending)
+	if n == 0 {
 		return false
 	}
+	ev := q.pending[n-1]
+	q.pending[n-1] = nil
+	q.pending = q.pending[:n-1]
 	q.now = ev.At
 	ev.Fn(q.now)
 	// Recycled only after Fn returns: anything Fn scheduled drew from the
@@ -153,16 +143,26 @@ func (q *EventQueue) Step() bool {
 // RunUntil executes events with At <= end, then advances the clock to end.
 // Pending events after end stay queued.
 func (q *EventQueue) RunUntil(end Time) {
-	for {
-		at, ok := q.sch.peekAt()
-		if !ok || at > end {
-			break
-		}
+	for len(q.pending) > 0 && q.pending[len(q.pending)-1].At <= end {
 		q.Step()
 	}
 	if end > q.now {
 		q.now = end
 	}
+}
+
+// Reset drops every pending event unfired and restarts the clock at zero,
+// so one queue can carry one run after another. The dropped records join
+// the freelist, and a ticker whose tick was dropped never ticks again.
+// Sequence numbers keep counting: they order only events of the same run.
+func (q *EventQueue) Reset() {
+	for i, ev := range q.pending {
+		ev.Fn = nil
+		q.free = append(q.free, ev)
+		q.pending[i] = nil
+	}
+	q.pending = q.pending[:0]
+	q.now = 0
 }
 
 // Ticker fires fn every period seconds, starting at start. Changing the
