@@ -12,6 +12,7 @@ import (
 
 	"hcperf/internal/dag"
 	"hcperf/internal/engine"
+	"hcperf/internal/lifecycle"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
 )
@@ -54,12 +55,14 @@ func run() error {
 		}
 		q := simtime.NewEventQueue()
 		eng, err := engine.New(engine.Config{
-			Graph:      graph,
-			Scheduler:  policy,
-			NumProcs:   2,
-			Queue:      q,
-			Seed:       7,
-			MaxDataAge: 220 * simtime.Millisecond,
+			Kernel: lifecycle.Config{
+				Graph:      graph,
+				Scheduler:  policy,
+				Seed:       7,
+				MaxDataAge: 220 * simtime.Millisecond,
+			},
+			NumProcs: 2,
+			Queue:    q,
 		})
 		if err != nil {
 			return err
@@ -68,7 +71,7 @@ func run() error {
 			return err
 		}
 		q.RunUntil(30)
-		st := eng.Stats()
+		st := eng.Kernel().Stats()
 		fmt.Printf("%-4s released=%5d missed=%4d (ratio %.3f) commands=%4d e2e=%.0fms\n",
 			policy.Name(), st.Released, st.Missed, st.MissRatio(),
 			st.ControlCommands, st.EndToEnd.Mean()*1000)

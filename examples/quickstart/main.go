@@ -71,22 +71,24 @@ func run() error {
 	q := simtime.NewEventQueue()
 	dyn := sched.NewDynamic(0)
 	eng, err := engine.New(engine.Config{
-		Graph:     g,
-		Scheduler: dyn,
-		NumProcs:  2,
-		Queue:     q,
-		Seed:      42,
-		Scene: func(now simtime.Time) exectime.Scene {
-			// The scene gets busy between t=3s and t=7s.
-			if now >= 3 && now < 7 {
-				return exectime.Scene{Obstacles: 24, LoadFactor: 1}
-			}
-			return exectime.Scene{Obstacles: 10, LoadFactor: 1}
+		Kernel: lifecycle.Config{
+			Graph:     g,
+			Scheduler: dyn,
+			Seed:      42,
+			Scene: func(now simtime.Time) exectime.Scene {
+				// The scene gets busy between t=3s and t=7s.
+				if now >= 3 && now < 7 {
+					return exectime.Scene{Obstacles: 24, LoadFactor: 1}
+				}
+				return exectime.Scene{Obstacles: 10, LoadFactor: 1}
+			},
+			OnControl: func(cmd lifecycle.ControlCommand) {
+				// A real application would actuate the vehicle here.
+				_ = cmd
+			},
 		},
-		OnControl: func(cmd lifecycle.ControlCommand) {
-			// A real application would actuate the vehicle here.
-			_ = cmd
-		},
+		NumProcs: 2,
+		Queue:    q,
 	})
 	if err != nil {
 		return err
@@ -96,8 +98,7 @@ func run() error {
 	// driving-performance signal; here a synthetic oscillation stands in
 	// for a real vehicle's error.
 	coord, err := core.New(core.Config{
-		Backend: eng,
-		Dynamic: dyn,
+		Kernel: eng.Kernel(),
 		TrackingError: func(now simtime.Time) float64 {
 			return math.Abs(1.2 * math.Sin(float64(now)))
 		},
@@ -115,14 +116,14 @@ func run() error {
 	}
 	q.RunUntil(10)
 
-	st := eng.Stats()
+	st := eng.Kernel().Stats()
 	fmt.Println("HCPerf quickstart — 10 simulated seconds")
 	fmt.Printf("  jobs released     %d\n", st.Released)
 	fmt.Printf("  deadline misses   %d (ratio %.3f)\n", st.Missed, st.MissRatio())
 	fmt.Printf("  control commands  %d\n", st.ControlCommands)
 	fmt.Printf("  mean e2e latency  %.1f ms\n", st.EndToEnd.Mean()*1000)
 	fmt.Printf("  gamma now         %.4f (u=%.4f)\n", coord.Gamma(), coord.NominalU())
-	fmt.Printf("  camera rate now   %.1f Hz (adapter-tuned)\n", eng.Rate(g.TaskByName("camera").ID))
+	fmt.Printf("  camera rate now   %.1f Hz (adapter-tuned)\n", eng.Kernel().Rate(g.TaskByName("camera").ID))
 	overhead := coord.Overhead()
 	fmt.Printf("  coordinator cost  %.1f µs/step\n", overhead.Mean()*1e6)
 	return nil

@@ -1,7 +1,7 @@
 // Package core implements HCPerf itself: the performance-directed
 // hierarchical coordination framework (paper Fig. 6). It wires the two
-// coordinators around a task executor, the discrete-event engine or the
-// wall-clock executor's lifecycle kernel alike:
+// coordinators around a lifecycle kernel, whichever backend runs it — the
+// discrete-event engine or the wall-clock executor:
 //
 //   - The internal coordinator runs once per control period: it samples the
 //     vehicle's driving-performance tracking error E(t), feeds it through
@@ -11,10 +11,11 @@
 //     schedulable range [0, γmax] and dispatches by P_i = γ·p_i + d_i.
 //
 //   - The external coordinator runs once per adaptation period: it reads
-//     the windowed end-to-end deadline-miss ratio from the executor, runs
-//     the Task Rate Adapter (package rate), and applies the resulting
-//     source-task rates. It also watches the observed execution-time
-//     regime and resets the adapter gain when the scene changes abruptly.
+//     the deadline-miss ratio of the jobs decided since its previous step
+//     from the kernel, runs the Task Rate Adapter (package rate), and
+//     applies the resulting source-task rates, which the kernel's next
+//     captures follow. It also watches the observed execution-time regime
+//     and resets the adapter gain when the scene changes abruptly.
 package core
 
 import (
@@ -39,37 +40,16 @@ import (
 // consistency.
 type TrackingErrorFunc func(now simtime.Time) float64
 
-// Backend is the task executor a Coordinator steers, named after the
-// lifecycle kernel's own methods: *lifecycle.Kernel and *engine.Engine
-// implement it.
-type Backend interface {
-	Graph() *dag.Graph
-	Scheduler() sched.Scheduler
-	// WindowStats returns the counters since the last ResetWindow.
-	WindowStats() lifecycle.Stats
-	ResetWindow()
-	// ObservedExec returns the current estimate of a task's c_i.
-	ObservedExec(id dag.TaskID) simtime.Duration
-	// Rate returns a source task's release rate; SetRate retunes it,
-	// clamped to the task's range, and returns the rate applied.
-	Rate(id dag.TaskID) float64
-	SetRate(id dag.TaskID, hz float64) (float64, error)
-	// RefreshObserver re-derives the scheduler's queue-dependent state
-	// (Dynamic's γmax and γ) against the live ready queue at now.
-	RefreshObserver(now simtime.Time)
-}
-
 // Config configures a Coordinator.
 type Config struct {
-	// Backend is the task executor to coordinate.
-	Backend Backend
-	// Dynamic is the HCPerf scheduler instance the backend was built
-	// with. It must be the same object the backend dispatches with.
-	Dynamic *sched.Dynamic
+	// Kernel is the lifecycle kernel to coordinate. It must dispatch with
+	// a *sched.Dynamic, the HCPerf scheduler the coordinator steers.
+	Kernel *lifecycle.Kernel
 	// TrackingError samples the driving performance each control period.
 	TrackingError TrackingErrorFunc
 	// MFC parameterises the Performance Directed Controller. Zero value
-	// selects MFCConfigForScale(DefaultErrScale, Dynamic.GammaCap).
+	// selects MFCConfigForScale(DefaultErrScale, GammaCap) of the kernel's
+	// scheduler.
 	MFC mfc.Config
 	// Rate parameterises the Task Rate Adapter. Zero value selects
 	// rate.DefaultConfig.
@@ -111,7 +91,7 @@ func MFCConfigForScale(errScale, gammaCap float64) mfc.Config {
 
 // Coordinator is a running HCPerf instance.
 type Coordinator struct {
-	b       Backend
+	k       *lifecycle.Kernel
 	dyn     *sched.Dynamic
 	pdc     *mfc.Controller
 	adapter *rate.Adapter
@@ -123,30 +103,31 @@ type Coordinator struct {
 	onControl     func(now simtime.Time, e, u, gamma float64)
 	onAdapt       func(now simtime.Time, missRatio float64, proposals []rate.Proposal)
 
-	sources  []*dag.Task
+	sources []*dag.Task
+	// last holds the kernel's counters at the previous adaptation step, so
+	// each step sees the jobs decided since then.
+	last     lifecycle.Stats
 	started  bool
 	overhead stats.Accumulator // wall-clock seconds per coordinator step
 }
 
 // New validates cfg and builds a coordinator. Call Start to coordinate on
 // an event queue, or call ControlStep and AdaptStep from another clock; the
-// backend must be started separately.
+// kernel must be started separately.
 func New(cfg Config) (*Coordinator, error) {
-	if cfg.Backend == nil {
-		return nil, errors.New("core: nil backend")
+	if cfg.Kernel == nil {
+		return nil, errors.New("core: nil kernel")
 	}
-	if cfg.Dynamic == nil {
-		return nil, errors.New("core: nil dynamic scheduler")
-	}
-	if cfg.Backend.Scheduler() != sched.Scheduler(cfg.Dynamic) {
-		return nil, errors.New("core: backend is not driven by the given dynamic scheduler")
+	dyn, ok := cfg.Kernel.Scheduler().(*sched.Dynamic)
+	if !ok {
+		return nil, errors.New("core: kernel does not dispatch with a *sched.Dynamic")
 	}
 	if cfg.TrackingError == nil {
 		return nil, errors.New("core: nil tracking-error source")
 	}
 	mcfg := cfg.MFC
 	if mcfg == (mfc.Config{}) {
-		mcfg = MFCConfigForScale(DefaultErrScale, cfg.Dynamic.GammaCap)
+		mcfg = MFCConfigForScale(DefaultErrScale, dyn.GammaCap)
 	}
 	pdc, err := mfc.New(mcfg)
 	if err != nil {
@@ -169,8 +150,8 @@ func New(cfg Config) (*Coordinator, error) {
 		adaptPeriod = simtime.Second
 	}
 	return &Coordinator{
-		b:             cfg.Backend,
-		dyn:           cfg.Dynamic,
+		k:             cfg.Kernel,
+		dyn:           dyn,
 		pdc:           pdc,
 		adapter:       adapter,
 		trkErr:        cfg.TrackingError,
@@ -179,7 +160,7 @@ func New(cfg Config) (*Coordinator, error) {
 		external:      !cfg.DisableExternal,
 		onControl:     cfg.OnControlPeriod,
 		onAdapt:       cfg.OnAdaptPeriod,
-		sources:       cfg.Backend.Graph().Sources(),
+		sources:       cfg.Kernel.Graph().Sources(),
 	}, nil
 }
 
@@ -195,11 +176,11 @@ func (c *Coordinator) Start(q *simtime.EventQueue) error {
 	}
 	c.started = true
 	now := q.Now()
-	if _, err := q.NewTicker(now+c.controlPeriod, c.controlPeriod, c.ControlStep); err != nil {
+	if err := q.NewTicker(now+c.controlPeriod, c.controlPeriod, c.ControlStep); err != nil {
 		return fmt.Errorf("core: start internal coordinator: %w", err)
 	}
 	if c.external {
-		if _, err := q.NewTicker(now+c.adaptPeriod, c.adaptPeriod, c.AdaptStep); err != nil {
+		if err := q.NewTicker(now+c.adaptPeriod, c.adaptPeriod, c.AdaptStep); err != nil {
 			return fmt.Errorf("core: start external coordinator: %w", err)
 		}
 	}
@@ -221,8 +202,8 @@ func (c *Coordinator) AdapterKp() float64 { return c.adapter.Kp() }
 func (c *Coordinator) Overhead() stats.Accumulator { return c.overhead }
 
 // ControlStep is one internal-coordinator period (paper Fig. 6 left loop)
-// at time now on the backend's clock. Steps must not overlap any other
-// call into the backend, and now must not decrease from step to step.
+// at time now on the kernel's clock. Steps must not overlap any other call
+// into the kernel, and now must not decrease from step to step.
 func (c *Coordinator) ControlStep(now simtime.Time) {
 	wall := time.Now()
 	e := c.trkErr(now)
@@ -234,11 +215,13 @@ func (c *Coordinator) ControlStep(now simtime.Time) {
 	}
 	c.dyn.SetNominalU(u)
 	// Re-derive γmax and γ against the live queue immediately rather
-	// than waiting for the next queue change.
-	c.b.RefreshObserver(now)
+	// than waiting for the next queue change. Reading γ runs the search,
+	// so the step's overhead covers it.
+	c.k.RefreshObserver(now)
+	gamma := c.dyn.Gamma()
 	c.overhead.Add(time.Since(wall).Seconds())
 	if c.onControl != nil {
-		c.onControl(now, e, u, c.dyn.Gamma())
+		c.onControl(now, e, u, gamma)
 	}
 }
 
@@ -246,8 +229,14 @@ func (c *Coordinator) ControlStep(now simtime.Time) {
 // under the same rules as ControlStep.
 func (c *Coordinator) AdaptStep(now simtime.Time) {
 	wall := time.Now()
-	win := c.b.WindowStats()
-	c.b.ResetWindow()
+	total := c.k.Stats()
+	win := lifecycle.Stats{
+		Completed:  total.Completed - c.last.Completed,
+		Missed:     total.Missed - c.last.Missed,
+		E2EDecided: total.E2EDecided - c.last.E2EDecided,
+		E2EMissed:  total.E2EMissed - c.last.E2EMissed,
+	}
+	c.last = total
 	// The adapter regulates the deadline miss ratio of the system; the
 	// binding constraint is whichever is worse of the end-to-end
 	// (control-job) ratio and the overall job ratio, so both queue
@@ -264,7 +253,7 @@ func (c *Coordinator) AdaptStep(now simtime.Time) {
 
 	current := make(map[*dag.Task]float64, len(c.sources))
 	for _, s := range c.sources {
-		current[s] = c.b.Rate(s.ID)
+		current[s] = c.k.Rate(s.ID)
 	}
 	proposals, err := c.adapter.Step(miss, current)
 	if err != nil {
@@ -274,7 +263,7 @@ func (c *Coordinator) AdaptStep(now simtime.Time) {
 		if p.NewRate == p.OldRate {
 			continue
 		}
-		if _, err := c.b.SetRate(p.Task.ID, p.NewRate); err != nil {
+		if _, err := c.k.SetRate(p.Task.ID, p.NewRate); err != nil {
 			panic(fmt.Sprintf("core: apply rate: %v", err))
 		}
 	}
@@ -288,12 +277,12 @@ func (c *Coordinator) AdaptStep(now simtime.Time) {
 // time — a dimensionless load-regime indicator (1 = nominal).
 func (c *Coordinator) execRegimeSignal() float64 {
 	maxRatio := 1.0
-	for _, t := range c.b.Graph().Tasks() {
+	for _, t := range c.k.Graph().Tasks() {
 		nom := float64(t.Exec.Nominal())
 		if nom <= 0 {
 			continue
 		}
-		if r := float64(c.b.ObservedExec(t.ID)) / nom; r > maxRatio {
+		if r := float64(c.k.ObservedExec(t.ID)) / nom; r > maxRatio {
 			maxRatio = r
 		}
 	}

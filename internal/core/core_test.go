@@ -3,11 +3,11 @@ package core
 import (
 	"testing"
 
-	"hcperf/internal/mfc"
-
 	"hcperf/internal/dag"
 	"hcperf/internal/engine"
 	"hcperf/internal/exectime"
+	"hcperf/internal/lifecycle"
+	"hcperf/internal/mfc"
 	"hcperf/internal/rate"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
@@ -19,13 +19,19 @@ type harness struct {
 	q    *simtime.EventQueue
 	g    *dag.Graph
 	dyn  *sched.Dynamic
-	eng  *engine.Engine
+	k    *lifecycle.Kernel
 	coor *Coordinator
 }
 
 // newHarness builds a motivation-graph engine coordinated by HCPerf with a
 // caller-supplied tracking-error source.
 func newHarness(t *testing.T, cfg Config, trkErr TrackingErrorFunc) *harness {
+	t.Helper()
+	return newTracedHarness(t, cfg, trkErr, nil)
+}
+
+// newTracedHarness is newHarness with a lifecycle tracer on the kernel.
+func newTracedHarness(t *testing.T, cfg Config, trkErr TrackingErrorFunc, tr lifecycle.Tracer) *harness {
 	t.Helper()
 	q := simtime.NewEventQueue()
 	g, err := dag.MotivationGraph()
@@ -34,17 +40,14 @@ func newHarness(t *testing.T, cfg Config, trkErr TrackingErrorFunc) *harness {
 	}
 	dyn := sched.NewDynamic(0.02)
 	eng, err := engine.New(engine.Config{
-		Graph:     g,
-		Scheduler: dyn,
-		NumProcs:  2,
-		Queue:     q,
-		Seed:      1,
+		Kernel:   lifecycle.Config{Graph: g, Scheduler: dyn, Seed: 1, Tracer: tr},
+		NumProcs: 2,
+		Queue:    q,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Backend = eng
-	cfg.Dynamic = dyn
+	cfg.Kernel = eng.Kernel()
 	cfg.TrackingError = trkErr
 	coor, err := New(cfg)
 	if err != nil {
@@ -56,33 +59,41 @@ func newHarness(t *testing.T, cfg Config, trkErr TrackingErrorFunc) *harness {
 	if err := coor.Start(q); err != nil {
 		t.Fatal(err)
 	}
-	return &harness{q: q, g: g, dyn: dyn, eng: eng, coor: coor}
+	return &harness{q: q, g: g, dyn: dyn, k: eng.Kernel(), coor: coor}
 }
 
 func constErr(v float64) TrackingErrorFunc {
 	return func(simtime.Time) float64 { return v }
 }
 
-func TestConfigValidation(t *testing.T) {
-	q := simtime.NewEventQueue()
+// newKernel builds a motivation-graph kernel on an engine, unstarted.
+func newKernel(t *testing.T, s sched.Scheduler) *lifecycle.Kernel {
+	t.Helper()
 	g, err := dag.MotivationGraph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn := sched.NewDynamic(0.02)
-	eng, err := engine.New(engine.Config{Graph: g, Scheduler: dyn, NumProcs: 2, Queue: q, Seed: 1})
+	eng, err := engine.New(engine.Config{
+		Kernel:   lifecycle.Config{Graph: g, Scheduler: s, Seed: 1},
+		NumProcs: 2,
+		Queue:    simtime.NewEventQueue(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid := Config{Backend: eng, Dynamic: dyn, TrackingError: constErr(0)}
+	return eng.Kernel()
+}
+
+func TestConfigValidation(t *testing.T) {
+	valid := Config{Kernel: newKernel(t, sched.NewDynamic(0.02)), TrackingError: constErr(0)}
+	edf := newKernel(t, sched.EDF{})
 	tests := []struct {
 		name   string
 		mutate func(*Config)
 	}{
-		{name: "nil engine", mutate: func(c *Config) { c.Backend = nil }},
-		{name: "nil dynamic", mutate: func(c *Config) { c.Dynamic = nil }},
+		{name: "nil kernel", mutate: func(c *Config) { c.Kernel = nil }},
+		{name: "kernel without dynamic", mutate: func(c *Config) { c.Kernel = edf }},
 		{name: "nil tracking error", mutate: func(c *Config) { c.TrackingError = nil }},
-		{name: "foreign dynamic", mutate: func(c *Config) { c.Dynamic = sched.NewDynamic(0.02) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -100,7 +111,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestStartRejectsNilQueue(t *testing.T) {
 	h := newHarness(t, Config{}, constErr(0))
-	c, err := New(Config{Backend: h.eng, Dynamic: h.dyn, TrackingError: constErr(0)})
+	c, err := New(Config{Kernel: h.k, TrackingError: constErr(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +163,12 @@ func TestExternalRaisesRatesWhenIdle(t *testing.T) {
 		},
 	}, constErr(0))
 	src := h.g.TaskByName("image_preproc")
-	initial := h.eng.Rate(src.ID)
+	initial := h.k.Rate(src.ID)
 	h.q.RunUntil(10)
 	if adaptSteps == 0 {
 		t.Fatal("external coordinator never stepped")
 	}
-	if got := h.eng.Rate(src.ID); got <= initial {
+	if got := h.k.Rate(src.ID); got <= initial {
 		t.Errorf("source rate %v did not rise from %v on a no-miss system", got, initial)
 	}
 }
@@ -174,9 +185,9 @@ func TestExternalShedsLoadUnderOverload(t *testing.T) {
 	fusion.Exec = prof
 	src := h.g.TaskByName("image_preproc")
 	h.q.RunUntil(2)
-	rateBefore := h.eng.Rate(src.ID)
+	rateBefore := h.k.Rate(src.ID)
 	h.q.RunUntil(12)
-	rateAfter := h.eng.Rate(src.ID)
+	rateAfter := h.k.Rate(src.ID)
 	if rateAfter >= rateBefore {
 		t.Errorf("source rate %v did not drop from %v under overload", rateAfter, rateBefore)
 	}
@@ -185,9 +196,9 @@ func TestExternalShedsLoadUnderOverload(t *testing.T) {
 func TestDisableExternalFreezesRates(t *testing.T) {
 	h := newHarness(t, Config{DisableExternal: true}, constErr(0))
 	src := h.g.TaskByName("image_preproc")
-	initial := h.eng.Rate(src.ID)
+	initial := h.k.Rate(src.ID)
 	h.q.RunUntil(10)
-	if got := h.eng.Rate(src.ID); got != initial {
+	if got := h.k.Rate(src.ID); got != initial {
 		t.Errorf("rates moved to %v with external coordinator disabled", got)
 	}
 }
@@ -311,24 +322,86 @@ func TestCustomRateConfigApplied(t *testing.T) {
 }
 
 func TestInvalidMFCConfigRejected(t *testing.T) {
-	q := simtime.NewEventQueue()
-	g, err := dag.MotivationGraph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn := sched.NewDynamic(0.02)
-	eng, err := engine.New(engine.Config{Graph: g, Scheduler: dyn, NumProcs: 2, Queue: q, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := newKernel(t, sched.NewDynamic(0.02))
 	bad := mfc.DefaultConfig()
 	bad.Alpha = 1 // must be negative
-	if _, err := New(Config{Backend: eng, Dynamic: dyn, TrackingError: constErr(0), MFC: bad}); err == nil {
+	if _, err := New(Config{Kernel: k, TrackingError: constErr(0), MFC: bad}); err == nil {
 		t.Error("invalid MFC config accepted")
 	}
 	badRate := rate.DefaultConfig()
 	badRate.Kp0 = -1
-	if _, err := New(Config{Backend: eng, Dynamic: dyn, TrackingError: constErr(0), Rate: badRate}); err == nil {
+	if _, err := New(Config{Kernel: k, TrackingError: constErr(0), Rate: badRate}); err == nil {
 		t.Error("invalid rate config accepted")
+	}
+}
+
+// decisionCounts tallies decided jobs from the lifecycle trace, as the
+// kernel's Stats count them.
+type decisionCounts struct{ completed, missed, e2eDecided, e2eMissed uint64 }
+
+// missRatio is the external coordinator's input over the jobs decided
+// between c and later: the worse of the overall and end-to-end ratios.
+func (c decisionCounts) missRatio(later decisionCounts) float64 {
+	var miss, e2e float64
+	if d := (later.completed - c.completed) + (later.missed - c.missed); d > 0 {
+		miss = float64(later.missed-c.missed) / float64(d)
+	}
+	if d := later.e2eDecided - c.e2eDecided; d > 0 {
+		e2e = float64(later.e2eMissed-c.e2eMissed) / float64(d)
+	}
+	if e2e > miss {
+		return e2e
+	}
+	return miss
+}
+
+// TestAdaptMissRatioCoversJobsSinceLastStep pins the external
+// coordinator's window: each adaptation step's miss ratio is the ratio of
+// the jobs decided since the previous step, counted from the trace.
+func TestAdaptMissRatioCoversJobsSinceLastStep(t *testing.T) {
+	var counts, atLastStep decisionCounts
+	control := map[dag.TaskID]bool{}
+	tr := lifecycle.TracerFunc(func(ev lifecycle.Event) {
+		switch ev.Kind {
+		case lifecycle.EventDeliver, lifecycle.EventComplete:
+			counts.completed++
+		case lifecycle.EventMiss, lifecycle.EventExpire, lifecycle.EventInvalid:
+			counts.missed++
+		default:
+			return
+		}
+		if control[ev.Task] {
+			counts.e2eDecided++
+			if ev.Kind != lifecycle.EventComplete {
+				counts.e2eMissed++
+			}
+		}
+	})
+	steps, missing := 0, 0
+	h := newTracedHarness(t, Config{
+		OnAdaptPeriod: func(now simtime.Time, miss float64, _ []rate.Proposal) {
+			steps++
+			if miss > 0 {
+				missing++
+			}
+			if want := atLastStep.missRatio(counts); miss != want {
+				t.Errorf("adapt step at %v: miss ratio %v, want %v over the jobs decided since the previous step", now, miss, want)
+			}
+			atLastStep = counts
+		},
+	}, constErr(0), tr)
+	for _, task := range h.g.Tasks() {
+		control[task.ID] = task.IsControl
+	}
+	// Overload the fusion stage from t=2 so some windows miss.
+	fusion := h.g.TaskByName("sensor_fusion")
+	prof, err := exectime.NewProfile(fusion.Exec, []exectime.Step{{From: 2, To: 6, Factor: 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fusion.Exec = prof
+	h.q.RunUntil(10)
+	if steps < 9 || missing == 0 {
+		t.Fatalf("%d adapt steps, %d with misses; want >= 9 steps and some misses", steps, missing)
 	}
 }

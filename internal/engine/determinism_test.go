@@ -1,8 +1,8 @@
 package engine_test
 
-// Dispatch-order determinism: the engine's event loop iterates several
-// per-task structures (source tickers, per-processor state) that were
-// converted from maps to dense slices for the allocation-free hot path.
+// Dispatch-order determinism: the engine and its kernel iterate several
+// per-task structures (source captures, per-processor state) kept in dense
+// slices for the allocation-free hot path.
 // Maps iterate in randomized order, so any map-ordered decision would show
 // up here as a run-to-run permutation of the dispatch stream. This test
 // pins the guarantee the golden report digests rely on: the same seed
@@ -31,16 +31,18 @@ func dispatchTrace(t *testing.T, mk func() sched.Scheduler, seed int64) []string
 	var seq []string
 	q := simtime.NewEventQueue()
 	eng, err := engine.New(engine.Config{
-		Graph:     g,
-		Scheduler: mk(),
-		NumProcs:  2,
-		Queue:     q,
-		Seed:      seed,
-		Tracer: lifecycle.TracerFunc(func(ev lifecycle.Event) {
-			if ev.Kind == lifecycle.EventDispatch {
-				seq = append(seq, fmt.Sprintf("%d/%d@%v proc=%d", ev.Task, ev.Cycle, ev.T, ev.Proc))
-			}
-		}),
+		Kernel: lifecycle.Config{
+			Graph:     g,
+			Scheduler: mk(),
+			Seed:      seed,
+			Tracer: lifecycle.TracerFunc(func(ev lifecycle.Event) {
+				if ev.Kind == lifecycle.EventDispatch {
+					seq = append(seq, fmt.Sprintf("%d/%d@%v proc=%d", ev.Task, ev.Cycle, ev.T, ev.Proc))
+				}
+			}),
+		},
+		NumProcs: 2,
+		Queue:    q,
 	})
 	if err != nil {
 		t.Fatal(err)

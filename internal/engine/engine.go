@@ -7,9 +7,9 @@
 // off-CPU capture latency, data-triggered release on the primary
 // predecessor, relative-deadline and end-to-end-budget expiry, discard of
 // late output, control-command emission — live in the shared
-// internal/lifecycle kernel; this package is the kernel's discrete-event
-// Backend. It contributes exactly the execution substrate: a
-// simtime.EventQueue for time, tickers for source rates, and an
+// internal/lifecycle kernel, which also times every source capture; this
+// package is the kernel's discrete-event Backend. It contributes exactly
+// the execution substrate: a simtime.EventQueue for time and an
 // M-processor non-preemptive dispatch loop.
 package engine
 
@@ -17,38 +17,21 @@ import (
 	"errors"
 	"fmt"
 
-	"hcperf/internal/dag"
-	"hcperf/internal/exectime"
 	"hcperf/internal/lifecycle"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
 )
 
-// Config configures an Engine.
+// Config configures an Engine: the kernel's configuration plus the
+// processor pool and the event queue it runs on.
 type Config struct {
-	// Graph is the validated task graph to execute.
-	Graph *dag.Graph
-	// Scheduler is the dispatch policy.
-	Scheduler sched.Scheduler
+	// Kernel configures the lifecycle kernel: graph, policy, seed, scene,
+	// data-age bound, callbacks and tracer.
+	Kernel lifecycle.Config
 	// NumProcs is the number of identical processors (M >= 1).
 	NumProcs int
 	// Queue is the simulation event queue shared with the scenario.
 	Queue *simtime.EventQueue
-	// Seed seeds the engine's private RNG (execution-time sampling).
-	Seed int64
-	// Scene supplies the runtime scene; nil means exectime.NominalScene.
-	Scene func(now simtime.Time) exectime.Scene
-	// OnControl is invoked for every emitted control command.
-	OnControl func(cmd lifecycle.ControlCommand)
-	// OnJobDecided is invoked whenever a job's outcome is decided:
-	// missed=false for an on-time completion, missed=true for a late
-	// completion or queue expiration.
-	OnJobDecided func(now simtime.Time, j *sched.Job, missed bool)
-	// MaxDataAge, when positive, bounds the age of every input a task
-	// may consume (see lifecycle.Config.MaxDataAge). Zero disables.
-	MaxDataAge simtime.Duration
-	// Tracer optionally receives the structured lifecycle event stream.
-	Tracer lifecycle.Tracer
 }
 
 type processor struct {
@@ -69,13 +52,6 @@ type Engine struct {
 	q *simtime.EventQueue
 
 	procs []processor
-	// tickers is indexed by task ID (task IDs are dense); nil entries are
-	// tasks that are not started sources. A dense slice instead of a map
-	// keeps every iteration (Stop, SourceRates, ScaleSourceRates) in task
-	// order — deterministic by construction — and avoids map overhead on
-	// the rate-adaptation path.
-	tickers []*simtime.Ticker
-	started bool
 	// procState is the reusable processor-pool snapshot handed to
 	// scheduling decisions; see lifecycle.Backend.ProcState for the
 	// non-retention contract that makes the reuse safe.
@@ -117,7 +93,7 @@ func (b backend) ProcState(now simtime.Time) *sched.ProcState {
 }
 
 // New validates the configuration and builds an engine. Start must be
-// called to begin releasing source tasks.
+// called to begin source captures.
 func New(cfg Config) (*Engine, error) {
 	if cfg.NumProcs < 1 {
 		return nil, fmt.Errorf("engine: NumProcs %d < 1", cfg.NumProcs)
@@ -133,19 +109,7 @@ func New(cfg Config) (*Engine, error) {
 			Remaining: make([]simtime.Duration, cfg.NumProcs),
 		},
 	}
-	if cfg.Graph != nil {
-		e.tickers = make([]*simtime.Ticker, cfg.Graph.Len())
-	}
-	k, err := lifecycle.NewKernel(lifecycle.Config{
-		Graph:        cfg.Graph,
-		Scheduler:    cfg.Scheduler,
-		Seed:         cfg.Seed,
-		Scene:        cfg.Scene,
-		MaxDataAge:   cfg.MaxDataAge,
-		OnControl:    cfg.OnControl,
-		OnJobDecided: cfg.OnJobDecided,
-		Tracer:       cfg.Tracer,
-	}, backend{e})
+	k, err := lifecycle.NewKernel(cfg.Kernel, backend{e})
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -162,89 +126,12 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Start schedules the first release of every source task at the queue's
-// current time. It may be called once.
-func (e *Engine) Start() error {
-	if e.started {
-		return errors.New("engine: already started")
-	}
-	e.started = true
-	now := e.q.Now()
-	for _, src := range e.k.Graph().Sources() {
-		id := src.ID
-		period := simtime.Duration(1 / e.k.Rate(id))
-		tk, err := e.q.NewTicker(now, period, func(tick simtime.Time) {
-			e.k.SourceFired(tick, id)
-		})
-		if err != nil {
-			return fmt.Errorf("engine: start source %q: %w", src.Name, err)
-		}
-		e.tickers[id] = tk
-	}
-	return nil
-}
+// Kernel returns the lifecycle kernel the engine runs.
+func (e *Engine) Kernel() *lifecycle.Kernel { return e.k }
 
-// Stop cancels all future source releases. Running jobs finish normally.
-func (e *Engine) Stop() {
-	for _, tk := range e.tickers {
-		if tk != nil {
-			tk.Stop()
-		}
-	}
-}
-
-// SetRate retunes a source task's release rate, clamped to the task's
-// [MinRate, MaxRate]. It returns the rate actually applied.
-func (e *Engine) SetRate(id dag.TaskID, hz float64) (float64, error) {
-	t := e.k.Graph().Task(id)
-	if t == nil {
-		return 0, fmt.Errorf("engine: unknown task %d", id)
-	}
-	var tk *simtime.Ticker
-	if int(id) < len(e.tickers) {
-		tk = e.tickers[id]
-	}
-	if tk == nil {
-		return 0, fmt.Errorf("engine: task %q is not a started source", t.Name)
-	}
-	hz, err := e.k.SetRate(id, hz)
-	if err != nil {
-		return 0, fmt.Errorf("engine: %w", err)
-	}
-	if err := tk.SetPeriod(simtime.Duration(1 / hz)); err != nil {
-		return 0, err
-	}
-	return hz, nil
-}
-
-// Rate returns the current rate of a source task.
-func (e *Engine) Rate(id dag.TaskID) float64 { return e.k.Rate(id) }
-
-// Graph returns the executing graph.
-func (e *Engine) Graph() *dag.Graph { return e.k.Graph() }
-
-// Scheduler returns the dispatch policy.
-func (e *Engine) Scheduler() sched.Scheduler { return e.k.Scheduler() }
-
-// QueueLen returns the current ready-queue length.
-func (e *Engine) QueueLen() int { return e.k.QueueLen() }
-
-// Stats returns a copy of the engine-wide counters.
-func (e *Engine) Stats() lifecycle.Stats { return e.k.Stats() }
-
-// WindowStats returns a copy of the counters since the last ResetWindow.
-func (e *Engine) WindowStats() lifecycle.Stats { return e.k.WindowStats() }
-
-// ResetWindow zeroes the windowed counters; the Task Rate Adapter calls
-// this once per adaptation period.
-func (e *Engine) ResetWindow() { e.k.ResetWindow() }
-
-// ObservedExec returns the engine's current estimate of c_i.
-func (e *Engine) ObservedExec(id dag.TaskID) simtime.Duration { return e.k.ObservedExec(id) }
-
-// RefreshObserver re-runs the queue observer (if any) against the live
-// ready queue (see lifecycle.Kernel.RefreshObserver).
-func (e *Engine) RefreshObserver(now simtime.Time) { e.k.RefreshObserver(now) }
+// Start schedules every source's first capture at the queue's current
+// time (see lifecycle.Kernel.Start). It may be called once.
+func (e *Engine) Start() error { return e.k.Start(e.q.Now()) }
 
 // Utilization returns mean processor utilisation over [0, now].
 func (e *Engine) Utilization() float64 {

@@ -78,10 +78,10 @@ func (c taskCounts) released(id dag.TaskID) uint64 {
 func newEngine(t *testing.T, g *dag.Graph, cfg Config) (*Engine, *simtime.EventQueue) {
 	t.Helper()
 	q := simtime.NewEventQueue()
-	cfg.Graph = g
+	cfg.Kernel.Graph = g
 	cfg.Queue = q
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = sched.EDF{}
+	if cfg.Kernel.Scheduler == nil {
+		cfg.Kernel.Scheduler = sched.EDF{}
 	}
 	if cfg.NumProcs == 0 {
 		cfg.NumProcs = 2
@@ -100,10 +100,10 @@ func TestConfigValidation(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{name: "nil graph", cfg: Config{Scheduler: sched.EDF{}, NumProcs: 1, Queue: q}},
-		{name: "nil scheduler", cfg: Config{Graph: g, NumProcs: 1, Queue: q}},
-		{name: "zero procs", cfg: Config{Graph: g, Scheduler: sched.EDF{}, Queue: q}},
-		{name: "nil queue", cfg: Config{Graph: g, Scheduler: sched.EDF{}, NumProcs: 1}},
+		{name: "nil graph", cfg: Config{Kernel: lifecycle.Config{Scheduler: sched.EDF{}}, NumProcs: 1, Queue: q}},
+		{name: "nil scheduler", cfg: Config{Kernel: lifecycle.Config{Graph: g}, NumProcs: 1, Queue: q}},
+		{name: "zero procs", cfg: Config{Kernel: lifecycle.Config{Graph: g, Scheduler: sched.EDF{}}, Queue: q}},
+		{name: "nil queue", cfg: Config{Kernel: lifecycle.Config{Graph: g, Scheduler: sched.EDF{}}, NumProcs: 1}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -117,7 +117,7 @@ func TestConfigValidation(t *testing.T) {
 func TestPipelineRunsEndToEnd(t *testing.T) {
 	g := chainGraph(t, 2*ms, 5*ms, 1*ms, 50*ms)
 	var cmds []lifecycle.ControlCommand
-	e, q := newEngine(t, g, Config{OnControl: func(c lifecycle.ControlCommand) { cmds = append(cmds, c) }})
+	e, q := newEngine(t, g, Config{Kernel: lifecycle.Config{OnControl: func(c lifecycle.ControlCommand) { cmds = append(cmds, c) }}})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestPipelineRunsEndToEnd(t *testing.T) {
 	// Source at 10 Hz over ~1s: 11 releases (t=0..1.0). Each cycle flows
 	// through middle and control (source is marked freshness-critical, so
 	// SourceTime tracks the capture instant).
-	st := e.Stats()
+	st := e.Kernel().Stats()
 	if st.Missed != 0 {
 		t.Fatalf("unexpected misses: %+v", st)
 	}
@@ -144,8 +144,8 @@ func TestPipelineRunsEndToEnd(t *testing.T) {
 	if c.SourceTime != 0 {
 		t.Errorf("first command source time %v, want 0", c.SourceTime)
 	}
-	if e.Stats().ControlCommands != uint64(len(cmds)) {
-		t.Errorf("ControlCommands counter %d != callback count %d", e.Stats().ControlCommands, len(cmds))
+	if e.Kernel().Stats().ControlCommands != uint64(len(cmds)) {
+		t.Errorf("ControlCommands counter %d != callback count %d", e.Kernel().Stats().ControlCommands, len(cmds))
 	}
 }
 
@@ -154,12 +154,12 @@ func TestDeadlineMissDiscardsOutput(t *testing.T) {
 	// must never run.
 	g := chainGraph(t, 1*ms, 30*ms, 1*ms, 20*ms)
 	counts := taskCounts{}
-	e, q := newEngine(t, g, Config{Tracer: counts.tracer()})
+	e, q := newEngine(t, g, Config{Kernel: lifecycle.Config{Tracer: counts.tracer()}})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
 	q.RunUntil(1)
-	st := e.Stats()
+	st := e.Kernel().Stats()
 	if st.ControlCommands != 0 {
 		t.Errorf("control ran %d times despite upstream misses", st.ControlCommands)
 	}
@@ -190,7 +190,7 @@ func TestOverloadExpiresQueuedJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.RunUntil(3)
-	st := e.Stats()
+	st := e.Kernel().Stats()
 	if st.Expired == 0 {
 		t.Errorf("no queued jobs expired under overload: %+v", st)
 	}
@@ -227,12 +227,12 @@ func TestPrimaryTriggerSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 		counts := taskCounts{}
-		e, q := newEngine(t, g, Config{Tracer: counts.tracer()})
+		e, q := newEngine(t, g, Config{Kernel: lifecycle.Config{Tracer: counts.tracer()}})
 		if err := e.Start(); err != nil {
 			t.Fatal(err)
 		}
 		q.RunUntil(2.001)
-		return counts.released(g.TaskByName("fusion").ID), e.Stats().Released
+		return counts.released(g.TaskByName("fusion").ID), e.Kernel().Stats().Released
 	}
 	fastPrimary, _ := build(true)
 	if fastPrimary < 38 {
@@ -244,77 +244,23 @@ func TestPrimaryTriggerSemantics(t *testing.T) {
 	}
 }
 
-func TestSetSourceRateClamped(t *testing.T) {
-	g := chainGraph(t, 1*ms, 1*ms, 1*ms, 50*ms)
-	e, _ := newEngine(t, g, Config{})
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	src := g.TaskByName("source") // range [5,20]
-	got, err := e.SetRate(src.ID, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 20 {
-		t.Errorf("rate clamped to %v, want 20", got)
-	}
-	got, err = e.SetRate(src.ID, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 5 {
-		t.Errorf("rate clamped to %v, want 5", got)
-	}
-	if e.Rate(src.ID) != 5 {
-		t.Errorf("Rate = %v, want 5", e.Rate(src.ID))
-	}
-	// Non-source task.
-	mid := g.TaskByName("middle")
-	if _, err := e.SetRate(mid.ID, 10); err == nil {
-		t.Error("SetRate on non-source accepted")
-	}
-	if _, err := e.SetRate(999, 10); err == nil {
-		t.Error("SetRate on unknown task accepted")
-	}
-}
-
 func TestRateChangeTakesEffect(t *testing.T) {
 	g := chainGraph(t, 1*ms, 1*ms, 1*ms, 50*ms)
 	counts := taskCounts{}
-	e, q := newEngine(t, g, Config{Tracer: counts.tracer()})
+	e, q := newEngine(t, g, Config{Kernel: lifecycle.Config{Tracer: counts.tracer()}})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
 	q.RunUntil(1)
 	src := g.TaskByName("source")
 	before := counts.released(src.ID)
-	if _, err := e.SetRate(src.ID, 20); err != nil {
+	if _, err := e.Kernel().SetRate(src.ID, 20); err != nil {
 		t.Fatal(err)
 	}
 	q.RunUntil(2)
 	during := counts.released(src.ID) - before
 	if during < 18 {
 		t.Errorf("released %d jobs at 20 Hz over 1s, want >= 18", during)
-	}
-}
-
-func TestWindowStatsReset(t *testing.T) {
-	g := chainGraph(t, 1*ms, 1*ms, 1*ms, 50*ms)
-	e, q := newEngine(t, g, Config{})
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	q.RunUntil(0.5)
-	if e.WindowStats().Released == 0 {
-		t.Fatal("window counters empty after activity")
-	}
-	total := e.Stats().Released
-	e.ResetWindow()
-	if e.WindowStats().Released != 0 {
-		t.Error("ResetWindow did not clear window counters")
-	}
-	if e.Stats().Released != total {
-		t.Error("ResetWindow disturbed total counters")
 	}
 }
 
@@ -328,12 +274,12 @@ func TestDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.TaskByName("middle").Exec = jitter
-		e, q := newEngine(t, g, Config{Seed: 42})
+		e, q := newEngine(t, g, Config{Kernel: lifecycle.Config{Seed: 42}})
 		if err := e.Start(); err != nil {
 			t.Fatal(err)
 		}
 		q.RunUntil(5)
-		return e.Stats()
+		return e.Kernel().Stats()
 	}
 	a, b := run(), run()
 	if a != b {
@@ -351,7 +297,7 @@ func (r *recordingObserver) Recompute(simtime.Time, []*sched.Job, *sched.ProcSta
 func TestQueueObserverNotified(t *testing.T) {
 	g := chainGraph(t, 1*ms, 1*ms, 1*ms, 50*ms)
 	obs := &recordingObserver{Scheduler: sched.EDF{}}
-	e, q := newEngine(t, g, Config{Scheduler: obs})
+	e, q := newEngine(t, g, Config{Kernel: lifecycle.Config{Scheduler: obs}})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -365,12 +311,12 @@ func TestQueueObserverNotified(t *testing.T) {
 func TestDynamicSchedulerIntegration(t *testing.T) {
 	g := chainGraph(t, 2*ms, 5*ms, 1*ms, 40*ms)
 	dyn := sched.NewDynamic(0.02)
-	e, q := newEngine(t, g, Config{Scheduler: dyn})
+	e, q := newEngine(t, g, Config{Kernel: lifecycle.Config{Scheduler: dyn}})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
 	q.RunUntil(2)
-	if e.Stats().ControlCommands == 0 {
+	if e.Kernel().Stats().ControlCommands == 0 {
 		t.Error("dynamic scheduler produced no control commands")
 	}
 	if dyn.GammaMax() <= 0 {
@@ -398,14 +344,14 @@ func TestObservedExecUpdates(t *testing.T) {
 	g := chainGraph(t, 2*ms, 5*ms, 1*ms, 50*ms)
 	e, q := newEngine(t, g, Config{})
 	src := g.TaskByName("source")
-	if got := e.ObservedExec(src.ID); got != 2*ms {
+	if got := e.Kernel().ObservedExec(src.ID); got != 2*ms {
 		t.Errorf("initial observed exec %v, want nominal 2ms", got)
 	}
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
 	q.RunUntil(0.2)
-	if got := e.ObservedExec(src.ID); got != 2*ms {
+	if got := e.Kernel().ObservedExec(src.ID); got != 2*ms {
 		t.Errorf("observed exec %v after constant-time runs, want 2ms", got)
 	}
 }
@@ -413,7 +359,7 @@ func TestObservedExecUpdates(t *testing.T) {
 func TestStopHaltsReleases(t *testing.T) {
 	g := chainGraph(t, 1*ms, 1*ms, 1*ms, 50*ms)
 	counts := taskCounts{}
-	e, q := newEngine(t, g, Config{Tracer: counts.tracer()})
+	e, q := newEngine(t, g, Config{Kernel: lifecycle.Config{Tracer: counts.tracer()}})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +367,7 @@ func TestStopHaltsReleases(t *testing.T) {
 		t.Error("second Start accepted")
 	}
 	q.RunUntil(0.5)
-	e.Stop()
+	e.Kernel().Stop()
 	// Derived jobs already in flight may still release, but no new
 	// source cycles should start.
 	src := g.TaskByName("source").ID

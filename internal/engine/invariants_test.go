@@ -101,28 +101,30 @@ func TestQuickEngineInvariants(t *testing.T) {
 		var decided uint64
 		timingOK := true
 		e, err := New(Config{
-			Graph:      g,
-			Scheduler:  schedulerFor(int(pick)),
-			NumProcs:   int(procs%3) + 1,
-			Queue:      q,
-			Seed:       seed,
-			MaxDataAge: 300 * ms,
-			OnControl: func(cmd lifecycle.ControlCommand) {
-				if cmd.SourceTime > cmd.Release || cmd.Release > cmd.Completed {
-					timingOK = false
-				}
-				if cmd.ResponseTime() < 0 || cmd.EndToEndLatency() < 0 {
-					timingOK = false
-				}
+			Kernel: lifecycle.Config{
+				Graph:      g,
+				Scheduler:  schedulerFor(int(pick)),
+				Seed:       seed,
+				MaxDataAge: 300 * ms,
+				OnControl: func(cmd lifecycle.ControlCommand) {
+					if cmd.SourceTime > cmd.Release || cmd.Release > cmd.Completed {
+						timingOK = false
+					}
+					if cmd.ResponseTime() < 0 || cmd.EndToEndLatency() < 0 {
+						timingOK = false
+					}
+				},
+				OnJobDecided: func(now simtime.Time, j *sched.Job, missed bool) {
+					decided++
+					if missed && now < j.AbsDeadline && now != j.AbsDeadline && j.Release != j.AbsDeadline {
+						// A miss decided before the deadline can only be
+						// an invalid cycle (Release == AbsDeadline).
+						timingOK = false
+					}
+				},
 			},
-			OnJobDecided: func(now simtime.Time, j *sched.Job, missed bool) {
-				decided++
-				if missed && now < j.AbsDeadline && now != j.AbsDeadline && j.Release != j.AbsDeadline {
-					// A miss decided before the deadline can only be
-					// an invalid cycle (Release == AbsDeadline).
-					timingOK = false
-				}
-			},
+			NumProcs: int(procs%3) + 1,
+			Queue:    q,
 		})
 		if err != nil {
 			t.Logf("engine: %v", err)
@@ -133,19 +135,19 @@ func TestQuickEngineInvariants(t *testing.T) {
 			return false
 		}
 		q.RunUntil(3)
-		e.Stop()
+		e.Kernel().Stop()
 		// Drain everything in flight.
 		q.RunUntil(10)
 
-		st := e.Stats()
+		st := e.Kernel().Stats()
 		if !timingOK {
 			t.Log("timing invariant violated")
 			return false
 		}
 		// Conservation: every released job is decided or still queued.
-		if st.Released != st.Completed+st.Missed+uint64(e.QueueLen()) {
+		if st.Released != st.Completed+st.Missed+uint64(e.Kernel().QueueLen()) {
 			t.Logf("conservation: released=%d completed=%d missed=%d queued=%d",
-				st.Released, st.Completed, st.Missed, e.QueueLen())
+				st.Released, st.Completed, st.Missed, e.Kernel().QueueLen())
 			return false
 		}
 		// Every decision callback corresponds to a decided job.
@@ -184,11 +186,9 @@ func TestQuickEngineDeterminism(t *testing.T) {
 			}
 			q := simtime.NewEventQueue()
 			e, err := New(Config{
-				Graph:     g,
-				Scheduler: schedulerFor(int(pick)),
-				NumProcs:  2,
-				Queue:     q,
-				Seed:      seed,
+				Kernel:   lifecycle.Config{Graph: g, Scheduler: schedulerFor(int(pick)), Seed: seed},
+				NumProcs: 2,
+				Queue:    q,
 			})
 			if err != nil {
 				return lifecycle.Stats{}
@@ -197,7 +197,7 @@ func TestQuickEngineDeterminism(t *testing.T) {
 				return lifecycle.Stats{}
 			}
 			q.RunUntil(2)
-			return e.Stats()
+			return e.Kernel().Stats()
 		}
 		return run() == run()
 	}
@@ -229,7 +229,7 @@ func TestEngineZeroExecTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := simtime.NewEventQueue()
-	e, err := New(Config{Graph: g, Scheduler: sched.EDF{}, NumProcs: 1, Queue: q, Seed: 1})
+	e, err := New(Config{Kernel: lifecycle.Config{Graph: g, Scheduler: sched.EDF{}, Seed: 1}, NumProcs: 1, Queue: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestEngineZeroExecTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.RunUntil(1)
-	if st := e.Stats(); st.ControlCommands < 90 {
+	if st := e.Kernel().Stats(); st.ControlCommands < 90 {
 		t.Errorf("only %d commands with zero-cost tasks at 100 Hz", st.ControlCommands)
 	}
 }
@@ -251,14 +251,16 @@ func TestEngineExtremeObstacles(t *testing.T) {
 	}
 	q := simtime.NewEventQueue()
 	e, err := New(Config{
-		Graph:     g,
-		Scheduler: sched.EDF{},
-		NumProcs:  2,
-		Queue:     q,
-		Seed:      1,
-		Scene: func(simtime.Time) exectime.Scene {
-			return exectime.Scene{Obstacles: 300, LoadFactor: 1}
+		Kernel: lifecycle.Config{
+			Graph:     g,
+			Scheduler: sched.EDF{},
+			Seed:      1,
+			Scene: func(simtime.Time) exectime.Scene {
+				return exectime.Scene{Obstacles: 300, LoadFactor: 1}
+			},
 		},
+		NumProcs: 2,
+		Queue:    q,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +269,7 @@ func TestEngineExtremeObstacles(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.RunUntil(2)
-	st := e.Stats()
+	st := e.Kernel().Stats()
 	if st.MissRatio() < 0.2 {
 		t.Errorf("miss ratio %.2f with 300 obstacles, want heavy misses", st.MissRatio())
 	}

@@ -274,7 +274,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		// The vehicle's sampler is created after its loop, so at each
 		// sample instant it observes the vehicle's post-step state.
-		if _, err := q.NewTicker(simtime.Time(samplePeriod), simtime.Duration(samplePeriod), func(now simtime.Time) {
+		if err := q.NewTicker(simtime.Time(samplePeriod), simtime.Duration(samplePeriod), func(now simtime.Time) {
 			if i == 0 {
 				times = append(times, float64(now))
 			}

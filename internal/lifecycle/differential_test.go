@@ -31,9 +31,8 @@ const (
 	scaleK = 3.0
 	// runFor is how long each backend executes (simulated seconds for the
 	// engine, wall-clock seconds for rt). Deep pipelines accrue up to one
-	// primary-period of phase delay per stage before settling (rt sources
-	// first fire a full period after Start), so the run must outlast that
-	// transient by several sink periods.
+	// primary-period of phase delay per stage before settling, so the run
+	// must outlast that transient by several sink periods.
 	runFor = 2.4
 	// deadlineSlack additionally stretches relative deadlines and E2E
 	// bounds beyond scaleK. Deadlines only gate miss/expire outcomes —
@@ -186,12 +185,9 @@ func runEngine(t *testing.T, g *dag.Graph, s sched.Scheduler, seed int64) []life
 	q := simtime.NewEventQueue()
 	tr := &sliceTracer{}
 	eng, err := engine.New(engine.Config{
-		Graph:     g,
-		Scheduler: s,
-		NumProcs:  diffM,
-		Queue:     q,
-		Seed:      seed,
-		Tracer:    tr,
+		Kernel:   lifecycle.Config{Graph: g, Scheduler: s, Seed: seed, Tracer: tr},
+		NumProcs: diffM,
+		Queue:    q,
 	})
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)

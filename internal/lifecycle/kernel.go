@@ -23,7 +23,8 @@ import (
 type Backend interface {
 	// DeliverAfter runs fn once, d after now on the backend's clock, in
 	// the backend's execution context. The kernel uses it for source
-	// capture latencies: sensor output materializes off-CPU.
+	// capture latencies (sensor output materializes off-CPU) and to time
+	// each source's next capture.
 	DeliverAfter(now simtime.Time, d simtime.Duration, fn func(at simtime.Time))
 	// Wake tells the backend the ready queue may have gained runnable
 	// work, so idle processors should re-run dispatch.
@@ -76,10 +77,10 @@ type edgeData struct {
 }
 
 // Kernel owns the job state machine shared by all execution backends:
-// releases, ready queue, dispatch selection, deadline and end-to-end
-// accounting, edge propagation and control emission. All methods must be
-// called from the backend's execution context; the kernel itself holds no
-// locks.
+// source captures at the rates in force, releases, ready queue, dispatch
+// selection, deadline and end-to-end accounting, edge propagation and
+// control emission. All methods must be called from the backend's execution
+// context; the kernel itself holds no locks.
 type Kernel struct {
 	graph     *dag.Graph
 	sch       sched.Scheduler
@@ -98,8 +99,12 @@ type Kernel struct {
 	jobs   sched.JobArena
 	purged []*sched.Job
 	// freeDeliveries recycles the capture-delivery records (and their bound
-	// callbacks) SourceFired hands to Backend.DeliverAfter.
+	// callbacks) sourceFired hands to Backend.DeliverAfter.
 	freeDeliveries []*delivery
+	// captures[id] is source id's capture callback, bound once so a
+	// capture allocates nothing; nil for data-triggered tasks.
+	captures         []func(at simtime.Time)
+	started, stopped bool
 
 	ready []*sched.Job
 	// succs/preds cache the graph adjacency per task: dag.Graph accessors
@@ -118,7 +123,6 @@ type Kernel struct {
 	maxAge   simtime.Duration
 
 	total    Stats
-	window   Stats // reset by ResetWindow (Task Rate Adapter sampling)
 	observer QueueObserver
 }
 
@@ -154,7 +158,12 @@ func NewKernel(cfg Config, b Backend) (*Kernel, error) {
 		observed:  make([]simtime.Duration, n),
 		cycles:    make([]uint64, n),
 		rates:     make([]float64, n),
+		captures:  make([]func(at simtime.Time), n),
 		maxAge:    cfg.MaxDataAge,
+	}
+	for _, src := range cfg.Graph.Sources() {
+		id := src.ID
+		k.captures[id] = func(at simtime.Time) { k.capture(at, id) }
 	}
 	k.succs = make([][]dag.TaskID, n)
 	k.preds = make([][]dag.TaskID, n)
@@ -220,13 +229,6 @@ func (k *Kernel) QueueLen() int { return len(k.ready) }
 // Stats returns a copy of the kernel-wide counters.
 func (k *Kernel) Stats() Stats { return k.total }
 
-// WindowStats returns a copy of the counters since the last ResetWindow.
-func (k *Kernel) WindowStats() Stats { return k.window }
-
-// ResetWindow zeroes the windowed counters; the Task Rate Adapter calls
-// this once per adaptation period.
-func (k *Kernel) ResetWindow() { k.window = Stats{} }
-
 // ObservedExec returns the kernel's current estimate of c_i.
 func (k *Kernel) ObservedExec(id dag.TaskID) simtime.Duration { return k.observed[id] }
 
@@ -240,7 +242,8 @@ func (k *Kernel) Rate(id dag.TaskID) float64 {
 
 // SetRate clamps hz to the task's allowable range, stores it as the task's
 // current rate and returns the rate actually applied. Fixed-rate tasks
-// (MaxRate == 0) keep their configured rate.
+// (MaxRate == 0) keep their configured rate. A source's pending capture
+// keeps its instant; the capture after it follows the new rate.
 func (k *Kernel) SetRate(id dag.TaskID, hz float64) (float64, error) {
 	t := k.graph.Task(id)
 	if t == nil {
@@ -309,11 +312,41 @@ func jobEvent(kind EventKind, now simtime.Time, j *sched.Job, proc int) Event {
 	}
 }
 
-// SourceFired models one sensor capture of source task id: the job runs
+// Start schedules each source's first capture at now, in Graph().Sources()
+// order. Each capture schedules the next one a period later, at the rate in
+// force when it fires. Start may be called once.
+func (k *Kernel) Start(now simtime.Time) error {
+	if k.started {
+		return errors.New("lifecycle: already started")
+	}
+	k.started = true
+	for _, src := range k.graph.Sources() {
+		k.b.DeliverAfter(now, 0, k.captures[src.ID])
+	}
+	return nil
+}
+
+// Stop ends source captures: a capture already scheduled fires without
+// releasing a job or scheduling another. Jobs in flight finish normally.
+func (k *Kernel) Stop() { k.stopped = true }
+
+// capture is one capture of source id at instant at: it releases the
+// capture job, then schedules the next capture one period later. The order
+// is load-bearing: the release's delivery takes its seq first, and the
+// pinned digests rest on that (At, seq) order.
+func (k *Kernel) capture(at simtime.Time, id dag.TaskID) {
+	if k.stopped {
+		return
+	}
+	k.sourceFired(at, id)
+	k.b.DeliverAfter(at, simtime.Duration(1/k.rates[id]), k.captures[id])
+}
+
+// sourceFired models one sensor capture of source task id: the job runs
 // off-CPU (sensor hardware/DMA produces the data) and delivers its output
 // after the sampled capture latency, via the backend clock. Captures never
 // miss deadlines.
-func (k *Kernel) SourceFired(now simtime.Time, id dag.TaskID) {
+func (k *Kernel) sourceFired(now simtime.Time, id dag.TaskID) {
 	t := k.graph.Task(id)
 	k.cycles[id]++
 	j := k.jobs.New()
@@ -324,7 +357,6 @@ func (k *Kernel) SourceFired(now simtime.Time, id dag.TaskID) {
 	j.EstExec = k.observed[id]
 	j.SourceTime = now
 	k.total.Released++
-	k.window.Released++
 	k.traceJob(EventRelease, now, j, -1)
 	actual := k.SampleExec(now, t)
 	d := k.newDelivery()
@@ -333,7 +365,7 @@ func (k *Kernel) SourceFired(now simtime.Time, id dag.TaskID) {
 	k.b.DeliverAfter(now, actual, d.run)
 }
 
-// delivery carries one in-flight source capture from SourceFired to
+// delivery carries one in-flight source capture from sourceFired to
 // deliverSource. The callback handed to Backend.DeliverAfter is bound to the
 // record once, so recycling records through freeDeliveries makes the capture
 // path closure-allocation-free.
@@ -371,7 +403,6 @@ func (k *Kernel) deliverSource(now simtime.Time, j *sched.Job, actual simtime.Du
 	id := j.Task.ID
 	k.observed[id] = actual
 	k.total.Completed++
-	k.window.Completed++
 	k.traceJob(EventDeliver, now, j, -1)
 	if k.onDecided != nil {
 		k.onDecided(now, j, false)
@@ -405,7 +436,6 @@ func (k *Kernel) release(now simtime.Time, id dag.TaskID, sourceTime simtime.Tim
 	j.SourceTime = sourceTime
 	k.ready = append(k.ready, j)
 	k.total.Released++
-	k.window.Released++
 	k.traceJob(EventRelease, now, j, -1)
 	k.queueChanged(now)
 	k.b.Wake(now)
@@ -420,13 +450,9 @@ func (k *Kernel) PurgeExpired(now simtime.Time) {
 		if j.AbsDeadline <= now {
 			k.total.Missed++
 			k.total.Expired++
-			k.window.Missed++
-			k.window.Expired++
 			if j.Task.IsControl {
 				k.total.E2EDecided++
 				k.total.E2EMissed++
-				k.window.E2EDecided++
-				k.window.E2EMissed++
 			}
 			k.traceJob(EventExpire, now, j, -1)
 			if k.onDecided != nil {
@@ -477,10 +503,8 @@ func (k *Kernel) Complete(now simtime.Time, proc int, j *sched.Job, actual simti
 	missed := now > j.AbsDeadline
 	if j.Task.IsControl {
 		k.total.E2EDecided++
-		k.window.E2EDecided++
 		if missed {
 			k.total.E2EMissed++
-			k.window.E2EMissed++
 		}
 	}
 	if k.onDecided != nil {
@@ -488,11 +512,9 @@ func (k *Kernel) Complete(now simtime.Time, proc int, j *sched.Job, actual simti
 	}
 	if missed {
 		k.total.Missed++
-		k.window.Missed++
 		k.traceJob(EventMiss, now, j, proc)
 	} else {
 		k.total.Completed++
-		k.window.Completed++
 		k.traceJob(EventComplete, now, j, proc)
 		k.Propagate(now, j)
 	}
@@ -571,14 +593,10 @@ func (k *Kernel) invalidCycle(now simtime.Time, id dag.TaskID, sourceTime simtim
 	j.EstExec = k.observed[id]
 	j.SourceTime = sourceTime
 	k.total.Released++
-	k.window.Released++
 	k.total.Missed++
-	k.window.Missed++
 	if t.IsControl {
 		k.total.E2EDecided++
 		k.total.E2EMissed++
-		k.window.E2EDecided++
-		k.window.E2EMissed++
 	}
 	k.traceJob(EventInvalid, now, j, -1)
 	if k.onDecided != nil {
@@ -597,11 +615,8 @@ func (k *Kernel) emitControl(now simtime.Time, j *sched.Job) {
 		SourceTime: j.SourceTime,
 	}
 	k.total.ControlCommands++
-	k.window.ControlCommands++
 	k.total.ControlResponse.Add(float64(cmd.ResponseTime()))
-	k.window.ControlResponse.Add(float64(cmd.ResponseTime()))
 	k.total.EndToEnd.Add(float64(cmd.EndToEndLatency()))
-	k.window.EndToEnd.Add(float64(cmd.EndToEndLatency()))
 	k.traceJob(EventControl, now, j, -1)
 	if k.onCmd != nil {
 		k.onCmd(cmd)

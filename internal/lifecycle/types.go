@@ -9,9 +9,10 @@
 // channel semantics), the canonical ControlCommand/Stats types, and a
 // structured trace stream of lifecycle events.
 //
-// The kernel is parameterized over a small Backend interface — deliver a
-// source capture after its latency, wake idle processors, snapshot the
-// processor pool — so an execution backend reduces to scheduling-loop glue:
+// The kernel is parameterized over a small Backend interface — run a
+// callback after a delay (capture latencies and the next capture of each
+// source), wake idle processors, snapshot the processor pool — so an
+// execution backend reduces to scheduling-loop glue:
 // the engine maps Backend onto a simtime.EventQueue, the rt executor onto
 // goroutines and wall-clock timers. Running the same graph, seed and policy
 // through both backends must produce identical lifecycle event sequences

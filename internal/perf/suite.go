@@ -17,6 +17,7 @@ import (
 	"hcperf/internal/experiment"
 	"hcperf/internal/fleet"
 	"hcperf/internal/hungarian"
+	"hcperf/internal/lifecycle"
 	"hcperf/internal/mfc"
 	"hcperf/internal/run"
 	"hcperf/internal/scenario"
@@ -295,7 +296,7 @@ func benchSimtimeTickerChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q := simtime.NewEventQueue()
 		for t := 0; t < 32; t++ {
-			if _, err := q.NewTicker(0, periods[t%len(periods)], func(simtime.Time) {}); err != nil {
+			if err := q.NewTicker(0, periods[t%len(periods)], func(simtime.Time) {}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -464,11 +465,9 @@ func benchEngineSecond(b *testing.B, mk func() sched.Scheduler) {
 		}
 		q := simtime.NewEventQueue()
 		eng, err := engine.New(engine.Config{
-			Graph:     g,
-			Scheduler: mk(),
-			NumProcs:  2,
-			Queue:     q,
-			Seed:      1,
+			Kernel:   lifecycle.Config{Graph: g, Scheduler: mk(), Seed: 1},
+			NumProcs: 2,
+			Queue:    q,
 		})
 		if err != nil {
 			b.Fatal(err)

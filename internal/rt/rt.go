@@ -6,11 +6,12 @@
 // The job-lifecycle semantics — periodic source release with off-CPU capture
 // latency, data-triggered release on the primary predecessor, deadline and
 // end-to-end-budget expiry, discard of late output, control-command emission
-// — live in the shared internal/lifecycle kernel; this package is the
-// kernel's wall-clock Backend. It contributes exactly the execution
-// substrate: worker goroutines as processors that sleep for each job's
-// sampled execution time, time.After for capture latencies, and a
-// mutex/cond pair serializing kernel access.
+// — live in the shared internal/lifecycle kernel, which also times every
+// source capture; this package is the kernel's wall-clock Backend. It
+// contributes exactly the execution substrate: worker goroutines as
+// processors that sleep for each job's sampled execution time, time.After
+// for capture latencies and capture periods, and a mutex/cond pair
+// serializing kernel access.
 //
 // When a tracking-error source is configured, the executor runs the
 // simulation's HCPerf coordinator (internal/core) on its kernel, stepping
@@ -97,8 +98,9 @@ type rtBackend struct {
 }
 
 // DeliverAfter implements lifecycle.Backend. The delivery goroutine joins
-// the executor's WaitGroup; Add is safe because the calling source loop is
-// itself still registered, so the counter cannot be zero here.
+// the executor's WaitGroup. Add is safe: its callers are Start, holding the
+// lock Shutdown takes before it waits, and a delivery goroutine that is
+// itself still registered, so the counter cannot be zero under a Wait.
 func (b rtBackend) DeliverAfter(now simtime.Time, d simtime.Duration, fn func(at simtime.Time)) {
 	e := b.e
 	e.wg.Add(1)
@@ -184,14 +186,12 @@ func New(cfg Config) (*Executor, error) {
 	}
 	e.k = k
 	if cfg.TrackingError != nil {
-		dyn, ok := cfg.Scheduler.(*sched.Dynamic)
-		if !ok {
+		if _, ok := cfg.Scheduler.(*sched.Dynamic); !ok {
 			return nil, errors.New("rt: TrackingError requires a *sched.Dynamic scheduler")
 		}
 		trackingError := cfg.TrackingError
 		e.coord, err = core.New(core.Config{
-			Backend: k,
-			Dynamic: dyn,
+			Kernel: k,
 			// The control step runs under e.mu; like OnControl, the user
 			// callback runs with it released.
 			TrackingError: func(now simtime.Time) float64 {
@@ -210,7 +210,8 @@ func New(cfg Config) (*Executor, error) {
 	return e, nil
 }
 
-// Start launches workers, source tickers and (if configured) coordinators.
+// Start schedules each source's first capture for now, then launches the
+// workers and (if configured) the coordinators.
 func (e *Executor) Start() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -219,13 +220,12 @@ func (e *Executor) Start() error {
 	}
 	e.started = true
 	e.start = time.Now()
+	if err := e.k.Start(e.Elapsed()); err != nil {
+		return fmt.Errorf("rt: %w", err)
+	}
 	for w := 0; w < e.cfg.NumProcs; w++ {
 		e.wg.Add(1)
 		go e.worker(w)
-	}
-	for _, src := range e.k.Graph().Sources() {
-		e.wg.Add(1)
-		go e.sourceLoop(src.ID)
 	}
 	if c := e.coord; c != nil {
 		e.wg.Add(1)
@@ -285,30 +285,6 @@ func (e *Executor) Stats() lifecycle.Stats {
 // Elapsed returns the wall-clock time since Start.
 func (e *Executor) Elapsed() simtime.Time {
 	return simtime.Time(time.Since(e.start).Seconds())
-}
-
-// sourceLoop emulates one sensor: periodic captures at the (adjustable)
-// source rate; the kernel delivers each capture downstream after its sampled
-// latency via DeliverAfter.
-func (e *Executor) sourceLoop(id dag.TaskID) {
-	defer e.wg.Done()
-	for {
-		e.mu.Lock()
-		period := time.Duration(float64(time.Second) / e.k.Rate(id))
-		e.mu.Unlock()
-		select {
-		case <-e.stopCh:
-			return
-		case <-time.After(period):
-		}
-		e.mu.Lock()
-		if e.stopped {
-			e.mu.Unlock()
-			return
-		}
-		e.k.SourceFired(e.Elapsed(), id)
-		e.mu.Unlock()
-	}
 }
 
 // worker is one processor: it waits for an eligible job, runs it to

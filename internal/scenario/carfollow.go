@@ -298,17 +298,18 @@ func (w *rmsWindow) rms() float64 {
 }
 
 func (p *carFollowPlant) Sample(t float64, env *Env) {
-	cmds := env.Eng.Stats().ControlCommands
+	k := env.Eng.Kernel()
+	cmds := k.Stats().ControlCommands
 	recAdd(p.rec, "throughput", t, float64(cmds-p.lastCmds))
 	p.lastCmds = cmds
 	recAdd(p.rec, "response_ms", t, p.respWindow.Mean()*1000)
 	p.respWindow.Reset()
 	recAdd(p.rec, "discomfort", t, p.discomfort.Index())
 	recAdd(p.rec, "miss_ratio", t, env.Miss.Ratio(int(t)-1))
-	recAdd(p.rec, "queue_len", t, float64(env.Eng.QueueLen()))
+	recAdd(p.rec, "queue_len", t, float64(k.QueueLen()))
 	recAdd(p.rec, "utilization", t, env.Eng.Utilization())
-	recAdd(p.rec, "rate_camera", t, env.Eng.Rate(env.Graph.TaskByName("camera_front").ID))
-	recAdd(p.rec, "rate_lidar", t, env.Eng.Rate(env.Graph.TaskByName("lidar_scan").ID))
+	recAdd(p.rec, "rate_camera", t, k.Rate(env.Graph.TaskByName("camera_front").ID))
+	recAdd(p.rec, "rate_lidar", t, k.Rate(env.Graph.TaskByName("lidar_scan").ID))
 }
 
 // CarFollowingRun is one car-following closed loop attached to an event
@@ -411,7 +412,7 @@ func (p *Predecessor) Accel() float64 { return p.rows[p.k].row.folAccel }
 func (r *CarFollowingRun) Replay(q *simtime.EventQueue) (*Predecessor, error) {
 	p := &Predecessor{rows: r.p.hist}
 	step := r.cfg.VehicleStep
-	if _, err := q.NewTicker(simtime.Time(step), simtime.Duration(step), func(now simtime.Time) {
+	if err := q.NewTicker(simtime.Time(step), simtime.Duration(step), func(now simtime.Time) {
 		p.k++
 		if p.k >= len(p.rows) || p.rows[p.k].t != float64(now) {
 			panic(fmt.Sprintf("scenario: replay at %v has no predecessor step", now))

@@ -257,7 +257,7 @@ type attachedLoop struct {
 // finish collects the loop's result, without series, after the owning
 // queue has been run to the loop's duration.
 func (a *attachedLoop) finish() *loopResult {
-	res := &loopResult{Miss: a.miss, EngineStats: a.eng.Stats()}
+	res := &loopResult{Miss: a.miss, EngineStats: a.eng.Kernel().Stats()}
 	if a.coord != nil {
 		res.Overhead = a.coord.Overhead()
 	}
@@ -348,28 +348,30 @@ func attachLoop(q *simtime.EventQueue, lc Loop, f family, build func() (Plant, e
 	env := &Env{Graph: graph, Miss: miss}
 
 	eng, err := engine.New(engine.Config{
-		Graph:      graph,
-		Scheduler:  scheduler,
-		NumProcs:   lc.NumProcs,
-		Queue:      q,
-		Seed:       lc.Seed,
-		MaxDataAge: resolveMaxDataAge(lc.MaxDataAge),
-		Tracer:     lc.Tracer,
-		Scene: func(now simtime.Time) exectime.Scene {
-			return exectime.Scene{Obstacles: lc.Obstacles(float64(now)), LoadFactor: 1}
+		Kernel: lifecycle.Config{
+			Graph:      graph,
+			Scheduler:  scheduler,
+			Seed:       lc.Seed,
+			MaxDataAge: resolveMaxDataAge(lc.MaxDataAge),
+			Tracer:     lc.Tracer,
+			Scene: func(now simtime.Time) exectime.Scene {
+				return exectime.Scene{Obstacles: lc.Obstacles(float64(now)), LoadFactor: 1}
+			},
+			OnControl: plant.Perceive,
+			OnJobDecided: func(now simtime.Time, j *sched.Job, missed bool) {
+				// Sampling error at exactly t=Duration lands in a fresh
+				// bucket; fold it back.
+				t := math.Min(float64(now), lc.Duration-1e-9)
+				if err := miss.Note(t, missed); err != nil {
+					panic(fmt.Sprintf("scenario: miss bucket: %v", err))
+				}
+				if jobs != nil {
+					jobs.JobDecided(j, missed)
+				}
+			},
 		},
-		OnControl: plant.Perceive,
-		OnJobDecided: func(now simtime.Time, j *sched.Job, missed bool) {
-			// Sampling error at exactly t=Duration lands in a fresh
-			// bucket; fold it back.
-			t := math.Min(float64(now), lc.Duration-1e-9)
-			if err := miss.Note(t, missed); err != nil {
-				panic(fmt.Sprintf("scenario: miss bucket: %v", err))
-			}
-			if jobs != nil {
-				jobs.JobDecided(j, missed)
-			}
-		},
+		NumProcs: lc.NumProcs,
+		Queue:    q,
 	})
 	if err != nil {
 		return nil, err
@@ -387,8 +389,7 @@ func attachLoop(q *simtime.EventQueue, lc Loop, f family, build func() (Plant, e
 			rcfg = tun.RateConfig()
 		}
 		ccfg := core.Config{
-			Backend:         eng,
-			Dynamic:         dyn,
+			Kernel:          eng.Kernel(),
 			MFC:             tun.MFCConfig(f.mfcScale, dyn.GammaCap),
 			Rate:            rcfg,
 			TrackingError:   plant.TrackingError,
@@ -401,13 +402,13 @@ func attachLoop(q *simtime.EventQueue, lc Loop, f family, build func() (Plant, e
 	}
 
 	// Vehicle dynamics loop.
-	if _, err := q.NewTicker(simtime.Time(lc.VehicleStep), simtime.Duration(lc.VehicleStep), func(now simtime.Time) {
+	if err := q.NewTicker(simtime.Time(lc.VehicleStep), simtime.Duration(lc.VehicleStep), func(now simtime.Time) {
 		plant.Step(float64(now))
 	}); err != nil {
 		return nil, err
 	}
 	// Summary series.
-	if _, err := q.NewTicker(simtime.Time(samplePeriod), simtime.Duration(samplePeriod), func(now simtime.Time) {
+	if err := q.NewTicker(simtime.Time(samplePeriod), simtime.Duration(samplePeriod), func(now simtime.Time) {
 		plant.Sample(float64(now), env)
 	}); err != nil {
 		return nil, err

@@ -146,7 +146,7 @@ func (p *laneKeepPlant) Step(now float64) {
 }
 
 func (p *laneKeepPlant) Sample(t float64, env *Env) {
-	cmds := env.Eng.Stats().ControlCommands
+	cmds := env.Eng.Kernel().Stats().ControlCommands
 	recAdd(p.rec, "throughput", t, float64(cmds-p.lastCmds))
 	p.lastCmds = cmds
 	recAdd(p.rec, "miss_ratio", t, env.Miss.Ratio(int(t)-1))

@@ -10,7 +10,7 @@ func BenchmarkTickerSecond(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q := NewEventQueue()
 		for t := 0; t < 32; t++ {
-			if _, err := q.NewTicker(0, periods[t%len(periods)], func(Time) {}); err != nil {
+			if err := q.NewTicker(0, periods[t%len(periods)], func(Time) {}); err != nil {
 				b.Fatal(err)
 			}
 		}

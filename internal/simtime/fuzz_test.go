@@ -13,13 +13,17 @@ type firing struct {
 }
 
 // runSchedulerScript interprets script as a deterministic stream of
-// schedule / ticker start, stop and retime operations against q, interleaved
-// with event execution, and returns the complete firing sequence. The same
-// script run on the EventQueue and on the heap oracle must return identical
-// slices.
+// one-shot, ticker and capture-loop starts and capture-loop retimes,
+// interleaved with event execution, and returns the complete firing
+// sequence. The same script run on the EventQueue and on the heap oracle
+// must return identical slices.
 func runSchedulerScript(q queue, script []byte) []firing {
+	const drainBudget = 1 << 12
 	var fired []firing
-	var tickers []ticker
+	// periods[i] is capture loop i's period, read each time it fires.
+	var periods []Duration
+	var last Time // the latest one-shot instant scheduled
+	draining := false
 	tag := 0
 	note := func(id int) func(Time) {
 		return func(now Time) {
@@ -44,26 +48,40 @@ func runSchedulerScript(q queue, script []byte) []firing {
 				off = Duration(b) * 100000 // far future
 			}
 			tag++
-			if err := q.Schedule(q.Now()+off, note(tag)); err != nil {
+			at := q.Now() + off
+			if err := q.Schedule(at, note(tag)); err != nil {
 				panic(err)
 			}
-		case 2: // retime a live ticker, as the Task Rate Adapter does
-			if len(tickers) > 0 {
-				if err := tickers[int(a)%len(tickers)].SetPeriod(Duration(b%50+1) / 128); err != nil {
+			if at > last {
+				last = at
+			}
+		case 2: // retime a capture loop, as the Task Rate Adapter does
+			if len(periods) > 0 {
+				periods[int(a)%len(periods)] = Duration(b%50+1) / 128
+			}
+		case 3: // start a ticker
+			tag++
+			if err := q.NewTicker(q.Now()+Duration(b)/256, Duration(a%50+1)/128, note(tag)); err != nil {
+				panic(err)
+			}
+		case 4: // start a capture loop: an event that reschedules itself
+			// at the period it reads when it fires, as a kernel source
+			// does, until the drain stops it as Kernel.Stop does
+			tag++
+			idx, fn := len(periods), note(tag)
+			periods = append(periods, Duration(a%50+1)/128)
+			var capture func(Time)
+			capture = func(now Time) {
+				if draining {
+					return
+				}
+				fn(now)
+				if err := q.Schedule(now+periods[idx], capture); err != nil {
 					panic(err)
 				}
 			}
-		case 3: // start a ticker
-			period := Duration(a%50+1) / 128
-			tag++
-			tk, err := q.newTicker(q.Now()+Duration(b)/256, period, note(tag))
-			if err != nil {
+			if err := q.Schedule(q.Now()+Duration(b)/256, capture); err != nil {
 				panic(err)
-			}
-			tickers = append(tickers, tk)
-		case 4: // stop a ticker
-			if len(tickers) > 0 {
-				tickers[int(a)%len(tickers)].Stop()
 			}
 		case 5: // run a bounded slice of virtual time
 			q.RunUntil(q.Now() + Duration(a)/16)
@@ -75,13 +93,11 @@ func runSchedulerScript(q queue, script []byte) []firing {
 			}
 		}
 	}
-	// Drain everything still queued so far-future events are compared too;
-	// tickers would run forever, so stop them first.
-	for _, tk := range tickers {
-		tk.Stop()
-	}
-	const cap = 1 << 15
-	for len(fired) < cap && q.Step() {
+	// Drain up to the latest one-shot instant, so far-future events are
+	// compared too. Capture loops stop first; tickers never end, so the
+	// drain is bounded by that instant and by a firing budget.
+	draining = true
+	for n := 0; n < drainBudget && q.Now() < last && q.Step(); n++ {
 	}
 	return fired
 }
@@ -95,11 +111,11 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add([]byte{0, 251, 9, 0, 251, 9, 2, 0, 0, 5, 255, 0})
 	f.Add([]byte{0, 17, 1, 0, 34, 1, 0, 51, 1, 6, 7, 0})
 	f.Add([]byte{1, 85, 3, 3, 12, 128, 5, 90, 0, 2, 1, 0, 5, 255, 0})
-	// A ticker retimed mid-run, then run on: the retime engine.SetRate
-	// applies to a source ticker.
-	f.Add([]byte{3, 7, 0, 5, 40, 0, 2, 0, 20, 5, 255, 0})
+	// A capture loop retimed mid-run, then run on: the retime a rate
+	// change applies to a kernel source.
+	f.Add([]byte{4, 7, 0, 5, 40, 0, 2, 0, 20, 5, 255, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
-		sorted := runSchedulerScript(sortedQueue{NewEventQueue()}, script)
+		sorted := runSchedulerScript(NewEventQueue(), script)
 		heap := runSchedulerScript(&heapQueue{}, script)
 		if len(sorted) != len(heap) {
 			t.Fatalf("queue fired %d events, heap oracle fired %d", len(sorted), len(heap))

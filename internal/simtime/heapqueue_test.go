@@ -7,31 +7,15 @@ import (
 	"math"
 )
 
-// queue is the API the scheduler tests drive. The EventQueue implements it
-// through sortedQueue, and heapQueue is its reference implementation.
+// queue is the API the scheduler tests drive. The EventQueue implements it,
+// and heapQueue is its reference implementation.
 type queue interface {
 	Now() Time
 	Schedule(at Time, fn func(now Time)) error
 	After(d Duration, fn func(now Time)) error
 	Step() bool
 	RunUntil(end Time)
-	newTicker(start Time, period Duration, fn func(now Time)) (ticker, error)
-}
-
-type ticker interface {
-	SetPeriod(period Duration) error
-	Stop()
-}
-
-// sortedQueue adapts the EventQueue to queue.
-type sortedQueue struct{ *EventQueue }
-
-func (q sortedQueue) newTicker(start Time, period Duration, fn func(now Time)) (ticker, error) {
-	tk, err := q.NewTicker(start, period, fn)
-	if err != nil {
-		return nil, err
-	}
-	return tk, nil
+	NewTicker(start Time, period Duration, fn func(now Time)) error
 }
 
 // heapQueue is the reference event queue, the oracle of the differential
@@ -91,48 +75,19 @@ func (q *heapQueue) RunUntil(end Time) {
 	}
 }
 
-type heapTicker struct {
-	q      *heapQueue
-	fn     func(now Time)
-	tickFn func(now Time)
-	period Duration
-	stop   bool
-}
-
-func (q *heapQueue) newTicker(start Time, period Duration, fn func(now Time)) (ticker, error) {
+func (q *heapQueue) NewTicker(start Time, period Duration, fn func(now Time)) error {
 	if period <= 0 || fn == nil {
-		return nil, errors.New("heap oracle: invalid ticker")
+		return errors.New("heap oracle: invalid ticker")
 	}
-	t := &heapTicker{q: q, fn: fn, period: period}
-	t.tickFn = t.tick
-	if err := q.Schedule(start, t.tickFn); err != nil {
-		return nil, err
+	var tick func(now Time)
+	tick = func(now Time) {
+		fn(now)
+		if err := q.Schedule(now+period, tick); err != nil {
+			panic(err)
+		}
 	}
-	return t, nil
+	return q.Schedule(start, tick)
 }
-
-func (t *heapTicker) tick(now Time) {
-	if t.stop {
-		return
-	}
-	t.fn(now)
-	if t.stop {
-		return
-	}
-	if err := t.q.Schedule(now+t.period, t.tickFn); err != nil {
-		panic(err)
-	}
-}
-
-func (t *heapTicker) SetPeriod(period Duration) error {
-	if period <= 0 {
-		return errors.New("heap oracle: non-positive period")
-	}
-	t.period = period
-	return nil
-}
-
-func (t *heapTicker) Stop() { t.stop = true }
 
 // eventHeap orders events by (At, seq).
 type eventHeap []*event

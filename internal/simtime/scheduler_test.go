@@ -9,7 +9,7 @@ import (
 // the oracle the differential tests trust behaves as the queue does.
 func both(t *testing.T, f func(t *testing.T, q queue)) {
 	t.Helper()
-	t.Run("sorted", func(t *testing.T) { f(t, sortedQueue{NewEventQueue()}) })
+	t.Run("sorted", func(t *testing.T) { f(t, NewEventQueue()) })
 	t.Run("heap", func(t *testing.T) { f(t, &heapQueue{}) })
 }
 
@@ -17,41 +17,6 @@ func both(t *testing.T, f func(t *testing.T, q queue)) {
 func drain(q *EventQueue) {
 	for q.Step() {
 	}
-}
-
-// TestTickerSetPeriodAfterSameInstantStopStart stops ticker A from inside its
-// own callback and immediately starts ticker B at the same instant. A
-// SetPeriod on B must take effect from B's next tick, and stopping A again
-// must leave B alone.
-func TestTickerSetPeriodAfterSameInstantStopStart(t *testing.T) {
-	both(t, func(t *testing.T, q queue) {
-		var fires []Time
-		var a, b ticker
-		var err error
-		a, err = q.newTicker(0, 1, func(now Time) {
-			a.Stop()
-			b, err = q.newTicker(now, 1, func(now Time) {
-				fires = append(fires, now)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.SetPeriod(2); err != nil {
-				t.Fatal(err)
-			}
-			a.Stop() // must be a no-op for b
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q.RunUntil(5)
-		// b starts at the same instant as a's only tick (t=0); its first tick
-		// fires immediately, then the updated period of 2 applies.
-		want := []Time{0, 2, 4}
-		if fmt.Sprint(fires) != fmt.Sprint(want) {
-			t.Fatalf("fires = %v, want %v", fires, want)
-		}
-	})
 }
 
 // TestFarApartInstants schedules, in reverse order, instants from a tenth
@@ -95,7 +60,7 @@ func TestFarFutureInstants(t *testing.T) {
 }
 
 // TestSteadyStateZeroAllocs pins the freelist contract: once warmed up, a
-// schedule→step cycle and a retimed ticker's tick allocate nothing.
+// schedule→step cycle and a ticker's tick allocate nothing.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	both(t, func(t *testing.T, q queue) {
 		fn := func(Time) {}
@@ -114,18 +79,12 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("schedule/step steady state: %v allocs/op, want 0", allocs)
 		}
-		tk, err := q.newTicker(q.Now(), 0.001, fn)
-		if err != nil {
+		if err := q.NewTicker(q.Now(), 0.001, fn); err != nil {
 			t.Fatal(err)
 		}
-		period := Duration(0.001)
-		allocs = testing.AllocsPerRun(100, func() {
-			period = 0.003 - period
-			_ = tk.SetPeriod(period)
-			q.Step()
-		})
+		allocs = testing.AllocsPerRun(100, func() { q.Step() })
 		if allocs != 0 {
-			t.Errorf("ticker retime/step steady state: %v allocs/op, want 0", allocs)
+			t.Errorf("ticker tick steady state: %v allocs/op, want 0", allocs)
 		}
 	})
 }
@@ -137,7 +96,7 @@ func TestResetDropsPendingEvents(t *testing.T) {
 	q := NewEventQueue()
 	fired := 0
 	fn := func(Time) { fired++ }
-	if _, err := q.NewTicker(0, 0.01, fn); err != nil {
+	if err := q.NewTicker(0, 0.01, fn); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
@@ -180,7 +139,7 @@ func TestSortedAndHeapIdenticalSequences(t *testing.T) {
 		s ^= s << 17
 		script = append(script, byte(s))
 	}
-	sorted := runSchedulerScript(sortedQueue{NewEventQueue()}, script)
+	sorted := runSchedulerScript(NewEventQueue(), script)
 	heap := runSchedulerScript(&heapQueue{}, script)
 	if fmt.Sprint(sorted) != fmt.Sprint(heap) {
 		t.Fatalf("queue fired %d events, heap oracle fired %d; sequences differ", len(sorted), len(heap))

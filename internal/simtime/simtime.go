@@ -165,59 +165,25 @@ func (q *EventQueue) Reset() {
 	q.now = 0
 }
 
-// Ticker fires fn every period seconds, starting at start. Changing the
-// period takes effect from the next tick. Stop ends the ticks.
-type Ticker struct {
-	q      *EventQueue
-	fn     func(now Time)
-	tickFn func(now Time) // t.tick bound once; a method value allocates per use
-	period Duration
-	stop   bool
-}
-
-// NewTicker schedules a periodic callback. period must be > 0.
-func (q *EventQueue) NewTicker(start Time, period Duration, fn func(now Time)) (*Ticker, error) {
-	if period <= 0 {
-		return nil, fmt.Errorf("simtime: ticker period %v must be positive", period)
-	}
-	if fn == nil {
-		return nil, errors.New("simtime: ticker with nil fn")
-	}
-	t := &Ticker{q: q, fn: fn, period: period}
-	t.tickFn = t.tick
-	if err := q.Schedule(start, t.tickFn); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func (t *Ticker) tick(now Time) {
-	if t.stop {
-		return
-	}
-	t.fn(now)
-	if t.stop { // fn may have stopped us
-		return
-	}
-	if err := t.q.Schedule(now+t.period, t.tickFn); err != nil {
-		// Impossible by construction: now + period is strictly after the
-		// queue's clock for the positive, finite periods NewTicker and
-		// SetPeriod admit. A failure here means the ticker invariant was
-		// broken by a simtime bug, not by the caller.
-		panic(fmt.Sprintf("simtime: ticker invariant violated rescheduling period %v at %v: %v", t.period, now, err))
-	}
-}
-
-// SetPeriod updates the tick interval from the next tick onward.
-// Non-positive periods are rejected and leave the ticker unchanged.
-func (t *Ticker) SetPeriod(period Duration) error {
+// NewTicker fires fn every period seconds, starting at start. period must be
+// positive. The ticks have no handle: a ticker runs until its queue stops
+// stepping or is Reset.
+func (q *EventQueue) NewTicker(start Time, period Duration, fn func(now Time)) error {
 	if period <= 0 {
 		return fmt.Errorf("simtime: ticker period %v must be positive", period)
 	}
-	t.period = period
-	return nil
+	if fn == nil {
+		return errors.New("simtime: ticker with nil fn")
+	}
+	var tick func(now Time)
+	tick = func(now Time) {
+		fn(now)
+		if err := q.Schedule(now+period, tick); err != nil {
+			// Impossible by construction: now + period is strictly after
+			// the queue's clock for the positive, finite periods NewTicker
+			// admits. A failure here means a simtime bug, not a caller's.
+			panic(fmt.Sprintf("simtime: ticker invariant violated rescheduling period %v at %v: %v", period, now, err))
+		}
+	}
+	return q.Schedule(start, tick)
 }
-
-// Stop ends the ticks: the tick already queued fires without calling fn
-// and schedules no other.
-func (t *Ticker) Stop() { t.stop = true }

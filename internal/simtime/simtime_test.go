@@ -131,82 +131,21 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 func TestTicker(t *testing.T) {
 	q := NewEventQueue()
 	var ticks []Time
-	tk, err := q.NewTicker(0, 0.1, func(now Time) { ticks = append(ticks, now) })
-	if err != nil {
+	if err := q.NewTicker(0, 0.1, func(now Time) { ticks = append(ticks, now) }); err != nil {
 		t.Fatal(err)
 	}
 	q.RunUntil(0.55)
 	if len(ticks) != 6 { // 0.0 .. 0.5
 		t.Fatalf("got %d ticks, want 6: %v", len(ticks), ticks)
 	}
-	tk.Stop()
-	q.RunUntil(1)
-	if len(ticks) != 6 {
-		t.Errorf("ticker fired after Stop: %v", ticks)
-	}
-}
-
-func TestTickerSetPeriod(t *testing.T) {
-	q := NewEventQueue()
-	var (
-		ticks []Time
-		tk    *Ticker
-		err   error
-	)
-	tk, err = q.NewTicker(0, 1, func(now Time) {
-		ticks = append(ticks, now)
-		if now == 2 {
-			if err := tk.SetPeriod(0.5); err != nil {
-				t.Errorf("SetPeriod: %v", err)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.RunUntil(3.2)
-	if err := tk.SetPeriod(0); err == nil {
-		t.Error("SetPeriod(0) succeeded, want error")
-	}
-	// The rejected period leaves the ticker on 0.5.
-	q.Step()
-	q.Step()
-	want := []Time{0, 1, 2, 2.5, 3, 3.5, 4}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if math.Abs(float64(ticks[i]-want[i])) > 1e-12 {
-			t.Fatalf("ticks %v, want %v", ticks, want)
-		}
-	}
-}
-
-func TestTickerStopFromCallback(t *testing.T) {
-	q := NewEventQueue()
-	var tk *Ticker
-	count := 0
-	tk, err := q.NewTicker(0, 1, func(Time) {
-		count++
-		if count == 3 {
-			tk.Stop()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drain(q)
-	if count != 3 {
-		t.Errorf("ticker fired %d times, want 3 (stopped from callback)", count)
-	}
 }
 
 func TestTickerInvalid(t *testing.T) {
 	q := NewEventQueue()
-	if _, err := q.NewTicker(0, 0, func(Time) {}); err == nil {
+	if err := q.NewTicker(0, 0, func(Time) {}); err == nil {
 		t.Error("NewTicker period 0 succeeded, want error")
 	}
-	if _, err := q.NewTicker(0, 1, nil); err == nil {
+	if err := q.NewTicker(0, 1, nil); err == nil {
 		t.Error("NewTicker nil fn succeeded, want error")
 	}
 }
