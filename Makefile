@@ -30,8 +30,10 @@ RACE_EXEMPT := ./internal/analysis/... ./internal/dag/... \
 
 # Benchtime for the perf-baseline suite. A duration (not an iteration
 # count): the sub-microsecond benchmarks need >=10ms of samples for stable
-# ns/op, while allocs/op stays deterministic either way (steady-state
-# allocations are exact per op; setup allocations amortise to zero).
+# ns/op. allocs/op is exact per op on most pins, but not on all:
+# ReportDigest/samples=20000, ResultCodec/encode/samples=20000,
+# Execute/fusion-overload and FleetSecond/N=256 each move by an
+# allocation or two from run to run, and FleetSecond/N=1024 by a few.
 BENCHTIME ?= 10ms
 # Where bench-check writes the fresh run (CI uploads it as an artifact).
 # Lives under the git-ignored out/ so repeated local runs never litter the

@@ -378,6 +378,16 @@ func run(opts options) error {
 	return writeTraceEvents(opts.TracePath, res.Events)
 }
 
+// statusTicks calls status at each of the first ⌈duration⌉ ticks: a run of
+// duration seconds on a 1 s ticker reports once a second and stops at the
+// tick that ends it, wherever that tick lands against the wall clock.
+func statusTicks(ticks <-chan time.Time, duration float64, status func()) {
+	for n := 0; float64(n) < duration; n++ {
+		<-ticks
+		status()
+	}
+}
+
 // runWallClock demonstrates the real-time executor: the 23-task graph on
 // wall clock with a synthetic oscillating tracking error driving the HCPerf
 // coordinators.
@@ -400,16 +410,18 @@ func runWallClock(scheme scenario.Scheme, seed int64, duration float64, tracer *
 		}
 	}
 	cfg := rt.Config{
-		Graph:           graph,
-		Scheduler:       scheduler,
+		Kernel: lifecycle.Config{
+			Graph:      graph,
+			Scheduler:  scheduler,
+			Seed:       seed,
+			MaxDataAge: scenario.DefaultMaxDataAge,
+		},
 		NumProcs:        2,
-		Seed:            seed,
 		TrackingError:   trackErr,
 		DisableExternal: scheme == scenario.SchemeHCPerfInternal,
-		MaxDataAge:      scenario.DefaultMaxDataAge,
 	}
 	if tracer != nil {
-		cfg.Tracer = tracer
+		cfg.Kernel.Tracer = tracer
 	}
 	ex, err := rt.New(cfg)
 	if err != nil {
@@ -421,14 +433,12 @@ func runWallClock(scheme scenario.Scheme, seed int64, duration float64, tracer *
 	}
 	ticker := time.NewTicker(time.Second)
 	defer ticker.Stop()
-	deadline := time.Now().Add(time.Duration(duration * float64(time.Second)))
-	for time.Now().Before(deadline) {
-		<-ticker.C
+	statusTicks(ticker.C, duration, func() {
 		st := ex.Stats()
 		fmt.Printf("t=%4.0fs released=%d completed=%d missed=%d cmds=%d miss=%.3f\n",
 			float64(ex.Elapsed()), st.Released, st.Completed, st.Missed,
 			st.ControlCommands, st.MissRatio())
-	}
+	})
 	if err := ex.Stop(); err != nil {
 		return err
 	}

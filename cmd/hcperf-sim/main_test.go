@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"hcperf/internal/scenario"
 	"hcperf/internal/store"
@@ -342,6 +343,25 @@ func TestRunStoreRejectedInRTMode(t *testing.T) {
 
 // TestRunWallClockBriefly runs -mode rt under HCPerf with a CSV trace,
 // which must record control commands, then under a baseline.
+// TestStatusTicks: an rt run of D seconds prints ⌈D⌉ status lines, one
+// per tick of its 1 s ticker, however many more ticks arrive.
+func TestStatusTicks(t *testing.T) {
+	for _, tc := range []struct {
+		duration float64
+		want     int
+	}{{1, 1}, {2.5, 3}, {3, 3}} {
+		ticks := make(chan time.Time, 10)
+		for i := 0; i < cap(ticks); i++ {
+			ticks <- time.Time{}
+		}
+		lines := 0
+		statusTicks(ticks, tc.duration, func() { lines++ })
+		if lines != tc.want {
+			t.Errorf("duration %v: %d status lines, want %d", tc.duration, lines, tc.want)
+		}
+	}
+}
+
 func TestRunWallClockBriefly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock run")

@@ -43,6 +43,18 @@ func runCarFollowingSweep(workers int, build func(scenario.Scheme) (scenario.Car
 	return out, nil
 }
 
+// copySeries appends every sample of src to rec's series name, through one
+// handle sized to src.
+func copySeries(rec *trace.Recorder, name string, src *trace.Series) error {
+	h := rec.Handle(name, src.Len())
+	for _, p := range src.Samples {
+		if err := h.Add(p.T, p.V); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func simCarFollowing(seed int64, workers int) (map[scenario.Scheme]*scenario.CarFollowingResult, error) {
 	return runCarFollowingSweep(workers, func(s scenario.Scheme) (scenario.CarFollowingConfig, error) {
 		return scenario.CarFollowingConfig{Loop: scenario.Loop{Scheme: s, Seed: seed}}, nil
@@ -203,6 +215,7 @@ func Fig12ExecTimes(seed int64, _ int) (*Report, error) {
 	rng := rand.New(rand.NewSource(seed))
 	tasks := []string{"image_preproc", "camera_detection", "sensor_fusion", "object_tracking"}
 	scenes := []int{5, 10, 15, 20, 25}
+	const samples = 200
 	rec := trace.NewRecorder()
 
 	rows := make([][]string, 0, len(tasks))
@@ -212,13 +225,13 @@ func Fig12ExecTimes(seed int64, _ int) (*Report, error) {
 			return nil, fmt.Errorf("experiment: unknown task %q", name)
 		}
 		row := []string{name}
+		h := rec.Handle(name, len(scenes)*samples)
 		for _, n := range scenes {
 			sum := 0.0
-			const samples = 200
 			for i := 0; i < samples; i++ {
 				d := t.Exec.Sample(rng, 0, exectime.Scene{Obstacles: n, LoadFactor: 1})
 				sum += float64(d)
-				if err := rec.Add(name, float64(n)+float64(i)/samples, float64(d)*1000); err != nil {
+				if err := h.Add(float64(n)+float64(i)/samples, float64(d)*1000); err != nil {
 					return nil, err
 				}
 			}
@@ -252,11 +265,8 @@ func Fig13CarFollowing(seed int64, workers int) (*Report, error) {
 	for _, s := range scenario.AllSchemes() {
 		r := results[s]
 		for _, name := range []string{"follow_speed", "speed_err", "dist_err", "miss_ratio"} {
-			src := r.Rec.Series(name)
-			for _, p := range src.Samples {
-				if err := rec.Add(s.String()+"/"+name, p.T, p.V); err != nil {
-					return nil, err
-				}
+			if err := copySeries(rec, s.String()+"/"+name, r.Rec.Series(name)); err != nil {
+				return nil, err
 			}
 		}
 		rows = append(rows, []string{
@@ -269,11 +279,8 @@ func Fig13CarFollowing(seed int64, workers int) (*Report, error) {
 			fmt.Sprintf("%t", r.WeaklyHard.Holds()),
 		})
 	}
-	lead := results[scenario.SchemeHCPerf].Rec.Series("lead_speed")
-	for _, p := range lead.Samples {
-		if err := rec.Add("lead_speed", p.T, p.V); err != nil {
-			return nil, err
-		}
+	if err := copySeries(rec, "lead_speed", results[scenario.SchemeHCPerf].Rec.Series("lead_speed")); err != nil {
+		return nil, err
 	}
 	return &Report{
 		ID:     "fig13",
@@ -347,10 +354,8 @@ func Fig14LaneKeeping(seed int64, workers int) (*Report, error) {
 	rows := make([][]string, 0, len(schemes))
 	for i, s := range schemes {
 		r := results[i]
-		for _, p := range r.Rec.Series("offset").Samples {
-			if err := rec.Add(s.String()+"/offset", p.T, p.V); err != nil {
-				return nil, err
-			}
+		if err := copySeries(rec, s.String()+"/offset", r.Rec.Series("offset")); err != nil {
+			return nil, err
 		}
 		rows = append(rows, []string{s.String(), fmtF(r.OffsetRMS, 4), fmtF(r.OffsetMax, 4), fmtF(r.Miss.MeanRatio(), 3)})
 	}
@@ -415,10 +420,8 @@ func Fig15Hardware(seed int64, workers int) (*Report, error) {
 	for _, s := range scenario.AllSchemes() {
 		r := results[s]
 		for _, name := range []string{"follow_speed", "speed_err", "dist_err", "miss_ratio"} {
-			for _, p := range r.Rec.Series(name).Samples {
-				if err := rec.Add(s.String()+"/"+name, p.T, p.V); err != nil {
-					return nil, err
-				}
+			if err := copySeries(rec, s.String()+"/"+name, r.Rec.Series(name)); err != nil {
+				return nil, err
 			}
 		}
 		rows = append(rows, []string{
@@ -561,10 +564,8 @@ func Fig18Ablation(seed int64, workers int) (*Report, error) {
 	rec := trace.NewRecorder()
 	for i, v := range variants {
 		for _, name := range []string{"speed_err", "miss_ratio"} {
-			for _, p := range results[i].Rec.Series(name).Samples {
-				if err := rec.Add(v.label+"/"+name, p.T, p.V); err != nil {
-					return nil, err
-				}
+			if err := copySeries(rec, v.label+"/"+name, results[i].Rec.Series(name)); err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -307,7 +307,11 @@ func Run(cfg Config) (*Result, error) {
 	res.SpeedRMS = distribution(speed)
 	res.DistRMS = distribution(dist)
 	res.Miss = distribution(miss)
-	res.Rec = aggregate(times, errs, gaps, cfg.N)
+	rec, err := aggregate(times, errs, gaps, cfg.N)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	res.Rec = rec
 	return res, nil
 }
 
@@ -316,9 +320,13 @@ func Run(cfg Config) (*Result, error) {
 // vehicle. At each instant the gap minimum starts from vehicle 0 and runs
 // in index order, and the errors are sorted before any floating-point
 // arithmetic, so the aggregates are permutation-invariant bit for bit.
-func aggregate(times, errs, gaps []float64, n int) *trace.Recorder {
+func aggregate(times, errs, gaps []float64, n int) (*trace.Recorder, error) {
 	rec := trace.NewRecorder()
 	ns := len(times)
+	series := [...]trace.Handle{
+		rec.Handle("fleet_err_mean", ns), rec.Handle("fleet_err_p95", ns),
+		rec.Handle("fleet_err_max", ns), rec.Handle("fleet_gap_min", ns),
+	}
 	col := make([]float64, n)
 	for j, t := range times {
 		gapMin := gaps[j]
@@ -334,18 +342,11 @@ func aggregate(times, errs, gaps []float64, n int) *trace.Recorder {
 			sum += e
 		}
 		d := distribution(col)
-		recAdd(rec, "fleet_err_mean", t, sum/float64(n))
-		recAdd(rec, "fleet_err_p95", t, d.P95)
-		recAdd(rec, "fleet_err_max", t, d.Max)
-		recAdd(rec, "fleet_gap_min", t, gapMin)
+		for k, v := range [...]float64{sum / float64(n), d.P95, d.Max, gapMin} {
+			if err := series[k].Add(t, v); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return rec
-}
-
-// recAdd appends to a recorder series; the sample instants only ever
-// advance with simulation time, so failures indicate harness bugs.
-func recAdd(rec *trace.Recorder, name string, t, v float64) {
-	if err := rec.Add(name, t, v); err != nil {
-		panic(fmt.Sprintf("fleet: record %s: %v", name, err))
-	}
+	return rec, nil
 }

@@ -204,11 +204,8 @@ func runWallClock(t *testing.T, g *dag.Graph, s sched.Scheduler, seed int64) []l
 	t.Helper()
 	tr := &sliceTracer{}
 	ex, err := rt.New(rt.Config{
-		Graph:     g,
-		Scheduler: s,
-		NumProcs:  diffM,
-		Seed:      seed,
-		Tracer:    tr,
+		Kernel:   lifecycle.Config{Graph: g, Scheduler: s, Seed: seed, Tracer: tr},
+		NumProcs: diffM,
 	})
 	if err != nil {
 		t.Fatalf("rt.New: %v", err)

@@ -37,10 +37,10 @@ type Bench struct {
 // Suite returns the benchmarks the perf baseline tracks: the hot paths the
 // dispatch-layer optimisations target (γ search, dispatch selection,
 // Hungarian matching one-shot vs. reused Solver, a full engine second per
-// policy, one controller step), the report digest a result computes once,
-// the disk codec every stored result passes through, what a disk answer
-// pays before it renders, a whole memory-hit answer, and the normalize
-// stage of a spec request.
+// policy, one controller step), a single run's execute stage, the report
+// digest a result computes once, the disk codec every stored result passes
+// through, what a disk answer pays before it renders, a whole memory-hit
+// answer, and the normalize stage of a spec request.
 // Names are stable identifiers — they key the baseline JSON, so renaming
 // one invalidates the checked-in baseline.
 func Suite() []Bench {
@@ -62,6 +62,7 @@ func Suite() []Bench {
 		{"FleetSecond/N=1024", func(b *testing.B) { benchFleetSecond(b, 1024) }},
 		{"SimtimeSchedule", benchSimtimeSchedule},
 		{"SimtimeTickerChurn", benchSimtimeTickerChurn},
+		{"Execute/fusion-overload", benchExecute},
 		{"ReportDigest/samples=20000", func(b *testing.B) { benchReportDigest(b, carFollowingReport(b, 20000)) }},
 		{"ReportDigest/fusion-overload", func(b *testing.B) { benchReportDigest(b, fusionOverloadReport(b)) }},
 		{"ResultCodec/encode/samples=20000", func(b *testing.B) { benchResultEncode(b, 20000) }},
@@ -81,10 +82,14 @@ func carFollowingReport(tb testing.TB, samples int) *experiment.Report {
 		"dist_err", "throughput", "response_ms", "discomfort", "miss_ratio", "queue_len",
 	}
 	rec := trace.NewRecorder()
+	hs := make([]trace.Handle, len(names))
+	for i, name := range names {
+		hs[i] = rec.Handle(name, (samples+len(names)-1)/len(names))
+	}
 	rng := rand.New(rand.NewSource(1))
 	for k := 0; k < samples; k++ {
 		t := float64(k/len(names)) * 0.01
-		if err := rec.Add(names[k%len(names)], t, rng.NormFloat64()*10); err != nil {
+		if err := hs[k%len(names)].Add(t, rng.NormFloat64()*10); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -97,11 +102,9 @@ func carFollowingReport(tb testing.TB, samples int) *experiment.Report {
 	}
 }
 
-// fusionOverloadReport is the report of one run.Execute of
-// examples/specs/fusion-overload.json, shaped like every serve-cold
-// result: 16 series on three time bases of accumulated times such as
-// 29.99000000000189.
-func fusionOverloadReport(tb testing.TB) *experiment.Report {
+// fusionOverloadRequest is the normalized request of
+// examples/specs/fusion-overload.json.
+func fusionOverloadRequest(tb testing.TB) run.Request {
 	spec, err := scenario.DecodeSpec(bytes.NewReader(specs.FusionOverload))
 	if err != nil {
 		tb.Fatal(err)
@@ -110,11 +113,32 @@ func fusionOverloadReport(tb testing.TB) *experiment.Report {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, err := run.Execute(context.Background(), req)
+	return req
+}
+
+// fusionOverloadReport is the report of one run.Execute of
+// examples/specs/fusion-overload.json, shaped like every serve-cold
+// result: 16 series on three time bases of accumulated times such as
+// 29.99000000000189.
+func fusionOverloadReport(tb testing.TB) *experiment.Report {
+	res, err := run.Execute(context.Background(), fusionOverloadRequest(tb))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return res.Report
+}
+
+// benchExecute measures run.Execute of the fusion-overload spec: the
+// execute stage of a serve-cold single run, series recording included.
+func benchExecute(b *testing.B) {
+	req := fusionOverloadRequest(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := run.Execute(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // codecDigest is the request digest the codec pins store their entry

@@ -27,8 +27,6 @@ import (
 	"time"
 
 	"hcperf/internal/core"
-	"hcperf/internal/dag"
-	"hcperf/internal/exectime"
 	"hcperf/internal/lifecycle"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
@@ -39,26 +37,15 @@ const DefaultStopTimeout = 10 * time.Second
 
 // Config configures an Executor.
 type Config struct {
-	// Graph is the validated task graph to execute.
-	Graph *dag.Graph
-	// Scheduler is the dispatch policy (pass a *sched.Dynamic to enable
-	// HCPerf coordination together with TrackingError).
-	Scheduler sched.Scheduler
+	// Kernel configures the lifecycle kernel: graph, policy (a
+	// *sched.Dynamic, together with TrackingError, enables HCPerf
+	// coordination), seed, scene by wall-clock offset, data-age bound,
+	// callbacks and tracer. OnControl runs with the executor lock
+	// released, potentially concurrently; OnJobDecided and the tracer run
+	// with it held and must not block.
+	Kernel lifecycle.Config
 	// NumProcs is the worker count (M >= 1).
 	NumProcs int
-	// Seed seeds execution-time sampling.
-	Seed int64
-	// Scene supplies the runtime scene by wall-clock offset; nil means
-	// exectime.NominalScene.
-	Scene func(elapsed simtime.Time) exectime.Scene
-	// MaxDataAge bounds input ages as in the engine (0 disables).
-	MaxDataAge simtime.Duration
-	// OnControl observes emitted control commands (called off the worker
-	// goroutines' critical section but potentially concurrently).
-	OnControl func(cmd lifecycle.ControlCommand)
-	// Tracer optionally receives the structured lifecycle event stream.
-	// It is invoked with the executor lock held and must not block.
-	Tracer lifecycle.Tracer
 	// TrackingError, when set together with a *sched.Dynamic scheduler,
 	// enables the HCPerf coordinators on wall clock. It is called outside
 	// the executor lock, from one goroutine.
@@ -162,31 +149,22 @@ func New(cfg Config) (*Executor, error) {
 		stopCh: make(chan struct{}),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	onControl := cfg.OnControl
-	k, err := lifecycle.NewKernel(lifecycle.Config{
-		Graph:      cfg.Graph,
-		Scheduler:  cfg.Scheduler,
-		Seed:       cfg.Seed,
-		Scene:      cfg.Scene,
-		MaxDataAge: cfg.MaxDataAge,
-		OnControl: func(cmd lifecycle.ControlCommand) {
-			if onControl == nil {
-				return
-			}
+	if onControl := cfg.Kernel.OnControl; onControl != nil {
+		cfg.Kernel.OnControl = func(cmd lifecycle.ControlCommand) {
 			// The kernel runs under e.mu; release it around the user
 			// callback so observers may call back into the executor.
 			e.mu.Unlock()
 			onControl(cmd)
 			e.mu.Lock()
-		},
-		Tracer: cfg.Tracer,
-	}, rtBackend{e})
+		}
+	}
+	k, err := lifecycle.NewKernel(cfg.Kernel, rtBackend{e})
 	if err != nil {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
 	e.k = k
 	if cfg.TrackingError != nil {
-		if _, ok := cfg.Scheduler.(*sched.Dynamic); !ok {
+		if _, ok := cfg.Kernel.Scheduler.(*sched.Dynamic); !ok {
 			return nil, errors.New("rt: TrackingError requires a *sched.Dynamic scheduler")
 		}
 		trackingError := cfg.TrackingError

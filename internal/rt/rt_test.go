@@ -57,11 +57,11 @@ func TestConfigValidation(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{name: "nil graph", cfg: Config{Scheduler: sched.EDF{}, NumProcs: 1}},
-		{name: "nil scheduler", cfg: Config{Graph: g, NumProcs: 1}},
-		{name: "zero procs", cfg: Config{Graph: g, Scheduler: sched.EDF{}}},
+		{name: "nil graph", cfg: Config{Kernel: lifecycle.Config{Scheduler: sched.EDF{}}, NumProcs: 1}},
+		{name: "nil scheduler", cfg: Config{Kernel: lifecycle.Config{Graph: g}, NumProcs: 1}},
+		{name: "zero procs", cfg: Config{Kernel: lifecycle.Config{Graph: g, Scheduler: sched.EDF{}}}},
 		{name: "tracking error without dynamic", cfg: Config{
-			Graph: g, Scheduler: sched.EDF{}, NumProcs: 1,
+			Kernel: lifecycle.Config{Graph: g, Scheduler: sched.EDF{}}, NumProcs: 1,
 			TrackingError: func(simtime.Time) float64 { return 0 },
 		}},
 	}
@@ -79,14 +79,16 @@ func TestPipelineRunsOnWallClock(t *testing.T) {
 	var cmds atomic.Uint64
 	var lastE2E atomic.Int64
 	ex, err := New(Config{
-		Graph:     g,
-		Scheduler: sched.EDF{},
-		NumProcs:  2,
-		Seed:      1,
-		OnControl: func(cmd lifecycle.ControlCommand) {
-			cmds.Add(1)
-			lastE2E.Store(int64(cmd.EndToEndLatency().ToDuration()))
+		Kernel: lifecycle.Config{
+			Graph:     g,
+			Scheduler: sched.EDF{},
+			Seed:      1,
+			OnControl: func(cmd lifecycle.ControlCommand) {
+				cmds.Add(1)
+				lastE2E.Store(int64(cmd.EndToEndLatency().ToDuration()))
+			},
 		},
+		NumProcs: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +140,7 @@ func TestDeadlineMissesUnderOverloadWallClock(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ex, err := New(Config{Graph: g, Scheduler: sched.EDF{}, NumProcs: 1, Seed: 1})
+	ex, err := New(Config{Kernel: lifecycle.Config{Graph: g, Scheduler: sched.EDF{}, Seed: 1}, NumProcs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +158,8 @@ func TestHCPerfCoordinationOnWallClock(t *testing.T) {
 	g := fastGraph(t)
 	dyn := sched.NewDynamic(0.02)
 	ex, err := New(Config{
-		Graph:     g,
-		Scheduler: dyn,
-		NumProcs:  2,
-		Seed:      1,
+		Kernel:   lifecycle.Config{Graph: g, Scheduler: dyn, Seed: 1},
+		NumProcs: 2,
 		// A persistent tracking error drives u upward.
 		TrackingError: func(simtime.Time) float64 { return 2 },
 		ControlPeriod: 20 * time.Millisecond,
@@ -190,10 +190,8 @@ func TestRateAdapterActsOnWallClock(t *testing.T) {
 	sensorRate := func(disableExternal bool) float64 {
 		g := fastGraph(t)
 		ex, err := New(Config{
-			Graph:           g,
-			Scheduler:       sched.NewDynamic(0.02),
+			Kernel:          lifecycle.Config{Graph: g, Scheduler: sched.NewDynamic(0.02), Seed: 1},
 			NumProcs:        2,
-			Seed:            1,
 			TrackingError:   func(simtime.Time) float64 { return 0 },
 			DisableExternal: disableExternal,
 			ControlPeriod:   20 * time.Millisecond,
@@ -227,11 +225,14 @@ func TestShutdownBoundedWithWedgedWorker(t *testing.T) {
 	wedged, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	ex, err := New(Config{
-		Graph: fastGraph(t), Scheduler: sched.EDF{}, NumProcs: 1, Seed: 1,
-		OnControl: func(lifecycle.ControlCommand) {
-			once.Do(func() { close(wedged) })
-			<-release
+		Kernel: lifecycle.Config{
+			Graph: fastGraph(t), Scheduler: sched.EDF{}, Seed: 1,
+			OnControl: func(lifecycle.ControlCommand) {
+				once.Do(func() { close(wedged) })
+				<-release
+			},
 		},
+		NumProcs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

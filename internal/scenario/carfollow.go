@@ -142,7 +142,6 @@ type CarFollowingResult struct {
 // on a speed profile and a follower driven by stale pipeline outputs.
 type carFollowPlant struct {
 	cfg   *CarFollowingConfig
-	rec   *trace.Recorder
 	noise *rand.Rand
 	gains vehicle.CarFollower
 
@@ -167,19 +166,26 @@ type carFollowPlant struct {
 	maxGap         float64
 	gapWindowStart float64
 	lastCmds       uint64
+
+	// The series recorded per dynamics step, per coordinator control
+	// period and per summary sample; nil without a recorder.
+	steps, coord, samples seriesRow
 }
 
-func newCarFollowPlant(cfg *CarFollowingConfig, rec *trace.Recorder) (*carFollowPlant, error) {
+func newCarFollowPlant(cfg *CarFollowingConfig, rec *trace.Recorder, n seriesLens) (*carFollowPlant, error) {
 	p := &carFollowPlant{
 		cfg:   cfg,
-		rec:   rec,
 		noise: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 		gains: cfg.FollowerGains,
 		// Room for the initial row and one per dynamics step.
-		hist:           make(history[lonState], 0, int(cfg.Duration/cfg.VehicleStep)+2),
+		hist:           make(history[lonState], 0, n.step+1),
 		gapWindowStart: math.Min(20, cfg.Duration/4),
 		speedErr:       rmsWindow{to: cfg.Duration},
 		distErr:        rmsWindow{to: cfg.Duration},
+		steps:          newSeriesRow(rec, n.step, "lead_speed", "follow_speed", "speed_err", "gap", "dist_err"),
+		coord:          newSeriesRow(rec, n.control, "tracking_err_sample", "u", "gamma"),
+		samples: newSeriesRow(rec, n.sample, "throughput", "response_ms", "discomfort", "miss_ratio",
+			"queue_len", "utilization", "rate_camera", "rate_lidar"),
 	}
 	var err error
 	if p.follower, err = vehicle.NewLongitudinal(cfg.Longitudinal); err != nil {
@@ -193,7 +199,7 @@ func newCarFollowPlant(cfg *CarFollowingConfig, rec *trace.Recorder) (*carFollow
 	if p.lead, err = vehicle.NewLead(cfg.LeadProfile, gap0); err != nil {
 		return nil, err
 	}
-	if err := p.hist.add(0, lonStateOf(p.lead, p.follower)); err != nil {
+	if err := p.hist.add(0, lonStateOf(p.lead, p.lead.Speed(), p.follower)); err != nil {
 		return nil, err
 	}
 	if p.weaklyHard, err = metrics.NewWeaklyHard(1, 10); err != nil {
@@ -243,9 +249,7 @@ func (p *carFollowPlant) TrackingError(simtime.Time) float64 {
 }
 
 func (p *carFollowPlant) CoordSample(now simtime.Time, e, u, gamma float64) {
-	recAdd(p.rec, "tracking_err_sample", float64(now), e)
-	recAdd(p.rec, "u", float64(now), u)
-	recAdd(p.rec, "gamma", float64(now), gamma)
+	p.coord.add(float64(now), e, u, gamma)
 }
 
 func (p *carFollowPlant) Step(now float64) {
@@ -256,7 +260,8 @@ func (p *carFollowPlant) Step(now float64) {
 	if err := p.follower.Step(step); err != nil {
 		panic(fmt.Sprintf("scenario: follower step: %v", err))
 	}
-	if err := p.hist.add(now, lonStateOf(p.lead, p.follower)); err != nil {
+	lead := p.lead.Speed()
+	if err := p.hist.add(now, lonStateOf(p.lead, lead, p.follower)); err != nil {
 		panic(fmt.Sprintf("scenario: history: %v", err))
 	}
 	gap := p.lead.Position - p.follower.Position
@@ -265,14 +270,12 @@ func (p *carFollowPlant) Step(now float64) {
 	if err := p.discomfort.Note(now, p.follower.Accel()); err != nil {
 		panic(fmt.Sprintf("scenario: discomfort: %v", err))
 	}
-	speedErr, distErr := p.lead.Speed()-p.follower.Speed, gap-desired
+	speedErr, distErr := lead-p.follower.Speed, gap-desired
 	p.speedErr.add(now, speedErr)
 	p.distErr.add(now, distErr)
-	recAdd(p.rec, "lead_speed", now, p.lead.Speed())
-	recAdd(p.rec, "follow_speed", now, p.follower.Speed)
-	recAdd(p.rec, "speed_err", now, speedErr)
-	recAdd(p.rec, "gap", now, gap)
-	recAdd(p.rec, "dist_err", now, distErr)
+	if p.steps != nil {
+		p.steps.add(now, lead, p.follower.Speed, speedErr, gap, distErr)
+	}
 }
 
 // rmsWindow is the RMS of the samples with 0 <= t < to, summed in sample
@@ -297,19 +300,21 @@ func (w *rmsWindow) rms() float64 {
 	return math.Sqrt(w.sumSq / float64(w.n))
 }
 
+// Sample records the summary series. Without a recorder it has nothing to
+// do: the per-second throughput and response window feed only them.
 func (p *carFollowPlant) Sample(t float64, env *Env) {
+	if p.samples == nil {
+		return
+	}
 	k := env.Eng.Kernel()
 	cmds := k.Stats().ControlCommands
-	recAdd(p.rec, "throughput", t, float64(cmds-p.lastCmds))
+	throughput := float64(cmds - p.lastCmds)
 	p.lastCmds = cmds
-	recAdd(p.rec, "response_ms", t, p.respWindow.Mean()*1000)
+	resp := p.respWindow.Mean() * 1000
 	p.respWindow.Reset()
-	recAdd(p.rec, "discomfort", t, p.discomfort.Index())
-	recAdd(p.rec, "miss_ratio", t, env.Miss.Ratio(int(t)-1))
-	recAdd(p.rec, "queue_len", t, float64(k.QueueLen()))
-	recAdd(p.rec, "utilization", t, env.Eng.Utilization())
-	recAdd(p.rec, "rate_camera", t, k.Rate(env.Graph.TaskByName("camera_front").ID))
-	recAdd(p.rec, "rate_lidar", t, k.Rate(env.Graph.TaskByName("lidar_scan").ID))
+	p.samples.add(t, throughput, resp, p.discomfort.Index(), env.Miss.Ratio(int(t)-1),
+		float64(k.QueueLen()), env.Eng.Utilization(),
+		k.Rate(env.Graph.TaskByName("camera_front").ID), k.Rate(env.Graph.TaskByName("lidar_scan").ID))
 }
 
 // CarFollowingRun is one car-following closed loop attached to an event
@@ -336,9 +341,9 @@ func AttachCarFollowing(q *simtime.EventQueue, cfg CarFollowingConfig, rec *trac
 		return nil, err
 	}
 	var p *carFollowPlant
-	a, err := attachLoop(q, cfg.Loop, carFollowFamily, func() (Plant, error) {
+	a, err := attachLoop(q, cfg.Loop, carFollowFamily, func(n seriesLens) (Plant, error) {
 		var err error
-		p, err = newCarFollowPlant(&cfg, rec)
+		p, err = newCarFollowPlant(&cfg, rec, n)
 		return p, err
 	})
 	if err != nil {

@@ -63,7 +63,6 @@ type CombinedResult struct {
 // combinedPlant runs the longitudinal and lateral worlds side by side and
 // routes control commands by sink task name.
 type combinedPlant struct {
-	rec  *trace.Recorder
 	step float64
 
 	follower *vehicle.Longitudinal
@@ -74,10 +73,20 @@ type combinedPlant struct {
 	hist history[combinedState]
 
 	lonCmds, latCmds uint64
+
+	// The series recorded per dynamics step, per coordinator control
+	// period and per summary sample.
+	steps, coord, samples seriesRow
 }
 
-func newCombinedPlant(step float64, rec *trace.Recorder) (*combinedPlant, error) {
-	p := &combinedPlant{rec: rec, step: step}
+func newCombinedPlant(step float64, rec *trace.Recorder, n seriesLens) (*combinedPlant, error) {
+	p := &combinedPlant{
+		step:    step,
+		hist:    make(history[combinedState], 0, n.step+1),
+		steps:   newSeriesRow(rec, n.step, "speed_err", "offset", "gap"),
+		coord:   newSeriesRow(rec, n.control, "gamma", "u"),
+		samples: newSeriesRow(rec, n.sample, "miss_ratio"),
+	}
 	var err error
 	if p.follower, err = vehicle.NewLongitudinal(vehicle.DefaultLongitudinal()); err != nil {
 		return nil, err
@@ -90,7 +99,7 @@ func newCombinedPlant(step float64, rec *trace.Recorder) (*combinedPlant, error)
 	if p.lat, err = vehicle.NewLateral(vehicle.DefaultLateral()); err != nil {
 		return nil, err
 	}
-	if err := p.hist.add(0, p.state()); err != nil {
+	if err := p.hist.add(0, p.state(p.lead.Speed())); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -103,10 +112,10 @@ type combinedState struct {
 	lat latState
 }
 
-// state is the world state a perception reads.
-func (p *combinedPlant) state() combinedState {
+// state is the world state a perception reads, given the lead's speed.
+func (p *combinedPlant) state(leadSpeed float64) combinedState {
 	return combinedState{
-		lon: lonStateOf(p.lead, p.follower),
+		lon: lonStateOf(p.lead, leadSpeed, p.follower),
 		lat: latState{offset: p.lat.Y, heading: p.lat.Psi, dist: p.follower.Position},
 	}
 }
@@ -137,8 +146,7 @@ func (p *combinedPlant) TrackingError(simtime.Time) float64 {
 }
 
 func (p *combinedPlant) CoordSample(now simtime.Time, e, u, gamma float64) {
-	recAdd(p.rec, "gamma", float64(now), gamma)
-	recAdd(p.rec, "u", float64(now), u)
+	p.coord.add(float64(now), gamma, u)
 }
 
 func (p *combinedPlant) Step(now float64) {
@@ -151,16 +159,15 @@ func (p *combinedPlant) Step(now float64) {
 	if err := p.lat.Step(p.step, p.follower.Speed, combinedCurvature(p.follower.Position)); err != nil {
 		panic(fmt.Sprintf("scenario: lateral step: %v", err))
 	}
-	if err := p.hist.add(now, p.state()); err != nil {
+	lead := p.lead.Speed()
+	if err := p.hist.add(now, p.state(lead)); err != nil {
 		panic(fmt.Sprintf("scenario: history: %v", err))
 	}
-	recAdd(p.rec, "speed_err", now, p.lead.Speed()-p.follower.Speed)
-	recAdd(p.rec, "offset", now, p.lat.Y)
-	recAdd(p.rec, "gap", now, p.lead.Position-p.follower.Position)
+	p.steps.add(now, lead-p.follower.Speed, p.lat.Y, p.lead.Position-p.follower.Position)
 }
 
 func (p *combinedPlant) Sample(t float64, env *Env) {
-	recAdd(p.rec, "miss_ratio", t, env.Miss.Ratio(int(t)-1))
+	p.samples.add(t, env.Miss.Ratio(int(t)-1))
 }
 
 // RunCombined executes the dual-control extension scenario: the vehicle
@@ -172,9 +179,9 @@ func (p *combinedPlant) Sample(t float64, env *Env) {
 // scenario's defaults: 60 s over 14 obstacles.
 func RunCombined(l Loop) (*CombinedResult, error) {
 	var p *combinedPlant
-	out, err := runLoop(&l, combinedFamily, func(rec *trace.Recorder) (Plant, error) {
+	out, err := runLoop(&l, combinedFamily, func(rec *trace.Recorder, n seriesLens) (Plant, error) {
 		var err error
-		p, err = newCombinedPlant(l.VehicleStep, rec)
+		p, err = newCombinedPlant(l.VehicleStep, rec, n)
 		return p, err
 	})
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"hcperf/internal/exectime"
 	"hcperf/internal/lifecycle"
 	"hcperf/internal/metrics"
+	"hcperf/internal/mfc"
 	"hcperf/internal/rate"
 	"hcperf/internal/sched"
 	"hcperf/internal/simtime"
@@ -268,13 +269,13 @@ func (a *attachedLoop) finish() *loopResult {
 // build the graph and scheduler, wire engine + coordinator + plant, tick
 // dynamics and summaries, run to Duration. The build callback constructs
 // the plant against the run's recorder once *l holds its defaults.
-func runLoop(l *Loop, f family, build func(rec *trace.Recorder) (Plant, error)) (*loopResult, error) {
+func runLoop(l *Loop, f family, build func(rec *trace.Recorder, n seriesLens) (Plant, error)) (*loopResult, error) {
 	if err := l.applyDefaults(f); err != nil {
 		return nil, err
 	}
 	q := simtime.NewEventQueue()
 	rec := trace.NewRecorder()
-	a, err := attachLoop(q, *l, f, func() (Plant, error) { return build(rec) })
+	a, err := attachLoop(q, *l, f, func(n seriesLens) (Plant, error) { return build(rec, n) })
 	if err != nil {
 		return nil, err
 	}
@@ -290,8 +291,10 @@ func runLoop(l *Loop, f family, build func(rec *trace.Recorder) (Plant, error)) 
 // scheduled for the same instant fire in creation order, so the sequence
 // below (plant dynamics, summary sample, engine sources, coordinator) is
 // part of the simulation's observable behaviour and must not be reordered.
-// lc must hold its defaults (Loop.applyDefaults).
-func attachLoop(q *simtime.EventQueue, lc Loop, f family, build func() (Plant, error)) (*attachedLoop, error) {
+// lc must hold its defaults (Loop.applyDefaults). build constructs the
+// plant, given how many samples each kind of series the run records can
+// take.
+func attachLoop(q *simtime.EventQueue, lc Loop, f family, build func(n seriesLens) (Plant, error)) (*attachedLoop, error) {
 	tun, err := lc.Tunables.Resolved()
 	if err != nil {
 		return nil, err
@@ -334,8 +337,17 @@ func attachLoop(q *simtime.EventQueue, lc Loop, f family, build func() (Plant, e
 	if lc.SampleRate > 0 {
 		samplePeriod = 1 / lc.SampleRate
 	}
+	lens := seriesLens{step: ticks(lc.Duration, lc.VehicleStep), sample: ticks(lc.Duration, samplePeriod)}
+	var mcfg mfc.Config
+	if lc.Scheme.IsHCPerf() {
+		// The MFC configuration is built from the tunable set around the
+		// scheduler's γ cap; its sampling period is the coordinator's
+		// control period.
+		mcfg = tun.MFCConfig(f.mfcScale, dyn.GammaCap)
+		lens.control = ticks(lc.Duration, float64(mcfg.Ts))
+	}
 
-	plant, err := build()
+	plant, err := build(lens)
 	if err != nil {
 		return nil, err
 	}
@@ -380,17 +392,16 @@ func attachLoop(q *simtime.EventQueue, lc Loop, f family, build func() (Plant, e
 
 	var coord *core.Coordinator
 	if lc.Scheme.IsHCPerf() {
-		// The MFC configuration is built from the tunable set around the
-		// scheduler's γ cap. Scenarios with a bespoke adapter profile
-		// (lane keeping) keep it; the tunable Kp0/decay overlay applies
-		// only on the default profile.
+		// Scenarios with a bespoke adapter profile (lane keeping) keep it;
+		// the tunable Kp0/decay overlay applies only on the default
+		// profile.
 		rcfg := f.rateConfig
 		if rcfg == (rate.Config{}) {
 			rcfg = tun.RateConfig()
 		}
 		ccfg := core.Config{
 			Kernel:          eng.Kernel(),
-			MFC:             tun.MFCConfig(f.mfcScale, dyn.GammaCap),
+			MFC:             mcfg,
 			Rate:            rcfg,
 			TrackingError:   plant.TrackingError,
 			DisableExternal: lc.Scheme == SchemeHCPerfInternal,
@@ -465,14 +476,42 @@ func applyRateOverrides(g *dag.Graph, overrides map[string]float64) error {
 	return g.Validate()
 }
 
-// recAdd appends to a recorder series, or does nothing for a nil recorder;
-// recorder series only ever advance with simulation time, so failures
-// indicate harness bugs.
-func recAdd(rec *trace.Recorder, name string, t, v float64) {
+// seriesLens is how many samples each kind of series a run records can
+// take: one per dynamics step, per coordinator control period (HCPerf
+// schemes only) and per summary sample.
+type seriesLens struct {
+	step, control, sample int
+}
+
+// ticks is the most times a ticker of the given period, first firing one
+// period in, fires over a run of d seconds: the quotient's floor, plus one
+// for the rounding of the accumulated tick times.
+func ticks(d, period float64) int { return int(d/period) + 1 }
+
+// seriesRow is a group of series a plant records at one instant, one
+// handle per series in recording order. A plant without a recorder keeps
+// a nil row.
+type seriesRow []trace.Handle
+
+// newSeriesRow takes rec's handles on the named series, each presized to
+// n samples; it is nil for a nil recorder.
+func newSeriesRow(rec *trace.Recorder, n int, names ...string) seriesRow {
 	if rec == nil {
-		return
+		return nil
 	}
-	if err := rec.Add(name, t, v); err != nil {
-		panic(fmt.Sprintf("scenario: record %s: %v", name, err))
+	r := make(seriesRow, len(names))
+	for i, name := range names {
+		r[i] = rec.Handle(name, n)
+	}
+	return r
+}
+
+// add appends vs[i] at t to the row's i-th series. A plant's series only
+// ever advance with simulation time, so a failure is a harness bug.
+func (r seriesRow) add(t float64, vs ...float64) {
+	for i := range r {
+		if err := r[i].Add(t, vs[i]); err != nil {
+			panic(fmt.Sprintf("scenario: record: %v", err))
+		}
 	}
 }

@@ -48,9 +48,10 @@ type lonState struct {
 	leadSpeed, leadPos, folSpeed, folPos, folAccel float64
 }
 
-// lonStateOf reads the longitudinal world of a lead and its follower.
-func lonStateOf(lead *vehicle.Lead, fol *vehicle.Longitudinal) lonState {
-	return lonState{leadSpeed: lead.Speed(), leadPos: lead.Position, folSpeed: fol.Speed, folPos: fol.Position, folAccel: fol.Accel()}
+// lonStateOf reads the longitudinal world of a lead, whose speed the
+// caller has read once for the whole dynamics step, and its follower.
+func lonStateOf(lead *vehicle.Lead, leadSpeed float64, fol *vehicle.Longitudinal) lonState {
+	return lonState{leadSpeed: leadSpeed, leadPos: lead.Position, folSpeed: fol.Speed, folPos: fol.Position, folAccel: fol.Accel()}
 }
 
 // latState is the lateral world a lane-keeping perception reads: offset

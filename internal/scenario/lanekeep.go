@@ -81,7 +81,6 @@ func laneKeepingRateConfig() rate.Config {
 // laneKeepPlant is the lateral lane-keeping world: a bicycle-model vehicle
 // steered along a closed track from stale pipeline outputs.
 type laneKeepPlant struct {
-	rec  *trace.Recorder
 	step float64
 
 	lat      *vehicle.Lateral
@@ -91,10 +90,20 @@ type laneKeepPlant struct {
 	hist history[latState]
 
 	lastCmds uint64
+
+	// The series recorded per dynamics step, per coordinator control
+	// period and per summary sample.
+	steps, coord, samples seriesRow
 }
 
-func newLaneKeepPlant(step float64, rec *trace.Recorder) (*laneKeepPlant, error) {
-	p := &laneKeepPlant{rec: rec, step: step}
+func newLaneKeepPlant(step float64, rec *trace.Recorder, n seriesLens) (*laneKeepPlant, error) {
+	p := &laneKeepPlant{
+		step:    step,
+		hist:    make(history[latState], 0, n.step+1),
+		steps:   newSeriesRow(rec, n.step, "offset", "heading", "curvature"),
+		coord:   newSeriesRow(rec, n.control, "tracking_err_sample", "u", "gamma"),
+		samples: newSeriesRow(rec, n.sample, "throughput", "miss_ratio"),
+	}
 	var err error
 	if p.lat, err = vehicle.NewLateral(vehicle.DefaultLateral()); err != nil {
 		return nil, err
@@ -126,9 +135,7 @@ func (p *laneKeepPlant) Perceive(cmd lifecycle.ControlCommand) {
 func (p *laneKeepPlant) TrackingError(simtime.Time) float64 { return math.Abs(p.lat.Y) }
 
 func (p *laneKeepPlant) CoordSample(now simtime.Time, e, u, gamma float64) {
-	recAdd(p.rec, "tracking_err_sample", float64(now), e)
-	recAdd(p.rec, "u", float64(now), u)
-	recAdd(p.rec, "gamma", float64(now), gamma)
+	p.coord.add(float64(now), e, u, gamma)
 }
 
 func (p *laneKeepPlant) Step(now float64) {
@@ -140,16 +147,14 @@ func (p *laneKeepPlant) Step(now float64) {
 	if err := p.hist.add(now, p.state()); err != nil {
 		panic(fmt.Sprintf("scenario: history: %v", err))
 	}
-	recAdd(p.rec, "offset", now, p.lat.Y)
-	recAdd(p.rec, "heading", now, p.lat.Psi)
-	recAdd(p.rec, "curvature", now, curv)
+	p.steps.add(now, p.lat.Y, p.lat.Psi, curv)
 }
 
 func (p *laneKeepPlant) Sample(t float64, env *Env) {
 	cmds := env.Eng.Kernel().Stats().ControlCommands
-	recAdd(p.rec, "throughput", t, float64(cmds-p.lastCmds))
+	throughput := float64(cmds - p.lastCmds)
 	p.lastCmds = cmds
-	recAdd(p.rec, "miss_ratio", t, env.Miss.Ratio(int(t)-1))
+	p.samples.add(t, throughput, env.Miss.Ratio(int(t)-1))
 }
 
 // RunLaneKeeping executes one loop-driving run (paper §VII-B2, Fig. 14):
@@ -158,8 +163,8 @@ func (p *laneKeepPlant) Sample(t float64, env *Env) {
 // centre. Zero Loop fields take the scenario's defaults: one full lap
 // over 16 obstacles.
 func RunLaneKeeping(l Loop) (*LaneKeepingResult, error) {
-	out, err := runLoop(&l, laneKeepFamily, func(rec *trace.Recorder) (Plant, error) {
-		return newLaneKeepPlant(l.VehicleStep, rec)
+	out, err := runLoop(&l, laneKeepFamily, func(rec *trace.Recorder, n seriesLens) (Plant, error) {
+		return newLaneKeepPlant(l.VehicleStep, rec, n)
 	})
 	if err != nil {
 		return nil, err

@@ -71,7 +71,6 @@ type MotivationResult struct {
 // motivationPlant is the red-light world: car B brakes to a stop while
 // car A's drive-by-wire watchdog coasts whenever the pipeline stalls.
 type motivationPlant struct {
-	rec  *trace.Recorder
 	step float64
 
 	follower *vehicle.Longitudinal
@@ -82,11 +81,20 @@ type motivationPlant struct {
 	collide   metrics.CollisionDetector
 	minGap    float64
 	lastCmdAt float64
+
+	// The series recorded per dynamics step and per summary sample.
+	steps, samples seriesRow
 }
 
-func newMotivationPlant(step float64, rec *trace.Recorder) (*motivationPlant, error) {
+func newMotivationPlant(step float64, rec *trace.Recorder, n seriesLens) (*motivationPlant, error) {
 	const initSpeed = 10.0
-	p := &motivationPlant{rec: rec, step: step, minGap: math.Inf(1)}
+	p := &motivationPlant{
+		step:    step,
+		minGap:  math.Inf(1),
+		hist:    make(history[lonState], 0, n.step+1),
+		steps:   newSeriesRow(rec, n.step, "lead_speed", "follow_speed", "speed_diff", "gap"),
+		samples: newSeriesRow(rec, n.sample, "miss_ratio"),
+	}
 	var err error
 	if p.follower, err = vehicle.NewLongitudinal(vehicle.DefaultLongitudinal()); err != nil {
 		return nil, err
@@ -108,7 +116,7 @@ func newMotivationPlant(step float64, rec *trace.Recorder) (*motivationPlant, er
 	if p.lead, err = vehicle.NewLead(leadProfile, gains.StandstillGap+gains.Headway*initSpeed); err != nil {
 		return nil, err
 	}
-	if err := p.hist.add(0, lonStateOf(p.lead, p.follower)); err != nil {
+	if err := p.hist.add(0, lonStateOf(p.lead, p.lead.Speed(), p.follower)); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -144,7 +152,8 @@ func (p *motivationPlant) Step(now float64) {
 	if now-p.lastCmdAt > 0.5 {
 		p.follower.SetAccelCommand(0)
 	}
-	if err := p.hist.add(now, lonStateOf(p.lead, p.follower)); err != nil {
+	lead := p.lead.Speed()
+	if err := p.hist.add(now, lonStateOf(p.lead, lead, p.follower)); err != nil {
 		panic(fmt.Sprintf("scenario: history: %v", err))
 	}
 	gap := p.lead.Position - p.follower.Position
@@ -152,14 +161,11 @@ func (p *motivationPlant) Step(now float64) {
 		p.minGap = gap
 	}
 	p.collide.Note(now, gap)
-	recAdd(p.rec, "lead_speed", now, p.lead.Speed())
-	recAdd(p.rec, "follow_speed", now, p.follower.Speed)
-	recAdd(p.rec, "speed_diff", now, p.follower.Speed-p.lead.Speed())
-	recAdd(p.rec, "gap", now, gap)
+	p.steps.add(now, lead, p.follower.Speed, p.follower.Speed-lead, gap)
 }
 
 func (p *motivationPlant) Sample(t float64, env *Env) {
-	recAdd(p.rec, "miss_ratio", t, env.Miss.Ratio(int(t)-1))
+	p.samples.add(t, env.Miss.Ratio(int(t)-1))
 }
 
 // RunMotivation executes the paper's §II motivation experiment (Figs. 1-4)
@@ -173,9 +179,9 @@ func (p *motivationPlant) Sample(t float64, env *Env) {
 // crash. Zero Loop fields take the scenario's defaults: 30 s.
 func RunMotivation(l Loop) (*MotivationResult, error) {
 	var p *motivationPlant
-	out, err := runLoop(&l, motivationFamily, func(rec *trace.Recorder) (Plant, error) {
+	out, err := runLoop(&l, motivationFamily, func(rec *trace.Recorder, n seriesLens) (Plant, error) {
 		var err error
-		p, err = newMotivationPlant(l.VehicleStep, rec)
+		p, err = newMotivationPlant(l.VehicleStep, rec, n)
 		return p, err
 	})
 	if err != nil {

@@ -208,6 +208,45 @@ func TestCarFollowingSeriesPresent(t *testing.T) {
 	if r2.Rec.Series("gamma") != nil {
 		t.Error("EDF run recorded a gamma series")
 	}
+	if names := r2.Rec.Names(); len(names) != 13 {
+		t.Errorf("EDF run recorded %d series %v, want 13", len(names), names)
+	}
+}
+
+// TestSeriesPresized runs each plant's family under HCPerf at its default
+// duration and at 4.6 s, where the 10 ms dynamics ticker and the 100 ms
+// control ticker each fire once more than the quotient's floor (460 and 46
+// times): every series it records was presized from the run's duration
+// and periods, so it never grew and holds at most two unused rows.
+func TestSeriesPresized(t *testing.T) {
+	for _, d := range []float64{0, 4.6} {
+		cf, err := RunCarFollowing(CarFollowingConfig{Loop: Loop{Scheme: SchemeHCPerf, Seed: 1, Duration: d}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lk, err := RunLaneKeeping(Loop{Scheme: SchemeHCPerf, Seed: 1, Duration: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := RunCombined(Loop{Scheme: SchemeHCPerf, Seed: 1, Duration: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mo, err := RunMotivation(Loop{Scheme: SchemeHCPerf, Seed: 1, Duration: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for family, rec := range map[string]*trace.Recorder{
+			"carfollow": cf.Rec, "lanekeep": lk.Rec, "combined": cb.Rec, "motivation": mo.Rec,
+		} {
+			for _, name := range rec.Names() {
+				s := rec.Series(name).Samples
+				if cap(s)-len(s) > 2 {
+					t.Errorf("%s at duration %v: %s holds %d samples in capacity %d", family, d, name, len(s), cap(s))
+				}
+			}
+		}
+	}
 }
 
 // TestStreamedRMSMatchesSeries pins the tracking-error sums a car-following

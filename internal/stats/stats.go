@@ -71,25 +71,20 @@ func (w *Window) Len() int {
 	return w.head
 }
 
-// Samples returns the held samples oldest-first as a fresh slice.
-func (w *Window) Samples() []float64 {
-	n := w.Len()
-	out := make([]float64, 0, n)
-	if w.full {
-		out = append(out, w.buf[w.head:]...)
-	}
-	out = append(out, w.buf[:w.head]...)
-	return out
-}
-
-// RMS returns the RMS of the held samples (0 when empty).
+// RMS returns the RMS of the held samples (0 when empty). The squares are
+// summed oldest-first, in place.
 func (w *Window) RMS() float64 {
 	n := w.Len()
 	if n == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, x := range w.Samples() {
+	if w.full {
+		for _, x := range w.buf[w.head:] {
+			sum += x * x
+		}
+	}
+	for _, x := range w.buf[:w.head] {
 		sum += x * x
 	}
 	return math.Sqrt(sum / float64(n))

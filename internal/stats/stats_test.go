@@ -161,15 +161,13 @@ func TestWindow(t *testing.T) {
 	if w.Len() != 2 {
 		t.Errorf("Len = %d, want 2", w.Len())
 	}
-	got := w.Samples()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("Samples = %v, want [1 2]", got)
+	if wantRMS, _ := rms([]float64{1, 2}); !almostEqual(w.RMS(), wantRMS) {
+		t.Errorf("partial window RMS = %v, want %v", w.RMS(), wantRMS)
 	}
 	w.Push(3)
 	w.Push(4) // evicts 1
-	got = w.Samples()
-	if len(got) != 3 || got[0] != 2 || got[2] != 4 {
-		t.Errorf("Samples after wrap = %v, want [2 3 4]", got)
+	if w.Len() != 3 {
+		t.Errorf("Len after wrap = %d, want 3", w.Len())
 	}
 	if wantRMS, _ := rms([]float64{2, 3, 4}); !almostEqual(w.RMS(), wantRMS) {
 		t.Errorf("windowed RMS = %v, want %v", w.RMS(), wantRMS)
@@ -195,6 +193,38 @@ func TestQuickAccumulatorAgreesWithBatch(t *testing.T) {
 		wantMean, _ := mean(xs)
 		wantMax, _ := maxOf(xs)
 		return math.Abs(a.Mean()-wantMean) < 1e-6 && a.Max() == wantMax
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: over any push sequence, full or partial, a window's RMS is bit
+// for bit the RMS of its last pushes summed oldest-first, so the window
+// evicts the oldest sample and RMS sums in push order.
+func TestQuickWindowRMSMatchesCopy(t *testing.T) {
+	f := func(size uint8, raw []int32) bool {
+		n := int(size%16) + 1
+		w, err := NewWindow(n)
+		if err != nil {
+			return false
+		}
+		xs := make([]float64, len(raw))
+		for i, r := range raw {
+			// Thirds round, so a sum in another order reads other bits.
+			xs[i] = float64(r) / 3
+			w.Push(xs[i])
+			held := xs[max(0, i+1-n) : i+1]
+			sum := 0.0
+			for _, y := range held {
+				sum += y * y
+			}
+			want := math.Sqrt(sum / float64(len(held)))
+			if w.Len() != len(held) || math.Float64bits(w.RMS()) != math.Float64bits(want) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -99,14 +99,14 @@ func NewRecorder() *Recorder {
 }
 
 // Deferred returns a recorder of the named series, in order, whose samples
-// are filled in on first use: the first call of Series, WriteCSV or Add
-// allocates one slice for every series' counts[i] samples, and fill writes
-// them into it, series after series. fill runs once, however many
-// goroutines read the recorder at once; Names needs no samples. Deferred
-// takes ownership of names and counts, and holds them to what Add can
-// record: a name is non-empty and new, and a series holds at least one
-// sample. It never sees the times, so the caller checks that they do not
-// move backwards.
+// are filled in on first use: the first call of Series, WriteCSV, Add or a
+// handle's Add allocates one slice for every series' counts[i] samples,
+// and fill writes them into it, series after series. fill runs once,
+// however many goroutines read the recorder at once; Names needs no
+// samples. Deferred takes ownership of names and counts, and holds them to
+// what Add can record: a name is non-empty and new, and a series holds at
+// least one sample. It never sees the times, so the caller checks that
+// they do not move backwards.
 func Deferred(names []string, counts []int, fill func(dst []Sample)) (*Recorder, error) {
 	if len(counts) != len(names) {
 		return nil, fmt.Errorf("trace: %d counts for %d series", len(counts), len(names))
@@ -161,17 +161,60 @@ func (r *Recorder) fillOnce() {
 
 // Add appends a sample to the named series, creating it on first use.
 func (r *Recorder) Add(name string, t, v float64) error {
+	s, err := r.join(name, 0)
+	if err != nil {
+		return err
+	}
+	return s.Add(t, v)
+}
+
+// join returns the named series, creating it with room for n samples, and
+// appending it to the series order, if it does not exist yet.
+func (r *Recorder) join(name string, n int) (*Series, error) {
 	if name == "" {
-		return errors.New("trace: empty series name")
+		return nil, errors.New("trace: empty series name")
 	}
 	r.load()
 	s, ok := r.series[name]
 	if !ok {
-		s = &Series{Name: name}
+		s = &Series{Name: name, Samples: make([]Sample, 0, n)}
 		r.series[name] = s
 		r.order = append(r.order, name)
 	}
-	return s.Add(t, v)
+	return s, nil
+}
+
+// Handle is one named series of a recorder, taken once and appended to
+// without a lookup by name. Its series joins the recorder at the first
+// Add, not when the handle is taken, so series keep the order of their
+// first samples and a handle that never records leaves no series behind.
+// A handle of a nil recorder records nothing.
+type Handle struct {
+	rec  *Recorder
+	name string
+	n    int
+	s    *Series // nil until the first Add
+}
+
+// Handle returns a handle on the named series. A series the handle creates
+// starts with room for n samples; one that Add created first is shared.
+func (r *Recorder) Handle(name string, n int) Handle {
+	return Handle{rec: r, name: name, n: n}
+}
+
+// Add appends a sample to the handle's series under Series.Add's rules.
+func (h *Handle) Add(t, v float64) error {
+	if h.s == nil {
+		if h.rec == nil {
+			return nil
+		}
+		s, err := h.rec.join(h.name, h.n)
+		if err != nil {
+			return err
+		}
+		h.s = s
+	}
+	return h.s.Add(t, v)
 }
 
 // Series returns the named series, or nil if absent.

@@ -78,6 +78,74 @@ func TestRecorder(t *testing.T) {
 	}
 }
 
+// TestHandle: a handle's series joins the recorder at its first Add, so
+// series keep first-record order across handles and by-name Adds, a
+// handle that never records leaves no series, and a handle shares its
+// series with Add on the same name; a sample going back in time still
+// fails, and a nil recorder's handle records nothing. (An EDF run's
+// never-recorded coordinator handles leaving no series in EncodeResult is
+// what the run package's codec round trip of an EDF run checks.)
+func TestHandle(t *testing.T) {
+	r := NewRecorder()
+	late := r.Handle("late", 4)
+	r.Handle("unused", 4) // never records
+	early := r.Handle("early", 1)
+	if names := r.Names(); len(names) != 0 {
+		t.Fatalf("Names = %v before any Add, want none", names)
+	}
+	if err := early.Add(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Add("byname", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := late.Add(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	shared := r.Handle("byname", 8)
+	for _, add := range []func() error{
+		func() error { return shared.Add(1, 4) },
+		func() error { return r.Add("byname", 2, 5) },
+		func() error { return shared.Add(3, 6) },
+		func() error { return early.Add(1, 7) }, // past its capacity of 1
+	} {
+		if err := add(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if names := r.Names(); strings.Join(names, ",") != "early,byname,late" {
+		t.Errorf("Names = %v, want first-record order [early byname late]", names)
+	}
+	if s := r.Series("byname").Samples; len(s) != 4 || s[1] != (Sample{1, 4}) || s[2] != (Sample{2, 5}) {
+		t.Errorf("byname = %v, want the handle's and Add's samples in one series", s)
+	}
+	if s := r.Series("late"); cap(s.Samples) != 4 {
+		t.Errorf("late's capacity = %d, want the handle's 4", cap(s.Samples))
+	}
+	var sb strings.Builder
+	if err := r.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "series,time,value\nearly,0,1\nearly,1,7\nbyname,0,2\nbyname,1,4\nbyname,2,5\nbyname,3,6\nlate,0,3\n"; sb.String() != want {
+		t.Errorf("CSV = %q, want %q", sb.String(), want)
+	}
+	if r.Series("unused") != nil {
+		t.Error("a handle that never recorded left a series")
+	}
+	if err := shared.Add(2.5, 0); err == nil {
+		t.Error("handle accepted a sample going back in time")
+	}
+	empty := r.Handle("", 1)
+	if err := empty.Add(0, 0); err == nil {
+		t.Error("handle on an empty name accepted a sample")
+	}
+	var none *Recorder
+	h := none.Handle("x", 1)
+	if err := h.Add(0, 1); err != nil {
+		t.Errorf("nil recorder's handle: %v", err)
+	}
+}
+
 // TestDeferred: a Deferred recorder names its series before their first
 // use, then fills them once and records what the same samples added one
 // by one record, each series in its own slice; it refuses what Add cannot
@@ -207,11 +275,13 @@ func referenceCSV(r *Recorder) ([]byte, error) {
 // first series', 1<<63 turns +0 into -0, and n2 > n1 makes the later
 // series the longest. Samples the recorder refuses (an empty name, time
 // moving backwards) are skipped, so the comparison sees exactly what it
-// holds.
+// holds. The same samples are then recorded a second time, through one
+// handle per name whose capacity is, by sizing mod 4, zero, too small,
+// exact or too large for its samples, and must write the same bytes.
 func FuzzRecorderCSV(f *testing.F) {
 	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
 	const never = math.MaxUint16
-	for _, s := range []struct {
+	for i, s := range []struct {
 		name1, name2  string
 		t0, dt, v, dv float64
 		n1, n2, at    uint16
@@ -252,22 +322,29 @@ func FuzzRecorderCSV(f *testing.F) {
 		// A later series longer than every earlier one.
 		{"short", "long", 0, 0.01, 1, 1, 5, 300, never, 0},
 	} {
-		f.Add(s.name1, s.name2, s.t0, s.dt, s.v, s.dv, s.n1, s.n2, s.at, s.flip)
+		f.Add(s.name1, s.name2, s.t0, s.dt, s.v, s.dv, s.n1, s.n2, s.at, s.flip, uint8(i))
 	}
-	f.Fuzz(func(t *testing.T, name1, name2 string, t0, dt, v, dv float64, n1, n2, at uint16, flip uint64) {
-		r := NewRecorder()
-		for i := 0; i < int(n1%8192); i++ {
-			x := float64(i)
-			_ = r.Add(name1, t0+x*dt, v+x*dv)
-		}
-		for i := 0; i < int(n2%8192); i++ {
-			x := float64(i)
-			tm := t0 + x*dt
-			if i == int(at) {
-				tm = math.Float64frombits(math.Float64bits(tm) ^ flip)
+	f.Fuzz(func(t *testing.T, name1, name2 string, t0, dt, v, dv float64, n1, n2, at uint16, flip uint64, sizing uint8) {
+		n1, n2 = n1%8192, n2%8192
+		// record adds the input's samples through add1 and add2.
+		record := func(add1, add2 func(t, v float64) error) {
+			for i := 0; i < int(n1); i++ {
+				x := float64(i)
+				_ = add1(t0+x*dt, v+x*dv)
 			}
-			_ = r.Add(name2, tm, v-x*dv)
+			for i := 0; i < int(n2); i++ {
+				x := float64(i)
+				tm := t0 + x*dt
+				if i == int(at) {
+					tm = math.Float64frombits(math.Float64bits(tm) ^ flip)
+				}
+				_ = add2(tm, v-x*dv)
+			}
 		}
+		r := NewRecorder()
+		record(
+			func(t, v float64) error { return r.Add(name1, t, v) },
+			func(t, v float64) error { return r.Add(name2, t, v) })
 		want, err := referenceCSV(r)
 		if err != nil {
 			t.Fatal(err)
@@ -278,6 +355,17 @@ func FuzzRecorderCSV(f *testing.F) {
 		}
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("WriteCSV differs from encoding/csv:\n got %q\nwant %q", clip(got.Bytes()), clip(want))
+		}
+		capacity := func(n uint16) int { return [4]int{0, int(n) / 2, int(n), 2*int(n) + 1}[sizing%4] }
+		hr := NewRecorder()
+		h1, h2 := hr.Handle(name1, capacity(n1)), hr.Handle(name2, capacity(n2))
+		record(h1.Add, h2.Add)
+		var viaHandles bytes.Buffer
+		if err := hr.WriteCSV(&viaHandles); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(viaHandles.Bytes(), want) {
+			t.Fatalf("handles (sizing %d) differ from Add:\n got %q\nwant %q", sizing%4, clip(viaHandles.Bytes()), clip(want))
 		}
 	})
 }
