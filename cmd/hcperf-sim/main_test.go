@@ -341,8 +341,6 @@ func TestRunStoreRejectedInRTMode(t *testing.T) {
 	}
 }
 
-// TestRunWallClockBriefly runs -mode rt under HCPerf with a CSV trace,
-// which must record control commands, then under a baseline.
 // TestStatusTicks: an rt run of D seconds prints ⌈D⌉ status lines, one
 // per tick of its 1 s ticker, however many more ticks arrive.
 func TestStatusTicks(t *testing.T) {
@@ -362,6 +360,8 @@ func TestStatusTicks(t *testing.T) {
 	}
 }
 
+// TestRunWallClockBriefly runs -mode rt under HCPerf with a CSV trace,
+// which must record control commands, then under a baseline.
 func TestRunWallClockBriefly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock run")

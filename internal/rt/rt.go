@@ -40,9 +40,10 @@ type Config struct {
 	// Kernel configures the lifecycle kernel: graph, policy (a
 	// *sched.Dynamic, together with TrackingError, enables HCPerf
 	// coordination), seed, scene by wall-clock offset, data-age bound,
-	// callbacks and tracer. OnControl runs with the executor lock
-	// released, potentially concurrently; OnJobDecided and the tracer run
-	// with it held and must not block.
+	// OnControl and tracer. OnControl runs with the executor lock
+	// released, potentially concurrently; the tracer runs with it held
+	// and must not block. OnJobDecided must be nil: it would run under
+	// the lock with a live job, and no wall-clock caller needs it.
 	Kernel lifecycle.Config
 	// NumProcs is the worker count (M >= 1).
 	NumProcs int
@@ -132,6 +133,9 @@ func (b rtBackend) ProcState(now simtime.Time) *sched.ProcState {
 func New(cfg Config) (*Executor, error) {
 	if cfg.NumProcs < 1 {
 		return nil, fmt.Errorf("rt: NumProcs %d < 1", cfg.NumProcs)
+	}
+	if cfg.Kernel.OnJobDecided != nil {
+		return nil, errors.New("rt: Kernel.OnJobDecided is not supported")
 	}
 	if cfg.ControlPeriod <= 0 {
 		cfg.ControlPeriod = 100 * time.Millisecond

@@ -64,6 +64,13 @@ func TestConfigValidation(t *testing.T) {
 			Kernel: lifecycle.Config{Graph: g, Scheduler: sched.EDF{}}, NumProcs: 1,
 			TrackingError: func(simtime.Time) float64 { return 0 },
 		}},
+		{name: "job-decided callback", cfg: Config{
+			Kernel: lifecycle.Config{
+				Graph: g, Scheduler: sched.EDF{},
+				OnJobDecided: func(simtime.Time, *sched.Job, bool) {},
+			},
+			NumProcs: 1,
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
