@@ -102,9 +102,12 @@ bench-update:
 ## reference writer (identical bytes), its shortest-float
 ## writer vs strconv on raw float64 bits (identical bytes), the disk
 ## result codec (no panic or outsized allocation on any bytes; bit-exact
-## round trip), and the status-body writer vs encoding/json (identical
-## bytes). Each pass caps minimizing a new input at 1 s: uncapped, a pass
-## can spend most of its 10 s minimizing and explore little.
+## round trip), the status-body writer vs encoding/json (identical
+## bytes), and the service's POST handlers on arbitrary bodies (2xx or
+## 4xx, never 5xx; a repeated /v1/runs body answered alike from the
+## request-body memo). Each pass caps minimizing a new input at 1 s:
+## uncapped, a pass can spend most of its 10 s minimizing and explore
+## little.
 FUZZ := -fuzztime=10s -fuzzminimizetime=1s
 fuzz:
 	$(GO) test -fuzz=FuzzHungarian $(FUZZ) ./internal/hungarian/
@@ -115,6 +118,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAppendShortest $(FUZZ) ./internal/trace/
 	$(GO) test -fuzz=FuzzDecodeResult $(FUZZ) ./internal/run/
 	$(GO) test -fuzz=FuzzStatusBody $(FUZZ) ./internal/service/
+	$(GO) test -fuzz=FuzzHandlers $(FUZZ) ./internal/service/
 
 ## suite: run every experiment once, fanned across GOMAXPROCS workers.
 suite:

@@ -3,10 +3,13 @@ package perf
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -40,7 +43,7 @@ type Bench struct {
 // policy, one controller step), a single run's execute stage, the report
 // digest a result computes once, the disk codec every stored result passes
 // through, what a disk answer pays before it renders, a whole memory-hit
-// answer, and the normalize stage of a spec request.
+// and disk-hit answer, and the normalize stage of a spec request.
 // Names are stable identifiers — they key the baseline JSON, so renaming
 // one invalidates the checked-in baseline.
 func Suite() []Bench {
@@ -68,7 +71,8 @@ func Suite() []Bench {
 		{"ResultCodec/encode/samples=20000", func(b *testing.B) { benchResultEncode(b, 20000) }},
 		{"ResultCodec/decode/samples=20000", func(b *testing.B) { benchResultDecode(b, 20000) }},
 		{"DiskRestore/samples=20000", func(b *testing.B) { benchDiskRestore(b, 20000) }},
-		{"StatusBody/memory-hit", benchStatusBody},
+		{"SubmitBody/memory-hit", benchSubmitMemoryHit},
+		{"SubmitBody/disk-hit", benchSubmitDiskHit},
 		{"SpecNormalize/fusion-overload", benchSpecNormalize},
 	}
 }
@@ -245,31 +249,95 @@ type rewindBody struct{ *bytes.Reader }
 
 func (rewindBody) Close() error { return nil }
 
-// benchStatusBody measures one memory-hit answer of POST /v1/runs for a
-// resident fig13 result through the server's handler: request decode,
-// normalize, digest, memory lookup and the status body.
-func benchStatusBody(b *testing.B) {
+// submitter posts its bodies in turn to a server's handler, each a POST
+// /v1/runs request built once with httptest and rewound for every answer.
+type submitter struct {
+	h      http.Handler
+	w      *discardResponse
+	bodies [][]byte
+	reqs   []*http.Request
+	rw     []rewindBody
+}
+
+func newSubmitter(h http.Handler, bodies ...string) *submitter {
+	s := &submitter{h: h, w: &discardResponse{header: http.Header{}}}
+	for _, body := range bodies {
+		rw := rewindBody{bytes.NewReader([]byte(body))}
+		s.bodies = append(s.bodies, []byte(body))
+		s.reqs = append(s.reqs, httptest.NewRequest(http.MethodPost, "/v1/runs", rw))
+		s.rw = append(s.rw, rw)
+	}
+	return s
+}
+
+// post answers body i.
+func (s *submitter) post(i int) {
+	s.rw[i].Reset(s.bodies[i])
+	s.h.ServeHTTP(s.w, s.reqs[i])
+}
+
+// benchSubmitMemoryHit measures one answer of POST /v1/runs for a body the
+// request-body memo holds, whose result, fig13's, is resident: memo
+// lookup, memory lookup and the status body.
+func benchSubmitMemoryHit(b *testing.B) {
 	srv, err := residentFig13()
 	if err != nil {
 		b.Fatal(err)
 	}
-	payload := []byte(`{"experiment": "fig13"}`)
-	body := rewindBody{bytes.NewReader(payload)}
-	req, err := http.NewRequest(http.MethodPost, "/v1/runs", body)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := &discardResponse{header: http.Header{}}
-	h := srv.Handler()
+	s := newSubmitter(srv.Handler(), `{"experiment": "fig13"}`)
+	s.post(0)
+	s.post(0) // the second sighting enters the memo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body.Reset(payload)
-		h.ServeHTTP(w, req)
+		s.post(0)
 	}
 	b.StopTimer()
-	if got := w.header.Get("X-HCPerf-Cache"); got != string(store.TierMemory) {
+	if got := s.w.header.Get("X-HCPerf-Cache"); got != string(store.TierMemory) {
 		b.Fatalf("answer came from tier %q, want memory", got)
+	}
+}
+
+// benchSubmitDiskHit measures one answer of POST /v1/runs for a body the
+// request-body memo holds, whose result is on disk only: two bodies whose
+// entries hold carFollowingReport(20000) take turns through a memory tier
+// of one, so each answer reads, checks and decodes its entry and writes
+// the status body.
+func benchSubmitDiskHit(b *testing.B) {
+	disk, err := store.OpenDisk(b.TempDir(), 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bodies := []string{`{"scenario": "carfollow", "seed": 1}`, `{"scenario": "carfollow", "seed": 2}`}
+	for _, body := range bodies {
+		var req run.Request
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			b.Fatal(err)
+		}
+		if req, err = req.Normalize(); err != nil {
+			b.Fatal(err)
+		}
+		if err := run.SaveDisk(disk, req.Digest(), &run.Result{Report: carFollowingReport(b, 20000)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv := service.New(service.Config{Workers: 1, CacheSize: 1, Disk: disk, Run: func(context.Context, run.Request) (*run.Result, error) {
+		return nil, errors.New("perf: a disk-hit answer executed")
+	}})
+	b.Cleanup(func() { _ = srv.Manager().Shutdown(context.Background()) })
+	s := newSubmitter(srv.Handler(), bodies...)
+	for range 2 {
+		s.post(0)
+		s.post(1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.post(i % 2)
+	}
+	b.StopTimer()
+	if got := s.w.header.Get("X-HCPerf-Cache"); got != string(store.TierDisk) {
+		b.Fatalf("answer came from tier %q, want disk", got)
 	}
 }
 

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"math"
 	"reflect"
 	"runtime/metrics"
+	"slices"
 	"strings"
 	"testing"
 
 	"hcperf/internal/experiment"
+	"hcperf/internal/lifecycle"
 	"hcperf/internal/search"
 	"hcperf/internal/trace"
 )
@@ -122,7 +125,7 @@ func TestCodecRejectsCorruptEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An entry with two series, a = (0,1) (1,2) and b = (0,3), for the
-	// cases that forge its header or samples.
+	// cases that forge its fields or samples.
 	rec := trace.NewRecorder()
 	for _, s := range []struct {
 		name string
@@ -132,24 +135,39 @@ func TestCodecRejectsCorruptEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	series, err := EncodeResult("deadbeef", &Result{Report: &experiment.Report{ID: "x", Title: "x", Series: rec}})
+	seriesRes := &Result{Report: &experiment.Report{ID: "x", Title: "x", Series: rec}}
+	series, err := EncodeResult("deadbeef", seriesRes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, samples := splitEntry(t, series)
-	reportDigest := mustDigest(t, &experiment.Report{ID: "x", Title: "x", Series: rec})
+	base, samples := entryOf(t, "deadbeef", seriesRes)
+	reportDigest := base.reportDigest
 	if strings.ToUpper(reportDigest) == reportDigest {
 		t.Fatal("fixture report digest has no hex letter to upper-case")
 	}
-	carried := `"report_digest":"` + reportDigest + `"`
-	// forgeHeader rewrites the header under a valid checksum.
-	forgeHeader := func(old, new string) []byte {
-		t.Helper()
-		if !bytes.Contains(header, []byte(old)) {
-			t.Fatalf("header %s has no %s", header, old)
-		}
-		return sealEntry(bytes.Replace(header, []byte(old), []byte(new), 1), samples)
+	// forge edits a copy of the series entry and seals it under a valid
+	// checksum.
+	forge := func(edit func(e *entry)) []byte {
+		e := base
+		e.series = slices.Clone(base.series)
+		edit(&e)
+		return sealEntry(&e, samples)
 	}
+	// prefix lays out an entry for "deadbeef" up to its report flags, for
+	// the cases that forge what follows them.
+	prefix := func() []byte {
+		b := append([]byte(codecMagic), codecVersion)
+		b = appendString(b, "deadbeef")
+		b = appendString(b, reportDigest)
+		b = appendString(b, "x")
+		b = appendString(b, "x")
+		return append(b, 0, 0, 0, 0) // nil header, rows, paper rows and notes
+	}
+	// An entry with one event that names task name 5 of an empty table.
+	badName := binary.AppendUvarint(append(prefix(), 0, 0), 1)
+	badName = append(badName, byte(lifecycle.EventRelease), 0, 5, 0, 0)
+	badName = append(badName, make([]byte, 24)...)
+	badName = appendString(appendString(badName, ""), "{}")
 	flipped := bytes.Clone(series)
 	flipped[len(flipped)-crcBytes-1] ^= 0x80 // the sign bit of b's value
 	backwards := bytes.Clone(samples)
@@ -165,24 +183,32 @@ func TestCodecRejectsCorruptEntries(t *testing.T) {
 		{"empty object", []byte("{}"), "version"},
 		{"version 1 entry", []byte(v1Entry), "version"},
 		{"version 2 entry", []byte(v2Entry), "version"},
+		{"version 3 entry", []byte(v3Entry), "version"},
 		{"truncated in series block", series[:len(series)-crcBytes-sampleBytes/2], "checksum"},
 		{"trailing byte", append(bytes.Clone(series), 0), "checksum"},
 		{"flipped float bit", flipped, "checksum"},
 		{"magic only", []byte(codecMagic), "truncated"},
-		{"header length beyond input", appendCRC(binary.AppendUvarint([]byte(codecMagic), 1<<40)), "header length"},
-		{"count beyond input", forgeHeader(`"n":2`, `"n":4`), "claims 4 samples, 48 bytes left"},
-		{"count of 2^62", forgeHeader(`"n":2`, `"n":4611686018427387904`), "claims"},
-		{"negative count", forgeHeader(`"n":2`, `"n":-1`), "claims"},
-		{"count of zero", forgeHeader(`"n":1`, `"n":0`), "no samples"},
-		{"duplicate names", forgeHeader(`"Yg=="`, `"YQ=="`), "already recorded"},
-		{"decreasing times", sealEntry(header, backwards), "before"},
-		{"bytes after the last series", sealEntry(header, append(bytes.Clone(samples), 0)), "after the last series"},
-		{"report digest missing", forgeHeader(","+carried, ""), "report digest"},
-		{"report digest empty", forgeHeader(carried, `"report_digest":""`), "report digest"},
-		{"report digest of 63 characters", forgeHeader(carried, `"report_digest":"`+reportDigest[:63]+`"`), "report digest"},
-		{"report digest of 65 characters", forgeHeader(carried, `"report_digest":"`+reportDigest+`0"`), "report digest"},
-		{"report digest upper-case", forgeHeader(carried, `"report_digest":"`+strings.ToUpper(reportDigest)+`"`), "report digest"},
-		{"report digest not hex", forgeHeader(carried, `"report_digest":"`+reportDigest[:63]+`g"`), "report digest"},
+		{"digest length beyond input", appendCRC(binary.AppendUvarint(append([]byte(codecMagic), codecVersion), 1<<40)), "digest: length"},
+		{"header list beyond input", appendCRC(binary.AppendUvarint(prefix()[:len(prefix())-4], 1<<40)), "report header"},
+		{"unknown report flag", appendCRC(append(prefix(), 4)), "report flags"},
+		{"series list beyond input", appendCRC(binary.AppendUvarint(append(prefix(), flagSeries), 1<<40)), "series"},
+		{"events beyond input", appendCRC(binary.AppendUvarint(append(prefix(), 0, 0), 1<<40)), "events"},
+		{"event name beyond its table", appendCRC(badName), "names task name 5 of 0"},
+		{"count beyond input", forge(func(e *entry) { e.series[0].n = 4 }), "claims 4 samples, 48 bytes left"},
+		{"count of 2^62", forge(func(e *entry) { e.series[0].n = 1 << 62 }), "claims"},
+		{"count of 2^64-1", forge(func(e *entry) { e.series[0].n = math.MaxUint64 }), "claims"},
+		{"count of zero", forge(func(e *entry) { e.series[1].n = 0 }), "no samples"},
+		{"duplicate names", forge(func(e *entry) { e.series[1].name = "a" }), "already recorded"},
+		{"decreasing times", sealEntry(&base, backwards), "before"},
+		{"bytes after the last series", sealEntry(&base, append(bytes.Clone(samples), 0)), "after the last series"},
+		{"report digest empty", forge(func(e *entry) { e.reportDigest = "" }), "report digest"},
+		{"report digest of 63 characters", forge(func(e *entry) { e.reportDigest = reportDigest[:63] }), "report digest"},
+		{"report digest of 65 characters", forge(func(e *entry) { e.reportDigest = reportDigest + "0" }), "report digest"},
+		{"report digest upper-case", forge(func(e *entry) { e.reportDigest = strings.ToUpper(reportDigest) }), "report digest"},
+		{"report digest not hex", forge(func(e *entry) { e.reportDigest = reportDigest[:63] + "g" }), "report digest"},
+		{"view empty", forge(func(e *entry) { e.view = nil }), "view"},
+		{"view not an object", forge(func(e *entry) { e.view = []byte("[]") }), "view"},
+		{"optimize not JSON", forge(func(e *entry) { e.optimize = []byte("{") }), "optimize"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
@@ -190,7 +216,7 @@ func TestCodecRejectsCorruptEntries(t *testing.T) {
 			switch tt.name {
 			case "wrong digest":
 				digest = "cafebabe"
-			case "version 2 entry":
+			case "version 2 entry", "version 3 entry":
 				digest = entryDigest // its own, so only the version can fail
 			}
 			_, err := DecodeResult(digest, tt.data)
@@ -201,25 +227,34 @@ func TestCodecRejectsCorruptEntries(t *testing.T) {
 	}
 }
 
-// splitEntry returns an entry's JSON header and sample block.
-func splitEntry(tb testing.TB, entry []byte) (header, samples []byte) {
+// entryOf returns the entry EncodeResult lays out for res, which has no
+// search report, and its sample block.
+func entryOf(tb testing.TB, digest string, res *Result) (entry, []byte) {
 	tb.Helper()
-	rest := entry[len(codecMagic) : len(entry)-crcBytes]
-	n, k := binary.Uvarint(rest)
-	if k <= 0 || n > uint64(len(rest)-k) {
-		tb.Fatalf("entry has no header: %q", entry)
+	data, err := EncodeResult(digest, res)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return rest[k : k+int(n)], rest[k+int(n):]
+	e := entry{digest: digest, report: res.Report, events: res.Events}
+	e.reportDigest, _ = res.ReportDigest()
+	e.view, _ = res.ReportView()
+	if rec := res.Report.Series; rec != nil {
+		e.hasSeries = true
+		for _, name := range rec.Names() {
+			e.series = append(e.series, seriesHeader{name: name, n: uint64(rec.Series(name).Len())})
+		}
+	}
+	head := e.append(nil)
+	if !bytes.HasPrefix(data, head) {
+		tb.Fatal("entryOf lays out the entry unlike EncodeResult")
+	}
+	return e, data[len(head) : len(data)-crcBytes]
 }
 
-// sealEntry lays out an entry from a header and a sample block under a
-// valid checksum, so a forged case reaches the checks behind it.
-func sealEntry(header, samples []byte) []byte {
-	b := append([]byte(nil), codecMagic...)
-	b = binary.AppendUvarint(b, uint64(len(header)))
-	b = append(b, header...)
-	b = append(b, samples...)
-	return appendCRC(b)
+// sealEntry lays out an entry and a sample block under a valid checksum,
+// so a forged case reaches the checks behind it.
+func sealEntry(e *entry, samples []byte) []byte {
+	return appendCRC(append(e.append(nil), samples...))
 }
 
 // appendCRC appends the CRC-32C of b that closes an entry.
@@ -271,13 +306,16 @@ func FuzzDecodeResult(f *testing.F) {
 		bits = binary.LittleEndian.AppendUint64(bits, b)
 	}
 	names := "a\x00x,y\x00say \"hi\"\x00line\nbreak\x00\xff\xfe\x00 lead"
-	good, err := EncodeResult("d0", &Result{Report: &experiment.Report{ID: "fuzz", Title: "t", Series: fuzzRecorder(names, bits)}})
+	res := &Result{Report: &experiment.Report{ID: "fuzz", Title: "t", Series: fuzzRecorder(names, bits)}}
+	good, err := EncodeResult("d0", res)
 	if err != nil {
 		f.Fatal(err)
 	}
-	header, samples := splitEntry(f, good)
+	e, samples := entryOf(f, "d0", res)
 	unsealed := good[:len(good)-crcBytes]
-	forged := sealEntry(bytes.Replace(header, []byte(`"n":2`), []byte(`"n":1048576`), 1), samples)
+	e.series = slices.Clone(e.series)
+	e.series[0].n = 1 << 20
+	forged := sealEntry(&e, samples)
 	for _, entry := range [][]byte{
 		good, unsealed, forged[:len(forged)-crcBytes],
 		[]byte(v1Entry), {}, []byte(codecMagic),
@@ -287,6 +325,7 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add(unsealed, "", []byte(nil))
 	f.Add(unsealed, "only", bits[:sampleBytes])
 	f.Add([]byte(v2Entry), names, bits)
+	f.Add([]byte(v3Entry), names, bits)
 	f.Fuzz(func(t *testing.T, entry []byte, names string, bits []byte) {
 		for _, data := range [][]byte{entry, appendCRC(bytes.Clone(entry))} {
 			before := heapAllocBytes()
@@ -344,6 +383,19 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 		if back.digest != encoded || back.digest != d {
 			t.Fatalf("decoded report digest memo %q, encoder's %q, decoded report's %q", back.digest, encoded, d)
+		}
+		// The decoded view is the one the encoder carried, and it is the
+		// view of the report as decoded.
+		view, err := back.ReportView()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rendered, err := json.MarshalIndent(back.Report.View(false), "  ", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(view, rendered) {
+			t.Fatalf("decoded view\n%s\nwant the decoded report's\n%s", view, rendered)
 		}
 	})
 }

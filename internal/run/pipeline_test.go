@@ -145,14 +145,16 @@ func TestPipelineNormalizeErrorSurfaces(t *testing.T) {
 
 // Disk entries in the formats earlier builds wrote, exactly as their
 // EncodeResult encoded oldExec's result for the carfollow request below:
-// version 1, a JSON envelope, and version 2, the binary layout without the
-// report digest. entryDigest is the request digest both are stored under
-// and entryReportDigest the report digest of the run they hold.
+// version 1, a JSON envelope, version 2, the binary layout without the
+// report digest, and version 3, a JSON header that carries it.
+// entryDigest is the request digest all three are stored under and
+// entryReportDigest the report digest of the run they hold.
 const (
 	entryDigest       = "e147c7de9e87627b60fd50ce3a2de8685590a66a42cb5b85a7f2d9c68b104d04"
 	entryReportDigest = "843d2fb60be48a001a831322013ca018d708735496ba0fbc136a89139d8e8d48"
 	v1Entry           = `{"v":1,"digest":"e147c7de9e87627b60fd50ce3a2de8685590a66a42cb5b85a7f2d9c68b104d04","report":{"id":"run-carfollow","title":"Car following","header":["quantity","value"],"rows":[["rms_tracking_err","0.25"]],"has_series":true,"series":[{"name":"gap","t":[0,0.01],"v":[18.5,18.25]},{"name":"u","t":[0],"v":[-0.5]}]}}`
 	v2Entry           = "HCPR\x97\x02{\"v\":2,\"digest\":\"e147c7de9e87627b60fd50ce3a2de8685590a66a42cb5b85a7f2d9c68b104d04\",\"report\":{\"id\":\"run-carfollow\",\"title\":\"Car following\",\"header\":[\"quantity\",\"value\"],\"rows\":[[\"rms_tracking_err\",\"0.25\"]],\"has_series\":true,\"series\":[{\"name\":\"Z2Fw\",\"n\":2},{\"name\":\"dQ==\",\"n\":1}]}}\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x802@{\x14\xaeG\xe1z\x84?\x00\x00\x00\x00\x00@2@\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xe0\xbf\x82/\xcc\x85"
+	v3Entry           = "HCPR\xea\x02{\"v\":3,\"digest\":\"e147c7de9e87627b60fd50ce3a2de8685590a66a42cb5b85a7f2d9c68b104d04\",\"report_digest\":\"843d2fb60be48a001a831322013ca018d708735496ba0fbc136a89139d8e8d48\",\"report\":{\"id\":\"run-carfollow\",\"title\":\"Car following\",\"header\":[\"quantity\",\"value\"],\"rows\":[[\"rms_tracking_err\",\"0.25\"]],\"has_series\":true,\"series\":[{\"name\":\"Z2Fw\",\"n\":2},{\"name\":\"dQ==\",\"n\":1}]}}\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x802@{\x14\xaeG\xe1z\x84?\x00\x00\x00\x00\x00@2@\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xe0\xbf\xe9c<H"
 )
 
 // oldExec recomputes the run the earlier-format entries hold and counts
@@ -180,7 +182,7 @@ func oldExec(calls *int) Func {
 }
 
 // TestPipelineRecomputesVersion1Entry pins the upgrade path: an entry an
-// earlier build wrote, in either earlier format, is a miss, quarantined
+// earlier build wrote, in any earlier format, is a miss, quarantined
 // and counted once, and the recomputed run is persisted in the current
 // format, carrying the report digest of the recomputed report.
 func TestPipelineRecomputesVersion1Entry(t *testing.T) {
@@ -188,7 +190,7 @@ func TestPipelineRecomputesVersion1Entry(t *testing.T) {
 	if norm, err := req.Normalize(); err != nil || norm.Digest() != entryDigest {
 		t.Fatalf("fixture request does not digest to the entries' digest (%v)", err)
 	}
-	for _, entry := range []struct{ name, data string }{{"version 1", v1Entry}, {"version 2", v2Entry}} {
+	for _, entry := range []struct{ name, data string }{{"version 1", v1Entry}, {"version 2", v2Entry}, {"version 3", v3Entry}} {
 		t.Run(entry.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "store")
 			m := &store.Metrics{}

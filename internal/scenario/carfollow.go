@@ -141,7 +141,9 @@ type CarFollowingResult struct {
 // carFollowPlant is the longitudinal car-following world: a lead vehicle
 // on a speed profile and a follower driven by stale pipeline outputs.
 type carFollowPlant struct {
-	cfg   *CarFollowingConfig
+	cfg *CarFollowingConfig
+	// noise draws the sensing noise; nil unless SpeedNoiseSD or
+	// GapNoiseSD is above 0, so a noise-free run seeds no source.
 	noise *rand.Rand
 	gains vehicle.CarFollower
 
@@ -175,7 +177,6 @@ type carFollowPlant struct {
 func newCarFollowPlant(cfg *CarFollowingConfig, rec *trace.Recorder, n seriesLens) (*carFollowPlant, error) {
 	p := &carFollowPlant{
 		cfg:   cfg,
-		noise: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 		gains: cfg.FollowerGains,
 		// Room for the initial row and one per dynamics step.
 		hist:           make(history[lonState], 0, n.step+1),
@@ -186,6 +187,9 @@ func newCarFollowPlant(cfg *CarFollowingConfig, rec *trace.Recorder, n seriesLen
 		coord:          newSeriesRow(rec, n.control, "tracking_err_sample", "u", "gamma"),
 		samples: newSeriesRow(rec, n.sample, "throughput", "response_ms", "discomfort", "miss_ratio",
 			"queue_len", "utilization", "rate_camera", "rate_lidar"),
+	}
+	if cfg.SpeedNoiseSD > 0 || cfg.GapNoiseSD > 0 {
+		p.noise = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
 	}
 	var err error
 	if p.follower, err = vehicle.NewLongitudinal(cfg.Longitudinal); err != nil {

@@ -458,6 +458,32 @@ func TestHardwareShape(t *testing.T) {
 	}
 }
 
+// TestNoiseSourceOnlyWhenDrawn: a car-following plant seeds its sensing
+// noise source only when SpeedNoiseSD or GapNoiseSD is above 0, since only
+// then does it draw from it; the hardware preset is such a plant.
+func TestNoiseSourceOnlyWhenDrawn(t *testing.T) {
+	hw, err := HardwareCarFollowingConfig(SchemeHCPerf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		name  string
+		cfg   CarFollowingConfig
+		noise bool
+	}{
+		{"noise-free", CarFollowingConfig{Loop: Loop{Scheme: SchemeHCPerf, Seed: 1, Duration: 1}}, false},
+		{"hardware", hw, true},
+	} {
+		r, err := AttachCarFollowing(simtime.NewEventQueue(), tt.cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.p.noise != nil; got != tt.noise {
+			t.Errorf("%s plant holds a noise source: %t, want %t", tt.name, got, tt.noise)
+		}
+	}
+}
+
 // TestJamResponsiveness locks in the Fig. 16/17 shape: the gap error spikes
 // when the jam hits and HCPerf mitigates it while keeping post-jam
 // discomfort lower than EDF's.

@@ -329,9 +329,15 @@ func (m *Manager) QueuePosition(id string) int {
 // → that run (LRU refreshed); identical to a queued/running run → that run
 // (singleflight dedup); persisted by an earlier process → a terminal job
 // restored from the disk store; otherwise a fresh job, unless the queue is
-// full (ErrQueueFull) or the manager is draining (ErrDraining).
+// full (ErrQueueFull) or the manager is draining (ErrDraining). Submit
+// digests req; the server's handlers hold the digest already and route
+// through submit, the one path behind it.
 func (m *Manager) Submit(req RunRequest) (*Job, SubmitOutcome, error) {
-	id := req.Digest()
+	return m.submit(&submission{req: req, id: req.Digest()})
+}
+
+func (m *Manager) submit(sub *submission) (*Job, SubmitOutcome, error) {
+	id := sub.id
 	m.mu.Lock()
 	if j, outcome, hit := m.lookupLocked(id); hit {
 		m.mu.Unlock()
@@ -352,14 +358,15 @@ func (m *Manager) Submit(req RunRequest) (*Job, SubmitOutcome, error) {
 		return j, outcome, nil
 	}
 	if onDisk {
-		return m.installTerminalLocked(id, req, res), SubmitCachedDisk, nil
+		return m.installTerminalLocked(sub, res), SubmitCachedDisk, nil
 	}
 	if m.draining {
 		m.metrics.Rejected.Add(1)
 		return nil, 0, ErrDraining
 	}
 	m.seq++
-	j := &Job{ID: id, Req: req, seq: m.seq, state: StateQueued, submitted: time.Now(), done: make(chan struct{})}
+	j := newJob(sub, StateQueued)
+	j.seq = m.seq
 	select {
 	case m.queue <- j:
 	default:
@@ -391,17 +398,23 @@ func (m *Manager) lookupLocked(id string) (*Job, SubmitOutcome, bool) {
 // installTerminalLocked enters a result restored from the disk store as a
 // terminal job, so subsequent GETs and submissions see it as an ordinary
 // cached run. The caller holds m.mu.
-func (m *Manager) installTerminalLocked(id string, req RunRequest, res *RunResult) *Job {
-	now := time.Now()
-	j := &Job{
-		ID: id, Req: req, source: store.TierDisk,
-		state: StateDone, result: res,
-		submitted: now, started: now, finished: now,
-		done: make(chan struct{}),
-	}
+func (m *Manager) installTerminalLocked(sub *submission, res *RunResult) *Job {
+	j := newJob(sub, StateDone)
+	j.source, j.result = store.TierDisk, res
+	j.started, j.finished = j.submitted, j.submitted
 	close(j.done)
-	m.jobs[id] = j
-	m.addToCacheLocked(id)
+	m.jobs[j.ID] = j
+	m.addToCacheLocked(j.ID)
+	return j
+}
+
+// newJob makes the job of a submission, submitted now, holding the
+// submission's rendered request when it has one.
+func newJob(sub *submission, state JobState) *Job {
+	j := &Job{ID: sub.id, Req: sub.req, state: state, submitted: time.Now(), done: make(chan struct{})}
+	if sub.request != nil {
+		j.reqOnce.Do(func() { j.reqJSON = sub.request })
+	}
 	return j
 }
 

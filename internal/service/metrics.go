@@ -53,6 +53,10 @@ type Metrics struct {
 	// SweepCells / SweepCacheHits count batch-sweep cells streamed and
 	// cells satisfied from a store tier without re-execution.
 	SweepCells, SweepCacheHits atomic.Uint64
+	// MemoHits / MemoMisses count POST /v1/runs bodies the request-body
+	// memo answered and bodies it looked up without finding; a body
+	// longer than the memo holds is neither.
+	MemoHits, MemoMisses atomic.Uint64
 	// Store holds the tiered result store's per-tier counters (shared
 	// with the disk store); never nil.
 	Store *store.Metrics
@@ -176,6 +180,11 @@ func (m *Metrics) WritePrometheus(w io.Writer, live LiveStats) error {
 	counter("hcperf_optimize_generations_total", "Completed search generations across all optimize jobs.", m.OptimizeGenerations.Load())
 	counter("hcperf_sweep_cells_total", "Batch-sweep cells processed.", m.SweepCells.Load())
 	counter("hcperf_sweep_cache_hits_total", "Batch-sweep cells satisfied from a store tier without re-execution.", m.SweepCacheHits.Load())
+
+	add("# HELP hcperf_request_memo_total POST /v1/runs bodies looked up in the request-body memo, by result.\n")
+	add("# TYPE hcperf_request_memo_total counter\n")
+	add("hcperf_request_memo_total{result=\"hit\"} %d\n", m.MemoHits.Load())
+	add("hcperf_request_memo_total{result=\"miss\"} %d\n", m.MemoMisses.Load())
 
 	// The tiered result store, one counter family per metric with a tier
 	// label, so dashboards can tell a warm memory cache from a disk

@@ -74,18 +74,20 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 
 // Disk entries of expReq(t, 1) in the formats earlier builds wrote,
 // exactly as their EncodeResult encoded the real fig5 run: version 1, a
-// JSON envelope, and version 2, the binary layout without the report
-// digest. entryDigest is the request digest both are stored under and
-// entryReportDigest that run's report digest.
+// JSON envelope, version 2, the binary layout without the report digest,
+// and version 3, a JSON header that carries it. entryDigest is the request
+// digest all three are stored under and entryReportDigest that run's
+// report digest.
 const (
 	entryDigest       = "7e9c19ddaa576237b00758b3817bc3f3eb5dd6b9130c3eae7d24c9ca18d744f2"
 	entryReportDigest = "9155ec1e74f48591048b5243c7201508da82d3bc57897c68479f8ee09bb3ebac"
 	v1Entry           = `{"v":1,"digest":"7e9c19ddaa576237b00758b3817bc3f3eb5dd6b9130c3eae7d24c9ca18d744f2","report":{"id":"fig5","title":"Toy schedule: adaptive vs performance-preferred control-command times","header":["schedule","cmd1 (s)","cmd2 (s)","cmd3 (s)"],"rows":[["adaptive (EDF)","7","8","9"],["preferred (HCPerf γ-grouped)","3","6","9"]],"paper_rows":[["adaptive (Fig. 5(a))","7","8","9"],["preferred (Fig. 5(b))","3","6","9"]]}}`
 	v2Entry           = "HCPR\xa1\x03{\"v\":2,\"digest\":\"7e9c19ddaa576237b00758b3817bc3f3eb5dd6b9130c3eae7d24c9ca18d744f2\",\"report\":{\"id\":\"fig5\",\"title\":\"Toy schedule: adaptive vs performance-preferred control-command times\",\"header\":[\"schedule\",\"cmd1 (s)\",\"cmd2 (s)\",\"cmd3 (s)\"],\"rows\":[[\"adaptive (EDF)\",\"7\",\"8\",\"9\"],[\"preferred (HCPerf \xce\xb3-grouped)\",\"3\",\"6\",\"9\"]],\"paper_rows\":[[\"adaptive (Fig. 5(a))\",\"7\",\"8\",\"9\"],[\"preferred (Fig. 5(b))\",\"3\",\"6\",\"9\"]]}}\xc2w\xcc!"
+	v3Entry           = "HCPR\xf4\x03{\"v\":3,\"digest\":\"7e9c19ddaa576237b00758b3817bc3f3eb5dd6b9130c3eae7d24c9ca18d744f2\",\"report_digest\":\"9155ec1e74f48591048b5243c7201508da82d3bc57897c68479f8ee09bb3ebac\",\"report\":{\"id\":\"fig5\",\"title\":\"Toy schedule: adaptive vs performance-preferred control-command times\",\"header\":[\"schedule\",\"cmd1 (s)\",\"cmd2 (s)\",\"cmd3 (s)\"],\"rows\":[[\"adaptive (EDF)\",\"7\",\"8\",\"9\"],[\"preferred (HCPerf γ-grouped)\",\"3\",\"6\",\"9\"]],\"paper_rows\":[[\"adaptive (Fig. 5(a))\",\"7\",\"8\",\"9\"],[\"preferred (Fig. 5(b))\",\"3\",\"6\",\"9\"]]}}\xa1\x1b\x81&"
 )
 
 // TestManagerRecomputesVersion1Entry pins the upgrade path through the
-// job manager: an entry an earlier build wrote, in either earlier format,
+// job manager: an entry an earlier build wrote, in any earlier format,
 // is a miss, quarantined and counted once, the run re-executes and is
 // re-persisted carrying its report digest, and a fresh manager over the
 // same directory serves that entry from disk with the same report digest.
@@ -94,7 +96,7 @@ func TestManagerRecomputesVersion1Entry(t *testing.T) {
 	if req.Digest() != entryDigest {
 		t.Fatalf("fixture request digests to %s, not the entries' digest", req.Digest())
 	}
-	for _, entry := range []struct{ name, data string }{{"version 1", v1Entry}, {"version 2", v2Entry}} {
+	for _, entry := range []struct{ name, data string }{{"version 1", v1Entry}, {"version 2", v2Entry}, {"version 3", v3Entry}} {
 		t.Run(entry.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "results")
 			d := openServiceDisk(t, dir)

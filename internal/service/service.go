@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -44,11 +46,12 @@ type Server struct {
 	mgr     *Manager
 	mux     *http.ServeMux
 	limiter *policy.Limiter // nil when rate limiting is disabled
+	memo    *bodyMemo
 }
 
 // New builds the server and starts its worker pool.
 func New(cfg Config) *Server {
-	s := &Server{mgr: NewManager(cfg), mux: http.NewServeMux()}
+	s := &Server{mgr: NewManager(cfg), mux: http.NewServeMux(), memo: newBodyMemo()}
 	if cfg.Policy.RateLimit > 0 {
 		burst := cfg.Policy.RateBurst
 		if burst <= 0 {
@@ -116,15 +119,64 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v) // the status line is already written; nothing left to do on error
 }
 
+// handleSubmit answers a body the memo holds from it. Any other body is
+// decoded as a stream: a body of at most memoMaxBody bytes from the bytes
+// read so far, and a longer one with them read back first, so the memo
+// changes no answer. A body that decodes and normalizes cleanly is offered
+// to the memo.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, whole := readBody(r)
+	if whole {
+		if sub := s.memo.lookup(body); sub != nil {
+			s.mgr.metrics.MemoHits.Add(1)
+			s.route(w, sub)
+			return
+		}
+		s.mgr.metrics.MemoMisses.Add(1)
+	}
+	var src io.Reader = bytes.NewReader(body)
+	if !whole {
+		src = io.MultiReader(src, r.Body)
+	}
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
-	s.submit(w, req)
+	req, err := req.Normalize()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		return
+	}
+	if !whole {
+		s.route(w, &submission{req: req, id: req.Digest()})
+		return
+	}
+	s.route(w, s.memo.offer(body, req, req.Digest()))
+}
+
+// readBody reads at most memoMaxBody+1 bytes of r's body and reports
+// whether they are all of it. A read error ends the bytes early, and the
+// decoder that reads on meets it.
+func readBody(r *http.Request) ([]byte, bool) {
+	size := 512
+	if n := r.ContentLength; n > 0 && n <= memoMaxBody {
+		size = int(n) + 1 // room to read the end without growing
+	}
+	b := make([]byte, 0, size)
+	lr := &io.LimitedReader{R: r.Body, N: memoMaxBody + 1}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := lr.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			return b, err == io.EOF && len(b) <= memoMaxBody
+		}
+	}
 }
 
 // handleOptimize accepts a bare search.Request body — shorthand for
@@ -142,15 +194,20 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	s.submit(w, RunRequest{Optimize: &rq})
 }
 
-// submit normalizes and routes one request, writing the uniform submission
-// response: 202 for new/deduped jobs, 200 when served from cache.
+// submit normalizes and routes one request.
 func (s *Server) submit(w http.ResponseWriter, req RunRequest) {
 	req, err := req.Normalize()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
-	job, outcome, err := s.mgr.Submit(req)
+	s.route(w, &submission{req: req, id: req.Digest()})
+}
+
+// route submits one normalized request and writes the uniform submission
+// response: 202 for new/deduped jobs, 200 when served from cache.
+func (s *Server) route(w http.ResponseWriter, sub *submission) {
+	job, outcome, err := s.mgr.submit(sub)
 	switch {
 	case err == nil:
 	case err == ErrQueueFull:

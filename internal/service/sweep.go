@@ -34,6 +34,7 @@ type sweepCell struct {
 	Index  int
 	Params map[string]any
 	Req    run.Request
+	ID     string // Req's digest
 }
 
 // sweepAxis is one sorted grid dimension.
@@ -97,7 +98,7 @@ func expandSweep(sr SweepRequest) ([]sweepCell, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sweep: cell %d (%s): %v", i, fmtParams(params), err)
 		}
-		cells = append(cells, sweepCell{Index: i, Params: params, Req: req})
+		cells = append(cells, sweepCell{Index: i, Params: params, Req: req, ID: req.Digest()})
 		for a := len(axes) - 1; a >= 0; a-- {
 			if idx[a]++; idx[a] < len(axes[a].values) {
 				break
@@ -262,9 +263,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // manager refuses the submission.
 func (s *Server) submitCell(c sweepCell, of int) (sweepCellEvent, *Job) {
 	ev := sweepCellEvent{Index: c.Index, Of: of, Params: c.Params, Cache: store.TierMiss, State: StateFailed}
-	j, outcome, err := s.mgr.Submit(c.Req)
+	j, outcome, err := s.mgr.submit(&submission{req: c.Req, id: c.ID})
 	if err != nil {
-		ev.ID, ev.Error = c.Req.Digest(), err.Error()
+		ev.ID, ev.Error = c.ID, err.Error()
 		return ev, nil
 	}
 	ev.ID, ev.Cache = j.ID, outcome.Tier()

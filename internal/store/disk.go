@@ -1,11 +1,13 @@
 package store
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -27,8 +29,9 @@ const entrySuffix = ".json"
 // written via temp-file + atomic rename so readers (including other
 // processes sharing the directory — the CLI pre-warming a server's store)
 // never observe a torn entry. The size cap is enforced on Put by evicting
-// the entries with the oldest mtime; Get refreshes an entry's mtime, so
-// eviction order is LRU, not FIFO.
+// the least recently used entries; Get refreshes an entry's recency and
+// its mtime, so eviction order is LRU, not FIFO, and a reopened store
+// resumes it from the mtimes.
 //
 // The in-memory size index covers entries written or scanned by this
 // process; Get reads through to the filesystem regardless, so entries
@@ -43,14 +46,18 @@ type Disk struct {
 	// mu guards the index and every rename or removal of an entry file, so
 	// under it the index matches this process's files. Entry reads and
 	// temp-file writes run outside it.
-	mu      sync.Mutex
-	entries map[string]diskEntry
+	mu sync.Mutex
+	// entries indexes order, which holds each entry in recency order,
+	// most recently used at the front, so the eviction victim is at the
+	// back.
+	entries map[string]*list.Element
+	order   *list.List // of *diskEntry
 	size    int64
 }
 
 type diskEntry struct {
-	size  int64
-	mtime time.Time
+	digest string
+	size   int64
 }
 
 // OpenDisk opens (creating if needed) a disk store rooted at dir with the
@@ -78,7 +85,7 @@ func OpenDisk(dir string, maxBytes int64, metrics *Metrics) (*Disk, error) {
 	probe.Close()
 	os.Remove(probe.Name())
 
-	d := &Disk{dir: dir, maxBytes: maxBytes, metrics: metrics, entries: make(map[string]diskEntry)}
+	d := &Disk{dir: dir, maxBytes: maxBytes, metrics: metrics, entries: make(map[string]*list.Element), order: list.New()}
 	if err := d.scan(); err != nil {
 		return nil, err
 	}
@@ -87,11 +94,19 @@ func OpenDisk(dir string, maxBytes int64, metrics *Metrics) (*Disk, error) {
 
 // scan rebuilds the size index from the directory contents, so a reopened
 // store enforces its cap over entries written by earlier processes too.
+// Entries enter the recency order by mtime, ties broken on the digest, so
+// the first to be evicted is the oldest, and of equally old ones the
+// smallest digest.
 func (d *Disk) scan() error {
 	dirents, err := os.ReadDir(d.dir)
 	if err != nil {
 		return fmt.Errorf("store: scan %s: %w", d.dir, err)
 	}
+	type scanned struct {
+		e     *diskEntry
+		mtime time.Time
+	}
+	var found []scanned
 	for _, de := range dirents {
 		name := de.Name()
 		if de.IsDir() || !strings.HasSuffix(name, entrySuffix) {
@@ -105,8 +120,17 @@ func (d *Disk) scan() error {
 		if err != nil {
 			continue // raced with a concurrent eviction; skip
 		}
-		d.entries[digest] = diskEntry{size: info.Size(), mtime: info.ModTime()}
-		d.size += info.Size()
+		found = append(found, scanned{&diskEntry{digest: digest, size: info.Size()}, info.ModTime()})
+	}
+	slices.SortFunc(found, func(a, b scanned) int {
+		if c := a.mtime.Compare(b.mtime); c != 0 {
+			return c
+		}
+		return strings.Compare(a.e.digest, b.e.digest)
+	})
+	for _, f := range found {
+		d.entries[f.e.digest] = d.order.PushFront(f.e)
+		d.size += f.e.size
 	}
 	return nil
 }
@@ -194,15 +218,14 @@ func (d *Disk) read(digest string) ([]byte, bool) {
 	_ = os.Chtimes(path, now, now) // best-effort LRU touch
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if e, ok := d.entries[digest]; ok {
-		e.mtime = now
-		d.entries[digest] = e
+	if el, ok := d.entries[digest]; ok {
+		d.order.MoveToFront(el)
 	} else if info, err := os.Stat(path); err == nil {
 		// Written by another process since our last scan; index it so the
 		// size cap covers it from now on. Under the lock this process's
 		// files and index agree, so checking the file is still there keeps
 		// an entry evicted or quarantined since the read out of the index.
-		d.entries[digest] = diskEntry{size: info.Size(), mtime: now}
+		d.entries[digest] = d.order.PushFront(&diskEntry{digest: digest, size: info.Size()})
 		d.size += info.Size()
 	}
 	return data, true
@@ -211,8 +234,8 @@ func (d *Disk) read(digest string) ([]byte, bool) {
 // Put stores data under digest: the bytes land in a temp file first and
 // are renamed into place, so concurrent readers see either the old entry
 // or the new one, never a prefix. After the write the size cap is enforced
-// by evicting oldest-mtime entries (the just-written entry is never the
-// victim, so a single oversized result still lands). The temp file is
+// by evicting least recently used entries (the just-written entry is never
+// the victim, so a single oversized result still lands). The temp file is
 // written outside the lock; the rename, index update and eviction hold it.
 func (d *Disk) Put(digest string, data []byte) error {
 	if !validDigest(digest) {
@@ -241,41 +264,36 @@ func (d *Disk) Put(digest string, data []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: put %s: %w", digest, err)
 	}
-	if prev, ok := d.entries[digest]; ok {
-		d.size -= prev.size
+	size := int64(len(data))
+	if el, ok := d.entries[digest]; ok {
+		e := el.Value.(*diskEntry)
+		d.size += size - e.size
+		e.size = size
+		d.order.MoveToFront(el)
+	} else {
+		d.entries[digest] = d.order.PushFront(&diskEntry{digest: digest, size: size})
+		d.size += size
 	}
-	d.entries[digest] = diskEntry{size: int64(len(data)), mtime: time.Now()}
-	d.size += int64(len(data))
-	d.evictLocked(digest)
+	d.evictLocked()
 	return nil
 }
 
-// evictLocked removes oldest-mtime entries until the store fits its cap,
-// sparing keep (the entry that triggered enforcement). Ties break on the
-// digest so eviction order is deterministic under equal mtimes.
-func (d *Disk) evictLocked(keep string) {
-	for d.size > d.maxBytes && len(d.entries) > 1 {
-		victim := ""
-		var ve diskEntry
-		for digest, e := range d.entries {
-			if digest == keep {
-				continue
-			}
-			if victim == "" || e.mtime.Before(ve.mtime) || (e.mtime.Equal(ve.mtime) && digest < victim) {
-				victim, ve = digest, e
-			}
-		}
-		if victim == "" {
-			return
-		}
-		if err := os.Remove(d.path(victim)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+// evictLocked removes least recently used entries until the store fits
+// its cap. The entry just written is at the front and is never the victim,
+// so a single oversized result still lands.
+func (d *Disk) evictLocked() {
+	for d.size > d.maxBytes && d.order.Len() > 1 {
+		el := d.order.Back()
+		victim := el.Value.(*diskEntry)
+		if err := os.Remove(d.path(victim.digest)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			// The file is stuck (permissions?); dropping it from the index
 			// anyway would let the directory grow without bound, so keep
 			// accounting for it and stop evicting this round.
 			return
 		}
-		d.size -= ve.size
-		delete(d.entries, victim)
+		d.size -= victim.size
+		d.order.Remove(el)
+		delete(d.entries, victim.digest)
 		d.metrics.DiskEvictions.Add(1)
 	}
 }
@@ -295,8 +313,9 @@ func (d *Disk) Quarantine(digest string) {
 	if err := os.Rename(src, dst); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		os.Remove(src) // last resort: a corrupt entry must not keep serving
 	}
-	if e, ok := d.entries[digest]; ok {
-		d.size -= e.size
+	if el, ok := d.entries[digest]; ok {
+		d.size -= el.Value.(*diskEntry).size
+		d.order.Remove(el)
 		delete(d.entries, digest)
 	}
 	d.metrics.Corrupt.Add(1)

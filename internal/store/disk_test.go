@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -100,20 +101,20 @@ func TestDiskSizeCapEvictsOldestFirst(t *testing.T) {
 	d, m := openTestDisk(t, 30) // three 10-byte entries fit exactly
 	payload := []byte("0123456789")
 	base := time.Now().Add(-time.Hour)
-	for i := 1; i <= 3; i++ {
+	// Written in the order 3, 2, 1, with mtimes pinned in the order 1, 2,
+	// 3: the reopened store orders its entries by mtime.
+	for i := 3; i >= 1; i-- {
 		if err := d.Put(digestN(i), payload); err != nil {
 			t.Fatal(err)
 		}
-		// Pin distinct mtimes so eviction order is unambiguous.
 		at := base.Add(time.Duration(i) * time.Minute)
 		if err := os.Chtimes(d.path(digestN(i)), at, at); err != nil {
 			t.Fatal(err)
 		}
-		d.mu.Lock()
-		e := d.entries[digestN(i)]
-		e.mtime = at
-		d.entries[digestN(i)] = e
-		d.mu.Unlock()
+	}
+	d, err := OpenDisk(d.Dir(), 30, m)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Touch entry 1 via Get: it becomes most recently used.
 	if _, ok := d.Get(digestN(1)); !ok {
@@ -133,6 +134,113 @@ func TestDiskSizeCapEvictsOldestFirst(t *testing.T) {
 	}
 	if ev := m.DiskEvictions.Load(); ev != 1 {
 		t.Errorf("evictions = %d, want 1", ev)
+	}
+}
+
+// lruModel is the disk tier's eviction rule written as a scan: the victim
+// is the entry with the oldest mtime other than the one just written, ties
+// broken on the smaller digest.
+type lruModel struct {
+	max     int64
+	size    int64
+	entries map[string]lruModelEntry
+	evicted uint64
+}
+
+type lruModelEntry struct {
+	size  int64
+	mtime time.Time
+}
+
+func (m *lruModel) put(digest string, size int64, now time.Time) {
+	m.size += size - m.entries[digest].size
+	m.entries[digest] = lruModelEntry{size, now}
+	for m.size > m.max && len(m.entries) > 1 {
+		victim := ""
+		var ve lruModelEntry
+		for d, e := range m.entries {
+			if d != digest && (victim == "" || e.mtime.Before(ve.mtime) || (e.mtime.Equal(ve.mtime) && d < victim)) {
+				victim, ve = d, e
+			}
+		}
+		m.size -= ve.size
+		delete(m.entries, victim)
+		m.evicted++
+	}
+}
+
+func (m *lruModel) remove(digest string) {
+	m.size -= m.entries[digest].size
+	delete(m.entries, digest)
+}
+
+// TestDiskEvictsAsTheMtimeRule drives random Put, Get, Load, Quarantine
+// and reopen calls through one store and through lruModel, and checks
+// after every call that both hold the same entries and have evicted as
+// many. The model stamps each touch with the clock after the call, and
+// takes the files' mtimes on reopen, as the store's scan does.
+func TestDiskEvictsAsTheMtimeRule(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const maxBytes = 200
+		d, m := openTestDisk(t, maxBytes)
+		model := &lruModel{max: maxBytes, entries: make(map[string]lruModelEntry)}
+		for op := 0; op < 400; op++ {
+			key := digestN(rng.Intn(24))
+			switch r := rng.Intn(10); {
+			case r < 5:
+				size := 1 + rng.Intn(60)
+				if err := d.Put(key, make([]byte, size)); err != nil {
+					t.Fatal(err)
+				}
+				model.put(key, int64(size), time.Now())
+			case r < 7:
+				if _, ok := d.Get(key); ok {
+					e := model.entries[key]
+					e.mtime = time.Now()
+					model.entries[key] = e
+				}
+			case r < 8:
+				// A decode that rejects the entry quarantines it.
+				d.Load(key, func([]byte) error { return fmt.Errorf("corrupt") })
+				model.remove(key)
+			case r < 9:
+				d.Quarantine(key)
+				model.remove(key)
+			default:
+				var err error
+				if d, err = OpenDisk(d.Dir(), maxBytes, m); err != nil {
+					t.Fatal(err)
+				}
+				for digest, e := range model.entries {
+					info, err := os.Stat(d.path(digest))
+					if err != nil {
+						t.Fatal(err)
+					}
+					e.mtime = info.ModTime()
+					model.entries[digest] = e
+				}
+			}
+			dirents, err := os.ReadDir(d.Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var files []string
+			for _, de := range dirents {
+				if name := de.Name(); !de.IsDir() && strings.HasSuffix(name, entrySuffix) {
+					files = append(files, strings.TrimSuffix(name, entrySuffix))
+				}
+			}
+			want := make([]string, 0, len(model.entries))
+			for digest := range model.entries {
+				want = append(want, digest)
+			}
+			slices.Sort(want)
+			if !slices.Equal(files, want) || m.DiskEvictions.Load() != model.evicted || d.SizeBytes() != model.size {
+				t.Fatalf("seed %d op %d: store holds %d entries, %d B, %d evicted; the mtime rule %d, %d B, %d evicted",
+					seed, op, len(files), d.SizeBytes(), m.DiskEvictions.Load(), len(want), model.size, model.evicted)
+			}
+		}
 	}
 }
 
