@@ -190,6 +190,9 @@ func TestCodecRejectsCorruptEntries(t *testing.T) {
 		{"magic only", []byte(codecMagic), "truncated"},
 		{"digest length beyond input", appendCRC(binary.AppendUvarint(append([]byte(codecMagic), codecVersion), 1<<40)), "digest: length"},
 		{"header list beyond input", appendCRC(binary.AppendUvarint(prefix()[:len(prefix())-4], 1<<40)), "report header"},
+		// A report header of one column whose name claims more bytes than
+		// are left.
+		{"header length beyond input", appendCRC(binary.AppendUvarint(append(prefix()[:len(prefix())-4], 2), 1<<40)), "report header: length"},
 		{"unknown report flag", appendCRC(append(prefix(), 4)), "report flags"},
 		{"series list beyond input", appendCRC(binary.AppendUvarint(append(prefix(), flagSeries), 1<<40)), "series"},
 		{"events beyond input", appendCRC(binary.AppendUvarint(append(prefix(), 0, 0), 1<<40)), "events"},
@@ -197,10 +200,13 @@ func TestCodecRejectsCorruptEntries(t *testing.T) {
 		{"count beyond input", forge(func(e *entry) { e.series[0].n = 4 }), "claims 4 samples, 48 bytes left"},
 		{"count of 2^62", forge(func(e *entry) { e.series[0].n = 1 << 62 }), "claims"},
 		{"count of 2^64-1", forge(func(e *entry) { e.series[0].n = math.MaxUint64 }), "claims"},
+		{"negative count", forge(func(e *entry) { e.series[0].n = 1 << 63 }), "claims"}, // math.MinInt64 as an int
 		{"count of zero", forge(func(e *entry) { e.series[1].n = 0 }), "no samples"},
 		{"duplicate names", forge(func(e *entry) { e.series[1].name = "a" }), "already recorded"},
 		{"decreasing times", sealEntry(&base, backwards), "before"},
 		{"bytes after the last series", sealEntry(&base, append(bytes.Clone(samples), 0)), "after the last series"},
+		// An entry that ends after its digest, under a valid checksum.
+		{"report digest missing", appendCRC(appendString(append([]byte(codecMagic), codecVersion), "deadbeef")), "report digest"},
 		{"report digest empty", forge(func(e *entry) { e.reportDigest = "" }), "report digest"},
 		{"report digest of 63 characters", forge(func(e *entry) { e.reportDigest = reportDigest[:63] }), "report digest"},
 		{"report digest of 65 characters", forge(func(e *entry) { e.reportDigest = reportDigest + "0" }), "report digest"},
