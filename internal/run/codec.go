@@ -303,6 +303,10 @@ func DecodeResult(digest string, data []byte) (*Result, error) {
 		}
 	}
 
+	// The view is small beside the samples and lives as long as the
+	// result, so it is always a copy: the entry's bytes are freed with
+	// the samples' first use.
+	view = bytes.Clone(view)
 	samples := r.b
 	if flags&flagSeries != 0 {
 		block := samples
@@ -316,11 +320,10 @@ func DecodeResult(digest string, data []byte) (*Result, error) {
 			samples = samples[n*sampleBytes:]
 		}
 		block = block[:len(block)-len(samples)]
-		if 2*(len(block)+len(view)) < len(data) {
-			// Samples and view that are not most of the entry, as beside
-			// a traced run's events, are held as copies, so the rest is
-			// freed.
-			block, view = bytes.Clone(block), bytes.Clone(view)
+		if 2*len(block) < len(data) {
+			// Samples that are not most of the entry, as beside a traced
+			// run's events, are held as a copy, so the rest is freed.
+			block = bytes.Clone(block)
 		}
 		rec, err := trace.Deferred(names, counts, func(dst []trace.Sample) {
 			for i := range dst {
@@ -331,8 +334,6 @@ func DecodeResult(digest string, data []byte) (*Result, error) {
 			return fail("%w", err)
 		}
 		rep.Series = rec
-	} else if 2*len(view) < len(data) {
-		view = bytes.Clone(view)
 	}
 	if len(samples) != 0 {
 		return fail("%d bytes after the last series", len(samples))

@@ -403,6 +403,11 @@ func FuzzDecodeResult(f *testing.F) {
 		if !bytes.Equal(view, rendered) {
 			t.Fatalf("decoded view\n%s\nwant the decoded report's\n%s", view, rendered)
 		}
+		// The view outlives the entry's bytes: it holds none of them.
+		clear(data)
+		if !bytes.Equal(view, rendered) {
+			t.Fatal("decoded view shares the entry's bytes")
+		}
 	})
 }
 

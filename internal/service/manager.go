@@ -100,8 +100,15 @@ type Job struct {
 // requestJSON returns the job's normalized request as the status body
 // nests it, rendered on the first call and memoized for every later one.
 func (j *Job) requestJSON() ([]byte, error) {
-	j.reqOnce.Do(func() { j.reqJSON, j.reqErr = json.MarshalIndent(j.Req, "  ", "  ") })
+	j.reqOnce.Do(func() { j.reqJSON, j.reqErr = renderRequest(j.Req) })
 	return j.reqJSON, j.reqErr
+}
+
+// renderRequest renders req as the status body nests it. Jobs and the
+// request-body memo both render through it, so a job made from the memo
+// answers with the bytes any other job would.
+func renderRequest(req RunRequest) ([]byte, error) {
+	return json.MarshalIndent(req, "  ", "  ")
 }
 
 // JobSnapshot is a consistent copy of a job's mutable state.

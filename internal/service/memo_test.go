@@ -105,6 +105,29 @@ func TestMemoBoundedByBytes(t *testing.T) {
 	}
 }
 
+// TestMemoSeenTableUsesEverySlot: the hashes of bodies seen once fill
+// even and odd slots of the seen table alike, though offer forces each
+// hash odd.
+func TestMemoSeenTableUsesEverySlot(t *testing.T) {
+	m := newBodyMemo()
+	var req RunRequest
+	for i := 0; i < memoSeenSlots; i++ {
+		m.offer([]byte(fmt.Sprintf(`{"seed": %d}`, i)), req, "")
+	}
+	var filled [2]int
+	for slot, h := range m.seen {
+		if h != 0 {
+			filled[slot%2]++
+		}
+	}
+	// 4,096 random hashes fill about 63% of 4,096 slots, half of them even.
+	for parity, n := range filled {
+		if n < memoSeenSlots/4 {
+			t.Errorf("%d of %d slots with parity %d filled after %d bodies, want at least %d", n, memoSeenSlots/2, parity, memoSeenSlots, memoSeenSlots/4)
+		}
+	}
+}
+
 // TestMemoChangesNoAnswer: bodies the memo never holds are answered as
 // without it. A malformed body gets the same 400 bytes every time, and a
 // body longer than memoMaxBody is decoded as a stream, whole.
