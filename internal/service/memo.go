@@ -50,8 +50,8 @@ type bodyMemo struct {
 	entries map[string]*list.Element
 	order   *list.List // of *memoEntry, most recently used at the front
 	charged int
-	// seen holds the hashes of bodies seen once, each in the slot seenSlot
-	// picks; 0 marks an empty slot. It only decides admission.
+	// seen holds the hashes of bodies seen once, each in the slot its
+	// hash picks; 0 marks an empty slot. It only decides admission.
 	seen [memoSeenSlots]uint64
 }
 
@@ -78,10 +78,6 @@ func (m *bodyMemo) lookup(body []byte) *submission {
 	return &el.Value.(*memoEntry).sub
 }
 
-// seenSlot picks the seen-table slot of hash h from the bits above the
-// lowest, which offer forces to 1, so every slot is used.
-func seenSlot(h uint64) uint64 { return (h >> 1) % memoSeenSlots }
-
 // offer is called with each body that decoded and normalized cleanly to
 // req, whose digest is id, and returns the submission to route. The body
 // enters the memo on its second sighting, with its request rendered once
@@ -89,7 +85,9 @@ func seenSlot(h uint64) uint64 { return (h >> 1) % memoSeenSlots }
 func (m *bodyMemo) offer(body []byte, req RunRequest, id string) *submission {
 	sub := &submission{req: req, id: id}
 	h := maphash.Bytes(m.seed, body) | 1 // never 0, the empty slot
-	slot := &m.seen[seenSlot(h)]
+	// The slot comes from the bits above the lowest, which is always 1,
+	// so every slot is used.
+	slot := &m.seen[(h>>1)%memoSeenSlots]
 	m.mu.Lock()
 	if *slot != h {
 		*slot = h
